@@ -36,10 +36,7 @@ from .morse import (
     MorseReport,
     PencilField,
     PencilPoint,
-    bigness_verdict,
     build_morse_report,
-    check_Xq,
-    classify_bundle,
     density_q,
     rrh_total,
 )
@@ -56,7 +53,7 @@ from .oracles import (
     save_calibration,
     torus_bundle_field,
 )
-from .pencil import HermitianMatrix, chambers, pencil_char_poly
+from .pencil import HermitianMatrix, _chamber_masses, _decompose
 from .serialize import canonical_json, csv_table
 
 FIELD_SCHEMA = "crmorse/field-v1"
@@ -328,12 +325,13 @@ def _read_input(args, default_doc: Optional[Dict] = None) -> bytes:
     return (canonical_json(default_doc) + "\n").encode()
 
 
-def _threads(args) -> int:
+def _check_threads(args) -> None:
+    """Validate --threads / CRMORSE_THREADS; computation is single-threaded."""
     t = getattr(args, "threads", None)
     if t is not None:
         if t < 1:
             raise InputError("--threads must be >= 1, got %d" % t)
-        return t
+        return
     env = os.environ.get("CRMORSE_THREADS")
     if env is not None and env.strip():
         try:
@@ -344,8 +342,6 @@ def _threads(args) -> int:
             ) from None
         if t < 1:
             raise InputError("CRMORSE_THREADS must be >= 1, got %d" % t)
-        return t
-    return min(os.cpu_count() or 1, 8)
 
 
 def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: float) -> None:
@@ -449,9 +445,8 @@ def _cmd_chambers(args, started):
         )
     pt = field.points[args.point]
     delta = field.delta if args.delta is None else args.delta
-    dec = chambers(pt.r, pt.el, delta, tol=args.tol)
-    anti = pencil_char_poly(pt.r, pt.el).antiderivative()
-    masses = [abs(float(anti(ch.hi)) - float(anti(ch.lo))) for ch in dec.chambers]
+    dec, p = _decompose(pt.r, pt.el, delta, args.tol)
+    masses = _chamber_masses(dec, p.antiderivative())
     result = {
         "label": pt.label,
         "delta": dec.delta,
@@ -480,24 +475,23 @@ def _cmd_chambers(args, started):
 def _cmd_morse(args, started):
     raw = _read_input(args)
     field = parse_field(raw)
-    threads = _threads(args)
-    rep = build_morse_report(field, delta=args.delta, threads=threads)
+    _check_threads(args)
+    rep = build_morse_report(field, delta=args.delta)
     _emit(args, "morse", raw, _report_doc(rep, args.k), _report_csv(rep, args.k), started)
 
 
 def _cmd_classify(args, started):
     raw = _read_input(args)
     field = parse_field(raw)
-    threads = _threads(args)
-    positivity = classify_bundle(field, threads)
-    big = bigness_verdict(field, threads)
-    xq = [check_Xq(field, q, threads) for q in range(field.dim + 1)]
+    _check_threads(args)
+    rep = build_morse_report(field)
+    positivity, big = rep.positivity, rep.bigness
     result = {
         "n": field.n,
         "delta": field.delta,
         "positivity": _positivity_doc(positivity),
         "bigness": {"big": big.big, "reason": big.reason},
-        "xq": [_xq_doc(x) for x in xq],
+        "xq": [_xq_doc(x) for x in rep.xq],
     }
     rows = [
         ["positive_everywhere", positivity.positive_everywhere],
@@ -509,7 +503,7 @@ def _cmd_classify(args, started):
         ["big", big.big],
         ["reason", big.reason],
     ]
-    for q, x in enumerate(xq):
+    for q, x in enumerate(rep.xq):
         rows.append(["xq%d_holds" % q, x.holds])
         rows.append(["xq%d_max_delta" % q, x.max_delta])
     _emit(args, "classify", raw, result, csv_table(["key", "value"], rows), started)
@@ -758,11 +752,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="also emit k^n weak bounds")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="validated (>= 1) but unused: computation is single-threaded")
 
     p = add("classify", _cmd_classify, "positivity, X(q), and bigness verdicts")
     p.add_argument("--input", metavar="PATH", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="validated (>= 1) but unused: computation is single-threaded")
 
     p = add("szego-density", _cmd_szego, "model Szego density per degree")
     p.add_argument("--input", metavar="PATH", required=True)

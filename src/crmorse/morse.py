@@ -6,21 +6,20 @@ density coefficients, weak and strong bound prefactors, the asymptotic
 Riemann-Roch-Hirzebruch total, the X(q) distance certificate, and the
 positivity / bigness verdicts.
 
-All reductions over sample points run in input order with math.fsum, so
-reports are byte-reproducible regardless of the thread count used for
-the per-point chamber work.
+Each sample's pencil is decomposed once per window into a chamber
+record; every quantity is a reduction over those records, run in input
+order with math.fsum so reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import DegeneratePencilError, InputError
-from .pencil import HermitianMatrix, _decompose, inertia
+from .pencil import Chamber, HermitianMatrix, _chamber_masses, _decompose, inertia
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -41,8 +40,6 @@ __all__ = [
     "strong_sums",
     "weak_bound",
 ]
-
-_T = TypeVar("_T")
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,18 +137,29 @@ class MorseReport:
     bigness: Bigness
 
 
-def _map_points(fn: Callable[[PencilPoint], _T], points: Sequence[PencilPoint], threads: Optional[int]) -> List[_T]:
-    if threads is None or threads <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, points))
+class _Record(NamedTuple):
+    """One sample's chambers over a window, with the integrals of det."""
+
+    chambers: List[Chamber]
+    masses: List[float]  # |det| integral over the q-signature set, per q
+    signed: float  # signed integral of det over the whole window
 
 
-def _analyze(point: PencilPoint, delta: float, tol: Optional[float] = None):
-    try:
-        return _decompose(point.r, point.el, delta, tol)
-    except DegeneratePencilError as exc:
-        raise DegeneratePencilError("sample %r: %s" % (point.label, exc)) from exc
+def _records(field: PencilField, delta: float) -> List[_Record]:
+    out = []
+    for point in field.points:
+        try:
+            dec, p = _decompose(point.r, point.el, delta)
+        except DegeneratePencilError as exc:
+            raise DegeneratePencilError("sample %r: %s" % (point.label, exc)) from exc
+        anti = p.antiderivative()
+        per_chamber = _chamber_masses(dec, anti)
+        masses = [
+            math.fsum(m for ch, m in zip(dec.chambers, per_chamber) if ch.inertia.neg == q)
+            for q in range(field.dim + 1)
+        ]
+        out.append(_Record(dec.chambers, masses, float(anti(delta)) - float(anti(-delta))))
+    return out
 
 
 def _check_delta(field: PencilField, delta: float) -> float:
@@ -169,29 +177,15 @@ def _check_q(field: PencilField, q: int) -> int:
     return int(q)
 
 
-def _point_mass(point: PencilPoint, q: int, delta: float) -> float:
-    dec, p = _analyze(point, delta)
-    anti = p.antiderivative()
-    return math.fsum(
-        abs(float(anti(ch.hi)) - float(anti(ch.lo)))
-        for ch in dec.chambers
-        if ch.inertia.neg == q
-    )
+def _densities(field: PencilField, records: Sequence[_Record]) -> List[float]:
+    return [
+        math.fsum(p.weight * rec.masses[q] for p, rec in zip(field.points, records)) / TWO_PI**field.n
+        for q in range(field.dim + 1)
+    ]
 
 
-def _point_masses(point: PencilPoint, delta: float) -> List[float]:
-    dec, p = _analyze(point, delta)
-    anti = p.antiderivative()
-    out = []
-    for q in range(point.r.dim + 1):
-        out.append(
-            math.fsum(
-                abs(float(anti(ch.hi)) - float(anti(ch.lo)))
-                for ch in dec.chambers
-                if ch.inertia.neg == q
-            )
-        )
-    return out
+def _rrh(field: PencilField, records: Sequence[_Record]) -> float:
+    return math.fsum(p.weight * rec.signed for p, rec in zip(field.points, records)) / TWO_PI**field.n
 
 
 def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] = None) -> float:
@@ -202,24 +196,14 @@ def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] =
     """
     q = _check_q(field, q)
     delta = _check_delta(field, delta)
-    terms = _map_points(lambda p: p.weight * _point_mass(p, q, delta), field.points, threads)
-    return math.fsum(terms) / TWO_PI**field.n
+    return _densities(field, _records(field, delta))[q]
 
 
 def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
     """k^n * c_q(delta), the weak Morse bound prefactor at level k."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
-    return float(k) ** field.n * density_q(field, q, delta, threads)
-
-
-def _densities(field: PencilField, delta: float, threads: Optional[int]) -> List[float]:
-    per_point = _map_points(lambda p: (p.weight, _point_masses(p, delta)), field.points, threads)
-    d = field.dim
-    return [
-        math.fsum(w * masses[q] for w, masses in per_point) / TWO_PI**field.n
-        for q in range(d + 1)
-    ]
+    return float(k) ** field.n * density_q(field, q, delta)
 
 
 def _strong_from(densities: Sequence[float], total: float) -> List[float]:
@@ -241,26 +225,24 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     between separately rounded chamber masses.
     """
     delta = _check_delta(field, delta)
-
-    def signed(point: PencilPoint) -> float:
-        _, p = _analyze(point, delta)
-        anti = p.antiderivative()
-        return point.weight * (float(anti(delta)) - float(anti(-delta)))
-
-    terms = _map_points(signed, field.points, threads)
-    return math.fsum(terms) / TWO_PI**field.n
+    return _rrh(field, _records(field, delta))
 
 
 def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
     """Strong Morse alternating partial sums; entry d is the RRH total."""
     delta = _check_delta(field, delta)
-    return _strong_from(
-        _densities(field, delta, threads), rrh_total(field, delta, threads)
-    )
+    records = _records(field, delta)
+    return _strong_from(_densities(field, records), _rrh(field, records))
 
 
 def _dist0(lo: float, hi: float) -> float:
     return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+
+
+def _xq(field: PencilField, records: Sequence[_Record], q: int) -> XqResult:
+    dists = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg == q]
+    best = min(dists) if dists else field.delta
+    return XqResult(holds=bool(best > 0.0), max_delta=float(best))
 
 
 def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqResult:
@@ -273,16 +255,18 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
     certificate speaks only for the sample set, not the continuum.
     """
     q = _check_q(field, q)
+    return _xq(field, _records(field, field.delta), q)
 
-    def nearest(point: PencilPoint) -> float:
-        dec, _ = _analyze(point, field.delta)
-        dists = [_dist0(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
-        return min(dists) if dists else math.inf
 
-    best = min(_map_points(nearest, field.points, threads))
-    if best == math.inf:
-        best = field.delta
-    return XqResult(holds=bool(best > 0.0), max_delta=float(best))
+def _positivity(field: PencilField, records: Sequence[_Record]) -> Positivity:
+    pd = [inertia(p.r).signature == (0, 0, field.dim) for p in field.points]
+    bad = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg > 0]
+    radius = min(bad) if bad else field.delta
+    return Positivity(
+        positive_everywhere=all(pd),
+        semi_positive_delta=float(radius) if radius > 0.0 else None,
+        positive_somewhere=any(pd),
+    )
 
 
 def classify_bundle(field: PencilField, threads: Optional[int] = None) -> Positivity:
@@ -293,24 +277,7 @@ def classify_bundle(field: PencilField, threads: Optional[int] = None) -> Positi
     (the distance from 0 to the nearest chamber carrying a negative
     eigenvalue), or None when no positive radius exists.
     """
-    d = field.dim
-
-    def guard(point: PencilPoint) -> Tuple[bool, float]:
-        dec, _ = _analyze(point, field.delta)
-        pd = inertia(point.r).signature == (0, 0, d)
-        bad = [_dist0(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg > 0]
-        return pd, (min(bad) if bad else field.delta)
-
-    results = _map_points(guard, field.points, threads)
-    everywhere = all(pd for pd, _ in results)
-    somewhere = any(pd for pd, _ in results)
-    radius = min(g for _, g in results)
-    semi = float(radius) if radius > 0.0 else None
-    return Positivity(
-        positive_everywhere=everywhere,
-        semi_positive_delta=semi,
-        positive_somewhere=somewhere,
-    )
+    return _positivity(field, _records(field, field.delta))
 
 
 def _bigness_from(positivity: Positivity) -> Bigness:
@@ -323,7 +290,7 @@ def _bigness_from(positivity: Positivity) -> Bigness:
 
 def bigness_verdict(field: PencilField, threads: Optional[int] = None) -> Bigness:
     """Sufficient-criteria bigness check; False means inconclusive, not refuted."""
-    return _bigness_from(classify_bundle(field, threads))
+    return _bigness_from(classify_bundle(field))
 
 
 def build_morse_report(
@@ -335,19 +302,22 @@ def build_morse_report(
 
     Densities and sums are evaluated at ``delta`` (default: the field
     window); X(q) and positivity always use the full field window, as
-    their definitions fix it.
+    their definitions fix it.  Each sample is decomposed once per
+    distinct window.
     """
     delta = field.delta if delta is None else _check_delta(field, delta)
-    densities = _densities(field, delta, threads)
-    total = rrh_total(field, delta, threads)
-    positivity = classify_bundle(field, threads)
+    records = _records(field, delta)
+    window = records if delta == field.delta else _records(field, field.delta)
+    densities = _densities(field, records)
+    total = _rrh(field, records)
+    positivity = _positivity(field, window)
     return MorseReport(
         n=field.n,
         delta=delta,
         densities=densities,
         strong_sums=_strong_from(densities, total),
         rrh_total=total,
-        xq=[check_Xq(field, q, threads) for q in range(field.dim + 1)],
+        xq=[_xq(field, window, q) for q in range(field.dim + 1)],
         positivity=positivity,
         bigness=_bigness_from(positivity),
     )

@@ -306,15 +306,20 @@ def _pencil_matrix(r: HermitianMatrix, el: HermitianMatrix, s: float) -> np.ndar
 
 
 def _check_not_degenerate(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> None:
-    d = r.dim
-    for s in np.linspace(-delta, delta, d + 2):
+    probes = np.linspace(-delta, delta, r.dim + 2)
+    margins = []
+    for s in probes:
         w = np.linalg.eigvalsh(_pencil_matrix(r, el, s))
         tol = _INERTIA_REL_TOL * (1.0 + float(np.max(np.abs(w))))
-        if float(np.min(np.abs(w))) > tol:
+        smallest = float(np.min(np.abs(w)))
+        if smallest > tol:
             return
+        margins.append((smallest / tol, smallest, tol, float(s)))
+    _, smallest, tol, s = max(margins)
     raise DegeneratePencilError(
-        "degenerate pencil: det(R+2sL) is numerically zero across [-%g, %g] "
-        "(singular already at s=%g); R and L share a near-common kernel" % (delta, delta, -delta)
+        "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
+        "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
+        "R and L share a near-common kernel" % (probes.size, delta, delta, smallest, tol, s)
     )
 
 
@@ -344,11 +349,14 @@ def _decompose(
     cells = []
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid = 0.5 * (a + b)
-        ine = inertia(HermitianMatrix(_pencil_matrix(r, el, mid)), tol)
+        a_mid = HermitianMatrix(_pencil_matrix(r, el, mid))
+        ine = inertia(a_mid, tol)
         if ine.zero > 0:
+            smallest = float(np.min(np.abs(np.linalg.eigvalsh(a_mid.entries))))
             raise DegeneratePencilError(
-                "pencil is numerically singular inside a chamber at s=%g; "
-                "cannot assign a signature" % mid
+                "pencil is numerically singular inside a chamber at s=%g "
+                "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
+                % (mid, smallest, ine.tol)
             )
         det_sign = -1 if ine.neg % 2 else 1
         cells.append(Chamber(float(a), float(b), ine, det_sign))
@@ -381,6 +389,12 @@ def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]
     return [(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
 
 
+def _chamber_masses(dec: ChamberDecomposition, anti: RealPolynomial) -> List[float]:
+    """Integral of |det(R+2sL)| over each chamber of ``dec``, in order;
+    ``anti`` is the antiderivative of det(R+2sL)."""
+    return [abs(float(anti(ch.hi)) - float(anti(ch.lo))) for ch in dec.chambers]
+
+
 def chamber_integral(
     r: HermitianMatrix,
     el: HermitianMatrix,
@@ -398,13 +412,8 @@ def chamber_integral(
     if not 0 <= q <= r.dim:
         raise InputError("q must lie in 0..%d, got %d" % (r.dim, q))
     dec, p = _decompose(r, el, delta, tol)
-    anti = p.antiderivative()
-    total = math.fsum(
-        abs(float(anti(ch.hi)) - float(anti(ch.lo)))
-        for ch in dec.chambers
-        if ch.inertia.neg == q
-    )
-    return float(total)
+    masses = _chamber_masses(dec, p.antiderivative())
+    return float(math.fsum(m for ch, m in zip(dec.chambers, masses) if ch.inertia.neg == q))
 
 
 def pencil_signed_integral(

@@ -207,13 +207,20 @@ def test_morse_env_thread_override(tmp_path, monkeypatch):
     assert run(["morse", "--input", str(inp), "--out", str(tmp_path / "ok.json")]) == 0
     monkeypatch.setenv("CRMORSE_THREADS", "abc")
     assert run(["morse", "--input", str(inp)]) == 2
+    monkeypatch.setenv("CRMORSE_THREADS", "0")
+    assert run(["classify", "--input", str(inp)]) == 2
+    monkeypatch.delenv("CRMORSE_THREADS")
+    assert run(["morse", "--input", str(inp), "--threads", "0"]) == 2
 
 
 def test_degenerate_field_exit_code(tmp_path, capsys):
     doc = field_doc(3, 1.0, [point_doc("dead", [[1, 0], [0, 0]], [[1, 0], [0, 0]])])
     inp = write_json(tmp_path, "f.json", doc)
     assert run(["morse", "--input", str(inp)]) == 3
-    assert "dead" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dead" in err
+    # the message gives the probed range and the least singular probe's margin
+    assert re.search(r"all 4 probes in \[-1, 1\] \(least singular: min \|eig\| = \S+ vs tol \S+ at s=", err)
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -232,6 +239,27 @@ def test_classify_output(tmp_path):
     assert res["positivity"]["positiveEverywhere"] is True
     assert res["bigness"]["big"] is True
     assert res["xq"][1]["holds"] is True
+
+
+MIXED_FIELD = field_doc(
+    3,
+    1.0,
+    [
+        point_doc("a", [[1, 1j], [-1j, 2]], [[1, 0], [0, -1]], 0.7),
+        point_doc("b", [[2, 0], [0, -1]], [[0, 1], [1, 0]], 1.3),
+        point_doc("c", [[1, 0], [0, 1]], [[1, 1], [1, 1]], 0.1),
+    ],
+)
+
+
+def test_classify_matches_morse_report(tmp_path):
+    inp = write_json(tmp_path, "f.json", MIXED_FIELD)
+    assert run(["classify", "--input", str(inp), "--out", str(tmp_path / "c.json")]) == 0
+    assert run(["morse", "--input", str(inp), "--out", str(tmp_path / "m.json")]) == 0
+    cls = json.loads((tmp_path / "c.json").read_text())["result"]
+    rep = json.loads((tmp_path / "m.json").read_text())["result"]
+    for key in ("positivity", "xq", "bigness"):
+        assert cls[key] == rep[key]
 
 
 # ----------------------------------------------------- model subcommands

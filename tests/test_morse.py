@@ -7,6 +7,7 @@ eigenvalue-scan/quadrature oracles in oracle_tools.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crmorse.morse
+from crmorse.cli import run, serialize_field
 from crmorse.errors import DegeneratePencilError, InputError
 from crmorse.morse import (
     REASON_INCONCLUSIVE,
@@ -413,3 +416,78 @@ def test_report_smaller_delta():
     assert report.densities[2] == 0.0
     with pytest.raises(InputError):
         build_morse_report(MIXED, delta=3.0)
+
+
+# -------------------------------------------------- one record per point
+
+
+def random_field(seed, d, points):
+    rng = np.random.default_rng(seed)
+    return PencilField(
+        n=d + 1,
+        delta=1.0,
+        points=[
+            PencilPoint(
+                "p%d" % i,
+                HermitianMatrix(random_int_hermitian(rng, d)),
+                HermitianMatrix(random_int_hermitian(rng, d)),
+                weight=float(rng.integers(1, 4)),
+            )
+            for i in range(points)
+        ],
+    )
+
+
+def count_decompositions(monkeypatch):
+    """Record the window of every pencil decomposition morse asks for."""
+    windows = []
+    real = crmorse.morse._decompose
+
+    def counting(r, el, delta, *rest):
+        windows.append(delta)
+        return real(r, el, delta, *rest)
+
+    monkeypatch.setattr(crmorse.morse, "_decompose", counting)
+    return windows
+
+
+def test_each_point_decomposed_once_per_window(monkeypatch, tmp_path):
+    field = random_field(7, 3, 5)
+    windows = count_decompositions(monkeypatch)
+    build_morse_report(field)
+    assert windows == [1.0] * 5
+    windows.clear()
+    build_morse_report(field, delta=1.0)
+    assert windows == [1.0] * 5
+    windows.clear()
+    # a clipped report decomposes again at its own delta, not by clipping
+    build_morse_report(field, delta=0.5)
+    assert windows == [0.5] * 5 + [1.0] * 5
+    windows.clear()
+    inp = tmp_path / "f.json"
+    inp.write_text(json.dumps(serialize_field(field)))
+    assert run(["classify", "--input", str(inp), "--out", str(tmp_path / "c.json")]) == 0
+    assert windows == [1.0] * 5
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.sampled_from([1, 2, 3]),
+    points=st.integers(1, 4),
+    delta=st.sampled_from([1.0, 0.6, 0.125]),
+)
+def test_public_reductions_equal_report_fields(seed, d, points, delta):
+    field = random_field(seed, d, points)
+    try:
+        report = build_morse_report(field, delta=delta)
+    except DegeneratePencilError:
+        return
+    for q in range(d + 1):
+        assert density_q(field, q, delta) == report.densities[q]
+        assert weak_bound(field, q, delta, 7) == 7.0**field.n * report.densities[q]
+        assert check_Xq(field, q) == report.xq[q]
+    assert rrh_total(field, delta) == report.rrh_total
+    assert strong_sums(field, delta) == report.strong_sums
+    assert classify_bundle(field) == report.positivity
+    assert bigness_verdict(field) == report.bigness
