@@ -25,12 +25,11 @@ import numpy as np
 from .errors import CalibrationError, DegeneratePencilError, InputError
 from .model import (
     ModelData,
+    _szego_table,
     bergman_bruteforce,
     bergman_diag,
-    eta_chambers,
     extremal_form,
     m_phi_eta,
-    szego_density,
 )
 from .morse import (
     MorseReport,
@@ -44,6 +43,7 @@ from .oracles import (
     HeisenbergSpec,
     LatticeCalibration,
     TorusBundleSpec,
+    _dimension_sums,
     calibrate,
     calibrate_weight,
     fourier_dimension_sum,
@@ -512,8 +512,7 @@ def _cmd_classify(args, started):
 def _cmd_szego(args, started):
     raw = _read_input(args)
     data = parse_model(raw)
-    cs = eta_chambers(data)
-    densities = [szego_density(data, q) for q in range(data.d + 1)]
+    cs, densities = _szego_table(data)
     if args.q is None:
         qs = list(range(data.d + 1))
     else:
@@ -592,7 +591,7 @@ def _cmd_torus_demo(args, started):
     field = torus_bundle_field(spec)
     rep = build_morse_report(field)
     k = args.k
-    oracle = [fourier_dimension_sum(spec, q, k, cal) for q in range(spec.d + 1)]
+    oracle = _dimension_sums(spec, k, cal, range(spec.d + 1))
     weak = [k**rep.n * dens for dens in rep.densities]
     if args.q is None:
         qs = list(range(spec.d + 1))
@@ -696,10 +695,8 @@ def _cmd_convergence(args, started):
                 "signed density total vanishes for this spec; no Euler comparison"
             )
         for k in ks:
-            oracle = sum(
-                (-1) ** q * fourier_dimension_sum(spec, q, k, cal)
-                for q in range(spec.d + 1)
-            )
+            sums = _dimension_sums(spec, k, cal, range(spec.d + 1))
+            oracle = sum((-1) ** q * s for q, s in enumerate(sums))
             bound = k**n * total
             rows.append({"k": k, "oracle": oracle, "bound": bound, "ratio": oracle / bound})
         mode = "euler"

@@ -31,8 +31,8 @@ from .errors import ChamberBoundaryError, InputError, ZeroExtremalMassError
 from .pencil import (
     ChamberDecomposition,
     HermitianMatrix,
-    chamber_integral,
-    chambers,
+    _decompose,
+    _signature_masses,
     inertia,
     signature_set,
 )
@@ -122,18 +122,28 @@ def _eta_pencil(data: ModelData) -> Tuple[HermitianMatrix, HermitianMatrix]:
     return data.mu, HermitianMatrix(np.diag(-data.lam).astype(complex))
 
 
-def _decomposition(data: ModelData) -> ChamberDecomposition:
+def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
+    """The eta-chambers, decomposed once, and the |det M_eta| mass of each
+    q-signature set."""
     r, el = _eta_pencil(data)
-    return chambers(r, el, data.delta)
+    dec, p = _decompose(r, el, data.delta)
+    return dec, _signature_masses(dec, p.antiderivative())
 
 
-def eta_chambers(data: ModelData) -> EtaChamberSet:
-    dec = _decomposition(data)
-    return EtaChamberSet(
+def _szego_table(data: ModelData) -> Tuple[EtaChamberSet, List[float]]:
+    """eta_chambers and the Szego density of every degree, from one
+    decomposition."""
+    dec, masses = _eta_record(data)
+    cs = EtaChamberSet(
         delta=dec.delta,
         roots=list(dec.roots),
         intervals=[signature_set(dec, q) for q in range(data.d + 1)],
     )
+    return cs, [mass / TWO_PI**data.n for mass in masses]
+
+
+def eta_chambers(data: ModelData) -> EtaChamberSet:
+    return _szego_table(data)[0]
 
 
 def _check_q(data: ModelData, q: int) -> int:
@@ -225,8 +235,7 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
 def szego_density(data: ModelData, q: int) -> float:
     """(2pi)^{-n} integral of |det M_eta| over the q-chambers in eta."""
     q = _check_q(data, q)
-    r, el = _eta_pencil(data)
-    return chamber_integral(r, el, q, data.delta) / TWO_PI**data.n
+    return _szego_table(data)[1][q]
 
 
 _FRAME_TOL = 1e-10
@@ -274,7 +283,7 @@ def extremal_form(
         raise InputError(
             "eta_quad_points must be an integer >= 16, got %r" % (eta_quad_points,)
         )
-    dec = _decomposition(data)
+    dec, masses = _eta_record(data)
     cells = [ch for ch in dec.chambers if ch.inertia.neg == q]
     if not cells:
         raise ZeroExtremalMassError(
@@ -283,8 +292,7 @@ def extremal_form(
         )
     d = data.d
     n = data.n
-    r, el = _eta_pencil(data)
-    total_mass = chamber_integral(r, el, q, data.delta)
+    total_mass = masses[q]
     c0 = TWO_PI ** (1.0 - 0.5 * n) / math.sqrt(total_mass)
     js = list(itertools.combinations(range(d), q))
     nodes, weights = np.polynomial.legendre.leggauss(int(eta_quad_points))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import DegeneratePencilError, InputError
-from .pencil import Chamber, HermitianMatrix, _chamber_masses, _decompose, inertia
+from .pencil import Chamber, HermitianMatrix, _decompose, _signature_masses, inertia
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -153,11 +153,7 @@ def _records(field: PencilField, delta: float) -> List[_Record]:
         except DegeneratePencilError as exc:
             raise DegeneratePencilError("sample %r: %s" % (point.label, exc)) from exc
         anti = p.antiderivative()
-        per_chamber = _chamber_masses(dec, anti)
-        masses = [
-            math.fsum(m for ch, m in zip(dec.chambers, per_chamber) if ch.inertia.neg == q)
-            for q in range(field.dim + 1)
-        ]
+        masses = _signature_masses(dec, anti)
         out.append(_Record(dec.chambers, masses, float(anti(delta)) - float(anti(-delta))))
     return out
 

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -363,6 +363,10 @@ def _exact_det(rows: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
 # -------------------------------------------------------- mode dimensions
 
 
+def _gaussian_rows(mat: HermitianMatrix) -> List[List[Tuple[int, int]]]:
+    return [[(round(z.real), round(z.imag)) for z in row] for row in mat.entries.tolist()]
+
+
 def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
     """Exact section-space dimension of one Fourier mode bundle.
 
@@ -376,12 +380,7 @@ def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
     if not isinstance(q, numbers.Integral) or not 0 <= q <= d:
         raise InputError("q must be an integer in 0..%d, got %r" % (d, q))
     mat = _int_hermitian(mat, "mode curvature matrix", d)
-    ent = mat.entries
-    pairs = [
-        [(int(round(ent[i, j].real)), int(round(ent[i, j].imag))) for j in range(d)]
-        for i in range(d)
-    ]
-    det_re, det_im = _exact_det(pairs)
+    det_re, det_im = _exact_det(_gaussian_rows(mat))
     if det_im != 0:
         raise InputError("Hermitian determinant came out non-real; input corrupt")
     if det_re == 0:
@@ -397,27 +396,236 @@ def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
     return int(value)
 
 
-def fourier_dimension_sum(
-    spec: TorusBundleSpec, q: int, k: int, cal: LatticeCalibration
-) -> int:
-    """Sum of mode dimensions over the window |m| <= k*delta (exact integer)."""
+# ------------------------------------------------ exact window sums
+#
+# Polynomials in the mode index m are lists of coefficients in ascending
+# degree with no trailing zeros; the zero polynomial is [].
+
+
+def _trim(c: List) -> List:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _horner(c: List[int], x: int) -> int:
+    v = 0
+    for a in reversed(c):
+        v = v * x + a
+    return v
+
+
+def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """(Q, R) with c*a = Q*b + R and deg R < deg b, for some integer c > 0."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    while len(rem) >= len(b):
+        f = rem[-1] * sign
+        shift = len(rem) - len(b)
+        quot = [x * scale for x in quot]
+        quot[shift] += f
+        rem = [x * scale for x in rem]
+        for i, bc in enumerate(b):
+            rem[shift + i] -= f * bc
+        rem.pop()
+        _trim(rem)
+    return quot, rem
+
+
+def _primitive(c: List[int]) -> List[int]:
+    g = math.gcd(*c)
+    return [x // g for x in c]
+
+
+def _derivative(c: List[int]) -> List[int]:
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _det_poly(mu, lam, k: int, coupling: int) -> List[int]:
+    """p(m) = det(k*mu + coupling*m*lam) for Gaussian-integer rows mu, lam.
+
+    Exact Newton interpolation at the nodes m = 0..d: p is the sum over j
+    of its j-th forward difference at 0 times binomial(m, j), and
+    d! binomial(m, j) is the integer polynomial (d!/j!) m(m-1)...(m-j+1).
+    """
+    d = len(mu)
+    vals = []
+    for m in range(d + 1):
+        c = coupling * m
+        rows = [
+            [(k * u[0] + c * v[0], k * u[1] + c * v[1]) for u, v in zip(ru, rv)]
+            for ru, rv in zip(mu, lam)
+        ]
+        re, im = _exact_det(rows)
+        if im != 0:
+            raise InputError("Hermitian determinant came out non-real; input corrupt")
+        vals.append(re)
+    fact = math.factorial(d)
+    scaled = [0] * (d + 1)  # d! * p
+    falling = [1]  # m(m-1)...(m-j+1)
+    for j in range(d + 1):
+        weight = vals[0] * (fact // math.factorial(j))
+        for i, f in enumerate(falling):
+            scaled[i] += weight * f
+        vals = [y - x for x, y in zip(vals, vals[1:])]
+        falling = [
+            (falling[i - 1] if i else 0) - j * (falling[i] if i < len(falling) else 0)
+            for i in range(len(falling) + 1)
+        ]
+    if any(c % fact for c in scaled):
+        raise ArithmeticError("determinant polynomial came out non-integral")
+    return _trim([c // fact for c in scaled])
+
+
+def _sturm_chain(p: List[int]) -> List[List[int]]:
+    """Sturm sequence of the square-free part of p (degree >= 1).
+
+    Members are rescaled by positive constants only, so their signs are
+    those of the textbook sequence.
+    """
+    a, b = p, _derivative(p)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    chain = [_primitive(_pseudo_divmod(p, a)[0])]  # p / gcd(p, p')
+    chain.append(_primitive(_derivative(chain[0])))
+    while True:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return chain
+        chain.append(_primitive([-x for x in rem]))
+
+
+def _sign_changes(chain: List[List[int]], x: int) -> int:
+    signs = [v > 0 for v in (_horner(c, x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _isolate(chain, a: int, va: int, b: int, vb: int, found: List[int]) -> None:
+    """Locate each root of the chain's head in (a, b] to unit resolution.
+
+    Appends 2r for a root at the integer r and 2n+1 for roots inside
+    (n, n+1), in increasing order.  va - vb counts the distinct roots in
+    (a, b]; that holds at roots too, because the head is square-free.
+    """
+    if va == vb:
+        return
+    if b - a == 1:
+        at_b = _horner(chain[0], b) == 0
+        if va - vb > at_b:
+            found.append(2 * a + 1)
+        if at_b:
+            found.append(2 * b)
+        return
+    mid = (a + b) // 2
+    vm = _sign_changes(chain, mid)
+    _isolate(chain, a, va, mid, vm, found)
+    _isolate(chain, mid, vm, b, vb, found)
+
+
+def _root_free_runs(p: List[int], window: int) -> List[Tuple[int, int]]:
+    """Maximal integer ranges in [-window, window] with no real root of p
+    in their closed hull; together they are every mode where p != 0."""
+    found: List[int] = []
+    if len(p) > 1:
+        chain = _sturm_chain(p)
+        lo, hi = -window - 1, window
+        _isolate(chain, lo, _sign_changes(chain, lo), hi, _sign_changes(chain, hi), found)
+    runs, lo = [], -window
+    for pos in found:
+        # a root at the integer r ends the run at r - 1, one in (n, n+1) at n
+        end = pos // 2 if pos % 2 else pos // 2 - 1
+        if lo <= end:
+            runs.append((lo, end))
+        lo = pos // 2 + 1
+    if lo <= window:
+        runs.append((lo, window))
+    return runs
+
+
+def _range_sum(p: List[int], a: int, b: int) -> int:
+    """Sum of p(m) over a <= m <= b: sum_j (Delta^j p)(a) binomial(b-a+1, j+1)."""
+    vals = [_horner(p, a + i) for i in range(len(p))]
+    total = 0
+    for j in range(len(p)):
+        total += vals[0] * math.comb(b - a + 1, j + 1)
+        vals = [y - x for x, y in zip(vals, vals[1:])]
+    return total
+
+
+def _dimension_sums(
+    spec: TorusBundleSpec, k: int, cal: LatticeCalibration, degrees: Sequence[int]
+) -> List[int]:
+    """Sums of torus_mode_dim over the window |m| <= k*delta, one per degree.
+
+    The mode curvature k*mu + c_mode*m*lambda has determinant p(m), an
+    integer polynomial of degree <= d.  Hermitian eigenvalues cross 0
+    only at real roots of p, so between consecutive roots the modes form
+    runs of constant inertia: each run's inertia is read once, at its
+    middle mode, and its sum of |p| is taken in closed form.  A run whose
+    middle mode reads a numerically zero eigenvalue counts in no degree,
+    as torus_mode_dim would count that mode.  The cost per k does not
+    depend on the window.  Errors are the ones a loop over the modes of
+    each degree in turn would raise first.
+    """
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
-    if not isinstance(q, numbers.Integral) or not 0 <= q <= spec.d:
-        raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
+    for q in degrees:
+        if not isinstance(q, numbers.Integral) or not 0 <= q <= spec.d:
+            raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
+    degrees = [int(q) for q in degrees]
+    k = int(k)
     window = int(math.floor(k * spec.delta + 1e-9))
     mu = spec.mu_mat.entries
     lam = spec.lambda_mat.entries
-    total = 0
-    for m in range(-window, window + 1):
-        coeff = cal.c_mode * m
-        if coeff.denominator != 1:
+    c_mode = cal.c_mode
+    if c_mode.denominator != 1 and window >= 1:
+        first = -window if window % c_mode.denominator else 1 - window
+        if first != -window:
+            # mode -window has an integral coupling and is counted first
+            edge = HermitianMatrix(k * mu - int(c_mode * window) * lam)
+            torus_mode_dim(degrees[0], edge, cal)
+        raise CalibrationError(
+            "mode coupling %s * %d is not an integer" % (_frac_str(c_mode), first)
+        )
+    # a non-integral coupling reaches here only for the single mode m = 0
+    coupling = int(c_mode) if c_mode.denominator == 1 else 0
+    p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), k, coupling)
+    scale = cal.c_dim**spec.d
+    sums = {q: 0 for q in degrees}
+    bad: Dict[int, Fraction] = {}
+    runs = _root_free_runs(p, window) if p else []
+    for lo, hi in runs:
+        ine = inertia(HermitianMatrix(k * mu + (coupling * ((lo + hi) // 2)) * lam))
+        q = ine.neg
+        if ine.zero or q not in sums:
+            continue
+        if q not in bad:
+            # p(m) mod the denominator has period the denominator
+            for m in range(lo, min(hi, lo + scale.denominator - 1) + 1):
+                value = scale * abs(_horner(p, m))
+                if value.denominator != 1:
+                    bad[q] = value
+                    break
+        sums[q] += abs(_range_sum(p, lo, hi))
+    for q in degrees:
+        if q in bad:
             raise CalibrationError(
-                "mode coupling %s * %d is not an integer" % (_frac_str(cal.c_mode), m)
+                "mode dimension %s is not an integer; calibration record inconsistent"
+                % bad[q]
             )
-        mode_curv = HermitianMatrix(int(k) * mu + int(coeff) * lam)
-        total += torus_mode_dim(int(q), mode_curv, cal)
-    return total
+    return [int(scale * sums[q]) for q in degrees]
+
+
+def fourier_dimension_sum(
+    spec: TorusBundleSpec, q: int, k: int, cal: LatticeCalibration
+) -> int:
+    """Sum of mode dimensions over the window |m| <= k*delta (exact integer).
+
+    Equal to the sum of torus_mode_dim over the modes m of the window;
+    the cost does not depend on k.
+    """
+    return _dimension_sums(spec, k, cal, [q])[0]
 
 
 def calibrate_weight(

@@ -395,6 +395,16 @@ def _chamber_masses(dec: ChamberDecomposition, anti: RealPolynomial) -> List[flo
     return [abs(float(anti(ch.hi)) - float(anti(ch.lo))) for ch in dec.chambers]
 
 
+def _signature_masses(dec: ChamberDecomposition, anti: RealPolynomial) -> List[float]:
+    """Integral of |det(R+2sL)| over the q-signature set of ``dec`` for
+    q = 0..d, each a math.fsum over its chambers in order."""
+    per_chamber = _chamber_masses(dec, anti)
+    return [
+        math.fsum(m for ch, m in zip(dec.chambers, per_chamber) if ch.inertia.neg == q)
+        for q in range(dec.dim + 1)
+    ]
+
+
 def chamber_integral(
     r: HermitianMatrix,
     el: HermitianMatrix,
@@ -412,8 +422,7 @@ def chamber_integral(
     if not 0 <= q <= r.dim:
         raise InputError("q must lie in 0..%d, got %d" % (r.dim, q))
     dec, p = _decompose(r, el, delta, tol)
-    masses = _chamber_masses(dec, p.antiderivative())
-    return float(math.fsum(m for ch, m in zip(dec.chambers, masses) if ch.inertia.neg == q))
+    return _signature_masses(dec, p.antiderivative())[q]
 
 
 def pencil_signed_integral(

@@ -2,14 +2,20 @@
 
 Nothing in this module may call into crmorse's chamber machinery: the
 point is to recompute the same quantities through a different route
-(pointwise eigenvalue signs plus adaptive quadrature) so that agreement
-is evidence rather than tautology.
+(pointwise eigenvalue signs plus adaptive quadrature, or one mode at a
+time) so that agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate
+
+from crmorse.errors import CalibrationError
+from crmorse.oracles import torus_mode_dim
+from crmorse.pencil import HermitianMatrix
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -91,3 +97,20 @@ def oracle_signed_integral(r: np.ndarray, el: np.ndarray, delta: float) -> float
 
     val, _ = integrate.quad(det, -delta, delta, epsabs=1e-13, epsrel=1e-11, limit=200)
     return val
+
+
+def permode_dimension_sum(spec, q: int, k: int, cal) -> int:
+    """fourier_dimension_sum one mode at a time: torus_mode_dim summed over
+    every m with |m| <= k*delta, raising where the mode loop first fails."""
+    window = int(math.floor(k * spec.delta + 1e-9))
+    total = 0
+    for m in range(-window, window + 1):
+        coeff = cal.c_mode * m
+        if coeff.denominator != 1:
+            raise CalibrationError(
+                "mode coupling %d/%d * %d is not an integer"
+                % (cal.c_mode.numerator, cal.c_mode.denominator, m)
+            )
+        mode = HermitianMatrix(k * spec.mu_mat.entries + int(coeff) * spec.lambda_mat.entries)
+        total += torus_mode_dim(q, mode, cal)
+    return total

@@ -9,6 +9,7 @@ hand-computed linear integrals plus scipy quadrature.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import crmorse.model
+import crmorse.pencil
+from crmorse.cli import run
 from crmorse.errors import (
     ChamberBoundaryError,
     DegeneratePencilError,
@@ -303,3 +307,32 @@ def test_extremal_norm_converges_with_nodes():
         form = extremal_form(data, 0, [0.0, 0.0], 0.0, nodes)
         assert form.norm_check == pytest.approx(1.0, abs=1e-9)
         assert form.peak_check == pytest.approx(1.0, abs=1e-9)
+
+
+def test_model_pencil_decomposed_once(monkeypatch, tmp_path):
+    windows = []
+    real = crmorse.pencil._decompose
+
+    def counting(r, el, delta, *rest):
+        windows.append(delta)
+        return real(r, el, delta, *rest)
+
+    monkeypatch.setattr(crmorse.pencil, "_decompose", counting)
+    monkeypatch.setattr(crmorse.model, "_decompose", counting)
+    # M_eta = diag(2 - 2 eta, 2 eta - 1): q=1 below eta = 1/2, q=0 above
+    doc = {
+        "schema": "crmorse/model-v1",
+        "d": 2,
+        "lambda": [1.0, -1.0],
+        "mu": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+        "delta": 0.75,
+    }
+    inp = tmp_path / "m.json"
+    inp.write_text(json.dumps(doc))
+    assert run(["szego-density", "--input", str(inp), "--out", str(tmp_path / "s.json")]) == 0
+    assert windows == [0.75]
+    data = ModelData(d=2, lam=[1.0, -1.0], mu=hm([[2, 0], [0, -1]]), delta=0.75)
+    for q in (0, 1):
+        windows.clear()
+        extremal_form(data, q, [0.0, 0.0], 0.0, 16)
+        assert windows == [0.75]

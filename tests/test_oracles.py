@@ -17,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crmorse.cli import _example_specs
 from crmorse.errors import CalibrationError, InputError
 from crmorse.morse import bigness_verdict, classify_bundle, density_q
 from crmorse.oracles import (
@@ -37,6 +38,7 @@ from crmorse.oracles import (
     verify_calibration,
 )
 from crmorse.pencil import HermitianMatrix
+from oracle_tools import permode_dimension_sum, random_int_hermitian
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,6 +205,142 @@ def test_fourier_dimension_sum_growth():
     y4 = fourier_dimension_sum(D1_SPEC, 0, 4, cal)
     y8 = fourier_dimension_sum(D1_SPEC, 0, 8, cal)
     assert 3.0 <= y8 / y4 <= 4.5  # k^2 law with a k^1 correction
+
+
+def outcome(fn, spec, q, k, cal):
+    try:
+        return fn(spec, q, k, cal)
+    except CalibrationError as exc:
+        return "CalibrationError: %s" % exc
+
+
+def assert_matches_permode(spec, k, cal):
+    for q in range(spec.d + 1):
+        assert outcome(fourier_dimension_sum, spec, q, k, cal) == outcome(
+            permode_dimension_sum, spec, q, k, cal
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.sampled_from([1, 2, 3]),
+    span=st.sampled_from([1, 3]),
+    k=st.integers(1, 40),
+    delta=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+)
+def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta):
+    rng = np.random.default_rng(seed)
+    spec = TorusBundleSpec(
+        d=d,
+        lambda_mat=random_int_hermitian(rng, d, -span, span),
+        mu_mat=random_int_hermitian(rng, d, -span, span),
+        delta=delta,
+    )
+    assert_matches_permode(spec, k, calibrate())
+
+
+NAMED_SPECS = {
+    # det = (k - m)^2: inertia jumps (0,0,2) -> (2,0,0) at m = k with no sign change
+    "double-root": TorusBundleSpec(d=2, lambda_mat=[[-1, 0], [0, -1]], mu_mat=np.eye(2), delta=2.0),
+    # det = (k - m)(2k + m): integer roots at m = k and at the window edge m = -2k
+    "integer-roots": TorusBundleSpec(
+        d=2, lambda_mat=[[-1, 0], [0, 1]], mu_mat=[[1, 0], [0, 2]], delta=2.0
+    ),
+    # det = -7k^2 - 3km has degree 1 < d
+    "singular-lambda": TorusBundleSpec(
+        d=2, lambda_mat=[[1, 0], [0, 0]], mu_mat=[[2, 1], [1, -3]], delta=3.0
+    ),
+    "zero-det": TorusBundleSpec(d=2, lambda_mat=[[1, 0], [0, 0]], mu_mat=[[1, 0], [0, 0]], delta=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SPECS))
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_fourier_dimension_sum_named_cases(name, k):
+    assert_matches_permode(NAMED_SPECS[name], k, calibrate())
+
+
+def test_fourier_dimension_sum_double_root_trap():
+    cal = calibrate()
+    spec = NAMED_SPECS["double-root"]
+    # k = 3, window |m| <= 6: (3 - m)^2 I on m < 3 is positive, on m > 3 negative
+    assert fourier_dimension_sum(spec, 0, 3, cal) == 4 * sum(j * j for j in range(1, 10))
+    assert fourier_dimension_sum(spec, 1, 3, cal) == 0
+    assert fourier_dimension_sum(spec, 2, 3, cal) == 4 * (1 + 4 + 9)
+    spec = NAMED_SPECS["integer-roots"]
+    assert fourier_dimension_sum(spec, 0, 3, cal) == 4 * sum((3 - m) * (6 + m) for m in range(-5, 3))
+    assert fourier_dimension_sum(spec, 1, 3, cal) == 4 * sum((m - 3) * (6 + m) for m in range(4, 7))
+    assert fourier_dimension_sum(spec, 2, 3, cal) == 0
+
+
+def test_fourier_dimension_sum_examples_every_k():
+    cal = calibrate()
+    c_dim, c_mode = cal.c_dim, cal.c_mode
+    specs = _example_specs()
+    d1, d2 = specs["torus-d1"], specs["torus-d2-indefinite"]
+    for k in list(range(1, 2001)) + [10**6]:
+        # det = 2k + c_mode m > 0 on the window |m| <= k/2
+        w = k // 2
+        assert fourier_dimension_sum(d1, 0, k, cal) == c_dim * 2 * k * (2 * w + 1)
+        assert fourier_dimension_sum(d1, 1, k, cal) == 0
+        # det = (c_mode m)^2 - k^2 < 0 with inertia (1, 0, 1) on |m| <= k/4
+        w = k // 4
+        squares = w * (w + 1) * (2 * w + 1) // 3
+        expected = c_dim**2 * ((2 * w + 1) * k * k - c_mode**2 * squares)
+        assert fourier_dimension_sum(d2, 1, k, cal) == expected
+        assert fourier_dimension_sum(d2, 0, k, cal) == 0
+        assert fourier_dimension_sum(d2, 2, k, cal) == 0
+
+
+def test_fourier_dimension_sum_noninteger_coupling():
+    half = LatticeCalibration(c_mode=Fraction(1, 2), c_dim=Fraction(2), provenance={})
+    # window 2: mode -2 couples integrally, so -1 is the first offender
+    for k, first in ((4, -1), (2, -1), (6, -3)):
+        message = "mode coupling 1/2 * %d is not an integer" % first
+        for q in (0, 1):
+            with pytest.raises(CalibrationError) as exc:
+                fourier_dimension_sum(D1_SPEC, q, k, half)
+            assert str(exc.value) == message
+            assert outcome(permode_dimension_sum, D1_SPEC, q, k, half) == "CalibrationError: " + message
+    # window 0 holds only m = 0, whose coupling is 0
+    assert fourier_dimension_sum(D1_SPEC, 0, 1, half) == 4
+    assert_matches_permode(D1_SPEC, 1, half)
+
+
+def test_fourier_dimension_sum_integrality_guard():
+    broken = LatticeCalibration(c_mode=Fraction(1), c_dim=Fraction(1, 3), provenance={})
+    # modes m = -2..2 have det 6..10; 7/3 is the first non-integral one
+    with pytest.raises(CalibrationError) as exc:
+        fourier_dimension_sum(D1_SPEC, 0, 4, broken)
+    assert str(exc.value) == "mode dimension 7/3 is not an integer; calibration record inconsistent"
+    # no mode counts in degree 1, so nothing is non-integral there
+    assert fourier_dimension_sum(D1_SPEC, 1, 4, broken) == 0
+    # both constants broken: mode -2 (coupling -1, det 7) fails before m = -1
+    both = LatticeCalibration(c_mode=Fraction(1, 2), c_dim=Fraction(1, 3), provenance={})
+    with pytest.raises(CalibrationError, match="mode dimension 7/3"):
+        fourier_dimension_sum(D1_SPEC, 0, 4, both)
+    assert_matches_permode(D1_SPEC, 4, both)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.sampled_from([1, 2]),
+    k=st.integers(1, 8),
+    delta=st.sampled_from([0.25, 0.5, 1.0]),
+    c_mode=st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3)]),
+    c_dim=st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(1, 3)]),
+)
+def test_fourier_dimension_sum_errors_match_permode(seed, d, k, delta, c_mode, c_dim):
+    rng = np.random.default_rng(seed)
+    spec = TorusBundleSpec(
+        d=d,
+        lambda_mat=random_int_hermitian(rng, d, -1, 1),
+        mu_mat=random_int_hermitian(rng, d, -1, 1),
+        delta=delta,
+    )
+    assert_matches_permode(spec, k, LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={}))
 
 
 def test_fourier_dimension_sum_validation():
