@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CalibrationError, DegeneratePencilError, InputError
 from .model import (
     ModelData,
+    _positive_definite,
     _szego_table,
     bergman_bruteforce,
     bergman_diag,
@@ -560,9 +561,7 @@ def _cmd_bergman(args, started):
     val = bergman_diag(data, args.eta, args.q, z)
     bruteforce = None
     rel_gap = None
-    eigs = np.linalg.eigvalsh(m_phi_eta(data, args.eta).entries)
-    positive_definite = eigs.min() > 1e-12 * (1.0 + float(np.abs(eigs).max()))
-    if args.q == 0 and positive_definite and not np.any(z):
+    if _positive_definite(m_phi_eta(data, args.eta).entries)[0] and args.q == 0 and not np.any(z):
         bruteforce = bergman_bruteforce(data, args.eta, args.max_degree)
         if bruteforce != 0.0:
             rel_gap = (val.value - bruteforce) / bruteforce

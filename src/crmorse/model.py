@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8 MB)
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,52 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
     return BergmanValue(math.exp(phi) * det / TWO_PI**data.d, False)
 
 
-def _permanent(a: np.ndarray) -> complex:
-    p = a.shape[0]
-    if p == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
+def _permanents(a: np.ndarray) -> np.ndarray:
+    """Permanents of a (..., p, p) stack: the scalar expansion, elementwise."""
+    p = a.shape[-1]
+    total = np.zeros(a.shape[:-2], dtype=complex)
     for perm in itertools.permutations(range(p)):
-        term = 1.0 + 0.0j
+        term = np.ones(a.shape[:-2], dtype=complex)
         for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
+            term = term * a[..., i, j]
+        total = total + term
     return total
+
+
+def _positive_definite(m: np.ndarray) -> Tuple[bool, float]:
+    """Whether Hermitian m is positive definite at tolerance; its least eigenvalue."""
+    w = np.linalg.eigvalsh(m)
+    return float(np.min(w)) > 1e-12 * (1.0 + float(np.max(np.abs(w)))), float(np.min(w))
+
+
+def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
+    """The monomial Gram matrix of bergman_bruteforce."""
+    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
+        raise InputError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
+    m = m_phi_eta(data, eta).entries
+    positive, lo = _positive_definite(m)
+    if not positive:
+        raise InputError(
+            "brute-force Bergman oracle needs M_Phi_eta positive definite "
+            "(min eigenvalue %.3e)" % lo
+        )
+    cov = np.linalg.inv(m)
+    det = float(np.linalg.det(m).real)
+    mass = TWO_PI**data.d / det
+    size = math.comb(data.d + int(max_degree), data.d)  # monomials of degree <= max_degree
+    gram = np.zeros((size, size), dtype=complex)
+    off = 0
+    for deg in range(int(max_degree) + 1):
+        idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
+        block = gram[off : off + len(idx), off : off + len(idx)]
+        off += len(idx)
+        step = max(1, _GATHER_ENTRIES // max(1, idx.size * idx.shape[1]))
+        for r0 in range(0, len(idx), step):
+            # the gathered stack is [r, c] -> cov[np.ix_(idx[r0 + r], idx[c])]
+            block[r0 : r0 + step] = mass * _permanents(
+                np.take(cov[idx[r0 : r0 + step]], idx, axis=2).transpose(0, 2, 1, 3)
+            )
+    return gram
 
 
 def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
@@ -200,35 +236,13 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     with every Gaussian moment evaluated in closed form (Wick permanents
     of M^{-1}); the reproducing-kernel value at the origin is the (0,0)
     entry of the inverse Gram matrix.  Only valid where M_eta is positive
-    definite.
+    definite.  Mixed-degree moments vanish, so G is block diagonal by degree
+    and built block by block, in row slices of bounded memory.  Hence
+    (G^-1)_00 = 1/G_00 = det M_eta / (2pi)^d at every max_degree: the oracle
+    checks the determinant, and the degree >= 1 blocks cannot move it.
     """
-    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
-        raise InputError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
-    m = m_phi_eta(data, eta).entries
-    w = np.linalg.eigvalsh(m)
-    if float(np.min(w)) <= 1e-12 * (1.0 + float(np.max(np.abs(w)))):
-        raise InputError(
-            "brute-force Bergman oracle needs M_Phi_eta positive definite "
-            "(min eigenvalue %.3e)" % float(np.min(w))
-        )
-    cov = np.linalg.inv(m)
-    det = float(np.linalg.det(m).real)
-    mass = TWO_PI**data.d / det
-    monomials = [
-        alpha
-        for deg in range(int(max_degree) + 1)
-        for alpha in itertools.combinations_with_replacement(range(data.d), deg)
-    ]
-    size = len(monomials)
-    gram = np.zeros((size, size), dtype=complex)
-    for a, alpha in enumerate(monomials):
-        for b, beta in enumerate(monomials):
-            if len(alpha) != len(beta):
-                continue  # phase averaging kills mixed-degree moments
-            gram[a, b] = mass * _permanent(cov[np.ix_(alpha, beta)])
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1.0
-    sol = np.linalg.solve(gram, rhs)
+    gram = _bergman_gram(data, eta, max_degree)
+    sol = np.linalg.solve(gram, np.eye(1, len(gram), dtype=complex)[0])  # G^-1 e_0
     return float(sol[0].real)
 
 
@@ -243,22 +257,24 @@ _PHASE_TOL = 1e-12
 
 
 def _frame(m: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with ascending eigenvalues, strict sign split at
-    position q, and deterministic column phases."""
+    """Eigendecomposition of a (..., d, d) stack with ascending eigenvalues, strict
+    sign split at position q (first failure named), and deterministic column phases."""
     v, qmat = np.linalg.eigh(m)
-    d = v.shape[0]
-    btol = _FRAME_TOL * (1.0 + float(np.max(np.abs(v))))
-    if (q >= 1 and v[q - 1] >= -btol) or (q < d and v[q] <= btol):
+    d = v.shape[-1]
+    btol = _FRAME_TOL * (1.0 + np.max(np.abs(v), axis=-1))
+    bad = np.logical_or(
+        v[..., q - 1] >= -btol if q >= 1 else False, v[..., q] <= btol if q < d else False
+    )
+    if np.any(bad):
+        first = v.reshape(-1, d)[np.flatnonzero(bad)[0]]
         raise ChamberBoundaryError(
             "chamber boundary touched: eigenvalue sign split %d|%d not strict "
-            "(v=%s)" % (q, d - q, np.array2string(v, precision=3))
+            "(v=%s)" % (q, d - q, np.array2string(first, precision=3))
         )
-    qmat = qmat.copy()
-    for col in range(d):
-        column = qmat[:, col]
-        pivot = column[np.flatnonzero(np.abs(column) > _PHASE_TOL)[0]]
-        qmat[:, col] = column * (abs(pivot) / pivot)
-    return v, qmat
+    # phase of each column: make its first entry above _PHASE_TOL real positive
+    rows = np.argmax(np.abs(qmat) > _PHASE_TOL, axis=-2, keepdims=True)
+    pivot = np.take_along_axis(qmat, rows, axis=-2)
+    return v, qmat * (np.abs(pivot) / pivot)
 
 
 def extremal_form(
@@ -290,48 +306,33 @@ def extremal_form(
             "zero extremal mass: the q=%d chamber set in [-%g, %g] is empty"
             % (q, data.delta, data.delta)
         )
-    d = data.d
-    n = data.n
     total_mass = masses[q]
-    c0 = TWO_PI ** (1.0 - 0.5 * n) / math.sqrt(total_mass)
-    js = list(itertools.combinations(range(d), q))
+    c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
+    js = list(itertools.combinations(range(data.d), q))
     nodes, weights = np.polynomial.legendre.leggauss(int(eta_quad_points))
-    mu = data.mu.entries
-    lam = data.lam
-    zsq = np.abs(z) ** 2
+    half = np.array([[0.5 * (ch.hi - ch.lo)] for ch in cells])
+    etas = half * nodes + np.array([[0.5 * (ch.hi + ch.lo)] for ch in cells])
+    wts = (half * weights).ravel().tolist()
+    vs, qmats = _frame(data.mu.entries - 2.0 * etas.reshape(-1, 1, 1) * np.diag(data.lam), q)
+    coeffs = np.linalg.det(qmats[:, np.array(js, dtype=np.intp), :q])  # 1 when q = 0
+    lam_zsq = float(data.lam @ (np.abs(z) ** 2))
     u = np.zeros(len(js), dtype=complex)
     u_origin = np.zeros(len(js), dtype=complex)
     norm_terms: List[float] = []
-    for ch in cells:
-        half = 0.5 * (ch.hi - ch.lo)
-        center = 0.5 * (ch.hi + ch.lo)
-        for x, w in zip(nodes, weights):
-            eta = half * float(x) + center
-            wt = half * float(w)
-            v, qmat = _frame(mu - 2.0 * eta * np.diag(lam), q)
-            absdet = float(np.prod(np.abs(v)))
-            frame_coeff = np.array(
-                [
-                    np.linalg.det(qmat[np.ix_(j, range(q))]) if q else 1.0 + 0.0j
-                    for j in js
-                ]
-            )
-            base = wt * c0 * absdet
-            u_origin += base * frame_coeff
-            wcoord = qmat.conj().T @ z
-            exponent = (
-                1j * theta * eta
-                + eta * float(lam @ zsq)
-                + float(v[:q] @ (np.abs(wcoord[:q]) ** 2))
-            )
-            u += base * cmath.exp(exponent) * frame_coeff
-            norm_terms.append(
-                wt * c0 * c0 * absdet * absdet * float(np.prod(TWO_PI / np.abs(v)))
-            )
+    for eta, wt, v, qmat, frame_coeff in zip(etas.ravel().tolist(), wts, vs, qmats, coeffs):
+        absdet = float(np.prod(np.abs(v)))
+        base = wt * c0 * absdet
+        u_origin += base * frame_coeff
+        wcoord = qmat.conj().T @ z
+        exponent = 1j * theta * eta + eta * lam_zsq + float(v[:q] @ (np.abs(wcoord[:q]) ** 2))
+        u += base * cmath.exp(exponent) * frame_coeff
+        norm_terms.append(
+            wt * c0 * c0 * absdet * absdet * float(np.prod(TWO_PI / np.abs(v)))
+        )
     u /= TWO_PI
     u_origin /= TWO_PI
     norm_check = math.fsum(norm_terms) / TWO_PI
-    szego = total_mass / TWO_PI**n
+    szego = total_mass / TWO_PI**data.n
     peak_check = float(np.sum(np.abs(u_origin) ** 2)) / szego
     return ExtremalForm(
         multi_indices=js, value=u, norm_check=norm_check, peak_check=peak_check

@@ -8,6 +8,7 @@ time) so that agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -114,3 +115,49 @@ def permode_dimension_sum(spec, q: int, k: int, cal) -> int:
         mode = HermitianMatrix(k * spec.mu_mat.entries + int(coeff) * spec.lambda_mat.entries)
         total += torus_mode_dim(q, mode, cal)
     return total
+
+
+def _scalar_permanent(a: np.ndarray) -> complex:
+    p = a.shape[0]
+    if p == 0:
+        return 1.0 + 0.0j
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(p)):
+        term = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            term *= a[i, j]
+        total += term
+    return total
+
+
+def scalar_bergman_gram(data, eta: float, max_degree: int) -> np.ndarray:
+    """The Gram matrix of bergman_bruteforce, one monomial pair at a time:
+    every entry is a scalar permutation expansion of cov[alpha, beta], and
+    mixed-degree pairs are skipped.  The model must be positive definite
+    at eta."""
+    m = data.mu.entries - 2.0 * float(eta) * np.diag(data.lam)
+    cov = np.linalg.inv(m)
+    det = float(np.linalg.det(m).real)
+    mass = (2.0 * math.pi) ** data.d / det
+    monomials = [
+        alpha
+        for deg in range(int(max_degree) + 1)
+        for alpha in itertools.combinations_with_replacement(range(data.d), deg)
+    ]
+    size = len(monomials)
+    gram = np.zeros((size, size), dtype=complex)
+    for a, alpha in enumerate(monomials):
+        for b, beta in enumerate(monomials):
+            if len(alpha) != len(beta):
+                continue  # phase averaging kills mixed-degree moments
+            gram[a, b] = mass * _scalar_permanent(cov[np.ix_(alpha, beta)])
+    return gram
+
+
+def scalar_bergman_bruteforce(data, eta: float, max_degree: int) -> float:
+    """bergman_bruteforce on scalar_bergman_gram."""
+    gram = scalar_bergman_gram(data, eta, max_degree)
+    rhs = np.zeros(len(gram), dtype=complex)
+    rhs[0] = 1.0
+    sol = np.linalg.solve(gram, rhs)
+    return float(sol[0].real)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -29,7 +31,9 @@ from crmorse.errors import (
 )
 from crmorse.model import (
     ModelData,
+    _bergman_gram,
     _frame,
+    _permanents,
     bergman_bruteforce,
     bergman_diag,
     eta_chambers,
@@ -38,7 +42,11 @@ from crmorse.model import (
     szego_density,
 )
 from crmorse.pencil import HermitianMatrix, chamber_integral
-from oracle_tools import random_int_hermitian
+from oracle_tools import (
+    random_int_hermitian,
+    scalar_bergman_bruteforce,
+    scalar_bergman_gram,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +168,77 @@ def test_bergman_diag_matches_bruteforce(seed, d, deg):
     assert brute == pytest.approx(closed, rel=1e-9)
     det = float(np.linalg.det(m).real)
     assert closed == pytest.approx(det / TWO_PI**d, rel=1e-10)
+
+
+def _random_positive_model(rng, d):
+    """A model with complex off-diagonal mu whose M_eta is positive
+    definite at the returned eta."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T + 0.5 * np.eye(d)
+    lam = rng.normal(size=d)
+    eta = float(rng.uniform(-0.5, 0.5))
+    mu = m + 2.0 * eta * np.diag(lam)
+    return ModelData(d=d, lam=lam, mu=HermitianMatrix((mu + mu.conj().T) / 2.0), delta=1.0), eta
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2, 3, 4]), deg=st.integers(0, 4))
+@example(seed=5, d=4, deg=4)
+@example(seed=6, d=3, deg=4)
+@example(seed=7, d=2, deg=4)
+def test_bergman_bruteforce_matches_scalar_gram(seed, d, deg):
+    data, eta = _random_positive_model(np.random.default_rng(seed), d)
+    assert bergman_bruteforce(data, eta, deg) == scalar_bergman_bruteforce(data, eta, deg)
+    # The value at z=0 reads only the degree-0 block, so compare G itself.
+    # Not bit for bit: numpy's array complex multiply may be fused (FMA)
+    # where its scalar multiply is not, which moves the last bits.
+    gram = _bergman_gram(data, eta, deg)
+    ref = scalar_bergman_gram(data, eta, deg)
+    np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_permanents_named_cases():
+    for p in range(7):
+        assert _permanents(np.ones((p, p), dtype=complex)) == math.factorial(p)
+    assert _permanents(np.zeros((0, 0), dtype=complex)) == 1.0
+    assert _permanents(np.diag([2.0, -3.0, 0.5, 4j])) == -12j
+    assert _permanents(np.diag([1.5, 2.0, -1.0]).astype(complex)) == -3.0
+    stack = np.array(
+        [[[[1, 2], [3, 4]], [[0, 1], [1, 0]]], [[[1j, 0], [0, 1j]], [[2, 2], [2, 2]]]],
+        dtype=complex,
+    )
+    np.testing.assert_array_equal(_permanents(stack), [[10, 1], [-1, 8]])
+
+
+def test_bergman_bruteforce_memory_bounded():
+    # the degree-5 block at d=6 is 252 x 252 permanents of 5 x 5 matrices,
+    # 25 MB of complex entries if gathered at once
+    d = 6
+    mu = 3.0 * np.eye(d) + 0.1 * np.ones((d, d))
+    data = ModelData(d=d, lam=np.ones(d), mu=HermitianMatrix(mu.astype(complex)), delta=1.0)
+    tracemalloc.start()
+    try:
+        value = bergman_bruteforce(data, 0.5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    det = float(np.linalg.det(mu - np.eye(d)))
+    assert value == pytest.approx(det / TWO_PI**d, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bergman_bruteforce_sees_only_det_at_origin(seed, d):
+    # the Gram matrix is block diagonal by degree, so (G^-1)_00 = 1/G_00 =
+    # det M_eta / (2pi)^d whatever max_degree is: the degree >= 1 blocks
+    # cannot move the value at z=0
+    data, eta = _random_positive_model(np.random.default_rng(seed), d)
+    values = [bergman_bruteforce(data, eta, deg) for deg in range(6)]
+    for value in values:
+        assert value == pytest.approx(values[0], rel=1e-14)
+    closed = bergman_diag(data, eta, 0, np.zeros(d)).value
+    assert values[0] == pytest.approx(closed, rel=1e-14)
 
 
 # --------------------------------------------------------- szego_density
@@ -290,6 +369,17 @@ def test_frame_boundary_guard():
     v, qmat = _frame(np.diag([-1.0, 2.0]), 1)
     assert v[0] == pytest.approx(-1.0)
     np.testing.assert_allclose(qmat, np.eye(2))
+    # a stack is checked matrix by matrix; the first failing one is named
+    stack = np.array([np.diag([-1.0, 2.0]), np.diag([-2.0, 0.0]), np.diag([0.0, 3.0])])
+    shown = "(v=%s)" % np.array2string(np.array([-2.0, 0.0]), precision=3)
+    with pytest.raises(ChamberBoundaryError, match=re.escape(shown)):
+        _frame(stack, 1)
+    good = np.array([np.diag([-1.0, 2.0]), [[1, 2j], [-2j, -1]], [[3, 1], [1, -1]]], dtype=complex)
+    vs, qmats = _frame(good, 1)
+    for k, m in enumerate(good):
+        v, qmat = _frame(m, 1)
+        np.testing.assert_array_equal(vs[k], v)
+        np.testing.assert_array_equal(qmats[k], qmat)
 
 
 def test_extremal_form_deterministic():
