@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -54,7 +55,7 @@ from .oracles import (
     save_calibration,
     torus_bundle_field,
 )
-from .pencil import HermitianMatrix, _chamber_masses, _decompose
+from .pencil import HermitianMatrix, _decompose
 from .serialize import canonical_json, csv_table
 
 FIELD_SCHEMA = "crmorse/field-v1"
@@ -69,6 +70,9 @@ REPORT_SCHEMA = "crmorse/report-v1"
 PARSE_HERMITIAN_TOL = 1e-9
 
 DEFAULT_CAL_PATH = "calibration.json"
+
+# the types json.loads gives numbers; bool, a subclass of int, is not one
+_JSON_NUMBERS = {int, float}
 
 
 # ----------------------------------------------------------- JSON parsing
@@ -110,6 +114,17 @@ def _complex_matrix(value: Any, path: str, d: int, what: str) -> np.ndarray:
         _fail(path, "expected a matrix as a list of rows")
     if len(value) != d:
         _fail(path, "matrix dimension %d does not match %s = %d" % (len(value), what, d))
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is not None and pairs.shape == (d, d, 2) and np.isfinite(pairs).all():
+        cells = itertools.chain.from_iterable(value)
+        if set(map(type, itertools.chain.from_iterable(cells))) <= _JSON_NUMBERS:
+            out = np.empty((d, d), dtype=complex)
+            out.real, out.imag = pairs[..., 0], pairs[..., 1]
+            return out
+    # a malformed or non-finite entry: walk the matrix to name the first one
     out = np.zeros((d, d), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != d:
@@ -446,8 +461,7 @@ def _cmd_chambers(args, started):
         )
     pt = field.points[args.point]
     delta = field.delta if args.delta is None else args.delta
-    dec, p = _decompose(pt.r, pt.el, delta, args.tol)
-    masses = _chamber_masses(dec, p.antiderivative())
+    dec, masses, _ = _decompose(pt.r, pt.el, delta, args.tol)
     result = {
         "label": pt.label,
         "delta": dec.delta,

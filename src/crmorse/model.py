@@ -127,8 +127,8 @@ def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass of each
     q-signature set."""
     r, el = _eta_pencil(data)
-    dec, p = _decompose(r, el, data.delta)
-    return dec, _signature_masses(dec, p.antiderivative())
+    dec, masses, _ = _decompose(r, el, data.delta)
+    return dec, _signature_masses(dec, masses)
 
 
 def _szego_table(data: ModelData) -> Tuple[EtaChamberSet, List[float]]:

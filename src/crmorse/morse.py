@@ -7,8 +7,9 @@ Riemann-Roch-Hirzebruch total, the X(q) distance certificate, and the
 positivity / bigness verdicts.
 
 Each sample's pencil is decomposed once per window into a chamber
-record; every quantity is a reduction over those records, run in input
-order with math.fsum so reports are byte-reproducible.
+record, the points of a field together in stacked passes of at most
+_CHUNK points; every quantity is a reduction over those records, run in
+input order with math.fsum so reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
-from .errors import DegeneratePencilError, InputError
-from .pencil import Chamber, HermitianMatrix, _decompose, _signature_masses, inertia
+import numpy as np
+
+from .errors import InputError
+from .pencil import Chamber, HermitianMatrix, _decompose_batch, _signature_masses, _signatures
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -49,6 +52,8 @@ REASON_SEMIPOSITIVE = (
     "at some sample (Grauert-Riemenschneider criterion)"
 )
 REASON_INCONCLUSIVE = "criteria inconclusive"
+
+_CHUNK = 256  # sample points decomposed together in one stacked pass
 
 
 @dataclass(frozen=True)
@@ -145,16 +150,23 @@ class _Record(NamedTuple):
     signed: float  # signed integral of det over the whole window
 
 
+def _chunks(field: PencilField):
+    """The field's points in runs of at most _CHUNK, which bounds the memory
+    of the stacked passes."""
+    pts = field.points
+    return (pts[i : i + _CHUNK] for i in range(0, len(pts), _CHUNK))
+
+
 def _records(field: PencilField, delta: float) -> List[_Record]:
     out = []
-    for point in field.points:
-        try:
-            dec, p = _decompose(point.r, point.el, delta)
-        except DegeneratePencilError as exc:
-            raise DegeneratePencilError("sample %r: %s" % (point.label, exc)) from exc
-        anti = p.antiderivative()
-        masses = _signature_masses(dec, anti)
-        out.append(_Record(dec.chambers, masses, float(anti(delta)) - float(anti(-delta))))
+    for chunk in _chunks(field):
+        batch = _decompose_batch(
+            np.stack([p.r.entries for p in chunk]),
+            np.stack([p.el.entries for p in chunk]),
+            delta,
+            labels=[p.label for p in chunk],
+        )
+        out.extend(_Record(dec.chambers, _signature_masses(dec, m), signed) for dec, m, signed in batch)
     return out
 
 
@@ -255,7 +267,10 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
 
 
 def _positivity(field: PencilField, records: Sequence[_Record]) -> Positivity:
-    pd = [inertia(p.r).signature == (0, 0, field.dim) for p in field.points]
+    pd = []
+    for chunk in _chunks(field):
+        _, pos, _ = _signatures(np.linalg.eigvalsh(np.stack([p.r.entries for p in chunk])))
+        pd.extend((pos == field.dim).tolist())
     bad = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg > 0]
     radius = min(bad) if bad else field.delta
     return Positivity(

@@ -8,13 +8,24 @@ points followed by a Vandermonde solve (exact for degree <= d and
 numerically adequate for d <= 8, the documented range).  Integrals of
 |det| over chambers use the exact polynomial antiderivative, so the only
 numerical error is in root location.
+
+One engine decomposes a whole stack of pencils (n, d, d) at once, and a
+single pencil is the n = 1 case of it.  Each stage is one call on the
+stack: an eigenvalue call per degeneracy probe (for the pencils no earlier
+probe cleared), one determinant call on (n, d+1, d, d), one Vandermonde
+solve, root isolation one derivative degree at a time for all rows of that
+degree, one eigenvalue call over every chamber midpoint, and one
+antiderivative evaluation at every chamber end.  Every result is bit
+for bit what the same steps give one pencil at a time.  The stacks of one
+call hold about (d+1) d^2 complex numbers per pencil, so callers with many
+pencils pass them in chunks (see morse._CHUNK) to keep memory bounded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -119,21 +130,30 @@ class Inertia(NamedTuple):
         return (self.neg, self.zero, self.pos)
 
 
+def _signatures(w: np.ndarray, tol: Union[float, None] = None):
+    """Negative and positive counts and the tolerance of each eigenvalue row
+    of ``w`` (..., d), as ``inertia`` reads them."""
+    if tol is None:
+        tols = _INERTIA_REL_TOL * (1.0 + np.abs(w).max(axis=-1))
+    else:
+        tol = float(tol)
+        if not math.isfinite(tol):
+            raise InputError("inertia tolerance must be finite, got %g" % tol)
+        if tol < 0.0:
+            raise InputError("inertia tolerance must be nonnegative, got %g" % tol)
+        tols = np.full(w.shape[:-1], tol)
+    t = tols[..., None]
+    return (w < -t).sum(axis=-1), (w > t).sum(axis=-1), tols
+
+
 def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     """Count eigenvalues of ``a`` below -tol, within [-tol, tol], above tol.
 
     With ``tol=None`` the tolerance defaults to 1e-9 * (1 + spectral
     radius), which makes the strict sign counts robustly decidable.
     """
-    w = np.linalg.eigvalsh(a.entries)
-    if tol is None:
-        tol = _INERTIA_REL_TOL * (1.0 + float(np.max(np.abs(w))))
-    tol = float(tol)
-    if tol < 0.0:
-        raise InputError("inertia tolerance must be nonnegative, got %g" % tol)
-    neg = int(np.sum(w < -tol))
-    pos = int(np.sum(w > tol))
-    return Inertia(neg, a.dim - neg - pos, pos, tol)
+    neg, pos, tols = _signatures(np.linalg.eigvalsh(a.entries), tol)
+    return Inertia(int(neg), a.dim - int(neg) - int(pos), int(pos), float(tols))
 
 
 @dataclass(frozen=True)
@@ -171,6 +191,23 @@ class RealPolynomial:
         return RealPolynomial(npoly.polyint(self.coeffs))
 
 
+def _char_coeffs(r: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Coefficients of det(R + 2sL) for each pencil of the (n, d, d) stacks,
+    one row per pencil; see pencil_char_poly."""
+    d = r.shape[-1]
+    j = np.arange(d + 1)
+    probes = np.cos((2 * j + 1) * np.pi / (2 * (d + 1)))
+    dets = np.linalg.det(r[:, None] + (2.0 * probes)[:, None, None] * el[:, None]).real
+    # one Vandermonde copy per row, not one multi-right-hand-side solve: each
+    # row then equals its own solve bit for bit
+    vand = np.vander(probes, d + 1, increasing=True)[None].repeat(len(dets), axis=0)
+    coeffs = np.linalg.solve(vand, dets[..., None])[..., 0]
+    coeffs[~dets.any(axis=1)] = 0.0
+    cmax = np.abs(coeffs).max(axis=1, keepdims=True)
+    coeffs[np.abs(coeffs) < 1e-12 * cmax] = 0.0
+    return coeffs
+
+
 def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
     """Coefficients of p(s) = det(R + 2sL).
 
@@ -183,73 +220,172 @@ def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
         raise InputError(
             "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
         )
-    d = r.dim
-    j = np.arange(d + 1)
-    probes = np.cos((2 * j + 1) * np.pi / (2 * (d + 1)))
-    dets = np.array(
-        [np.linalg.det(r.entries + 2.0 * s * el.entries).real for s in probes]
-    )
-    if not np.any(dets):
-        return RealPolynomial(np.zeros(d + 1))
-    vand = npoly.polyvander(probes, d)
-    coeffs = np.linalg.solve(vand, dets)
-    cmax = float(np.max(np.abs(coeffs)))
-    coeffs[np.abs(coeffs) < 1e-12 * cmax] = 0.0
-    return RealPolynomial(coeffs)
+    return RealPolynomial(_char_coeffs(r.entries[None], el.entries[None])[0])
 
 
-def _zero_scale(cabs: np.ndarray, x: float) -> float:
-    return 1e-11 * float(npoly.polyval(abs(x), cabs)) + 1e-300
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """npoly.polyval of coefficient row c[i] (ascending) at every x[i, :], in
+    polyval's order of operations, so each value equals polyval's bit for bit."""
+    v = c[:, -1:] + x * 0
+    for i in range(2, c.shape[1] + 1):
+        v = c[:, -i, None] + v * x
+    return v
 
 
-def _bisect_root(cc: np.ndarray, a: float, b: float, va: float, tol: float) -> float:
-    sa = va > 0.0
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        vm = float(npoly.polyval(m, cc))
-        if vm == 0.0:
-            return m
-        if (vm > 0.0) == sa:
-            a = m
+def _compact(a: np.ndarray) -> np.ndarray:
+    """Move the NaN padding of each ascending row to its end, in place, and
+    drop all-padding columns."""
+    a.sort(axis=1)
+    return a[:, ~np.isnan(a).all(axis=0)]
+
+
+def _root_estimates(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of c (k, m+1) with m >= 1, the real part of the eigenvalue
+    of its companion matrix nearest the real axis within [a, b]; the
+    midpoint when there is none."""
+    k, m = c.shape[0], c.shape[1] - 1
+    comp = np.zeros((k, m, m))
+    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    with np.errstate(all="ignore"):
+        comp[:, :, -1] = -c[:, :m] / c[:, m:]
+    comp[~np.isfinite(comp)] = 0.0
+    try:
+        roots = np.linalg.eigvals(comp)
+    except np.linalg.LinAlgError:  # no estimate: the midpoints serve
+        return 0.5 * (a + b)
+    inside = (roots.real >= a[:, None]) & (roots.real <= b[:, None])
+    best = np.where(inside, np.abs(roots.imag), np.inf).argmin(axis=1)
+    x = roots.real[np.arange(k), best]
+    return np.where(inside[np.arange(k), best], x, 0.5 * (a + b))
+
+
+def _bisect(c: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray, tol: float) -> np.ndarray:
+    """Bisect each bracket [a, b] of coefficient row c, where c changes sign
+    and ``up`` says whether it is positive at a, and return what a scalar
+    bisection returns: the midpoint of the first bracket no longer than
+    tol, an exact zero met on the way, or the midpoint after 200 halvings.
+
+    The halvings are taken speculatively.  An estimate of each root picks
+    the side of every midpoint in advance, so a bracket's midpoints are
+    plain float arithmetic; all midpoints of all brackets are then
+    evaluated in one pass, and each path is kept up to its first midpoint
+    whose sign disagrees, where it resumes.  A wrong estimate costs speed,
+    never bits."""
+    guess = _root_estimates(c, a, b)
+    out = np.empty(a.shape)
+    idx = np.arange(a.size)
+    steps = np.zeros(a.size, dtype=np.intp)
+    while idx.size:
+        x = np.minimum(np.maximum(guess, a), b)
+        los, his, lengths, ends = [], [], [], []  # the bracket before each halving, flat
+        for lo, hi, side, done in zip(a.tolist(), b.tolist(), x.tolist(), steps.tolist()):
+            start = len(los)
+            while done < 200 and hi - lo > tol:
+                los.append(lo)
+                his.append(hi)
+                mid = 0.5 * (lo + hi)
+                done += 1
+                if mid < side:
+                    lo = mid
+                else:
+                    hi = mid
+            lengths.append(len(los) - start)
+            ends.append(0.5 * (lo + hi))
+        taken = np.arange(max(1, max(lengths))) < np.array(lengths)[:, None]
+        left, right = np.full(taken.shape, np.nan), np.full(taken.shape, np.nan)
+        left[taken], right[taken] = los, his
+        mids = 0.5 * (left + right)
+        v = _horner(c, mids)
+        act = (v > 0.0) == up[:, None]  # the root lies right of the midpoint
+        bad = ~np.isnan(mids) & ((v == 0.0) | (act != (mids < x[:, None])))
+        rows = np.arange(idx.size)
+        f = bad.argmax(axis=1)  # the first wrong guess, where the path resumes
+        m, lo, hi = mids[rows, f], left[rows, f], right[rows, f]
+        zero = bad[rows, f] & (v[rows, f] == 0.0)
+        out[idx] = np.where(zero, m, ends)
+        turn = bad[rows, f] & ~zero
+        a, b = np.where(act[rows, f], m, lo)[turn], np.where(act[rows, f], hi, m)[turn]
+        idx, c, up, guess, steps = idx[turn], c[turn], up[turn], guess[turn], (steps + f + 1)[turn]
+    return out
+
+
+def _level_roots(q: np.ndarray, crit: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Roots in [lo, hi] of each degree >= 2 row of q, given the sorted
+    NaN-padded roots ``crit`` of its derivative.  q is strictly monotone
+    between consecutive stationary points, so each sign change brackets
+    exactly one root; tangent roots show as near-zero stationary values."""
+    k = q.shape[0]
+    cand = np.concatenate([crit, np.full((k, 1), hi)], axis=1)
+    pts = np.full((k, cand.shape[1] + 1), np.nan)
+    pts[:, 0] = last = np.full(k, lo)
+    for j in range(cand.shape[1]):
+        x = cand[:, j]
+        take = x > last + 1e-15 * (1.0 + np.abs(x))
+        pts[take, j + 1] = last[take] = x[take]
+    pts = _compact(pts)
+    valid = ~np.isnan(pts)
+    xs = np.where(valid, pts, lo)
+    both = _horner(np.concatenate([q, np.abs(q)]), np.concatenate([xs, np.abs(xs)]))
+    vals = both[:k]
+    zero = valid & (np.abs(vals) <= 1e-11 * both[k:] + 1e-300)
+    sign_change = (vals[:, :-1] > 0.0) != (vals[:, 1:] > 0.0)
+    bi, bj = np.nonzero(valid[:, 1:] & ~zero[:, :-1] & ~zero[:, 1:] & sign_change)
+    roots = np.full((k, 2 * pts.shape[1] - 1), np.nan)  # points at even slots, brackets at odd
+    roots[:, ::2] = np.where(zero, pts, np.nan)
+    if bi.size:
+        roots[bi, 2 * bj + 1] = _bisect(q[bi], pts[bi, bj], pts[bi, bj + 1], vals[bi, bj] > 0.0, tol)
+    return _compact(roots)
+
+
+def _isolate(c: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Real roots in [lo, hi] of every coefficient row of c (n, D+1), as a
+    sorted NaN-padded (n, w) array.  Roots of a row's derivative chain are
+    found one degree at a time, from the linear derivative up, for all
+    rows of that degree together."""
+    n, width = c.shape
+    nonzero = c != 0.0
+    deg = np.where(nonzero.any(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
+    ders = np.zeros((width, n, width))  # ders[j] is the j-th derivative of each row
+    ders[0] = c
+    for j in range(1, width):
+        ders[j, :, : width - j] = ders[j - 1, :, 1 : width - j + 1] * np.arange(1, width - j + 1)
+    done = []  # (rows, roots) of the rows whose own polynomial a level solved
+    rows = np.flatnonzero(deg >= 1)
+    for m in range(1, int(deg.max(initial=0)) + 1):
+        q = ders[deg[rows] - m, rows, : m + 1]  # each row's derivative of degree m
+        if m == 1:
+            with np.errstate(over="ignore"):  # a root beyond float range is outside [lo, hi]
+                x = -q[:, :1] / q[:, 1:]
+            inside = (lo - 4.0 * tol <= x) & (x <= hi + 4.0 * tol)
+            x = np.where(inside, np.where(x < lo, lo, np.where(x > hi, hi, x)), np.nan)
         else:
-            b = m
-    return 0.5 * (a + b)
+            x = _level_roots(q, x, lo, hi, tol)
+        top = deg[rows] == m
+        done.append((rows[top], x[top]))
+        rows, x = rows[~top], x[~top]
+    found = np.full((n, max([x.shape[1] for _, x in done], default=0)), np.nan)
+    for top, x in done:
+        found[top, : x.shape[1]] = x
+    return found
 
 
-def _roots_in_interval(cc: np.ndarray, lo: float, hi: float, tol: float) -> List[float]:
-    nz = np.nonzero(cc)[0]
-    if nz.size == 0:
-        return []
-    cc = cc[: int(nz[-1]) + 1]
-    deg = cc.size - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        root = -cc[0] / cc[1]
-        if lo - 4.0 * tol <= root <= hi + 4.0 * tol:
-            return [min(max(float(root), lo), hi)]
-        return []
-    cabs = np.abs(cc)
-    crit = _roots_in_interval(npoly.polyder(cc), lo, hi, tol)
-    pts = [lo]
-    for x in sorted(crit) + [hi]:
-        if x > pts[-1] + 1e-15 * (1.0 + abs(x)):
-            pts.append(x)
-    vals = [float(npoly.polyval(x, cc)) for x in pts]
-    roots = []
-    for x, v in zip(pts, vals):
-        if abs(v) <= _zero_scale(cabs, x):
-            roots.append(x)
-    # p is strictly monotone between consecutive stationary points, so each
-    # sign change brackets exactly one root
-    for (x0, v0), (x1, v1) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        if abs(v0) <= _zero_scale(cabs, x0) or abs(v1) <= _zero_scale(cabs, x1):
-            continue
-        if (v0 > 0.0) != (v1 > 0.0):
-            roots.append(_bisect_root(cc, x0, x1, v0, tol))
-    return sorted(roots)
+def _merge(raw: np.ndarray, eps: float) -> np.ndarray:
+    """Collapse each row's sorted roots closer than eps to their running midpoint."""
+    if not (raw[:, 1:] - raw[:, :-1] <= eps).any():
+        return raw  # nothing to collapse
+    n, w = raw.shape
+    rows = np.arange(n)
+    out = np.full((n, w), np.nan)
+    count = np.zeros(n, dtype=np.intp)
+    for j in range(w):
+        x = raw[:, j]
+        last = out[rows, np.maximum(count - 1, 0)]
+        join = (count > 0) & (x - last <= eps)
+        out[rows[join], count[join] - 1] = 0.5 * (last[join] + x[join])
+        add = ~np.isnan(x) & ~join
+        out[rows[add], count[add]] = x[add]
+        count += add
+    return out
 
 
 def real_roots(
@@ -269,15 +405,10 @@ def real_roots(
         return IDENTICALLY_ZERO
     if not tol > 0.0:
         tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    raw = _roots_in_interval(np.asarray(p.coeffs, dtype=float), float(lo), float(hi), float(tol))
     merge_eps = max(4.0 * tol, 1e-11 * (1.0 + max(abs(lo), abs(hi))))
-    merged: List[float] = []
-    for root in raw:
-        if merged and root - merged[-1] <= merge_eps:
-            merged[-1] = 0.5 * (merged[-1] + root)
-        else:
-            merged.append(root)
-    return merged
+    raw = _isolate(np.asarray(p.coeffs, dtype=float)[None], float(lo), float(hi), float(tol))
+    roots = _merge(raw, merge_eps)[0]
+    return roots[~np.isnan(roots)].tolist()
 
 
 @dataclass(frozen=True)
@@ -300,27 +431,135 @@ class ChamberDecomposition:
         return first.neg + first.zero + first.pos
 
 
-def _pencil_matrix(r: HermitianMatrix, el: HermitianMatrix, s: float) -> np.ndarray:
-    # real linear combinations of exactly Hermitian arrays stay exactly Hermitian
-    return r.entries + 2.0 * s * el.entries
+class _Decomposed(NamedTuple):
+    """One pencil's chambers with the integrals of its det over them."""
+
+    dec: ChamberDecomposition
+    masses: List[float]  # integral of |det(R+2sL)| over each chamber, in order
+    signed: float  # integral of det(R+2sL) over [-delta, delta]
 
 
-def _check_not_degenerate(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> None:
-    probes = np.linspace(-delta, delta, r.dim + 2)
-    margins = []
-    for s in probes:
-        w = np.linalg.eigvalsh(_pencil_matrix(r, el, s))
-        tol = _INERTIA_REL_TOL * (1.0 + float(np.max(np.abs(w))))
-        smallest = float(np.min(np.abs(w)))
-        if smallest > tol:
-            return
-        margins.append((smallest / tol, smallest, tol, float(s)))
-    _, smallest, tol, s = max(margins)
-    raise DegeneratePencilError(
-        "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
-        "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
-        "R and L share a near-common kernel" % (probes.size, delta, delta, smallest, tol, s)
+def _probe_degenerate(r: np.ndarray, el: np.ndarray, delta: float) -> dict:
+    """Pencils of the stacks whose eigenvalues come within tolerance of zero
+    at every one of d+2 probes in [-delta, delta]: {row: message}.  A probe
+    with no small eigenvalue clears a pencil, and cleared pencils are not
+    probed again."""
+    probes = np.linspace(-delta, delta, r.shape[-1] + 2)
+    pending = np.arange(r.shape[0])
+    smallest = np.zeros((r.shape[0], probes.size))
+    tols = np.zeros((r.shape[0], probes.size))
+    for k, s in enumerate(probes):
+        w = np.abs(np.linalg.eigvalsh(r[pending] + 2.0 * s * el[pending]))
+        tols[pending, k] = _INERTIA_REL_TOL * (1.0 + w.max(axis=1))
+        smallest[pending, k] = w.min(axis=1)
+        pending = pending[~(smallest[pending, k] > tols[pending, k])]
+        if not pending.size:
+            break
+    out = {}
+    for i in pending.tolist():
+        _, small, tol, s = max(
+            (a / t, a, t, s) for a, t, s in zip(smallest[i].tolist(), tols[i].tolist(), probes.tolist())
+        )
+        out[i] = (
+            "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
+            "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
+            "R and L share a near-common kernel" % (probes.size, delta, delta, small, tol, s)
+        )
+    return out
+
+
+def _decompose_batch(
+    r: np.ndarray,
+    el: np.ndarray,
+    delta: float,
+    tol: Union[float, None] = None,
+    labels: Union[Sequence[str], None] = None,
+) -> List[_Decomposed]:
+    """Decompose every pencil of the (n, d, d) stacks r, el over [-delta, delta].
+
+    Each stage runs once on the whole stack: the degeneracy probes, the
+    probe determinants and Vandermonde solve, root isolation, one
+    eigenvalue call over every chamber midpoint, and the antiderivative at
+    every chamber end.  Each pencil's result equals what the stages give
+    it alone.  The error raised is the first failing pencil's in stack
+    order, prefixed with its label when ``labels`` is given.
+    """
+    if not delta > 0.0:
+        raise InputError("delta must be positive, got %g" % delta)
+    if not math.isfinite(delta):
+        raise InputError("delta must be finite, got %g" % delta)
+    delta = float(delta)
+    d = r.shape[-1]
+    failures = {}  # row -> its error, from the first stage it fails
+
+    def fail(row, kind, message):
+        label = "" if labels is None else "sample %r: " % (labels[row],)
+        failures.setdefault(row, kind(label + message))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = 2.0 * delta * el
+        finite = np.isfinite(r + step).all(axis=(1, 2)) & np.isfinite(r - step).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite).tolist():
+        fail(i, InputError, "delta %g puts R + 2sL out of floating-point range at s = +-delta" % delta)
+    if not finite.any():
+        raise failures[0]
+    alive = np.flatnonzero(finite)
+    for i, message in _probe_degenerate(r[alive], el[alive], delta).items():
+        fail(int(alive[i]), DegeneratePencilError, message)
+    alive = np.array([i for i in alive.tolist() if i not in failures], dtype=np.intp)
+
+    coeffs = _char_coeffs(r[alive], el[alive])
+    zero = ~coeffs.any(axis=1)
+    for i in alive[zero].tolist():
+        fail(i, DegeneratePencilError,
+             "degenerate pencil: det(R+2sL) has an identically zero characteristic "
+             "polynomial on [-%g, %g]" % (delta, delta))
+    alive, coeffs = alive[~zero], coeffs[~zero]
+
+    root_tol = 1e-12 * (1.0 + delta)
+    roots = _merge(
+        _isolate(coeffs, -delta, delta, root_tol), max(4.0 * root_tol, 1e-11 * (1.0 + delta))
     )
+    inner = (roots > -delta + 4.0 * root_tol) & (roots < delta - 4.0 * root_tol)
+    edge = np.ones((alive.size, 1))
+    breaks = _compact(np.concatenate([-delta * edge, np.where(inner, roots, np.nan), delta * edge], axis=1))
+    rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
+    mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
+    a_mid = r[alive[rows]] + (2.0 * mids)[:, None, None] * el[alive[rows]]
+    w = np.linalg.eigvalsh((a_mid + a_mid.conj().swapaxes(-1, -2)) / 2.0)
+    try:
+        neg, pos, tols = _signatures(w, tol)
+    except InputError as exc:
+        if alive.size:
+            fail(int(alive[0]), InputError, str(exc))
+    else:
+        for c in np.flatnonzero(neg + pos < d).tolist():  # a row's first singular chamber names it
+            fail(int(alive[rows[c]]), DegeneratePencilError, (
+                "pencil is numerically singular inside a chamber at s=%g "
+                "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
+                % (mids[c], np.abs(w[c]).min(), tols[c])
+            ))
+    if failures:
+        raise failures[min(failures)]
+
+    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
+    ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks))
+    masses = np.abs(ints[:, 1:] - ints[:, :-1]).tolist()
+    counts = np.bincount(rows, minlength=alive.size).tolist()
+    signed = (ints[np.arange(alive.size), counts] - ints[:, 0]).tolist()
+    signatures = zip(neg.tolist(), pos.tolist(), tols.tolist())  # chamber by chamber, row by row
+    out = []
+    for ends, row_roots, m, count, total in zip(breaks.tolist(), roots.tolist(), masses, counts, signed):
+        dec = ChamberDecomposition(
+            delta=delta,
+            roots=[x for x in row_roots if x == x],  # drop the NaN padding
+            chambers=[
+                Chamber(ends[j], ends[j + 1], Inertia(ng, d - ng - ps, ps, t), -1 if ng % 2 else 1)
+                for j, (ng, ps, t) in zip(range(count), signatures)
+            ],
+        )
+        out.append(_Decomposed(dec, m[:count], total))
+    return out
 
 
 def _decompose(
@@ -328,40 +567,12 @@ def _decompose(
     el: HermitianMatrix,
     delta: float,
     tol: Union[float, None] = None,
-) -> Tuple[ChamberDecomposition, RealPolynomial]:
+) -> _Decomposed:
     if r.dim != el.dim:
         raise InputError(
             "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
         )
-    if not delta > 0.0:
-        raise InputError("delta must be positive, got %g" % delta)
-    _check_not_degenerate(r, el, delta)
-    p = pencil_char_poly(r, el)
-    root_tol = 1e-12 * (1.0 + delta)
-    found = real_roots(p, -delta, delta, root_tol)
-    if found is IDENTICALLY_ZERO:
-        raise DegeneratePencilError(
-            "degenerate pencil: det(R+2sL) has an identically zero characteristic "
-            "polynomial on [-%g, %g]" % (delta, delta)
-        )
-    interior = [x for x in found if -delta + 4.0 * root_tol < x < delta - 4.0 * root_tol]
-    breaks = [-delta, *interior, delta]
-    cells = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        a_mid = HermitianMatrix(_pencil_matrix(r, el, mid))
-        ine = inertia(a_mid, tol)
-        if ine.zero > 0:
-            smallest = float(np.min(np.abs(np.linalg.eigvalsh(a_mid.entries))))
-            raise DegeneratePencilError(
-                "pencil is numerically singular inside a chamber at s=%g "
-                "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
-                % (mid, smallest, ine.tol)
-            )
-        det_sign = -1 if ine.neg % 2 else 1
-        cells.append(Chamber(float(a), float(b), ine, det_sign))
-    dec = ChamberDecomposition(delta=float(delta), roots=[float(x) for x in found], chambers=cells)
-    return dec, p
+    return _decompose_batch(r.entries[None], el.entries[None], delta, tol)[0]
 
 
 def chambers(
@@ -376,8 +587,7 @@ def chambers(
     pencil whose determinant vanishes identically raises
     DegeneratePencilError naming an offending point.
     """
-    dec, _ = _decompose(r, el, delta, tol)
-    return dec
+    return _decompose(r, el, delta, tol).dec
 
 
 def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]]:
@@ -389,20 +599,13 @@ def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]
     return [(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
 
 
-def _chamber_masses(dec: ChamberDecomposition, anti: RealPolynomial) -> List[float]:
-    """Integral of |det(R+2sL)| over each chamber of ``dec``, in order;
-    ``anti`` is the antiderivative of det(R+2sL)."""
-    return [abs(float(anti(ch.hi)) - float(anti(ch.lo))) for ch in dec.chambers]
-
-
-def _signature_masses(dec: ChamberDecomposition, anti: RealPolynomial) -> List[float]:
+def _signature_masses(dec: ChamberDecomposition, masses: Sequence[float]) -> List[float]:
     """Integral of |det(R+2sL)| over the q-signature set of ``dec`` for
-    q = 0..d, each a math.fsum over its chambers in order."""
-    per_chamber = _chamber_masses(dec, anti)
-    return [
-        math.fsum(m for ch, m in zip(dec.chambers, per_chamber) if ch.inertia.neg == q)
-        for q in range(dec.dim + 1)
-    ]
+    q = 0..d, each a math.fsum of its chambers' ``masses`` in order."""
+    per_q: List[List[float]] = [[] for _ in range(dec.dim + 1)]
+    for ch, m in zip(dec.chambers, masses):
+        per_q[ch.inertia.neg].append(m)
+    return [math.fsum(ms) for ms in per_q]
 
 
 def chamber_integral(
@@ -421,8 +624,8 @@ def chamber_integral(
         raise InputError("q must be an integer, got %r" % (q,))
     if not 0 <= q <= r.dim:
         raise InputError("q must lie in 0..%d, got %d" % (r.dim, q))
-    dec, p = _decompose(r, el, delta, tol)
-    return _signature_masses(dec, p.antiderivative())[q]
+    dec, masses, _ = _decompose(r, el, delta, tol)
+    return _signature_masses(dec, masses)[q]
 
 
 def pencil_signed_integral(
@@ -437,6 +640,4 @@ def pencil_signed_integral(
     the alternating sum over q of the unsigned chamber integrals; both
     routes are kept and compared in tests.
     """
-    _, p = _decompose(r, el, delta, tol)
-    anti = p.antiderivative()
-    return float(anti(delta)) - float(anti(-delta))
+    return _decompose(r, el, delta, tol).signed

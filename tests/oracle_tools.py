@@ -14,9 +14,11 @@ import math
 import numpy as np
 from scipy import integrate
 
-from crmorse.errors import CalibrationError
+from numpy.polynomial import polynomial as npoly
+
+from crmorse.errors import CalibrationError, DegeneratePencilError
 from crmorse.oracles import torus_mode_dim
-from crmorse.pencil import HermitianMatrix
+from crmorse.pencil import Chamber, HermitianMatrix, Inertia
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -161,3 +163,150 @@ def scalar_bergman_bruteforce(data, eta: float, max_degree: int) -> float:
     rhs[0] = 1.0
     sol = np.linalg.solve(gram, rhs)
     return float(sol[0].real)
+
+
+# ---------------------------------------------------------------------------
+# The scalar pencil engine: one pencil, one root and one numpy scalar at a
+# time.  The batched engine in crmorse.pencil must reproduce it bit for bit.
+
+
+def _zero_scale(cabs: np.ndarray, x: float) -> float:
+    return 1e-11 * float(npoly.polyval(abs(x), cabs)) + 1e-300
+
+
+def scalar_bisect_root(cc: np.ndarray, a: float, b: float, va: float, tol: float) -> float:
+    sa = va > 0.0
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        vm = float(npoly.polyval(m, cc))
+        if vm == 0.0:
+            return m
+        if (vm > 0.0) == sa:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def scalar_roots_in_interval(cc: np.ndarray, lo: float, hi: float, tol: float) -> list:
+    """Real roots of cc in [lo, hi] by recursion on the derivative chain."""
+    nz = np.nonzero(cc)[0]
+    if nz.size == 0:
+        return []
+    cc = cc[: int(nz[-1]) + 1]
+    deg = cc.size - 1
+    if deg == 0:
+        return []
+    if deg == 1:
+        root = -cc[0] / cc[1]
+        if lo - 4.0 * tol <= root <= hi + 4.0 * tol:
+            return [min(max(float(root), lo), hi)]
+        return []
+    cabs = np.abs(cc)
+    crit = scalar_roots_in_interval(npoly.polyder(cc), lo, hi, tol)
+    pts = [lo]
+    for x in sorted(crit) + [hi]:
+        if x > pts[-1] + 1e-15 * (1.0 + abs(x)):
+            pts.append(x)
+    vals = [float(npoly.polyval(x, cc)) for x in pts]
+    roots = [x for x, v in zip(pts, vals) if abs(v) <= _zero_scale(cabs, x)]
+    for (x0, v0), (x1, v1) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
+        if abs(v0) <= _zero_scale(cabs, x0) or abs(v1) <= _zero_scale(cabs, x1):
+            continue
+        if (v0 > 0.0) != (v1 > 0.0):
+            roots.append(scalar_bisect_root(cc, x0, x1, v0, tol))
+    return sorted(roots)
+
+
+def scalar_real_roots(coeffs: np.ndarray, lo: float, hi: float, tol: float) -> list:
+    """real_roots for a nonzero polynomial: the roots with near-duplicates merged."""
+    merge_eps = max(4.0 * tol, 1e-11 * (1.0 + max(abs(lo), abs(hi))))
+    merged: list = []
+    for root in scalar_roots_in_interval(np.asarray(coeffs, dtype=float), lo, hi, tol):
+        if merged and root - merged[-1] <= merge_eps:
+            merged[-1] = 0.5 * (merged[-1] + root)
+        else:
+            merged.append(root)
+    return merged
+
+
+def scalar_char_coeffs(r: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """det(R + 2sL) coefficients from d+1 Chebyshev probe determinants."""
+    d = r.shape[0]
+    j = np.arange(d + 1)
+    probes = np.cos((2 * j + 1) * np.pi / (2 * (d + 1)))
+    dets = np.array([np.linalg.det(r + 2.0 * s * el).real for s in probes])
+    if not np.any(dets):
+        return np.zeros(d + 1)
+    coeffs = np.linalg.solve(npoly.polyvander(probes, d), dets)
+    cmax = float(np.max(np.abs(coeffs)))
+    coeffs[np.abs(coeffs) < 1e-12 * cmax] = 0.0
+    return coeffs
+
+
+def scalar_decompose(r: np.ndarray, el: np.ndarray, delta: float):
+    """One pencil through the scalar engine: (roots, chambers, |det| mass of
+    each chamber, signed integral of det), or its DegeneratePencilError."""
+    d = r.shape[0]
+    probes = np.linspace(-delta, delta, d + 2)
+    margins = []
+    for s in probes:
+        w = np.linalg.eigvalsh(r + 2.0 * s * el)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(w))))
+        smallest = float(np.min(np.abs(w)))
+        if smallest > tol:
+            break
+        margins.append((smallest / tol, smallest, tol, float(s)))
+    else:
+        _, smallest, tol, s = max(margins)
+        raise DegeneratePencilError(
+            "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
+            "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
+            "R and L share a near-common kernel" % (probes.size, delta, delta, smallest, tol, s)
+        )
+    coeffs = scalar_char_coeffs(r, el)
+    if not np.any(coeffs):
+        raise DegeneratePencilError(
+            "degenerate pencil: det(R+2sL) has an identically zero characteristic "
+            "polynomial on [-%g, %g]" % (delta, delta)
+        )
+    root_tol = 1e-12 * (1.0 + delta)
+    found = scalar_real_roots(coeffs, -delta, delta, root_tol)
+    interior = [x for x in found if -delta + 4.0 * root_tol < x < delta - 4.0 * root_tol]
+    breaks = [-delta, *interior, delta]
+    cells = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (a + b)
+        w = np.linalg.eigvalsh(HermitianMatrix(r + 2.0 * mid * el).entries)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(w))))
+        neg, pos = int(np.sum(w < -tol)), int(np.sum(w > tol))
+        if neg + pos < d:
+            raise DegeneratePencilError(
+                "pencil is numerically singular inside a chamber at s=%g "
+                "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
+                % (mid, float(np.min(np.abs(w))), tol)
+            )
+        cells.append(Chamber(float(a), float(b), Inertia(neg, d - neg - pos, pos, tol), -1 if neg % 2 else 1))
+    anti = npoly.polyint(coeffs)
+    masses = [abs(float(npoly.polyval(c.hi, anti)) - float(npoly.polyval(c.lo, anti))) for c in cells]
+    signed = float(npoly.polyval(delta, anti)) - float(npoly.polyval(-delta, anti))
+    return [float(x) for x in found], cells, masses, signed
+
+
+def scalar_records(field, delta: float) -> list:
+    """morse._records through the scalar engine, one sample at a time:
+    (chambers, |det| mass of each q-signature set, signed integral)."""
+    out = []
+    for p in field.points:
+        try:
+            _, cells, masses, signed = scalar_decompose(p.r.entries, p.el.entries, delta)
+        except DegeneratePencilError as exc:
+            raise DegeneratePencilError("sample %r: %s" % (p.label, exc)) from exc
+        per_q = [
+            math.fsum(m for c, m in zip(cells, masses) if c.inertia.neg == q)
+            for q in range(field.dim + 1)
+        ]
+        out.append((cells, per_q, signed))
+    return out

@@ -100,6 +100,32 @@ def test_parse_field_path_precise_errors():
         parse_field(json.dumps(bad_dim).encode())
 
 
+def test_parse_field_entry_types():
+    # json gives int and float for numbers; both are read exactly, signed zeros too
+    doc = field_doc(2, 1.0, [point_doc("p0", [[2]], [[1]])])
+    doc["points"][0]["R"] = [[[3, -0.0]]]
+    doc["points"][0]["L"] = [[[0.5, 0]]]
+    point = parse_field(json.dumps(doc).encode()).points[0]
+    assert point.r.entries.tobytes() == np.array([[3.0 + 0.0j]]).tobytes()
+    assert point.el.entries.tobytes() == np.array([[0.5 + 0.0j]]).tobytes()
+    for entry, message in [
+        ([True, 0], "points[0].R[0][0][0]: expected a real number, got True"),
+        ([1, False], "points[0].R[0][0][1]: expected a real number, got False"),
+        (["1", 0], "points[0].R[0][0][0]: expected a real number, got '1'"),
+        ([1, None], "points[0].R[0][0][1]: expected a real number, got None"),
+        ([1], "points[0].R[0][0]: expected an [re, im] pair, got [1]"),
+    ]:
+        doc["points"][0]["R"] = [[entry]]
+        with pytest.raises(InputError) as exc:
+            parse_field(json.dumps(doc).encode())
+        assert str(exc.value) == message
+    doc["points"][0]["R"] = [[[2, 0]]]
+    text = json.dumps(doc).replace("[[[0.5, 0]]]", "[[[0.5, NaN]]]")
+    with pytest.raises(InputError) as exc:
+        parse_field(text.encode())
+    assert str(exc.value) == "points[0].L[0][0][1]: expected a finite number, got nan"
+
+
 def test_field_round_trip():
     doc = field_doc(
         3,
@@ -157,6 +183,29 @@ def test_chambers_point_out_of_range(tmp_path, capsys):
     inp = write_json(tmp_path, "f.json", MINIMAL)
     assert run(["chambers", "--input", str(inp), "--point", "5"]) == 2
     assert "point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--delta", "inf", "delta must be finite, got inf"),
+        ("--delta", "1e308", "delta 1e+308 puts R + 2sL out of floating-point range at s = +-delta"),
+        ("--tol", "nan", "inertia tolerance must be finite, got nan"),
+        ("--tol", "inf", "inertia tolerance must be finite, got inf"),
+    ],
+)
+def test_chambers_hostile_flags(tmp_path, capsys, flag, value, message):
+    inp = write_json(tmp_path, "f.json", MINIMAL)
+    assert run(["chambers", "--input", str(inp), flag, value]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_morse_overflowing_window_names_sample(tmp_path, capsys):
+    inp = write_json(tmp_path, "f.json", field_doc(2, 1e308, [point_doc("far", [[2]], [[1]])]))
+    assert run(["morse", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sample 'far': delta 1e+308 puts R + 2sL out of floating-point range at s = +-delta\n"
+    )
 
 
 # ----------------------------------------------------------------- morse

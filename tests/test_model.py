@@ -34,6 +34,7 @@ from crmorse.model import (
     _bergman_gram,
     _frame,
     _permanents,
+    _positive_definite,
     bergman_bruteforce,
     bergman_diag,
     eta_chambers,
@@ -151,6 +152,22 @@ def test_bergman_bruteforce_preconditions():
         bergman_bruteforce(data, 2.0, 2)  # M = -1 not positive
     with pytest.raises(InputError):
         bergman_bruteforce(data, 0.5, -1)
+
+
+@pytest.mark.parametrize("top", [1.0, 1e6])
+def test_positive_definite_threshold(top):
+    # positive definite means min eig > 1e-12 (1 + max |eig|), pinned from both sides
+    edge = 1e-12 * (1.0 + top)
+    u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, 1.0]]))
+    for low, positive in ((1.01 * edge, True), (0.99 * edge, False), (0.0, False), (-edge, False)):
+        m = u @ np.diag([low, top]) @ u.conj().T
+        assert _positive_definite(m) == (positive, pytest.approx(low, abs=1e-3 * edge))
+        data = ModelData(d=2, lam=[0.0, 0.0], mu=HermitianMatrix(m), delta=1.0)
+        if positive:
+            assert bergman_bruteforce(data, 0.0, 1) > 0.0
+        else:
+            with pytest.raises(InputError, match="positive definite"):
+                bergman_bruteforce(data, 0.0, 1)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from crmorse.morse import (
     weak_bound,
 )
 from crmorse.pencil import HermitianMatrix
-from oracle_tools import oracle_signature_intervals, random_int_hermitian
+from oracle_tools import (
+    oracle_signature_intervals,
+    random_hermitian,
+    random_int_hermitian,
+    scalar_records,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -439,15 +445,16 @@ def random_field(seed, d, points):
 
 
 def count_decompositions(monkeypatch):
-    """Record the window of every pencil decomposition morse asks for."""
+    """Record the window of every pencil decomposition morse asks for, one
+    entry per pencil of each stacked batch."""
     windows = []
-    real = crmorse.morse._decompose
+    real = crmorse.morse._decompose_batch
 
-    def counting(r, el, delta, *rest):
-        windows.append(delta)
-        return real(r, el, delta, *rest)
+    def counting(r, el, delta, *rest, **kw):
+        windows.extend([delta] * len(r))
+        return real(r, el, delta, *rest, **kw)
 
-    monkeypatch.setattr(crmorse.morse, "_decompose", counting)
+    monkeypatch.setattr(crmorse.morse, "_decompose_batch", counting)
     return windows
 
 
@@ -491,3 +498,109 @@ def test_public_reductions_equal_report_fields(seed, d, points, delta):
     assert strong_sums(field, delta) == report.strong_sums
     assert classify_bundle(field) == report.positivity
     assert bigness_verdict(field) == report.bigness
+
+
+# ------------------------------------------- batched engine against scalar
+
+
+def mixed_pencil(rng, d, kind):
+    """One (R, L) pair of a kind that stresses the root isolation."""
+    if kind == "gauss":
+        return random_hermitian(rng, d), random_hermitian(rng, d)
+    if kind == "int":  # small integers: exact zeros, tangent and repeated roots
+        return random_int_hermitian(rng, d, -2, 2), random_int_hermitian(rng, d, -2, 2)
+    if kind == "rank-one-L":  # det has degree 1
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return random_hermitian(rng, d), np.outer(v, v.conj())
+    if kind == "low-degree":  # L vanishes outside a leading k x k block: degree <= k < d
+        el = np.zeros((d, d), dtype=complex)
+        k = int(rng.integers(0, d))
+        el[:k, :k] = random_int_hermitian(rng, k, -1, 1) if k else 0
+        return random_int_hermitian(rng, d, -2, 2), el
+    # a d-fold root at s = 1/2, conjugated by a random unitary: det = c (1 - 2s)^d
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    scale = rng.choice([-1.0, 1.0], size=d)
+    return u @ np.diag(scale) @ u.conj().T, -u @ np.diag(scale) @ u.conj().T
+
+
+KINDS = ["gauss", "int", "rank-one-L", "low-degree", "double"]
+
+
+def outcome(f):
+    try:
+        return f()
+    except DegeneratePencilError as exc:
+        return "DegeneratePencilError: %s" % exc
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=9),
+    chunk=st.sampled_from([1, 7, 10**6]),
+    delta=st.sampled_from([1.0, 0.6, 0.25]),
+)
+def test_batched_records_equal_scalar_reference(seed, d, kinds, chunk, delta):
+    rng = np.random.default_rng(seed)
+    points = []
+    for i, kind in enumerate(kinds):
+        r, el = mixed_pencil(rng, d, kind)
+        points.append(PencilPoint("p%d" % i, HermitianMatrix(r), HermitianMatrix(el)))
+    field = PencilField(n=d + 1, delta=1.0, points=points)
+    expected = outcome(lambda: scalar_records(field, delta))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crmorse.morse, "_CHUNK", chunk)
+        got = outcome(lambda: [tuple(rec) for rec in crmorse.morse._records(field, delta)])
+    assert got == expected
+
+
+# R + 2sL = [[2s, e, 0], [e, -2s, 0], [0, 0, 1e6]] with e = 1e-4: det < 0 on
+# the whole line, so [-1, 1] is one chamber, but at its midpoint s = 0 the
+# eigenvalues +-e fall below the 1e-9 (1 + 1e6) inertia tolerance
+SINGULAR_MID = (
+    [[0, 1e-4, 0], [1e-4, 0, 0], [0, 0, 1e6]],
+    [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+)
+SHARED_KERNEL = ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 256])
+def test_first_failing_sample_named_in_input_order(chunk, monkeypatch):
+    monkeypatch.setattr(crmorse.morse, "_CHUNK", chunk)
+    ok = ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    mid = pt("mid", *SINGULAR_MID)
+    kern = pt("kern", *SHARED_KERNEL)
+    for order, first in (([mid, kern], "mid"), ([kern, mid], "kern")):
+        field = PencilField(n=4, delta=1.0, points=[pt("ok", *ok), *order])
+        with pytest.raises(DegeneratePencilError) as exc:
+            crmorse.morse._records(field, 1.0)
+        assert str(exc.value) == outcome(lambda: scalar_records(field, 1.0)).split(": ", 1)[1]
+        assert str(exc.value).startswith("sample %r: " % first)
+    assert "singular inside a chamber at s=0 (min |eig| = 1.0e-04 vs tol 1.0e-03)" in outcome(
+        lambda: crmorse.morse._records(PencilField(n=4, delta=1.0, points=[mid]), 1.0)
+    )
+
+
+def test_records_memory_bounded_by_chunk(monkeypatch):
+    # the stacked passes hold one chunk at a time: at d = 8 and 64 points in
+    # chunks of 8 the traced peak is about 0.3 MB; one 64-point pass needs 1.6 MB
+    monkeypatch.setattr(crmorse.morse, "_CHUNK", 8)
+    rng = np.random.default_rng(3)
+    field = PencilField(
+        n=9,
+        delta=1.0,
+        points=[
+            PencilPoint(
+                "p%d" % i, HermitianMatrix(random_hermitian(rng, 8)), HermitianMatrix(random_hermitian(rng, 8))
+            )
+            for i in range(64)
+        ],
+    )
+    tracemalloc.start()
+    try:
+        crmorse.morse._records(field, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 2**20

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from oracle_tools import (
     oracle_signed_integral,
     random_hermitian,
     random_int_hermitian,
+    scalar_real_roots,
 )
 
 
@@ -165,6 +167,43 @@ def test_real_roots_against_companion_matrix():
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert abs(g - r) < 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    roots=st.lists(st.integers(-8, 8), max_size=6),
+    wobble=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    scale=st.sampled_from([1.0, -3.0, 1e-3, 1e4]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+    window=st.sampled_from([(-1.0, 1.0), (-0.5, 2.0), (0.25, 0.75)]),
+)
+def test_real_roots_match_scalar_reference(roots, wobble, scale, tol, window):
+    # repeated quarter-integer roots give tangent and double roots at
+    # stationary points; the wobble factor adds roots that need bisection
+    coeffs = scale * npoly.polyfromroots(np.array(roots, dtype=float) / 4.0)
+    coeffs = npoly.polymul(coeffs, wobble) if any(wobble) else coeffs
+    p = RealPolynomial(coeffs)
+    lo, hi = window
+    got = real_roots(p, lo, hi, tol)
+    if p.is_zero:
+        assert got is IDENTICALLY_ZERO
+    else:
+        # tol = 0 asks for the default, 1e-12 (1 + max(|lo|, |hi|))
+        assert got == scalar_real_roots(coeffs, lo, hi, tol or 1e-12 * (1.0 + max(-lo, hi)))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # a stationary point one ulp inside the window is not a separate point
+        npoly.polysub(npoly.polyfromroots([np.nextafter(-1.0, 0.0)] * 2), [1e-3]),
+        # a double root 1e-13 inside the window is found at the edge and at
+        # the stationary point, and the two merge
+        npoly.polyfromroots([-1.0 + 1e-13] * 2),
+    ],
+)
+def test_real_roots_edge_cases_match_scalar_reference(coeffs):
+    assert real_roots(RealPolynomial(coeffs), -1.0, 1.0, 2e-12) == scalar_real_roots(coeffs, -1.0, 1.0, 2e-12)
 
 
 # ---------------------------------------------------------------------------
