@@ -1,138 +1,90 @@
 """Signature-chamber integrals of Hermitian pencils and Morse-type
-spectral density bounds for CR line bundles."""
+spectral density bounds for CR line bundles.
+
+Each public name is imported from its submodule on first access
+(PEP 562), so a program loads only the submodules it uses.
+"""
 
 from __future__ import annotations
 
-from .errors import (
-    CalibrationError,
-    ChamberBoundaryError,
-    CRMorseError,
-    DegeneratePencilError,
-    InputError,
-    ZeroExtremalMassError,
-)
-from .pencil import (
-    IDENTICALLY_ZERO,
-    Chamber,
-    ChamberDecomposition,
-    HermitianMatrix,
-    Inertia,
-    RealPolynomial,
-    chamber_integral,
-    chambers,
-    inertia,
-    pencil_char_poly,
-    pencil_signed_integral,
-    real_roots,
-    signature_set,
-)
-from .morse import (
-    Bigness,
-    MorseReport,
-    PencilField,
-    PencilPoint,
-    Positivity,
-    XqResult,
-    bigness_verdict,
-    build_morse_report,
-    check_Xq,
-    classify_bundle,
-    density_q,
-    rrh_total,
-    strong_sums,
-    weak_bound,
-)
-from .model import (
-    BergmanValue,
-    EtaChamberSet,
-    ExtremalForm,
-    ModelData,
-    bergman_bruteforce,
-    bergman_diag,
-    eta_chambers,
-    extremal_form,
-    m_phi_eta,
-    szego_density,
-)
-from .oracles import (
-    HeisenbergSpec,
-    LatticeCalibration,
-    TorusBundleSpec,
-    calibrate,
-    calibrate_weight,
-    d1_fourier_bruteforce,
-    fourier_dimension_sum,
-    heisenberg_field,
-    levi_flat_field,
-    load_calibration,
-    save_calibration,
-    torus_bundle_field,
-    torus_mode_dim,
-    verify_calibration,
-)
-from .cli import parse_field, run, serialize_field
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Bigness",
-    "BergmanValue",
-    "CalibrationError",
-    "Chamber",
-    "ChamberBoundaryError",
-    "ChamberDecomposition",
-    "CRMorseError",
-    "DegeneratePencilError",
-    "EtaChamberSet",
-    "ExtremalForm",
-    "HeisenbergSpec",
-    "HermitianMatrix",
-    "IDENTICALLY_ZERO",
-    "Inertia",
-    "InputError",
-    "LatticeCalibration",
-    "ModelData",
-    "MorseReport",
-    "PencilField",
-    "PencilPoint",
-    "Positivity",
-    "RealPolynomial",
-    "TorusBundleSpec",
-    "XqResult",
-    "ZeroExtremalMassError",
-    "bergman_bruteforce",
-    "bergman_diag",
-    "bigness_verdict",
-    "build_morse_report",
-    "calibrate",
-    "calibrate_weight",
-    "chamber_integral",
-    "chambers",
-    "check_Xq",
-    "classify_bundle",
-    "d1_fourier_bruteforce",
-    "density_q",
-    "eta_chambers",
-    "extremal_form",
-    "fourier_dimension_sum",
-    "heisenberg_field",
-    "inertia",
-    "levi_flat_field",
-    "load_calibration",
-    "m_phi_eta",
-    "parse_field",
-    "pencil_char_poly",
-    "pencil_signed_integral",
-    "real_roots",
-    "rrh_total",
-    "run",
-    "save_calibration",
-    "serialize_field",
-    "signature_set",
-    "strong_sums",
-    "szego_density",
-    "torus_bundle_field",
-    "torus_mode_dim",
-    "verify_calibration",
-    "weak_bound",
-]
+# public name -> the submodule that defines it
+_SOURCES = {
+    "Bigness": "morse",
+    "BergmanValue": "model",
+    "CalibrationError": "errors",
+    "Chamber": "pencil",
+    "ChamberBoundaryError": "errors",
+    "ChamberDecomposition": "pencil",
+    "CRMorseError": "errors",
+    "DegeneratePencilError": "errors",
+    "EtaChamberSet": "model",
+    "ExtremalForm": "model",
+    "HeisenbergSpec": "oracles",
+    "HermitianMatrix": "pencil",
+    "IDENTICALLY_ZERO": "pencil",
+    "Inertia": "pencil",
+    "InputError": "errors",
+    "LatticeCalibration": "oracles",
+    "ModelData": "model",
+    "MorseReport": "morse",
+    "PencilField": "morse",
+    "PencilPoint": "morse",
+    "Positivity": "morse",
+    "RealPolynomial": "pencil",
+    "TorusBundleSpec": "oracles",
+    "XqResult": "morse",
+    "ZeroExtremalMassError": "errors",
+    "bergman_bruteforce": "model",
+    "bergman_diag": "model",
+    "bigness_verdict": "morse",
+    "build_morse_report": "morse",
+    "calibrate": "oracles",
+    "calibrate_weight": "oracles",
+    "chamber_integral": "pencil",
+    "chambers": "pencil",
+    "check_Xq": "morse",
+    "classify_bundle": "morse",
+    "d1_fourier_bruteforce": "oracles",
+    "density_q": "morse",
+    "eta_chambers": "model",
+    "extremal_form": "model",
+    "fourier_dimension_sum": "oracles",
+    "heisenberg_field": "oracles",
+    "inertia": "pencil",
+    "levi_flat_field": "oracles",
+    "load_calibration": "oracles",
+    "m_phi_eta": "model",
+    "parse_field": "cli",
+    "pencil_char_poly": "pencil",
+    "pencil_signed_integral": "pencil",
+    "real_roots": "pencil",
+    "rrh_total": "morse",
+    "run": "cli",
+    "save_calibration": "oracles",
+    "serialize_field": "cli",
+    "signature_set": "pencil",
+    "strong_sums": "morse",
+    "szego_density": "model",
+    "torus_bundle_field": "oracles",
+    "torus_mode_dim": "oracles",
+    "verify_calibration": "oracles",
+    "weak_bound": "morse",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _SOURCES[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,10 @@ emits either a canonical JSON report or a plain CSV table.  Reports are
 byte-deterministic except for the ``timing_s`` field.  Exit codes: 0 on
 success, 2 for input problems, 3 for degenerate pencils, 4 for a
 calibration record that fails re-derivation.
+
+Only numpy, the pencil engine and serialization are imported up front.
+Each parser and handler imports the layer it runs (morse, model or
+oracles), so a command pays start-up only for the modules it uses.
 """
 
 from __future__ import annotations
@@ -19,44 +23,18 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CalibrationError, DegeneratePencilError, InputError
-from .model import (
-    ModelData,
-    _positive_definite,
-    _szego_table,
-    bergman_bruteforce,
-    bergman_diag,
-    extremal_form,
-    m_phi_eta,
-)
-from .morse import (
-    MorseReport,
-    PencilField,
-    PencilPoint,
-    build_morse_report,
-    density_q,
-    rrh_total,
-)
-from .oracles import (
-    HeisenbergSpec,
-    LatticeCalibration,
-    TorusBundleSpec,
-    _dimension_sums,
-    calibrate,
-    calibrate_weight,
-    fourier_dimension_sum,
-    heisenberg_field,
-    levi_flat_field,
-    load_calibration,
-    save_calibration,
-    torus_bundle_field,
-)
 from .pencil import HermitianMatrix, _decompose
 from .serialize import canonical_json, csv_table
+
+if TYPE_CHECKING:
+    from .model import ModelData
+    from .morse import MorseReport, PencilField
+    from .oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
 
 FIELD_SCHEMA = "crmorse/field-v1"
 MODEL_SCHEMA = "crmorse/model-v1"
@@ -91,7 +69,10 @@ def _get(doc: Dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(path, "expected a real number, got %r" % (value,))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond float range
+        _fail(path, "expected a finite number, got an integer of %d digits" % len(str(abs(value))))
     if not math.isfinite(v):
         _fail(path, "expected a finite number, got %r" % (value,))
     return v
@@ -147,7 +128,7 @@ def _load_json(data: Any) -> Dict:
         data = bytes(data).decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise InputError("document is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise InputError("document root must be a JSON object")
@@ -167,6 +148,8 @@ def parse_field(data: Any) -> PencilField:
     deviate from exact Hermitian symmetry by up to 1e-9 and are
     symmetrized on ingestion.
     """
+    from .morse import PencilField, PencilPoint
+
     doc = _load_json(data)
     _check_schema(doc, FIELD_SCHEMA)
     n = _integer(_get(doc, "n", "$"), "n")
@@ -219,6 +202,8 @@ def serialize_field(field: PencilField) -> Dict:
 
 
 def parse_model(data: Any) -> ModelData:
+    from .model import ModelData
+
     doc = _load_json(data)
     _check_schema(doc, MODEL_SCHEMA)
     d = _integer(_get(doc, "d", "$"), "d")
@@ -234,6 +219,8 @@ def parse_model(data: Any) -> ModelData:
 
 
 def parse_torus(data: Any) -> TorusBundleSpec:
+    from .oracles import TorusBundleSpec
+
     doc = _load_json(data)
     _check_schema(doc, TORUS_SCHEMA)
     d = _integer(_get(doc, "d", "$"), "d")
@@ -256,6 +243,8 @@ def serialize_torus(spec: TorusBundleSpec) -> Dict:
 
 
 def parse_heisenberg(data: Any) -> HeisenbergSpec:
+    from .oracles import HeisenbergSpec
+
     doc = _load_json(data)
     _check_schema(doc, HEISENBERG_SCHEMA)
     d = _integer(_get(doc, "d", "$"), "d")
@@ -271,6 +260,8 @@ def parse_heisenberg(data: Any) -> HeisenbergSpec:
 
 
 def parse_levi_flat(data: Any) -> PencilField:
+    from .oracles import levi_flat_field
+
     doc = _load_json(data)
     _check_schema(doc, LEVI_SCHEMA)
     d = _integer(_get(doc, "d", "$"), "d")
@@ -313,6 +304,8 @@ DEFAULT_LEVI_DOC = {
 
 
 def _example_specs() -> Dict[str, TorusBundleSpec]:
+    from .oracles import TorusBundleSpec
+
     return {
         "torus-d1": TorusBundleSpec(
             d=1, lambda_mat=[[1]], mu_mat=[[2]], delta=0.5
@@ -379,6 +372,8 @@ def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: 
 
 
 def _load_or_make_cal(path) -> LatticeCalibration:
+    from .oracles import calibrate, load_calibration, save_calibration
+
     p = Path(path)
     if p.is_file():
         return load_calibration(p)
@@ -488,6 +483,8 @@ def _cmd_chambers(args, started):
 
 
 def _cmd_morse(args, started):
+    from .morse import build_morse_report
+
     raw = _read_input(args)
     field = parse_field(raw)
     _check_threads(args)
@@ -496,6 +493,8 @@ def _cmd_morse(args, started):
 
 
 def _cmd_classify(args, started):
+    from .morse import build_morse_report
+
     raw = _read_input(args)
     field = parse_field(raw)
     _check_threads(args)
@@ -525,6 +524,8 @@ def _cmd_classify(args, started):
 
 
 def _cmd_szego(args, started):
+    from .model import _szego_table
+
     raw = _read_input(args)
     data = parse_model(raw)
     cs, densities = _szego_table(data)
@@ -546,6 +547,8 @@ def _cmd_szego(args, started):
 
 
 def _cmd_extremal(args, started):
+    from .model import extremal_form
+
     raw = _read_input(args)
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
@@ -567,6 +570,8 @@ def _cmd_extremal(args, started):
 
 
 def _cmd_bergman(args, started):
+    from .model import _positive_definite, bergman_bruteforce, bergman_diag, m_phi_eta
+
     raw = _read_input(args)
     data = parse_model(raw)
     if args.max_degree < 0:
@@ -598,6 +603,9 @@ def _cmd_bergman(args, started):
 
 
 def _cmd_torus_demo(args, started):
+    from .morse import build_morse_report
+    from .oracles import _dimension_sums, torus_bundle_field
+
     raw = _read_input(args, DEFAULT_TORUS_DOC)
     spec = parse_torus(raw)
     cal = _load_or_make_cal(args.cal)
@@ -630,6 +638,9 @@ def _cmd_torus_demo(args, started):
 
 
 def _cmd_heisenberg_demo(args, started):
+    from .morse import build_morse_report
+    from .oracles import heisenberg_field
+
     raw = _read_input(args, DEFAULT_HEISENBERG_DOC)
     spec = parse_heisenberg(raw)
     rep = build_morse_report(heisenberg_field(spec))
@@ -637,6 +648,8 @@ def _cmd_heisenberg_demo(args, started):
 
 
 def _cmd_levi_flat_demo(args, started):
+    from .morse import build_morse_report
+
     raw = _read_input(args, DEFAULT_LEVI_DOC)
     field = parse_levi_flat(raw)
     rep = build_morse_report(field)
@@ -644,6 +657,8 @@ def _cmd_levi_flat_demo(args, started):
 
 
 def _cmd_calibrate(args, started):
+    from .oracles import calibrate, save_calibration
+
     cal = calibrate()
     save_calibration(cal, args.out)
     sys.stdout.write(
@@ -653,6 +668,8 @@ def _cmd_calibrate(args, started):
 
 
 def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -> Tuple[float, int]:
+    from .oracles import calibrate_weight
+
     last_err: Optional[InputError] = None
     for q in range(spec.d + 1):
         try:
@@ -665,6 +682,9 @@ def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -
 
 
 def _cmd_convergence(args, started):
+    from .morse import density_q, rrh_total
+    from .oracles import _dimension_sums, calibrate_weight, fourier_dimension_sum, torus_bundle_field
+
     if args.input:
         raw = _read_input(args)
         spec = parse_torus(raw)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegeneratePencilError, InputError
 
@@ -179,16 +178,32 @@ class RealPolynomial:
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
+    # The three methods below give numpy.polynomial.polynomial's polyval,
+    # polyder and polyint bit for bit (polyint for finite coefficients),
+    # without importing numpy.polynomial.
+
     def __call__(self, s):
-        return npoly.polyval(s, self.coeffs)
+        """Horner's rule in polyval's order of operations."""
+        if isinstance(s, (tuple, list)):
+            s = np.asarray(s)
+        c = self.coeffs
+        v = c[-1] + s * 0
+        for a in c[-2::-1]:
+            v = a + v * s
+        return v
 
     def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
+        d = self.degree
+        if d == 0:
             return RealPolynomial(np.zeros(1))
-        return RealPolynomial(npoly.polyder(self.coeffs[: self.degree + 1]))
+        return RealPolynomial(self.coeffs[1 : d + 1] * np.arange(1, d + 1))
 
     def antiderivative(self) -> "RealPolynomial":
-        return RealPolynomial(npoly.polyint(self.coeffs))
+        """The antiderivative that vanishes at 0."""
+        c = self.coeffs
+        if c.size == 1 and c[0] == 0.0:
+            return RealPolynomial(np.zeros(1))
+        return RealPolynomial(np.concatenate([np.zeros(1), c / np.arange(1, c.size + 1)]))
 
 
 def _char_coeffs(r: np.ndarray, el: np.ndarray) -> np.ndarray:
@@ -224,8 +239,9 @@ def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """npoly.polyval of coefficient row c[i] (ascending) at every x[i, :], in
-    polyval's order of operations, so each value equals polyval's bit for bit."""
+    """numpy.polynomial.polynomial.polyval of coefficient row c[i] (ascending)
+    at every x[i, :], in polyval's order of operations, so each value equals
+    polyval's bit for bit."""
     v = c[:, -1:] + x * 0
     for i in range(2, c.shape[1] + 1):
         v = c[:, -i, None] + v * x
@@ -481,8 +497,10 @@ def _decompose_batch(
     probe determinants and Vandermonde solve, root isolation, one
     eigenvalue call over every chamber midpoint, and the antiderivative at
     every chamber end.  Each pencil's result equals what the stages give
-    it alone.  The error raised is the first failing pencil's in stack
-    order, prefixed with its label when ``labels`` is given.
+    it alone.  A pencil whose |det| integral over the window leaves
+    floating-point range fails as an input error naming delta.  The error
+    raised is the first failing pencil's in stack order, prefixed with its
+    label when ``labels`` is given.
     """
     if not delta > 0.0:
         raise InputError("delta must be positive, got %g" % delta)
@@ -508,13 +526,29 @@ def _decompose_batch(
         fail(int(alive[i]), DegeneratePencilError, message)
     alive = np.array([i for i in alive.tolist() if i not in failures], dtype=np.intp)
 
-    coeffs = _char_coeffs(r[alive], el[alive])
+    with np.errstate(over="ignore", invalid="ignore"):  # a det out of range fails the bound below
+        coeffs = _char_coeffs(r[alive], el[alive])
     zero = ~coeffs.any(axis=1)
     for i in alive[zero].tolist():
         fail(i, DegeneratePencilError,
              "degenerate pencil: det(R+2sL) has an identically zero characteristic "
              "polynomial on [-%g, %g]" % (delta, delta))
     alive, coeffs = alive[~zero], coeffs[~zero]
+    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
+    out_of_range = (
+        "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of "
+        "floating-point range" % delta
+    )
+    with np.errstate(over="ignore"):
+        # sum_j |p_j| delta^(j+1) / (j+1) bounds |P| on the window; it is not
+        # finite either when a det overflowed at a probe
+        bound = _horner(np.abs(anti), np.full((alive.size, 1), delta))[:, 0]
+    huge = ~np.isfinite(bound)
+    for i in alive[huge].tolist():
+        fail(i, InputError, out_of_range)
+    alive, coeffs, anti = alive[~huge], coeffs[~huge], anti[~huge]
+    if not alive.size:
+        raise failures[min(failures)]
 
     root_tol = 1e-12 * (1.0 + delta)
     roots = _merge(
@@ -539,14 +573,18 @@ def _decompose_batch(
                 "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
                 % (mids[c], np.abs(w[c]).min(), tols[c])
             ))
+
+    with np.errstate(over="ignore"):  # a difference of two values of P can reach twice the bound
+        ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks))
+        masses = np.abs(ints[:, 1:] - ints[:, :-1])
+        counts = np.bincount(rows, minlength=alive.size)
+        signed = ints[np.arange(alive.size), counts] - ints[:, 0]
+    for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
+        fail(i, InputError, out_of_range)
     if failures:
         raise failures[min(failures)]
 
-    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
-    ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks))
-    masses = np.abs(ints[:, 1:] - ints[:, :-1]).tolist()
-    counts = np.bincount(rows, minlength=alive.size).tolist()
-    signed = (ints[np.arange(alive.size), counts] - ints[:, 0]).tolist()
+    masses, counts, signed = masses.tolist(), counts.tolist(), signed.tolist()
     signatures = zip(neg.tolist(), pos.tolist(), tols.tolist())  # chamber by chamber, row by row
     out = []
     for ends, row_roots, m, count, total in zip(breaks.tolist(), roots.tolist(), masses, counts, signed):

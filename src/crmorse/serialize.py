@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
+import numbers
 from typing import Any
 
 import numpy as np
@@ -35,7 +35,7 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
-    if isinstance(obj, Fraction):
+    if isinstance(obj, numbers.Rational):  # a Fraction: ints were caught above
         return json.dumps("%d/%d" % (obj.numerator, obj.denominator))
     if isinstance(obj, str):
         return json.dumps(obj)

@@ -8,13 +8,19 @@ determinism modulo the timing field, and a few frozen numeric values.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crmorse
 from crmorse.cli import parse_field, run, serialize_field
 from crmorse.errors import InputError
 
@@ -126,6 +132,51 @@ def test_parse_field_entry_types():
     assert str(exc.value) == "points[0].L[0][0][1]: expected a finite number, got nan"
 
 
+HUGE = int("9" * 400)  # beyond float range
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda doc: doc["points"][0].update(weight=HUGE), "points[0].weight"),
+        (lambda doc: doc.update(delta=HUGE), "delta"),
+        # the fast np.array path overflows, and the walk names the entry
+        (lambda doc: doc["points"][0]["R"][0][0].__setitem__(0, HUGE), "points[0].R[0][0][0]"),
+        (lambda doc: doc["points"][0].update(L=[[[0.0, -HUGE]]]), "points[0].L[0][0][1]"),
+    ],
+)
+def test_huge_integer_names_json_path(tmp_path, capsys, mutate, where):
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    inp = write_json(tmp_path, "f.json", doc)
+    assert run(["morse", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: %s: expected a finite number, got an integer of 400 digits\n" % where
+
+
+def test_huge_integer_in_element_walk(tmp_path, capsys):
+    # a ragged matrix skips the fast path; the walk meets the huge entry first
+    doc = field_doc(3, 1.0, [point_doc("p0", [[1, 0], [0, 1]], [[1, 0], [0, 1]])])
+    doc["points"][0]["R"] = [[[1, 0], [0, HUGE]], [[0, 0]]]
+    inp = write_json(tmp_path, "f.json", doc)
+    assert run(["chambers", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == (
+        "error: points[0].R[0][1][1]: expected a finite number, got an integer of 400 digits\n"
+    )
+    model = dict(MODEL_DOC, **{"lambda": [-HUGE]})
+    inp = write_json(tmp_path, "m.json", model)
+    assert run(["szego-density", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: lambda[0]: expected a finite number, got an integer of 400 digits\n"
+
+
+def test_integer_too_long_to_parse(tmp_path, capsys):
+    # json.loads refuses integers of more than 4300 digits on Python >= 3.11
+    inp = tmp_path / "f.json"
+    inp.write_text(json.dumps(MINIMAL).replace('"weight": 1.0', '"weight": ' + "7" * 5000))
+    assert run(["morse", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: document is not valid JSON:", "error: points[0].weight:"))
+
+
 def test_field_round_trip():
     doc = field_doc(
         3,
@@ -206,6 +257,60 @@ def test_morse_overflowing_window_names_sample(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: sample 'far': delta 1e+308 puts R + 2sL out of floating-point range at s = +-delta\n"
     )
+
+
+OUT_OF_RANGE = "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
+
+
+@pytest.mark.parametrize("delta", [1e154, 1e300])
+def test_chambers_overflowing_integral(tmp_path, capsys, delta):
+    # R +- 2 delta L stays finite, but the |det| antiderivative does not; a
+    # RuntimeWarning on the way would fail the test (pyproject filterwarnings)
+    doc = field_doc(3, 1.0, [point_doc("p0", [[1, 0], [0, -1]], [[1, 0], [0, 1]])])
+    inp = write_json(tmp_path, "f.json", doc)
+    assert run(["chambers", "--input", str(inp), "--delta", repr(delta)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % (OUT_OF_RANGE % delta)
+
+
+def test_chambers_overflowing_det(tmp_path, capsys):
+    # entries of 1e200 are finite, but det(R + 2sL) at the probes is not
+    doc = field_doc(3, 1.0, [point_doc("p0", [[1e200, 0], [0, -1e200]], [[1e200, 0], [0, 1e200]])])
+    inp = write_json(tmp_path, "f.json", doc)
+    assert run(["chambers", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % (OUT_OF_RANGE % 1.0)
+
+
+def test_chambers_overflowing_mass(tmp_path, capsys):
+    # det is 1e10 everywhere: P stays finite at +-delta but their difference does not
+    inp = write_json(tmp_path, "f.json", field_doc(2, 1.0, [point_doc("p0", [[1e10]], [[0]])]))
+    assert run(["chambers", "--input", str(inp), "--delta", "1e297"]) == 0
+    assert run(["chambers", "--input", str(inp), "--delta", "1e298"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % (OUT_OF_RANGE % 1e298)
+
+
+@pytest.mark.parametrize("command", ["morse", "classify"])
+def test_field_overflowing_integral_names_sample(tmp_path, capsys, command):
+    small = point_doc("small", [[1e-80, 0], [0, -1e-80]], [[1e-80, 0], [0, 1e-80]])
+    big = point_doc("big", [[1, 0], [0, -1]], [[1, 0], [0, 1]])
+    inp = write_json(tmp_path, "f.json", field_doc(3, 1e154, [small, big]))
+    assert run([command, "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: sample 'big': %s\n" % (OUT_OF_RANGE % 1e154)
+
+
+@pytest.mark.parametrize("flat_first", [True, False])
+def test_overflow_and_degenerate_samples_named_in_input_order(tmp_path, capsys, flat_first):
+    # the mass of "flat" overflows only when its chamber ends are integrated,
+    # after "zero" has failed the degeneracy probes; the first in input order wins
+    flat = point_doc("flat", [[1e10]], [[0]])
+    zero = point_doc("zero", [[0]], [[0]])
+    points = [flat, zero] if flat_first else [zero, flat]
+    inp = write_json(tmp_path, "f.json", field_doc(2, 1e298, points))
+    code = run(["morse", "--input", str(inp)])
+    err = capsys.readouterr().err
+    if flat_first:
+        assert (code, err) == (2, "error: sample 'flat': %s\n" % (OUT_OF_RANGE % 1e298))
+    else:
+        assert code == 3 and err.startswith("degenerate pencil: sample 'zero': ")
 
 
 # ----------------------------------------------------------------- morse
@@ -452,3 +557,85 @@ def test_no_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ start-up
+
+FAMILIES = {
+    "field": [["morse", "--input", "{field}"], ["classify", "--input", "{field}"],
+              ["chambers", "--input", "{field}"]],
+    "model": [["szego-density", "--input", "{model}"],
+              ["extremal-check", "--input", "{model}", "--q", "0", "--nodes", "16"],
+              ["bergman-check", "--input", "{model}", "--q", "0", "--eta", "0.5"]],
+    "lattice": [["torus-demo", "--cal", "{cal}"],
+                ["convergence", "--example", "torus-d1", "--kmax", "20", "--cal", "{cal}"]],
+}
+
+# run in a fresh interpreter: run the commands, then list sys.modules
+IMPORT_PROBE = """
+import json, sys
+from crmorse.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_each_command_family_imports_only_its_modules(tmp_path):
+    paths = {
+        "field": write_json(tmp_path, "f.json", MINIMAL),
+        "model": write_json(tmp_path, "m.json", MODEL_DOC),
+        "cal": tmp_path / "cal.json",
+    }
+    argvs = {
+        family: [[a.format(**paths) for a in argv] + ["--out", str(tmp_path / family)] for argv in commands]
+        for family, commands in FAMILIES.items()
+    }
+    argvs["help"] = [["--help"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(crmorse.__file__).parents[1]))
+    procs = {  # concurrently, to keep the test short
+        family: subprocess.Popen(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+            env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for family, commands in argvs.items()
+    }
+    loaded = {}
+    for family, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        report = json.loads(out.splitlines()[-1])
+        assert report["codes"] == [0] * len(argvs[family]), err
+        loaded[family] = set(report["modules"])
+    assert not loaded["field"] & {"crmorse.model", "crmorse.oracles", "numpy.polynomial", "fractions"}
+    assert not loaded["model"] & {"crmorse.morse", "crmorse.oracles"}
+    assert "crmorse.model" not in loaded["lattice"]
+    # --help pays the same base as every command: numpy and the pencil engine
+    assert {"numpy", "crmorse.pencil"} <= loaded["help"]
+    assert not loaded["help"] & {"crmorse.morse", "crmorse.model", "crmorse.oracles"}
+
+
+PUBLIC_NAMES = """
+    Bigness BergmanValue CalibrationError Chamber ChamberBoundaryError ChamberDecomposition
+    CRMorseError DegeneratePencilError EtaChamberSet ExtremalForm HeisenbergSpec HermitianMatrix
+    IDENTICALLY_ZERO Inertia InputError LatticeCalibration ModelData MorseReport PencilField
+    PencilPoint Positivity RealPolynomial TorusBundleSpec XqResult ZeroExtremalMassError
+    bergman_bruteforce bergman_diag bigness_verdict build_morse_report calibrate calibrate_weight
+    chamber_integral chambers check_Xq classify_bundle d1_fourier_bruteforce density_q
+    eta_chambers extremal_form fourier_dimension_sum heisenberg_field inertia levi_flat_field
+    load_calibration m_phi_eta parse_field pencil_char_poly pencil_signed_integral real_roots
+    rrh_total run save_calibration serialize_field signature_set strong_sums szego_density
+    torus_bundle_field torus_mode_dim verify_calibration weak_bound
+""".split()
+
+
+def test_public_names_resolve():
+    assert crmorse.__all__ == PUBLIC_NAMES
+    assert set(crmorse.__all__) <= set(dir(crmorse))  # before any name is resolved and cached
+    for name in crmorse.__all__:
+        home = importlib.import_module("crmorse." + crmorse._SOURCES[name])
+        assert getattr(crmorse, name) is vars(home)[name], name
+    namespace = {}
+    exec("from crmorse import *", namespace)
+    assert all(namespace[name] is getattr(crmorse, name) for name in crmorse.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        crmorse.no_such_name

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crmorse.errors import DegeneratePencilError, InputError
@@ -110,6 +110,41 @@ def test_char_poly_value_at_zero_is_det_r():
     p = pencil_char_poly(HermitianMatrix(r), HermitianMatrix(el))
     det_r = np.linalg.det(r).real
     assert abs(p(0.0) - det_r) <= 1e-9 * (1.0 + abs(det_r))
+
+
+# ---------------------------------------------------------------------------
+# RealPolynomial against numpy.polynomial
+
+
+def same_bits(a, b):
+    # equal values of equal type and shape, signed zeros included
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)), min_size=1, max_size=13
+    ),
+    x=st.floats(-1e3, 1e3),
+    xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+)
+@example(coeffs=[0.0], x=0.5, xs=[1.0])
+@example(coeffs=[-0.0], x=-0.0, xs=[-2.0, 0.0])
+@example(coeffs=[0.0, 0.0, 0.0], x=2.0, xs=[1.0])
+@example(coeffs=[3.0], x=-1.5, xs=[0.25, 4.0])
+@example(coeffs=[-2.0, 0.0, 0.0], x=1.0, xs=[1.0])
+def test_real_polynomial_matches_numpy_polynomial(coeffs, x, xs):
+    p = RealPolynomial(coeffs)
+    c = p.coeffs
+    for s in (x, int(x), np.float64(x), np.array(xs), np.array(xs).reshape(-1, 1), xs, tuple(xs)):
+        assert same_bits(p(s), npoly.polyval(s, c))
+    ref = npoly.polyder(c[: p.degree + 1]) if p.degree else np.zeros(1)
+    assert same_bits(p.derivative().coeffs, ref)
+    assert (p.derivative().coeffs == ref).all()
+    ref = npoly.polyint(c)
+    assert same_bits(p.antiderivative().coeffs, ref)
+    assert (p.antiderivative().coeffs == ref).all()
 
 
 # ---------------------------------------------------------------------------
