@@ -19,11 +19,10 @@ import itertools
 import json
 import math
 import numbers
-import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -335,22 +334,22 @@ def _read_input(args, default_doc: Optional[Dict] = None) -> bytes:
 
 
 def _check_threads(args) -> None:
-    """Validate --threads / CRMORSE_THREADS; computation is single-threaded."""
-    t = getattr(args, "threads", None)
-    if t is not None:
-        if t < 1:
-            raise InputError("--threads must be >= 1, got %d" % t)
-        return
-    env = os.environ.get("CRMORSE_THREADS")
-    if env is not None and env.strip():
-        try:
-            t = int(env)
-        except ValueError:
-            raise InputError(
-                "CRMORSE_THREADS must be an integer, got %r" % env
-            ) from None
-        if t < 1:
-            raise InputError("CRMORSE_THREADS must be >= 1, got %d" % t)
+    """Validate --threads; computation is single-threaded."""
+    if args.threads is not None and args.threads < 1:
+        raise InputError("--threads must be >= 1, got %d" % args.threads)
+
+
+def _finite(compute: Callable[[], Sequence[float]], source: str) -> List[float]:
+    """The numbers ``compute`` gives, once each is finite.  A number out of
+    floating-point range, or an integer too large to meet a float, is an
+    input error naming ``source``, the input that scaled it there."""
+    try:
+        values = list(compute())
+    except OverflowError:  # an int beyond float range times or over a float
+        values = [math.inf]
+    if not all(math.isfinite(v) for v in values):
+        raise InputError("%s: the reported values leave floating-point range" % source)
+    return values
 
 
 def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: float) -> None:
@@ -414,7 +413,17 @@ def _positivity_doc(p) -> Dict:
     }
 
 
-def _report_doc(rep: MorseReport, k: Optional[int] = None) -> Dict:
+def _weak_bounds(rep: MorseReport, k: Optional[int], source: str) -> Optional[List[float]]:
+    """k^n times each density (None without k), once every density and sum
+    of the report is checked finite.  The input error names ``source``
+    for a report out of range and --k for a weak bound out of range."""
+    _finite(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], source)
+    if k is None:
+        return None
+    return _finite(lambda: [k**rep.n * dens for dens in rep.densities], "--k")
+
+
+def _report_doc(rep: MorseReport, k: Optional[int], weak: Optional[List[float]]) -> Dict:
     doc = {
         "n": rep.n,
         "delta": rep.delta,
@@ -426,18 +435,17 @@ def _report_doc(rep: MorseReport, k: Optional[int] = None) -> Dict:
         "bigness": {"big": rep.bigness.big, "reason": rep.bigness.reason},
     }
     if k is not None:
-        doc["k"] = int(k)
-        doc["weakBounds"] = [int(k) ** rep.n * dens for dens in rep.densities]
+        doc["k"] = k
+        doc["weakBounds"] = weak
     return doc
 
 
-def _report_csv(rep: MorseReport, k: Optional[int] = None) -> str:
-    rows = []
-    for q, dens in enumerate(rep.densities):
-        weak = "" if k is None else int(k) ** rep.n * dens
-        rows.append(
-            [q, dens, rep.strong_sums[q], weak, rep.xq[q].holds, rep.xq[q].max_delta]
-        )
+def _report_csv(rep: MorseReport, weak: Optional[List[float]]) -> str:
+    weak = [""] * len(rep.densities) if weak is None else weak
+    rows = [
+        [q, dens, rep.strong_sums[q], w, rep.xq[q].holds, rep.xq[q].max_delta]
+        for q, (dens, w) in enumerate(zip(rep.densities, weak))
+    ]
     return csv_table(
         ["q", "density", "strong_sum", "weak_bound", "xq_holds", "xq_max_delta"], rows
     )
@@ -489,7 +497,8 @@ def _cmd_morse(args, started):
     field = parse_field(raw)
     _check_threads(args)
     rep = build_morse_report(field, delta=args.delta)
-    _emit(args, "morse", raw, _report_doc(rep, args.k), _report_csv(rep, args.k), started)
+    weak = _weak_bounds(rep, args.k, "points[*].weight")
+    _emit(args, "morse", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
 
 
 def _cmd_classify(args, started):
@@ -613,7 +622,7 @@ def _cmd_torus_demo(args, started):
     rep = build_morse_report(field)
     k = args.k
     oracle = _dimension_sums(spec, k, cal, range(spec.d + 1))
-    weak = [k**rep.n * dens for dens in rep.densities]
+    weak = _weak_bounds(rep, k, "mu")
     if args.q is None:
         qs = list(range(spec.d + 1))
     else:
@@ -644,7 +653,8 @@ def _cmd_heisenberg_demo(args, started):
     raw = _read_input(args, DEFAULT_HEISENBERG_DOC)
     spec = parse_heisenberg(raw)
     rep = build_morse_report(heisenberg_field(spec))
-    _emit(args, "heisenberg-demo", raw, _report_doc(rep, args.k), _report_csv(rep, args.k), started)
+    weak = _weak_bounds(rep, args.k, "mu")
+    _emit(args, "heisenberg-demo", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
 
 
 def _cmd_levi_flat_demo(args, started):
@@ -653,7 +663,8 @@ def _cmd_levi_flat_demo(args, started):
     raw = _read_input(args, DEFAULT_LEVI_DOC)
     field = parse_levi_flat(raw)
     rep = build_morse_report(field)
-    _emit(args, "levi-flat-demo", raw, _report_doc(rep, args.k), _report_csv(rep, args.k), started)
+    weak = _weak_bounds(rep, args.k, "mu")
+    _emit(args, "levi-flat-demo", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
 
 
 def _cmd_calibrate(args, started):
@@ -707,32 +718,33 @@ def _cmd_convergence(args, started):
     cal = _load_or_make_cal(args.cal)
     ks = list(range(args.kmin, args.kmax + 1, kstep))
     n = spec.d + 1
-    rows = []
     if args.q is not None:
         if not 0 <= args.q <= spec.d:
             raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
         weight, weight_q = calibrate_weight(spec, args.q, args.k0, cal), args.q
         wfield = torus_bundle_field(spec, weight=weight)
         dens = density_q(wfield, args.q, spec.delta)
-        for k in ks:
-            oracle = fourier_dimension_sum(spec, args.q, k, cal)
-            bound = k**n * dens
-            rows.append({"k": k, "oracle": oracle, "bound": bound, "ratio": oracle / bound})
+        oracles = [fourier_dimension_sum(spec, args.q, k, cal) for k in ks]
         mode = "density"
     else:
         weight, weight_q = _weight_for_euler(spec, args.k0, cal)
         wfield = torus_bundle_field(spec, weight=weight)
-        total = rrh_total(wfield, spec.delta)
-        if total == 0.0:
+        dens = rrh_total(wfield, spec.delta)  # the signed total
+        if dens == 0.0:
             raise InputError(
                 "signed density total vanishes for this spec; no Euler comparison"
             )
+        oracles = []
         for k in ks:
             sums = _dimension_sums(spec, k, cal, range(spec.d + 1))
-            oracle = sum((-1) ** q * s for q, s in enumerate(sums))
-            bound = k**n * total
-            rows.append({"k": k, "oracle": oracle, "bound": bound, "ratio": oracle / bound})
+            oracles.append(sum((-1) ** q * s for q, s in enumerate(sums)))
         mode = "euler"
+    bounds = _finite(lambda: [k**n * dens for k in ks], "--kmax")
+    ratios = _finite(lambda: [o / b for o, b in zip(oracles, bounds)], "--kmax")
+    rows = [
+        {"k": k, "oracle": o, "bound": b, "ratio": r}
+        for k, o, b, r in zip(ks, oracles, bounds, ratios)
+    ]
     result = {
         "source": source,
         "d": spec.d,

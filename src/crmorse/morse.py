@@ -185,15 +185,27 @@ def _check_q(field: PencilField, q: int) -> int:
     return int(q)
 
 
+def _fsum(terms) -> float:
+    """math.fsum, except that a sum out of floating-point range is inf (nan
+    for inf - inf) instead of an exception, for the caller to reject."""
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # a partial sum left float range
+        return math.copysign(math.inf, sum(terms))
+    except ValueError:  # inf - inf
+        return math.nan
+
+
 def _densities(field: PencilField, records: Sequence[_Record]) -> List[float]:
     return [
-        math.fsum(p.weight * rec.masses[q] for p, rec in zip(field.points, records)) / TWO_PI**field.n
+        _fsum(p.weight * rec.masses[q] for p, rec in zip(field.points, records)) / TWO_PI**field.n
         for q in range(field.dim + 1)
     ]
 
 
 def _rrh(field: PencilField, records: Sequence[_Record]) -> float:
-    return math.fsum(p.weight * rec.signed for p, rec in zip(field.points, records)) / TWO_PI**field.n
+    return _fsum(p.weight * rec.signed for p, rec in zip(field.points, records)) / TWO_PI**field.n
 
 
 def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] = None) -> float:
@@ -217,7 +229,7 @@ def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Option
 def _strong_from(densities: Sequence[float], total: float) -> List[float]:
     d = len(densities) - 1
     out = [
-        math.fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1))
+        _fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1))
         for q in range(d)
     ]
     out.append(total)

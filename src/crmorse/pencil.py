@@ -15,10 +15,13 @@ stack: an eigenvalue call per degeneracy probe (for the pencils no earlier
 probe cleared), one determinant call on (n, d+1, d, d), one Vandermonde
 solve, root isolation one derivative degree at a time for all rows of that
 degree, one eigenvalue call over every chamber midpoint, and one
-antiderivative evaluation at every chamber end.  Every result is bit
-for bit what the same steps give one pencil at a time.  The stacks of one
-call hold about (d+1) d^2 complex numbers per pencil, so callers with many
-pencils pass them in chunks (see morse._CHUNK) to keep memory bounded.
+antiderivative evaluation at every chamber end.  Root isolation refines
+its roots by plain bisection: the sign-change brackets of one degree are
+halved in lockstep, one polynomial evaluation per round, at most 200
+rounds.  Every result is bit for bit what the same steps give one pencil
+at a time.  The stacks of one call hold about (d+1) d^2 complex numbers
+per pencil, so callers with many pencils pass them in chunks (see
+morse._CHUNK) to keep memory bounded.
 """
 
 from __future__ import annotations
@@ -255,73 +258,29 @@ def _compact(a: np.ndarray) -> np.ndarray:
     return a[:, ~np.isnan(a).all(axis=0)]
 
 
-def _root_estimates(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of c (k, m+1) with m >= 1, the real part of the eigenvalue
-    of its companion matrix nearest the real axis within [a, b]; the
-    midpoint when there is none."""
-    k, m = c.shape[0], c.shape[1] - 1
-    comp = np.zeros((k, m, m))
-    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-    with np.errstate(all="ignore"):
-        comp[:, :, -1] = -c[:, :m] / c[:, m:]
-    comp[~np.isfinite(comp)] = 0.0
-    try:
-        roots = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError:  # no estimate: the midpoints serve
-        return 0.5 * (a + b)
-    inside = (roots.real >= a[:, None]) & (roots.real <= b[:, None])
-    best = np.where(inside, np.abs(roots.imag), np.inf).argmin(axis=1)
-    x = roots.real[np.arange(k), best]
-    return np.where(inside[np.arange(k), best], x, 0.5 * (a + b))
-
-
 def _bisect(c: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray, tol: float) -> np.ndarray:
     """Bisect each bracket [a, b] of coefficient row c, where c changes sign
     and ``up`` says whether it is positive at a, and return what a scalar
     bisection returns: the midpoint of the first bracket no longer than
     tol, an exact zero met on the way, or the midpoint after 200 halvings.
 
-    The halvings are taken speculatively.  An estimate of each root picks
-    the side of every midpoint in advance, so a bracket's midpoints are
-    plain float arithmetic; all midpoints of all brackets are then
-    evaluated in one pass, and each path is kept up to its first midpoint
-    whose sign disagrees, where it resumes.  A wrong estimate costs speed,
-    never bits."""
-    guess = _root_estimates(c, a, b)
+    The brackets are halved in lockstep: each round evaluates the midpoint
+    of every live bracket in one call and retires the brackets that are
+    done."""
     out = np.empty(a.shape)
-    idx = np.arange(a.size)
-    steps = np.zeros(a.size, dtype=np.intp)
-    while idx.size:
-        x = np.minimum(np.maximum(guess, a), b)
-        los, his, lengths, ends = [], [], [], []  # the bracket before each halving, flat
-        for lo, hi, side, done in zip(a.tolist(), b.tolist(), x.tolist(), steps.tolist()):
-            start = len(los)
-            while done < 200 and hi - lo > tol:
-                los.append(lo)
-                his.append(hi)
-                mid = 0.5 * (lo + hi)
-                done += 1
-                if mid < side:
-                    lo = mid
-                else:
-                    hi = mid
-            lengths.append(len(los) - start)
-            ends.append(0.5 * (lo + hi))
-        taken = np.arange(max(1, max(lengths))) < np.array(lengths)[:, None]
-        left, right = np.full(taken.shape, np.nan), np.full(taken.shape, np.nan)
-        left[taken], right[taken] = los, his
-        mids = 0.5 * (left + right)
-        v = _horner(c, mids)
-        act = (v > 0.0) == up[:, None]  # the root lies right of the midpoint
-        bad = ~np.isnan(mids) & ((v == 0.0) | (act != (mids < x[:, None])))
-        rows = np.arange(idx.size)
-        f = bad.argmax(axis=1)  # the first wrong guess, where the path resumes
-        m, lo, hi = mids[rows, f], left[rows, f], right[rows, f]
-        zero = bad[rows, f] & (v[rows, f] == 0.0)
-        out[idx] = np.where(zero, m, ends)
-        turn = bad[rows, f] & ~zero
-        a, b = np.where(act[rows, f], m, lo)[turn], np.where(act[rows, f], hi, m)[turn]
-        idx, c, up, guess, steps = idx[turn], c[turn], up[turn], guess[turn], (steps + f + 1)[turn]
+    live = np.arange(a.size)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        v = _horner(c, m[:, None])[:, 0]
+        stop = (b - a <= tol) | (v == 0.0)
+        out[live[stop]] = m[stop]
+        right = (v > 0.0) == up  # the root lies right of m
+        go = ~stop
+        a, b = np.where(right, m, a)[go], np.where(right, b, m)[go]
+        live, c, up = live[go], c[go], up[go]
+        if not live.size:
+            return out
+    out[live] = 0.5 * (a + b)
     return out
 
 
@@ -404,6 +363,12 @@ def _merge(raw: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def _roots(c: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Real roots in [lo, hi] of every coefficient row of c, with roots
+    closer than the merge tolerance collapsed, sorted and NaN-padded."""
+    return _merge(_isolate(c, lo, hi, tol), max(4.0 * tol, 1e-11 * (1.0 + max(abs(lo), abs(hi)))))
+
+
 def real_roots(
     p: RealPolynomial, lo: float, hi: float, tol: float
 ) -> Union[List[float], _IdenticallyZero]:
@@ -421,9 +386,7 @@ def real_roots(
         return IDENTICALLY_ZERO
     if not tol > 0.0:
         tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    merge_eps = max(4.0 * tol, 1e-11 * (1.0 + max(abs(lo), abs(hi))))
-    raw = _isolate(np.asarray(p.coeffs, dtype=float)[None], float(lo), float(hi), float(tol))
-    roots = _merge(raw, merge_eps)[0]
+    roots = _roots(np.asarray(p.coeffs, dtype=float)[None], float(lo), float(hi), float(tol))[0]
     return roots[~np.isnan(roots)].tolist()
 
 
@@ -551,9 +514,7 @@ def _decompose_batch(
         raise failures[min(failures)]
 
     root_tol = 1e-12 * (1.0 + delta)
-    roots = _merge(
-        _isolate(coeffs, -delta, delta, root_tol), max(4.0 * root_tol, 1e-11 * (1.0 + delta))
-    )
+    roots = _roots(coeffs, -delta, delta, root_tol)
     inner = (roots > -delta + 4.0 * root_tol) & (roots < delta - 4.0 * root_tol)
     edge = np.ones((alive.size, 1))
     breaks = _compact(np.concatenate([-delta * edge, np.where(inner, roots, np.nan), delta * edge], axis=1))

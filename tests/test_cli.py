@@ -357,14 +357,54 @@ def test_morse_threads_do_not_change_bytes(tmp_path):
 
 def test_morse_env_thread_override(tmp_path, monkeypatch):
     inp = write_json(tmp_path, "f.json", MINIMAL)
-    monkeypatch.setenv("CRMORSE_THREADS", "2")
-    assert run(["morse", "--input", str(inp), "--out", str(tmp_path / "ok.json")]) == 0
-    monkeypatch.setenv("CRMORSE_THREADS", "abc")
-    assert run(["morse", "--input", str(inp)]) == 2
-    monkeypatch.setenv("CRMORSE_THREADS", "0")
-    assert run(["classify", "--input", str(inp)]) == 2
-    monkeypatch.delenv("CRMORSE_THREADS")
-    assert run(["morse", "--input", str(inp), "--threads", "0"]) == 2
+    for command in ("morse", "classify"):
+        plain, env = tmp_path / (command + "-plain.json"), tmp_path / (command + "-env.json")
+        assert run([command, "--input", str(inp), "--out", str(plain)]) == 0
+        monkeypatch.setenv("CRMORSE_THREADS", "abc")  # not read: only --threads is checked
+        assert run([command, "--input", str(inp), "--out", str(env)]) == 0
+        monkeypatch.delenv("CRMORSE_THREADS")
+        assert strip_timing(env.read_text()) == strip_timing(plain.read_text())
+        assert run([command, "--input", str(inp), "--threads", "0"]) == 2
+
+
+_BIG_K = "1" + "0" * 160  # k^n is beyond float range for every n >= 2
+
+# one weight of 1e308 makes a density infinite; two weights of 1e308 on
+# unit masses overflow the exact weighted sum
+_HUGE_WEIGHT = field_doc(2, 1.0, [point_doc("p0", [[2]], [[1]], 1e308)])
+_HUGE_SUM = field_doc(2, 1.0, [point_doc("p%d" % i, [[0.5]], [[0.1]], 1e308) for i in range(2)])
+
+
+@pytest.mark.parametrize(
+    "argv, doc, names",
+    [
+        (["morse"], _HUGE_WEIGHT, "points[*].weight"),
+        (["morse", "--format", "csv"], _HUGE_SUM, "points[*].weight"),
+        (["morse", "--k", _BIG_K], MINIMAL, "--k"),
+        (["heisenberg-demo", "--k", _BIG_K], None, "--k"),
+        (["levi-flat-demo", "--k", _BIG_K, "--format", "csv"], None, "--k"),
+        (["torus-demo", "--k", _BIG_K, "--cal", "{cal}"], None, "--k"),
+        (["convergence", "--example", "torus-d1", "--kmin", _BIG_K, "--kmax", _BIG_K, "--cal", "{cal}"],
+         None, "--kmax"),
+        (["convergence", "--example", "torus-d2-indefinite", "--q", "1", "--kmin", _BIG_K,
+          "--kmax", _BIG_K, "--cal", "{cal}"], None, "--kmax"),
+    ],
+)
+def test_non_finite_report_values_exit_2(tmp_path, capsys, argv, doc, names):
+    argv = [a.replace("{cal}", str(tmp_path / "cal.json")) for a in argv]
+    if doc is not None:
+        argv += ["--input", str(write_json(tmp_path, "f.json", doc))]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % names) and "floating-point range" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_ignores_overflowing_densities(tmp_path):
+    # classify prints no densities, so a weight that overflows them is fine
+    for doc in (_HUGE_WEIGHT, _HUGE_SUM):
+        assert run(["classify", "--input", str(write_json(tmp_path, "f.json", doc))]) == 0
 
 
 def test_degenerate_field_exit_code(tmp_path, capsys):
