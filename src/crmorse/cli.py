@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,12 +28,12 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 import numpy as np
 
 from .errors import CalibrationError, DegeneratePencilError, InputError
-from .pencil import HermitianMatrix, _decompose
+from .pencil import HermitianMatrix, _decompose, _symmetrized
 from .serialize import canonical_json, csv_table
 
 if TYPE_CHECKING:
     from .model import ModelData
-    from .morse import MorseReport, PencilField
+    from .morse import MorseReport, PencilField, PencilPoint
     from .oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
 
 FIELD_SCHEMA = "crmorse/field-v1"
@@ -89,33 +90,43 @@ def _entry(value: Any, path: str) -> complex:
     return complex(_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
 
 
-def _complex_matrix(value: Any, path: str, d: int, what: str) -> np.ndarray:
+def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
+    """The symmetrized (len(values), d, d) stack of the matrix documents
+    ``values``: one conversion and one Hermitian check for all of them.
+    None when any is malformed, not finite or not Hermitian, for the walk
+    of _hermitian to name the first fault."""
+    try:
+        pairs = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != (len(values), d, d, 2):
+        return None
+    chain = itertools.chain.from_iterable  # matrices -> rows -> cells -> numbers
+    if not set(map(type, chain(chain(chain(values))))) <= _JSON_NUMBERS:
+        return None
+    a = np.empty(pairs.shape[:-1], dtype=complex)
+    a.real, a.imag = pairs[..., 0], pairs[..., 1]
+    try:
+        return _symmetrized(a, PARSE_HERMITIAN_TOL)
+    except InputError:
+        return None
+
+
+def _hermitian(value: Any, path: str, d: int, what: str) -> HermitianMatrix:
+    stack = _matrix_stack([value], d)
+    if stack is not None:
+        return HermitianMatrix._from_symmetrized(stack[0])
+    # a fault: walk the matrix to name the first one
     if not isinstance(value, list):
         _fail(path, "expected a matrix as a list of rows")
     if len(value) != d:
         _fail(path, "matrix dimension %d does not match %s = %d" % (len(value), what, d))
-    try:
-        pairs = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is not None and pairs.shape == (d, d, 2) and np.isfinite(pairs).all():
-        cells = itertools.chain.from_iterable(value)
-        if set(map(type, itertools.chain.from_iterable(cells))) <= _JSON_NUMBERS:
-            out = np.empty((d, d), dtype=complex)
-            out.real, out.imag = pairs[..., 0], pairs[..., 1]
-            return out
-    # a malformed or non-finite entry: walk the matrix to name the first one
-    out = np.zeros((d, d), dtype=complex)
+    raw = np.zeros((d, d), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != d:
             _fail("%s[%d]" % (path, i), "expected a row of %d entries" % d)
         for j, cell in enumerate(row):
-            out[i, j] = _entry(cell, "%s[%d][%d]" % (path, i, j))
-    return out
-
-
-def _hermitian(value: Any, path: str, d: int, what: str) -> HermitianMatrix:
-    raw = _complex_matrix(value, path, d, what)
+            raw[i, j] = _entry(cell, "%s[%d][%d]" % (path, i, j))
     try:
         return HermitianMatrix(raw, tol=PARSE_HERMITIAN_TOL)
     except InputError as exc:
@@ -140,6 +151,47 @@ def _check_schema(doc: Dict, expected: str) -> None:
         raise InputError("schema: expected %r, got %r" % (expected, schema))
 
 
+def _point(praw: Any, path: str, d: int) -> PencilPoint:
+    from .morse import PencilPoint
+
+    if not isinstance(praw, dict):
+        _fail(path, "expected an object")
+    label = _get(praw, "label", path)
+    if not isinstance(label, str) or not label:
+        _fail(path + ".label", "expected a nonempty string")
+    weight = _number(praw.get("weight", 1.0), path + ".weight")
+    if weight <= 0.0:
+        _fail(path + ".weight", "must be positive, got %s" % weight)
+    r = _hermitian(_get(praw, "R", path), path + ".R", d, "n-1")
+    el = _hermitian(_get(praw, "L", path), path + ".L", d, "n-1")
+    return PencilPoint(label, r, el, weight)
+
+
+def _stacked_points(raw_points: List[Any], d: int) -> Optional[List[PencilPoint]]:
+    """Every sample point, with the R and L matrices of all points parsed
+    as one stack; None when any point has a fault."""
+    from .morse import PencilPoint
+
+    try:
+        labels = [p["label"] for p in raw_points]
+        weights = [p.get("weight", 1.0) for p in raw_points]
+        stack = _matrix_stack([p[key] for p in raw_points for key in ("R", "L")], d)
+        if stack is None or not set(map(type, weights)) <= _JSON_NUMBERS:
+            return None
+        weights = [float(w) for w in weights]
+    except (AttributeError, KeyError, TypeError, OverflowError):  # not an object, a key missing, a huge int
+        return None
+    if not all(type(label) is str and label for label in labels):
+        return None
+    if not all(math.isfinite(w) and w > 0.0 for w in weights):
+        return None
+    wrap = HermitianMatrix._from_symmetrized
+    return [
+        PencilPoint(label, wrap(stack[2 * i]), wrap(stack[2 * i + 1]), w)
+        for i, (label, w) in enumerate(zip(labels, weights))
+    ]
+
+
 def parse_field(data: Any) -> PencilField:
     """Parse a crmorse/field-v1 document into a PencilField.
 
@@ -147,7 +199,7 @@ def parse_field(data: Any) -> PencilField:
     deviate from exact Hermitian symmetry by up to 1e-9 and are
     symmetrized on ingestion.
     """
-    from .morse import PencilField, PencilPoint
+    from .morse import PencilField
 
     doc = _load_json(data)
     _check_schema(doc, FIELD_SCHEMA)
@@ -159,20 +211,9 @@ def parse_field(data: Any) -> PencilField:
     if not isinstance(raw_points, list) or not raw_points:
         _fail("points", "expected a nonempty list of sample points")
     d = n - 1
-    points = []
-    for i, praw in enumerate(raw_points):
-        path = "points[%d]" % i
-        if not isinstance(praw, dict):
-            _fail(path, "expected an object")
-        label = _get(praw, "label", path)
-        if not isinstance(label, str) or not label:
-            _fail(path + ".label", "expected a nonempty string")
-        weight = _number(praw.get("weight", 1.0), path + ".weight")
-        if weight <= 0.0:
-            _fail(path + ".weight", "must be positive, got %s" % weight)
-        r = _hermitian(_get(praw, "R", path), path + ".R", d, "n-1")
-        el = _hermitian(_get(praw, "L", path), path + ".L", d, "n-1")
-        points.append(PencilPoint(label, r, el, weight))
+    points = _stacked_points(raw_points, d)
+    if points is None:  # a fault: walk the points to name the first one
+        points = [_point(praw, "points[%d]" % i, d) for i, praw in enumerate(raw_points)]
     return PencilField(n=n, delta=delta, points=points)
 
 
@@ -693,7 +734,7 @@ def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -
 
 
 def _cmd_convergence(args, started):
-    from .morse import density_q, rrh_total
+    from .morse import _power, density_q, rrh_total
     from .oracles import _dimension_sums, calibrate_weight, fourier_dimension_sum, torus_bundle_field
 
     if args.input:
@@ -715,6 +756,7 @@ def _cmd_convergence(args, started):
         raise InputError("--kstep must be >= 1, got %d" % kstep)
     if args.k0 < 1:
         raise InputError("--k0 must be >= 1, got %d" % args.k0)
+    _power(args.k0, spec.d + 1, "--k0", 2**spec.d)  # the divisor of calibrate_weight
     cal = _load_or_make_cal(args.cal)
     ks = list(range(args.kmin, args.kmax + 1, kstep))
     n = spec.d + 1
@@ -880,7 +922,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Console entry point: run() the command, flush the output streams and
+    end with os._exit, skipping interpreter teardown (tens of milliseconds
+    of a short command).  atexit handlers do not run; callers that need
+    them call run().  A flush that fails, as on a closed pipe, falls back
+    to the normal exit, which reports it."""
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

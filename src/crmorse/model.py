@@ -88,8 +88,7 @@ class ModelData:
         return self.d + 1
 
 
-@dataclass(frozen=True)
-class EtaChamberSet:
+class EtaChamberSet(NamedTuple):
     """Per-q eta-intervals of constant signature in [-delta, delta]."""
 
     delta: float
@@ -102,8 +101,7 @@ class BergmanValue(NamedTuple):
     boundary: bool
 
 
-@dataclass(frozen=True)
-class ExtremalForm:
+class ExtremalForm(NamedTuple):
     multi_indices: List[Tuple[int, ...]]
     value: np.ndarray
     norm_check: float

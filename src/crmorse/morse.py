@@ -111,27 +111,23 @@ class PencilField:
         return self.n - 1
 
 
-@dataclass(frozen=True)
-class XqResult:
+class XqResult(NamedTuple):
     holds: bool
     max_delta: float
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(NamedTuple):
     positive_everywhere: bool
     semi_positive_delta: Optional[float]
     positive_somewhere: bool
 
 
-@dataclass(frozen=True)
-class Bigness:
+class Bigness(NamedTuple):
     big: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class MorseReport:
+class MorseReport(NamedTuple):
     n: int
     delta: float
     densities: List[float]
@@ -219,11 +215,26 @@ def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] =
     return _densities(field, _records(field, delta))[q]
 
 
+def _power(k: int, n: int, name: str, factor: int = 1) -> float:
+    """factor * k^n in floating point; an InputError naming ``name`` when it
+    leaves floating-point range."""
+    try:
+        value = factor * float(k) ** n
+    except OverflowError:  # k or k^n beyond float range
+        value = math.inf
+    if value == math.inf:
+        raise InputError(
+            "%s: an integer of %d digits, whose power n = %d leaves floating-point range"
+            % (name, len(str(k)), n)
+        )
+    return value
+
+
 def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
     """k^n * c_q(delta), the weak Morse bound prefactor at level k."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
-    return float(k) ** field.n * density_q(field, q, delta)
+    return _power(k, field.n, "k") * density_q(field, q, delta)
 
 
 def _strong_from(densities: Sequence[float], total: float) -> List[float]:

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import CalibrationError, InputError
-from .morse import PencilField, PencilPoint, density_q
+from .morse import PencilField, PencilPoint, _power, density_q
 from .pencil import HermitianMatrix, inertia
 from .serialize import canonical_json
 
@@ -575,7 +575,13 @@ def _dimension_sums(
             raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
     degrees = [int(q) for q in degrees]
     k = int(k)
-    window = int(math.floor(k * spec.delta + 1e-9))
+    try:
+        window = int(math.floor(k * spec.delta + 1e-9))
+    except OverflowError:  # k beyond float range
+        raise InputError(
+            "k: an integer of %d digits, whose window k * delta leaves floating-point range"
+            % len(str(k))
+        ) from None
     mu = spec.mu_mat.entries
     lam = spec.lambda_mat.entries
     c_mode = cal.c_mode
@@ -642,6 +648,7 @@ def calibrate_weight(
         raise InputError("reference level k0 must be a positive integer, got %r" % (k0,))
     field = torus_bundle_field(spec)
     n = field.n
+    scale = _power(k0, n, "k0", 2 ** (n - 1))  # checked before the sums at k0 and 2 k0
     y1 = fourier_dimension_sum(spec, q, int(k0), cal)
     y2 = fourier_dimension_sum(spec, q, 2 * int(k0), cal)
     dens = density_q(field, q, spec.delta)
@@ -649,7 +656,12 @@ def calibrate_weight(
         raise InputError(
             "q=%d spectral density vanishes for this spec; nothing to calibrate" % q
         )
-    lead = (y2 - 2 ** (n - 1) * y1) / (2 ** (n - 1) * float(k0) ** n)
+    try:
+        lead = (y2 - 2 ** (n - 1) * y1) / scale
+    except OverflowError:  # an exact dimension sum beyond float range
+        raise InputError(
+            "k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range"
+        ) from None
     if lead <= 0.0:
         raise InputError(
             "oracle dimension sums do not grow like k^%d; cannot extract a weight" % n

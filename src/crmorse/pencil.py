@@ -87,18 +87,14 @@ class HermitianMatrix:
             raise InputError("Hermitian matrix must be square, got shape %r" % (a.shape,))
         if a.shape[0] < 1:
             raise InputError("Hermitian matrix must have dim >= 1")
-        if not np.all(np.isfinite(a.view(float))):
-            raise InputError("Hermitian matrix entries must be finite")
-        scale = float(np.max(np.abs(a)))
-        residual = float(np.max(np.abs(a - a.conj().T)))
-        if residual > tol * (1.0 + scale):
-            raise InputError(
-                "matrix is not Hermitian: max |A - A*| = %.3e exceeds tolerance %.3e"
-                % (residual, tol * (1.0 + scale))
-            )
-        h = (a + a.conj().T) / 2.0
-        h.setflags(write=False)
-        self._entries = h
+        self._entries = _symmetrized(a[None], tol)[0]
+
+    @classmethod
+    def _from_symmetrized(cls, h: np.ndarray) -> "HermitianMatrix":
+        """Wrap one read-only matrix of _symmetrized's output, unchecked."""
+        m = object.__new__(cls)
+        m._entries = h
+        return m
 
     @property
     def dim(self) -> int:
@@ -119,6 +115,31 @@ class HermitianMatrix:
 
     def __repr__(self):
         return "HermitianMatrix(dim=%d)" % self.dim
+
+
+def _symmetrized(a: np.ndarray, tol: float) -> np.ndarray:
+    """The exact symmetrizations (A + A*)/2 of the (n, d, d) complex stack
+    ``a``, read-only, once every matrix A is finite and A = A* within
+    ``tol`` relative to its largest entry.  Otherwise the InputError of the
+    first matrix that fails, in stack order.  HermitianMatrix is the n = 1
+    case; the document parser checks all matrices of a field in one call."""
+    ah = a.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix rejected as not finite
+        residual = np.abs(a - ah).max(axis=(1, 2))
+    limit = tol * (1.0 + np.abs(a).max(axis=(1, 2)))
+    finite = np.isfinite(a.view(float)).all(axis=(1, 2))
+    bad = ~finite | (residual > limit)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise InputError("Hermitian matrix entries must be finite")
+        raise InputError(
+            "matrix is not Hermitian: max |A - A*| = %.3e exceeds tolerance %.3e"
+            % (residual[i], limit[i])
+        )
+    h = (a + ah) / 2.0
+    h.setflags(write=False)
+    return h
 
 
 class Inertia(NamedTuple):
@@ -390,16 +411,14 @@ def real_roots(
     return roots[~np.isnan(roots)].tolist()
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     lo: float
     hi: float
     inertia: Inertia
     det_sign: int
 
 
-@dataclass(frozen=True)
-class ChamberDecomposition:
+class ChamberDecomposition(NamedTuple):
     delta: float
     roots: List[float]
     chambers: List[Chamber]

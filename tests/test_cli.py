@@ -679,3 +679,166 @@ def test_public_names_resolve():
     assert all(namespace[name] is getattr(crmorse, name) for name in crmorse.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         crmorse.no_such_name
+
+
+# ------------------------------------------------------------- records
+
+RECORD_FIELDS = {
+    "Chamber": ("lo", "hi", "inertia", "det_sign"),
+    "ChamberDecomposition": ("delta", "roots", "chambers"),
+    "XqResult": ("holds", "max_delta"),
+    "Positivity": ("positive_everywhere", "semi_positive_delta", "positive_somewhere"),
+    "Bigness": ("big", "reason"),
+    "MorseReport": ("n", "delta", "densities", "strong_sums", "rrh_total", "xq", "positivity", "bigness"),
+    "EtaChamberSet": ("delta", "roots", "intervals"),
+    "ExtremalForm": ("multi_indices", "value", "norm_check", "peak_check"),
+}
+
+
+def test_record_tuples_keep_their_field_order():
+    # positional order is part of the interface of a tuple record
+    for name, fields in RECORD_FIELDS.items():
+        record = getattr(crmorse, name)
+        assert issubclass(record, tuple) and record._fields == fields, name
+    # the classes that validate what they are given are not tuples
+    for name in ("HermitianMatrix", "RealPolynomial", "PencilPoint", "PencilField", "ModelData",
+                 "TorusBundleSpec", "HeisenbergSpec", "LatticeCalibration"):
+        assert not issubclass(getattr(crmorse, name), tuple), name
+    field = parse_field(json.dumps(MINIMAL).encode())
+    first, second = crmorse.build_morse_report(field), crmorse.build_morse_report(field)
+    assert first is not second and first == second  # equal values, equal records
+    assert first.xq[0] == crmorse.XqResult(holds=first.xq[0].holds, max_delta=first.xq[0].max_delta)
+    assert tuple(first.bigness) == (first.bigness.big, first.bigness.reason)
+    dec = crmorse.chambers(field.points[0].r, field.points[0].el, 1.0)
+    assert dec == crmorse.chambers(field.points[0].r, field.points[0].el, 1.0) and dec.dim == 1
+
+
+# ------------------------------------------------ levels beyond float range
+
+K200, K400 = 10**200, 10**400
+
+
+def _cli_error(tmp_path, capsys, argv):
+    assert run(argv + ["--cal", str(tmp_path / "cal.json")]) == 2
+    return capsys.readouterr().err
+
+
+def _library_error(call):
+    with pytest.raises(InputError) as exc:
+        call()
+    return "error: %s\n" % exc.value
+
+
+def _torus():
+    from crmorse.oracles import TorusBundleSpec
+
+    return TorusBundleSpec(d=2, lambda_mat=[[1, 0], [0, 1]], mu_mat=[[1, 0], [0, -1]], delta=0.25)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda tmp, cap: _cli_error(tmp, cap, ["convergence", "--example", "torus-d2-indefinite",
+                                                "--kmin", "10", "--kmax", "10", "--k0", str(K200)]),
+         "--k0: an integer of 201 digits, whose power n = 3 leaves floating-point range"),
+        (lambda tmp, cap: _cli_error(tmp, cap, ["convergence", "--example", "torus-d1", "--q", "0",
+                                                "--k0", str(K400)]),
+         "--k0: an integer of 401 digits, whose power n = 2 leaves floating-point range"),
+        (lambda tmp, cap: _cli_error(tmp, cap, ["torus-demo", "--k", str(K400)]),
+         "k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+        (lambda tmp, cap: _library_error(lambda: crmorse.calibrate_weight(_torus(), 1, K200, crmorse.calibrate())),
+         "k0: an integer of 201 digits, whose power n = 3 leaves floating-point range"),
+        (lambda tmp, cap: _library_error(
+            lambda: crmorse.weak_bound(parse_field(json.dumps(MINIMAL).encode()), 0, 1.0, K200)),
+         "k: an integer of 201 digits, whose power n = 2 leaves floating-point range"),
+        (lambda tmp, cap: _library_error(
+            lambda: crmorse.fourier_dimension_sum(_torus(), 0, K400, crmorse.calibrate())),
+         "k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+    ],
+    ids=["cli-k0-euler", "cli-k0-density", "cli-torus-k", "calibrate_weight-k0", "weak_bound-k",
+         "fourier_dimension_sum-k"],
+)
+def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expected):
+    assert make(tmp_path, capsys) == "error: %s\n" % expected
+
+
+# -------------------------------------------------------------- main()
+
+# main() ends the process with os._exit after flushing; the reference is the
+# plain exit that main() replaced
+PLAIN_EXIT = "import sys; from crmorse.cli import run; sys.exit(run())"
+
+
+def _spawn(args, cwd, module=True, unbuffered=True, close_stdout=False, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(crmorse.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, *(["-m", "crmorse"] if module else ["-c", PLAIN_EXIT]), *args]
+    if close_stdout:
+        argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
+    return subprocess.Popen(argv, env=env, cwd=cwd, **kwargs)
+
+
+def test_main_exit_codes_and_bytes_match_run(tmp_path, capsys):
+    field = write_json(tmp_path, "f.json", MINIMAL)
+    dead = write_json(tmp_path, "dead.json", field_doc(3, 1.0, [point_doc("dead", [[1, 0], [0, 0]], [[1, 0], [0, 0]])]))
+    cal = tmp_path / "cal.json"
+    assert run(["calibrate", "--out", str(cal)]) == 0
+    stale = tmp_path / "stale.json"
+    stale.write_text(cal.read_text().replace('"1/1"', '"2/1"'))
+    cases = {
+        0: ["morse", "--input", str(field), "--k", "3"],
+        2: ["morse", "--input", str(tmp_path / "absent.json")],
+        3: ["morse", "--input", str(dead)],
+        4: ["torus-demo", "--k", "4", "--cal", str(stale)],
+    }
+    capsys.readouterr()
+    expected = {}
+    for code, argv in cases.items():
+        assert run(argv) == code
+        expected[code] = capsys.readouterr()
+    procs = {
+        code: _spawn(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for code, argv in cases.items()
+    }
+    for code, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, err
+        assert strip_timing(out) == strip_timing(expected[code].out)
+        assert err == expected[code].err
+    assert expected[0].out.startswith("{")  # the exit-0 case did write a report
+
+
+def test_main_with_stdout_closed_writes_out_file(tmp_path):
+    field = write_json(tmp_path, "f.json", MINIMAL)
+    out = tmp_path / "report.json"
+    argv = ["morse", "--input", str(field), "--out", str(out)]
+    # fd 1 closed at start: sys.stdout is None, and main must not flush it
+    proc = _spawn(argv, tmp_path, close_stdout=True, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    assert run(argv[:-1] + [str(tmp_path / "again.json")]) == 0
+    assert strip_timing(out.read_text()) == strip_timing((tmp_path / "again.json").read_text())
+
+
+def _frames_dropped(err):
+    # a traceback's frames name the entry point; its header and exception line do not
+    return [line for line in err.splitlines() if not line.startswith("  ")]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_main_on_closed_pipe_exits_like_plain_exit(tmp_path, unbuffered):
+    argv = ["torus-demo", "--k", "4", "--cal", str(tmp_path / "cal.json")]
+    assert run(["calibrate", "--out", argv[-1]]) == 0
+    results = []
+    for module in (True, False):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        proc = _spawn(argv, tmp_path, module=module, unbuffered=unbuffered,
+                      stdout=write, stderr=subprocess.PIPE, text=True)
+        os.close(write)
+        _, err = proc.communicate(timeout=120)
+        results.append((proc.returncode, _frames_dropped(err)))
+    assert results[0] == results[1]
+    assert results[0][0] != 0 and "BrokenPipeError: [Errno 32] Broken pipe" in results[0][1]
