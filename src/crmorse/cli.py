@@ -92,9 +92,9 @@ def _entry(value: Any, path: str) -> complex:
 
 def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
     """The symmetrized (len(values), d, d) stack of the matrix documents
-    ``values``: one conversion and one Hermitian check for all of them.
-    None when any is malformed, not finite or not Hermitian, for the walk
-    of _hermitian to name the first fault."""
+    ``values`` of a field: one conversion and one Hermitian check for all
+    of them.  None when any is malformed, not finite or not Hermitian, for
+    the walk of _hermitian to name the first fault."""
     try:
         pairs = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -113,10 +113,8 @@ def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
 
 
 def _hermitian(value: Any, path: str, d: int, what: str) -> HermitianMatrix:
-    stack = _matrix_stack([value], d)
-    if stack is not None:
-        return HermitianMatrix._from_symmetrized(stack[0])
-    # a fault: walk the matrix to name the first one
+    """One matrix document, walked element by element to name the first
+    fault at its JSON path."""
     if not isinstance(value, list):
         _fail(path, "expected a matrix as a list of rows")
     if len(value) != d:
@@ -457,10 +455,13 @@ def _positivity_doc(p) -> Dict:
 def _weak_bounds(rep: MorseReport, k: Optional[int], source: str) -> Optional[List[float]]:
     """k^n times each density (None without k), once every density and sum
     of the report is checked finite.  The input error names ``source``
-    for a report out of range and --k for a weak bound out of range."""
+    for a report out of range and --k for a k below 1 or a weak bound out
+    of range."""
     _finite(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], source)
     if k is None:
         return None
+    if k < 1:
+        raise InputError("--k must be >= 1, got %d" % k)
     return _finite(lambda: [k**rep.n * dens for dens in rep.densities], "--k")
 
 
@@ -597,12 +598,12 @@ def _cmd_szego(args, started):
 
 
 def _cmd_extremal(args, started):
-    from .model import extremal_form
+    from .model import _extremal_form
 
     raw = _read_input(args)
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
-    form = extremal_form(data, args.q, z, args.theta, eta_quad_points=args.nodes)
+    form = _extremal_form(data, args.q, z, args.theta, args.nodes, "--z")
     result = {
         "q": args.q,
         "theta": args.theta,
@@ -620,14 +621,14 @@ def _cmd_extremal(args, started):
 
 
 def _cmd_bergman(args, started):
-    from .model import _positive_definite, bergman_bruteforce, bergman_diag, m_phi_eta
+    from .model import _bergman_diag, _positive_definite, bergman_bruteforce, m_phi_eta
 
     raw = _read_input(args)
     data = parse_model(raw)
     if args.max_degree < 0:
         raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
     z = _parse_z(args.z, data.d)
-    val = bergman_diag(data, args.eta, args.q, z)
+    val = _bergman_diag(data, args.eta, args.q, z, "--z")
     bruteforce = None
     rel_gap = None
     if _positive_definite(m_phi_eta(data, args.eta).entries)[0] and args.q == 0 and not np.any(z):
@@ -662,7 +663,7 @@ def _cmd_torus_demo(args, started):
     field = torus_bundle_field(spec)
     rep = build_morse_report(field)
     k = args.k
-    oracle = _dimension_sums(spec, k, cal, range(spec.d + 1))
+    oracle = _dimension_sums(spec, k, cal, "--k")
     weak = _weak_bounds(rep, k, "mu")
     if args.q is None:
         qs = list(range(spec.d + 1))
@@ -720,22 +721,21 @@ def _cmd_calibrate(args, started):
 
 
 def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -> Tuple[float, int]:
+    """The weight of the first degree that calibrates one, and that degree."""
     from .oracles import calibrate_weight
 
-    last_err: Optional[InputError] = None
+    reasons = []
     for q in range(spec.d + 1):
         try:
             return calibrate_weight(spec, q, k0, cal), q
         except InputError as exc:
-            last_err = exc
-    raise InputError(
-        "no degree has positive spectral density; cannot calibrate a weight (%s)" % last_err
-    )
+            reasons.append("q=%d: %s" % (q, exc))
+    raise InputError("no degree calibrates a weight (%s)" % "; ".join(reasons))
 
 
 def _cmd_convergence(args, started):
-    from .morse import _power, density_q, rrh_total
-    from .oracles import _dimension_sums, calibrate_weight, fourier_dimension_sum, torus_bundle_field
+    from .morse import _power, build_morse_report
+    from .oracles import _dimension_sums, calibrate_weight, torus_bundle_field
 
     if args.input:
         raw = _read_input(args)
@@ -760,27 +760,21 @@ def _cmd_convergence(args, started):
     cal = _load_or_make_cal(args.cal)
     ks = list(range(args.kmin, args.kmax + 1, kstep))
     n = spec.d + 1
-    if args.q is not None:
-        if not 0 <= args.q <= spec.d:
-            raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
-        weight, weight_q = calibrate_weight(spec, args.q, args.k0, cal), args.q
-        wfield = torus_bundle_field(spec, weight=weight)
-        dens = density_q(wfield, args.q, spec.delta)
-        oracles = [fourier_dimension_sum(spec, args.q, k, cal) for k in ks]
-        mode = "density"
-    else:
+    q = args.q
+    if q is None:
         weight, weight_q = _weight_for_euler(spec, args.k0, cal)
-        wfield = torus_bundle_field(spec, weight=weight)
-        dens = rrh_total(wfield, spec.delta)  # the signed total
-        if dens == 0.0:
-            raise InputError(
-                "signed density total vanishes for this spec; no Euler comparison"
-            )
-        oracles = []
-        for k in ks:
-            sums = _dimension_sums(spec, k, cal, range(spec.d + 1))
-            oracles.append(sum((-1) ** q * s for q, s in enumerate(sums)))
-        mode = "euler"
+    else:
+        if not 0 <= q <= spec.d:
+            raise InputError("--q must be in 0..%d, got %d" % (spec.d, q))
+        weight, weight_q = calibrate_weight(spec, q, args.k0, cal), q
+    rep = build_morse_report(torus_bundle_field(spec, weight=weight))
+    dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
+    if q is None and dens == 0.0:
+        raise InputError("signed density total vanishes for this spec; no Euler comparison")
+    oracles = []
+    for k in ks:
+        sums = _dimension_sums(spec, k, cal, "--kmin" if k == args.kmin else "--kmax")
+        oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
     bounds = _finite(lambda: [k**n * dens for k in ks], "--kmax")
     ratios = _finite(lambda: [o / b for o, b in zip(oracles, bounds)], "--kmax")
     rows = [
@@ -791,8 +785,8 @@ def _cmd_convergence(args, started):
         "source": source,
         "d": spec.d,
         "delta": spec.delta,
-        "mode": mode,
-        "q": args.q,
+        "mode": "euler" if q is None else "density",
+        "q": q,
         "k0": args.k0,
         "weight": weight,
         "weightQ": weight_q,

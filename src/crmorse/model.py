@@ -163,8 +163,14 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
 
     Closed form e^{Phi_eta(z)} (2pi)^{-d} |det M_eta| when eta lies in the
     q-signature chamber, 0 otherwise.  At a chamber boundary (singular
-    M_eta at tolerance) the value is 0 and the boundary flag is set.
+    M_eta at tolerance) the value is 0 and the boundary flag is set.  A z
+    at which the value leaves floating-point range is an InputError.
     """
+    return _bergman_diag(data, eta, q, z, "z")
+
+
+def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanValue:
+    """bergman_diag, with ``name`` for z in its range error."""
     q = _check_q(data, q)
     z = _check_z(data, z)
     m = m_phi_eta(data, eta)
@@ -173,9 +179,16 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
         return BergmanValue(0.0, True)
     if ine.neg != q:
         return BergmanValue(0.0, False)
-    phi = float((z.conj() @ m.entries @ z).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Phi out of range fails below
+        phi = float((z.conj() @ m.entries @ z).real)
     det = abs(float(np.linalg.det(m.entries).real))
-    return BergmanValue(math.exp(phi) * det / TWO_PI**data.d, False)
+    try:
+        value = math.exp(phi) * det / TWO_PI**data.d
+    except OverflowError:  # e^Phi beyond floating-point range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError("%s: the Bergman density at this z leaves floating-point range" % name)
+    return BergmanValue(value, False)
 
 
 def _permanents(a: np.ndarray) -> np.ndarray:
@@ -286,8 +299,16 @@ def extremal_form(
     dz-bar multi-index basis.  norm_check re-evaluates ||u||^2 through
     Parseval with exact Gaussian z-integrals at each quadrature node;
     peak_check compares |u(0,0)|^2 against the Szego density.  Both are 1
-    up to quadrature error.
+    up to quadrature error.  A z at which the value leaves floating-point
+    range is an InputError.
     """
+    return _extremal_form(data, q, z, theta, eta_quad_points, "z")
+
+
+def _extremal_form(
+    data: ModelData, q: int, z, theta: float, eta_quad_points: int, name: str
+) -> ExtremalForm:
+    """extremal_form, with ``name`` for z in its range error."""
     q = _check_q(data, q)
     z = _check_z(data, z)
     theta = float(theta)
@@ -313,20 +334,26 @@ def extremal_form(
     wts = (half * weights).ravel().tolist()
     vs, qmats = _frame(data.mu.entries - 2.0 * etas.reshape(-1, 1, 1) * np.diag(data.lam), q)
     coeffs = np.linalg.det(qmats[:, np.array(js, dtype=np.intp), :q])  # 1 when q = 0
-    lam_zsq = float(data.lam @ (np.abs(z) ** 2))
     u = np.zeros(len(js), dtype=complex)
     u_origin = np.zeros(len(js), dtype=complex)
     norm_terms: List[float] = []
-    for eta, wt, v, qmat, frame_coeff in zip(etas.ravel().tolist(), wts, vs, qmats, coeffs):
-        absdet = float(np.prod(np.abs(v)))
-        base = wt * c0 * absdet
-        u_origin += base * frame_coeff
-        wcoord = qmat.conj().T @ z
-        exponent = 1j * theta * eta + eta * lam_zsq + float(v[:q] @ (np.abs(wcoord[:q]) ** 2))
-        u += base * cmath.exp(exponent) * frame_coeff
-        norm_terms.append(
-            wt * c0 * c0 * absdet * absdet * float(np.prod(TWO_PI / np.abs(v)))
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # a z out of range fails below
+        lam_zsq = float(data.lam @ (np.abs(z) ** 2))
+        for eta, wt, v, qmat, frame_coeff in zip(etas.ravel().tolist(), wts, vs, qmats, coeffs):
+            absdet = float(np.prod(np.abs(v)))
+            base = wt * c0 * absdet
+            u_origin += base * frame_coeff
+            wcoord = qmat.conj().T @ z
+            exponent = 1j * theta * eta + eta * lam_zsq + float(v[:q] @ (np.abs(wcoord[:q]) ** 2))
+            try:
+                u += base * cmath.exp(exponent) * frame_coeff
+            except OverflowError:  # e^exponent beyond floating-point range
+                u += math.inf
+            norm_terms.append(
+                wt * c0 * c0 * absdet * absdet * float(np.prod(TWO_PI / np.abs(v)))
+            )
+    if not np.all(np.isfinite(u)):
+        raise InputError("%s: the extremal form at this z leaves floating-point range" % name)
     u /= TWO_PI
     u_origin /= TWO_PI
     norm_check = math.fsum(norm_terms) / TWO_PI

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -129,10 +129,14 @@ class LatticeCalibration:
     provenance: Dict
 
     def __post_init__(self):
-        object.__setattr__(self, "c_mode", Fraction(self.c_mode))
-        c_dim = Fraction(self.c_dim)
+        c_mode, c_dim = Fraction(self.c_mode), Fraction(self.c_dim)
         if c_dim <= 0:
             raise InputError("c_dim must be positive, got %s" % c_dim)
+        # the mode counts are integers only for integer constants
+        for name, value in (("c_mode", c_mode), ("c_dim", c_dim)):
+            if value.denominator != 1:
+                raise CalibrationError("%s must be an integer, got %s" % (name, _frac_str(value)))
+        object.__setattr__(self, "c_mode", c_mode)
         object.__setattr__(self, "c_dim", c_dim)
 
 
@@ -387,13 +391,7 @@ def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
         return 0
     if inertia(mat).signature != (int(q), 0, d - int(q)):
         return 0
-    value = cal.c_dim**d * abs(det_re)
-    if value.denominator != 1:
-        raise CalibrationError(
-            "mode dimension %s is not an integer; calibration record inconsistent"
-            % value
-        )
-    return int(value)
+    return int(cal.c_dim) ** d * abs(det_re)
 
 
 # ------------------------------------------------ exact window sums
@@ -554,9 +552,9 @@ def _range_sum(p: List[int], a: int, b: int) -> int:
 
 
 def _dimension_sums(
-    spec: TorusBundleSpec, k: int, cal: LatticeCalibration, degrees: Sequence[int]
+    spec: TorusBundleSpec, k: int, cal: LatticeCalibration, name: str = "k"
 ) -> List[int]:
-    """Sums of torus_mode_dim over the window |m| <= k*delta, one per degree.
+    """Sums of torus_mode_dim over the window |m| <= k*delta, for q = 0..d.
 
     The mode curvature k*mu + c_mode*m*lambda has determinant p(m), an
     integer polynomial of degree <= d.  Hermitian eigenvalues cross 0
@@ -565,62 +563,36 @@ def _dimension_sums(
     middle mode, and its sum of |p| is taken in closed form.  A run whose
     middle mode reads a numerically zero eigenvalue counts in no degree,
     as torus_mode_dim would count that mode.  The cost per k does not
-    depend on the window.  Errors are the ones a loop over the modes of
-    each degree in turn would raise first.
+    depend on the window.  The window floor(k*delta + 1e-9) is taken
+    exactly, so the sums are exact at any k whose k*delta is a float.
+    Errors about k name ``name``.
     """
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
-    for q in degrees:
-        if not isinstance(q, numbers.Integral) or not 0 <= q <= spec.d:
-            raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
-    degrees = [int(q) for q in degrees]
     k = int(k)
     try:
-        window = int(math.floor(k * spec.delta + 1e-9))
+        reach = k * spec.delta
     except OverflowError:  # k beyond float range
+        reach = math.inf
+    if reach == math.inf:  # the inertia reads below take k * mu in floats
         raise InputError(
-            "k: an integer of %d digits, whose window k * delta leaves floating-point range"
-            % len(str(k))
-        ) from None
+            "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
+            % (name, len(str(k)))
+        )
+    # exact, with delta read as the decimal it prints as: 0.3 is 3/10, not
+    # the binary float below it
+    window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))
     mu = spec.mu_mat.entries
     lam = spec.lambda_mat.entries
-    c_mode = cal.c_mode
-    if c_mode.denominator != 1 and window >= 1:
-        first = -window if window % c_mode.denominator else 1 - window
-        if first != -window:
-            # mode -window has an integral coupling and is counted first
-            edge = HermitianMatrix(k * mu - int(c_mode * window) * lam)
-            torus_mode_dim(degrees[0], edge, cal)
-        raise CalibrationError(
-            "mode coupling %s * %d is not an integer" % (_frac_str(c_mode), first)
-        )
-    # a non-integral coupling reaches here only for the single mode m = 0
-    coupling = int(c_mode) if c_mode.denominator == 1 else 0
+    coupling = int(cal.c_mode)
     p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), k, coupling)
-    scale = cal.c_dim**spec.d
-    sums = {q: 0 for q in degrees}
-    bad: Dict[int, Fraction] = {}
-    runs = _root_free_runs(p, window) if p else []
-    for lo, hi in runs:
+    sums = [0] * (spec.d + 1)
+    for lo, hi in _root_free_runs(p, window) if p else []:
         ine = inertia(HermitianMatrix(k * mu + (coupling * ((lo + hi) // 2)) * lam))
-        q = ine.neg
-        if ine.zero or q not in sums:
-            continue
-        if q not in bad:
-            # p(m) mod the denominator has period the denominator
-            for m in range(lo, min(hi, lo + scale.denominator - 1) + 1):
-                value = scale * abs(_horner(p, m))
-                if value.denominator != 1:
-                    bad[q] = value
-                    break
-        sums[q] += abs(_range_sum(p, lo, hi))
-    for q in degrees:
-        if q in bad:
-            raise CalibrationError(
-                "mode dimension %s is not an integer; calibration record inconsistent"
-                % bad[q]
-            )
-    return [int(scale * sums[q]) for q in degrees]
+        if not ine.zero:
+            sums[ine.neg] += abs(_range_sum(p, lo, hi))
+    scale = int(cal.c_dim) ** spec.d
+    return [scale * s for s in sums]
 
 
 def fourier_dimension_sum(
@@ -631,7 +603,9 @@ def fourier_dimension_sum(
     Equal to the sum of torus_mode_dim over the modes m of the window;
     the cost does not depend on k.
     """
-    return _dimension_sums(spec, k, cal, [q])[0]
+    if not isinstance(q, numbers.Integral) or not 0 <= q <= spec.d:
+        raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
+    return _dimension_sums(spec, k, cal)[q]
 
 
 def calibrate_weight(

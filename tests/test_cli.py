@@ -531,6 +531,14 @@ def test_torus_demo_oracle_column(tmp_path):
     assert cal.is_file()
 
 
+def test_fractional_calibration_record_exit_code(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    assert run(["calibrate", "--out", str(cal)]) == 0
+    cal.write_text(cal.read_text().replace('"c_mode": "1/1"', '"c_mode": "1/2"'))
+    assert run(["torus-demo", "--k", "4", "--cal", str(cal)]) == 4
+    assert capsys.readouterr().err == "calibration error: c_mode must be an integer, got 1/2\n"
+
+
 def test_corrupt_calibration_exit_code(tmp_path, capsys):
     cal = tmp_path / "cal.json"
     assert run(["calibrate", "--out", str(cal)]) == 0
@@ -584,6 +592,35 @@ def test_convergence_rrh_mode(tmp_path):
     assert row["k"] == 40
     assert row["bound"] != 0.0
     assert row["ratio"] == pytest.approx(1.0, abs=0.25)
+
+
+# q = 0 carries pencil mass, but its oracle sums never grow like k^2
+TRAP_TORUS = {"schema": "crmorse/torus-v1", "d": 1, "lambda": [[[1, 0]]], "mu": [[[-1, 0]]], "delta": 1.0}
+
+
+def test_convergence_euler_falls_through_to_a_calibrating_degree(tmp_path):
+    out = tmp_path / "trap.json"
+    assert run([
+        "convergence", "--input", str(write_json(tmp_path, "t.json", TRAP_TORUS)),
+        "--kmin", "10", "--kmax", "20", "--kstep", "10",
+        "--cal", str(tmp_path / "cal.json"), "--out", str(out),
+    ]) == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["mode"] == "euler"
+    assert res["weightQ"] == 1
+    assert [row["oracle"] for row in res["rows"]] == [-420, -1640]
+
+
+def test_convergence_euler_lists_each_degree_reason(tmp_path, capsys):
+    assert run([
+        "convergence", "--example", "torus-d1", "--kmin", "10", "--kmax", "10",
+        "--k0", str(6 * 10**153), "--cal", str(tmp_path / "cal.json"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: no degree calibrates a weight ("
+        "q=0: k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range; "
+        "q=1: q=1 spectral density vanishes for this spec; nothing to calibrate)\n"
+    )
 
 
 # ---------------------------------------------------------------- misc
@@ -745,7 +782,7 @@ def _torus():
                                                 "--k0", str(K400)]),
          "--k0: an integer of 401 digits, whose power n = 2 leaves floating-point range"),
         (lambda tmp, cap: _cli_error(tmp, cap, ["torus-demo", "--k", str(K400)]),
-         "k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+         "--k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
         (lambda tmp, cap: _library_error(lambda: crmorse.calibrate_weight(_torus(), 1, K200, crmorse.calibrate())),
          "k0: an integer of 201 digits, whose power n = 3 leaves floating-point range"),
         (lambda tmp, cap: _library_error(
@@ -760,6 +797,36 @@ def _torus():
 )
 def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expected):
     assert make(tmp_path, capsys) == "error: %s\n" % expected
+
+
+@pytest.mark.parametrize(
+    "argv, doc, expected",
+    [
+        (["morse", "--k", "-3"], MINIMAL, "--k must be >= 1, got -3"),
+        (["levi-flat-demo", "--k", "0"], None, "--k must be >= 1, got 0"),
+        (["heisenberg-demo", "--k", "0"], None, "--k must be >= 1, got 0"),
+        (["bergman-check", "--q", "0", "--eta", "0", "--z", "30,0"], MODEL_DOC,
+         "--z: the Bergman density at this z leaves floating-point range"),
+        (["bergman-check", "--q", "0", "--eta", "0", "--z", "1e200,0"], MODEL_DOC,
+         "--z: the Bergman density at this z leaves floating-point range"),
+        (["extremal-check", "--q", "0", "--nodes", "16", "--z", "1e200,0"], MODEL_DOC,
+         "--z: the extremal form at this z leaves floating-point range"),
+        (["convergence", "--example", "torus-d1", "--kmin", "10", "--kmax", str(K400)], None,
+         "--kmax: an integer of 400 digits, whose window k * delta leaves floating-point range"),
+        (["convergence", "--example", "torus-d1", "--q", "0", "--kmin", str(K400), "--kmax", str(K400)],
+         None, "--kmin: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+    ],
+    ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
+         "convergence-kmax", "convergence-kmin"],
+)
+def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expected):
+    if doc is not None:
+        argv = argv + ["--input", str(write_json(tmp_path, "doc.json", doc))]
+    if argv[0] == "convergence":
+        argv = argv + ["--cal", str(tmp_path / "cal.json")]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % expected
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------- main()

@@ -134,6 +134,16 @@ def test_bergman_diag_z_factorization():
     assert shifted.value == pytest.approx(base.value * math.exp(phi), rel=1e-12)
 
 
+def test_bergman_diag_z_out_of_range():
+    data = scalar_model()
+    # Phi = 3 |z|^2 leaves exp's range at z = 30; at 1e200 |z|^2 itself overflows
+    for z in ([30.0], [1e200]):
+        with pytest.raises(InputError, match="^z: the Bergman density at this z leaves floating-point range$"):
+            bergman_diag(data, 0.0, 0, z)
+    # in the q = 1 chamber Phi is negative, and e^Phi underflows to 0
+    assert bergman_diag(data, 2.0, 1, [1e200]).value == 0.0
+
+
 # --------------------------------------------------- bergman_bruteforce
 
 
@@ -376,6 +386,14 @@ def test_extremal_form_errors():
         extremal_form(data, 0, [0.0], 0.0, 8)
     with pytest.raises(InputError):
         extremal_form(data, 0, [0.0, 0.0], 0.0, 64)  # z has wrong length
+
+
+def test_extremal_form_z_out_of_range():
+    data = scalar_model()
+    # the exponent eta |z|^2 reaches 900 at z = 30; |z|^2 overflows at 1e200
+    for z in ([30.0], [1e200]):
+        with pytest.raises(InputError, match="^z: the extremal form at this z leaves floating-point range$"):
+            extremal_form(data, 0, z, 0.0, 16)
 
 
 def test_frame_boundary_guard():

@@ -24,6 +24,7 @@ from crmorse.oracles import (
     HeisenbergSpec,
     LatticeCalibration,
     TorusBundleSpec,
+    _dimension_sums,
     _exact_det,
     calibrate,
     calibrate_weight,
@@ -110,6 +111,19 @@ def test_calibration_tamper_detected(tmp_path):
         load_calibration(path)
 
 
+@pytest.mark.parametrize(
+    "c_mode, c_dim, message",
+    [
+        (Fraction(1, 2), Fraction(2), "c_mode must be an integer, got 1/2"),
+        (Fraction(1), Fraction(1, 3), "c_dim must be an integer, got 1/3"),
+    ],
+)
+def test_calibration_rejects_fractional_constants(c_mode, c_dim, message):
+    with pytest.raises(CalibrationError) as exc:
+        LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={})
+    assert str(exc.value) == message
+
+
 def test_calibration_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_calibration(tmp_path / "nope.json")
@@ -181,14 +195,6 @@ def test_torus_mode_dim_rejects_non_integer():
         torus_mode_dim(2, hm([[1]]), cal)
 
 
-def test_torus_mode_dim_integrality_guard():
-    broken = LatticeCalibration(
-        c_mode=Fraction(1), c_dim=Fraction(1, 3), provenance={}
-    )
-    with pytest.raises(CalibrationError):
-        torus_mode_dim(0, hm([[2]]), broken)
-
-
 # ------------------------------------------------ fourier_dimension_sum
 
 
@@ -207,18 +213,12 @@ def test_fourier_dimension_sum_growth():
     assert 3.0 <= y8 / y4 <= 4.5  # k^2 law with a k^1 correction
 
 
-def outcome(fn, spec, q, k, cal):
-    try:
-        return fn(spec, q, k, cal)
-    except CalibrationError as exc:
-        return "CalibrationError: %s" % exc
-
-
 def assert_matches_permode(spec, k, cal):
-    for q in range(spec.d + 1):
-        assert outcome(fourier_dimension_sum, spec, q, k, cal) == outcome(
-            permode_dimension_sum, spec, q, k, cal
-        )
+    # one pass gives every degree, and fourier_dimension_sum reads it
+    sums = _dimension_sums(spec, k, cal)
+    degrees = range(spec.d + 1)
+    assert sums == [permode_dimension_sum(spec, q, k, cal) for q in degrees]
+    assert sums == [fourier_dimension_sum(spec, q, k, cal) for q in degrees]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -228,8 +228,10 @@ def assert_matches_permode(spec, k, cal):
     span=st.sampled_from([1, 3]),
     k=st.integers(1, 40),
     delta=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+    c_mode=st.sampled_from([1, 2]),
+    c_dim=st.sampled_from([1, 2, 3]),
 )
-def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta):
+def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta, c_mode, c_dim):
     rng = np.random.default_rng(seed)
     spec = TorusBundleSpec(
         d=d,
@@ -237,7 +239,7 @@ def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta):
         mu_mat=random_int_hermitian(rng, d, -span, span),
         delta=delta,
     )
-    assert_matches_permode(spec, k, calibrate())
+    assert_matches_permode(spec, k, LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={}))
 
 
 NAMED_SPECS = {
@@ -293,54 +295,17 @@ def test_fourier_dimension_sum_examples_every_k():
         assert fourier_dimension_sum(d2, 2, k, cal) == 0
 
 
-def test_fourier_dimension_sum_noninteger_coupling():
-    half = LatticeCalibration(c_mode=Fraction(1, 2), c_dim=Fraction(2), provenance={})
-    # window 2: mode -2 couples integrally, so -1 is the first offender
-    for k, first in ((4, -1), (2, -1), (6, -3)):
-        message = "mode coupling 1/2 * %d is not an integer" % first
-        for q in (0, 1):
-            with pytest.raises(CalibrationError) as exc:
-                fourier_dimension_sum(D1_SPEC, q, k, half)
-            assert str(exc.value) == message
-            assert outcome(permode_dimension_sum, D1_SPEC, q, k, half) == "CalibrationError: " + message
-    # window 0 holds only m = 0, whose coupling is 0
-    assert fourier_dimension_sum(D1_SPEC, 0, 1, half) == 4
-    assert_matches_permode(D1_SPEC, 1, half)
-
-
-def test_fourier_dimension_sum_integrality_guard():
-    broken = LatticeCalibration(c_mode=Fraction(1), c_dim=Fraction(1, 3), provenance={})
-    # modes m = -2..2 have det 6..10; 7/3 is the first non-integral one
-    with pytest.raises(CalibrationError) as exc:
-        fourier_dimension_sum(D1_SPEC, 0, 4, broken)
-    assert str(exc.value) == "mode dimension 7/3 is not an integer; calibration record inconsistent"
-    # no mode counts in degree 1, so nothing is non-integral there
-    assert fourier_dimension_sum(D1_SPEC, 1, 4, broken) == 0
-    # both constants broken: mode -2 (coupling -1, det 7) fails before m = -1
-    both = LatticeCalibration(c_mode=Fraction(1, 2), c_dim=Fraction(1, 3), provenance={})
-    with pytest.raises(CalibrationError, match="mode dimension 7/3"):
-        fourier_dimension_sum(D1_SPEC, 0, 4, both)
-    assert_matches_permode(D1_SPEC, 4, both)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 10**6),
-    d=st.sampled_from([1, 2]),
-    k=st.integers(1, 8),
-    delta=st.sampled_from([0.25, 0.5, 1.0]),
-    c_mode=st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3)]),
-    c_dim=st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(1, 3)]),
-)
-def test_fourier_dimension_sum_errors_match_permode(seed, d, k, delta, c_mode, c_dim):
-    rng = np.random.default_rng(seed)
-    spec = TorusBundleSpec(
-        d=d,
-        lambda_mat=random_int_hermitian(rng, d, -1, 1),
-        mu_mat=random_int_hermitian(rng, d, -1, 1),
-        delta=delta,
-    )
-    assert_matches_permode(spec, k, LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={}))
+def test_fourier_dimension_sum_exact_beyond_float_precision():
+    # k * delta and the sums are far beyond 2^53; the window is taken exactly
+    cal = calibrate()
+    d1 = _example_specs()["torus-d1"]
+    for k in (10**19 + 1, 10**110, 10**110 + 1):
+        assert _dimension_sums(d1, k, cal) == [4 * k * (2 * (k // 2) + 1), 0]
+    # delta is read as the decimal it prints as: the window at k = 10^12 is 3 * 10^11
+    spec = TorusBundleSpec(d=1, lambda_mat=[[1]], mu_mat=[[1]], delta=0.3)
+    k = 10**12
+    w = 3 * 10**11
+    assert fourier_dimension_sum(spec, 0, k, cal) == 2 * k * (2 * w + 1)
 
 
 def test_fourier_dimension_sum_validation():
