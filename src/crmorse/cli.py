@@ -8,13 +8,18 @@ calibration record that fails re-derivation.
 
 Only numpy, the pencil engine and serialization are imported up front.
 Each parser and handler imports the layer it runs (morse, model or
-oracles), so a command pays start-up only for the modules it uses.
+oracles), so a command pays start-up only for the modules it uses.  This
+module holds the document parsers, the shared output code and the field
+commands (``chambers``, ``morse``, ``classify``); the model and the
+lattice/demo commands live in ``cli_model`` and ``cli_lattice``, imported
+only when one of their commands runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -23,7 +28,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .serialize import canonical_json, csv_table
 if TYPE_CHECKING:
     from .model import ModelData
     from .morse import MorseReport, PencilField, PencilPoint
-    from .oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
+    from .oracles import HeisenbergSpec, TorusBundleSpec
 
 FIELD_SCHEMA = "crmorse/field-v1"
 MODEL_SCHEMA = "crmorse/model-v1"
@@ -270,16 +275,6 @@ def parse_torus(data: Any) -> TorusBundleSpec:
     return TorusBundleSpec(d=d, lambda_mat=lam, mu_mat=mu, delta=delta)
 
 
-def serialize_torus(spec: TorusBundleSpec) -> Dict:
-    return {
-        "schema": TORUS_SCHEMA,
-        "d": spec.d,
-        "lambda": _matrix_doc(spec.lambda_mat),
-        "mu": _matrix_doc(spec.mu_mat),
-        "delta": spec.delta,
-    }
-
-
 def parse_heisenberg(data: Any) -> HeisenbergSpec:
     from .oracles import HeisenbergSpec
 
@@ -308,53 +303,6 @@ def parse_levi_flat(data: Any) -> PencilField:
     mu = _hermitian(_get(doc, "mu", "$"), "mu", d, "d")
     delta = _number(doc.get("delta", 1.0), "delta")
     return levi_flat_field(mu, d, delta)
-
-
-# ---------------------------------------------------------- default docs
-
-
-def _pairs(rows: Sequence[Sequence[complex]]) -> List[List[List[float]]]:
-    return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
-
-
-DEFAULT_TORUS_DOC = {
-    "schema": TORUS_SCHEMA,
-    "d": 1,
-    "lambda": _pairs([[1]]),
-    "mu": _pairs([[2]]),
-    "delta": 0.5,
-}
-
-DEFAULT_HEISENBERG_DOC = {
-    "schema": HEISENBERG_SCHEMA,
-    "d": 2,
-    "lambda": [1, 2],
-    "mu": _pairs([[3, 1], [1, 3]]),
-    "delta": 0.5,
-}
-
-DEFAULT_LEVI_DOC = {
-    "schema": LEVI_SCHEMA,
-    "d": 2,
-    "mu": _pairs([[1, 0], [0, 1]]),
-    "delta": 1.0,
-}
-
-
-def _example_specs() -> Dict[str, TorusBundleSpec]:
-    from .oracles import TorusBundleSpec
-
-    return {
-        "torus-d1": TorusBundleSpec(
-            d=1, lambda_mat=[[1]], mu_mat=[[2]], delta=0.5
-        ),
-        "torus-d2-indefinite": TorusBundleSpec(
-            d=2,
-            lambda_mat=[[1, 0], [0, 1]],
-            mu_mat=[[1, 0], [0, -1]],
-            delta=0.25,
-        ),
-    }
 
 
 # ------------------------------------------------------------- plumbing
@@ -407,37 +355,6 @@ def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: 
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_or_make_cal(path) -> LatticeCalibration:
-    from .oracles import calibrate, load_calibration, save_calibration
-
-    p = Path(path)
-    if p.is_file():
-        return load_calibration(p)
-    cal = calibrate()
-    save_calibration(cal, p)
-    return cal
-
-
-def _parse_z(text: Optional[str], d: int) -> np.ndarray:
-    if text is None:
-        return np.zeros(d, dtype=complex)
-    parts = text.split(";")
-    if len(parts) != d:
-        raise InputError(
-            "--z needs %d 're,im' components separated by ';', got %d" % (d, len(parts))
-        )
-    out = np.zeros(d, dtype=complex)
-    for i, part in enumerate(parts):
-        bits = part.split(",")
-        if len(bits) != 2:
-            raise InputError("--z component %d must be 're,im', got %r" % (i, part))
-        try:
-            out[i] = complex(float(bits[0]), float(bits[1]))
-        except ValueError as exc:
-            raise InputError("--z component %d: %s" % (i, exc)) from exc
-    return out
 
 
 def _xq_doc(x) -> Dict:
@@ -533,12 +450,13 @@ def _cmd_chambers(args, started):
 
 
 def _cmd_morse(args, started):
-    from .morse import build_morse_report
+    from .morse import _check_delta, build_morse_report
 
     raw = _read_input(args)
     field = parse_field(raw)
     _check_threads(args)
-    rep = build_morse_report(field, delta=args.delta)
+    delta = None if args.delta is None else _check_delta(field, args.delta, "--delta")
+    rep = build_morse_report(field, delta=delta)
     weak = _weak_bounds(rep, args.k, "points[*].weight")
     _emit(args, "morse", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
 
@@ -574,231 +492,6 @@ def _cmd_classify(args, started):
     _emit(args, "classify", raw, result, csv_table(["key", "value"], rows), started)
 
 
-def _cmd_szego(args, started):
-    from .model import _szego_table
-
-    raw = _read_input(args)
-    data = parse_model(raw)
-    cs, densities = _szego_table(data)
-    if args.q is None:
-        qs = list(range(data.d + 1))
-    else:
-        if not 0 <= args.q <= data.d:
-            raise InputError("--q must be in 0..%d, got %d" % (data.d, args.q))
-        qs = [args.q]
-    result = {
-        "d": data.d,
-        "delta": data.delta,
-        "roots": list(cs.roots),
-        "intervals": [[list(iv) for iv in per_q] for per_q in cs.intervals],
-        "densities": densities,
-    }
-    csv_text = csv_table(["q", "density"], [[q, densities[q]] for q in qs])
-    _emit(args, "szego-density", raw, result, csv_text, started)
-
-
-def _cmd_extremal(args, started):
-    from .model import _extremal_form
-
-    raw = _read_input(args)
-    data = parse_model(raw)
-    z = _parse_z(args.z, data.d)
-    form = _extremal_form(data, args.q, z, args.theta, args.nodes, "--z")
-    result = {
-        "q": args.q,
-        "theta": args.theta,
-        "nodes": args.nodes,
-        "z": [[v.real, v.imag] for v in z],
-        "multiIndices": [list(j) for j in form.multi_indices],
-        "value": [[v.real, v.imag] for v in form.value],
-        "norm_check": form.norm_check,
-        "peak_check": form.peak_check,
-    }
-    rows = [["norm_check", form.norm_check, ""], ["peak_check", form.peak_check, ""]]
-    for j, v in zip(form.multi_indices, form.value):
-        rows.append(["(%s)" % ";".join(str(t) for t in j), v.real, v.imag])
-    _emit(args, "extremal-check", raw, result, csv_table(["field", "re", "im"], rows), started)
-
-
-def _cmd_bergman(args, started):
-    from .model import _bergman_diag, _positive_definite, bergman_bruteforce, m_phi_eta
-
-    raw = _read_input(args)
-    data = parse_model(raw)
-    if args.max_degree < 0:
-        raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
-    z = _parse_z(args.z, data.d)
-    val = _bergman_diag(data, args.eta, args.q, z, "--z")
-    bruteforce = None
-    rel_gap = None
-    if _positive_definite(m_phi_eta(data, args.eta).entries)[0] and args.q == 0 and not np.any(z):
-        bruteforce = bergman_bruteforce(data, args.eta, args.max_degree)
-        if bruteforce != 0.0:
-            rel_gap = (val.value - bruteforce) / bruteforce
-    result = {
-        "eta": args.eta,
-        "q": args.q,
-        "z": [[v.real, v.imag] for v in z],
-        "value": val.value,
-        "boundary": val.boundary,
-        "bruteforce": bruteforce,
-        "rel_gap": rel_gap,
-    }
-    rows = [
-        ["value", val.value],
-        ["boundary", val.boundary],
-        ["bruteforce", "" if bruteforce is None else bruteforce],
-        ["rel_gap", "" if rel_gap is None else rel_gap],
-    ]
-    _emit(args, "bergman-check", raw, result, csv_table(["key", "value"], rows), started)
-
-
-def _cmd_torus_demo(args, started):
-    from .morse import build_morse_report
-    from .oracles import _dimension_sums, torus_bundle_field
-
-    raw = _read_input(args, DEFAULT_TORUS_DOC)
-    spec = parse_torus(raw)
-    cal = _load_or_make_cal(args.cal)
-    field = torus_bundle_field(spec)
-    rep = build_morse_report(field)
-    k = args.k
-    oracle = _dimension_sums(spec, k, cal, "--k")
-    weak = _weak_bounds(rep, k, "mu")
-    if args.q is None:
-        qs = list(range(spec.d + 1))
-    else:
-        if not 0 <= args.q <= spec.d:
-            raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
-        qs = [args.q]
-    result = {
-        "d": spec.d,
-        "delta": spec.delta,
-        "k": k,
-        "densities": list(rep.densities),
-        "weakBounds": weak,
-        "oracleDims": oracle,
-        "strongSums": list(rep.strong_sums),
-        "rrhTotal": rep.rrh_total,
-    }
-    csv_text = csv_table(
-        ["q", "density", "weak_bound", "oracle_dim"],
-        [[q, rep.densities[q], weak[q], oracle[q]] for q in qs],
-    )
-    _emit(args, "torus-demo", raw, result, csv_text, started)
-
-
-def _cmd_heisenberg_demo(args, started):
-    from .morse import build_morse_report
-    from .oracles import heisenberg_field
-
-    raw = _read_input(args, DEFAULT_HEISENBERG_DOC)
-    spec = parse_heisenberg(raw)
-    rep = build_morse_report(heisenberg_field(spec))
-    weak = _weak_bounds(rep, args.k, "mu")
-    _emit(args, "heisenberg-demo", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
-
-
-def _cmd_levi_flat_demo(args, started):
-    from .morse import build_morse_report
-
-    raw = _read_input(args, DEFAULT_LEVI_DOC)
-    field = parse_levi_flat(raw)
-    rep = build_morse_report(field)
-    weak = _weak_bounds(rep, args.k, "mu")
-    _emit(args, "levi-flat-demo", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
-
-
-def _cmd_calibrate(args, started):
-    from .oracles import calibrate, save_calibration
-
-    cal = calibrate()
-    save_calibration(cal, args.out)
-    sys.stdout.write(
-        "calibration written to %s (c_dim=%s, c_mode=%s)\n"
-        % (args.out, cal.c_dim, cal.c_mode)
-    )
-
-
-def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -> Tuple[float, int]:
-    """The weight of the first degree that calibrates one, and that degree."""
-    from .oracles import calibrate_weight
-
-    reasons = []
-    for q in range(spec.d + 1):
-        try:
-            return calibrate_weight(spec, q, k0, cal), q
-        except InputError as exc:
-            reasons.append("q=%d: %s" % (q, exc))
-    raise InputError("no degree calibrates a weight (%s)" % "; ".join(reasons))
-
-
-def _cmd_convergence(args, started):
-    from .morse import _power, build_morse_report
-    from .oracles import _dimension_sums, calibrate_weight, torus_bundle_field
-
-    if args.input:
-        raw = _read_input(args)
-        spec = parse_torus(raw)
-        source = "input"
-    elif args.example:
-        spec = _example_specs()[args.example]
-        raw = (canonical_json(serialize_torus(spec)) + "\n").encode()
-        source = args.example
-    else:
-        raise InputError("convergence needs --example or --input")
-    if args.kmin < 1 or args.kmax < args.kmin:
-        raise InputError(
-            "need 1 <= kmin <= kmax, got kmin=%d kmax=%d" % (args.kmin, args.kmax)
-        )
-    kstep = args.kstep if args.kstep is not None else max(1, (args.kmax - args.kmin) // 9)
-    if kstep < 1:
-        raise InputError("--kstep must be >= 1, got %d" % kstep)
-    if args.k0 < 1:
-        raise InputError("--k0 must be >= 1, got %d" % args.k0)
-    _power(args.k0, spec.d + 1, "--k0", 2**spec.d)  # the divisor of calibrate_weight
-    cal = _load_or_make_cal(args.cal)
-    ks = list(range(args.kmin, args.kmax + 1, kstep))
-    n = spec.d + 1
-    q = args.q
-    if q is None:
-        weight, weight_q = _weight_for_euler(spec, args.k0, cal)
-    else:
-        if not 0 <= q <= spec.d:
-            raise InputError("--q must be in 0..%d, got %d" % (spec.d, q))
-        weight, weight_q = calibrate_weight(spec, q, args.k0, cal), q
-    rep = build_morse_report(torus_bundle_field(spec, weight=weight))
-    dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
-    if q is None and dens == 0.0:
-        raise InputError("signed density total vanishes for this spec; no Euler comparison")
-    oracles = []
-    for k in ks:
-        sums = _dimension_sums(spec, k, cal, "--kmin" if k == args.kmin else "--kmax")
-        oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
-    bounds = _finite(lambda: [k**n * dens for k in ks], "--kmax")
-    ratios = _finite(lambda: [o / b for o, b in zip(oracles, bounds)], "--kmax")
-    rows = [
-        {"k": k, "oracle": o, "bound": b, "ratio": r}
-        for k, o, b, r in zip(ks, oracles, bounds, ratios)
-    ]
-    result = {
-        "source": source,
-        "d": spec.d,
-        "delta": spec.delta,
-        "mode": "euler" if q is None else "density",
-        "q": q,
-        "k0": args.k0,
-        "weight": weight,
-        "weightQ": weight_q,
-        "rows": rows,
-    }
-    csv_text = csv_table(
-        ["k", "oracle", "bound", "ratio"],
-        [[r["k"], r["oracle"], r["bound"], r["ratio"]] for r in rows],
-    )
-    _emit(args, "convergence", raw, result, csv_text, started)
-
-
 # ----------------------------------------------------------------- parser
 
 
@@ -820,6 +513,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def family(module, handler):
+        """The handler of the command-family module ``module``, which is
+        imported when the command runs, not when the parser is built."""
+        return lambda args, started: getattr(
+            importlib.import_module("." + module, __package__), handler
+        )(args, started)
+
     p = add("chambers", _cmd_chambers, "signature chamber table for one sample point")
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--point", type=int, default=0, help="sample index (default 0)")
@@ -838,43 +538,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="validated (>= 1) but unused: computation is single-threaded")
 
-    p = add("szego-density", _cmd_szego, "model Szego density per degree")
+    p = add("szego-density", family("cli_model", "_cmd_szego"), "model Szego density per degree")
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--q", type=int, default=None)
 
-    p = add("extremal-check", _cmd_extremal, "extremal form with norm and peak checks")
+    p = add("extremal-check", family("cli_model", "_cmd_extremal"),
+            "extremal form with norm and peak checks")
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--z", metavar="RE,IM;...", default=None)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--nodes", type=int, default=64, help="eta quadrature nodes per chamber")
 
-    p = add("bergman-check", _cmd_bergman, "closed-form Bergman density vs brute force")
+    p = add("bergman-check", family("cli_model", "_cmd_bergman"),
+            "closed-form Bergman density vs brute force")
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--z", metavar="RE,IM;...", default=None)
     p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
 
-    p = add("torus-demo", _cmd_torus_demo, "torus bundle densities against the exact mode count")
+    p = add("torus-demo", family("cli_lattice", "_cmd_torus_demo"),
+            "torus bundle densities against the exact mode count")
     p.add_argument("--input", metavar="PATH", default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
 
-    p = add("heisenberg-demo", _cmd_heisenberg_demo, "Heisenberg quotient report")
+    p = add("heisenberg-demo", family("cli_lattice", "_cmd_heisenberg_demo"),
+            "Heisenberg quotient report")
     p.add_argument("--input", metavar="PATH", default=None)
     p.add_argument("--k", type=int, default=None)
 
-    p = add("levi-flat-demo", _cmd_levi_flat_demo, "Levi-flat product report")
+    p = add("levi-flat-demo", family("cli_lattice", "_cmd_levi_flat_demo"),
+            "Levi-flat product report")
     p.add_argument("--input", metavar="PATH", default=None)
     p.add_argument("--k", type=int, default=None)
 
     p = sub.add_parser("calibrate", help="derive and freeze the lattice constants")
-    p.set_defaults(handler=_cmd_calibrate)
+    p.set_defaults(handler=family("cli_lattice", "_cmd_calibrate"))
     p.add_argument("--out", metavar="PATH", default=DEFAULT_CAL_PATH)
 
-    p = add("convergence", _cmd_convergence, "oracle/bound ratio as k grows")
+    p = add("convergence", family("cli_lattice", "_cmd_convergence"),
+            "oracle/bound ratio as k grows")
     p.add_argument("--example", choices=("torus-d1", "torus-d2-indefinite"), default=None)
     p.add_argument("--input", metavar="PATH", default=None)
     p.add_argument("--q", type=int, default=None)

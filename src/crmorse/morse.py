@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .pencil import Chamber, HermitianMatrix, _decompose_batch, _signature_masses, _signatures
+from .pencil import Chamber, HermitianMatrix, _decompose_batch, _Frozen, _signature_masses, _signatures
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -56,55 +55,47 @@ REASON_INCONCLUSIVE = "criteria inconclusive"
 _CHUNK = 256  # sample points decomposed together in one stacked pass
 
 
-@dataclass(frozen=True)
-class PencilPoint:
+class PencilPoint(_Frozen):
     """One sample: curvature R, Levi form L, and its volume mass."""
 
-    label: str
-    r: HermitianMatrix
-    el: HermitianMatrix
-    weight: float = 1.0
+    __slots__ = ("label", "r", "el", "weight")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, r: HermitianMatrix, el: HermitianMatrix, weight: float = 1.0):
+        if not isinstance(label, str) or not label:
             raise InputError("sample label must be a nonempty string")
-        if self.r.dim != self.el.dim:
+        if r.dim != el.dim:
             raise InputError(
-                "sample %r: R has dim %d but L has dim %d"
-                % (self.label, self.r.dim, self.el.dim)
+                "sample %r: R has dim %d but L has dim %d" % (label, r.dim, el.dim)
             )
-        w = float(self.weight)
+        w = float(weight)
         if not (math.isfinite(w) and w > 0.0):
-            raise InputError("sample %r: weight must be a positive real, got %r" % (self.label, self.weight))
-        object.__setattr__(self, "weight", w)
+            raise InputError("sample %r: weight must be a positive real, got %r" % (label, weight))
+        for name, value in zip(self.__slots__, (label, r, el, w)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class PencilField:
+class PencilField(_Frozen):
     """Weighted sample field with shared fiber dimension d = n - 1."""
 
-    n: int
-    delta: float
-    points: List[PencilPoint]
+    __slots__ = ("n", "delta", "points")
 
-    def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise InputError("n must be an integer >= 2, got %r" % (self.n,))
-        object.__setattr__(self, "n", int(self.n))
-        dlt = float(self.delta)
+    def __init__(self, n: int, delta: float, points: List[PencilPoint]):
+        if not isinstance(n, numbers.Integral) or n < 2:
+            raise InputError("n must be an integer >= 2, got %r" % (n,))
+        dlt = float(delta)
         if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("field delta must be a positive real, got %r" % (self.delta,))
-        object.__setattr__(self, "delta", dlt)
-        pts = list(self.points)
+            raise InputError("field delta must be a positive real, got %r" % (delta,))
+        pts = list(points)
         if not pts:
             raise InputError("field needs at least one sample point")
-        d = self.n - 1
+        d = int(n) - 1
         for p in pts:
             if p.r.dim != d:
                 raise InputError(
                     "sample %r has pencil dim %d, expected n-1 = %d" % (p.label, p.r.dim, d)
                 )
-        object.__setattr__(self, "points", pts)
+        for name, value in zip(self.__slots__, (int(n), dlt, pts)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -166,11 +157,11 @@ def _records(field: PencilField, delta: float) -> List[_Record]:
     return out
 
 
-def _check_delta(field: PencilField, delta: float) -> float:
+def _check_delta(field: PencilField, delta: float, name: str = "delta") -> float:
     delta = float(delta)
     if not (math.isfinite(delta) and 0.0 < delta <= field.delta):
         raise InputError(
-            "delta must lie in (0, %g] for this field, got %g" % (field.delta, delta)
+            "%s must lie in (0, %g] for this field, got %g" % (name, field.delta, delta)
         )
     return delta
 

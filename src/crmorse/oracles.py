@@ -551,6 +551,20 @@ def _range_sum(p: List[int], a: int, b: int) -> int:
     return total
 
 
+def _check_window(spec: TorusBundleSpec, k: int, name: str, value: int) -> None:
+    """An InputError naming ``name`` and the digits of ``value``, the input
+    that set level k, when the window k * delta leaves floating-point range."""
+    try:
+        reach = k * spec.delta
+    except OverflowError:  # k beyond float range
+        reach = math.inf
+    if reach == math.inf:
+        raise InputError(
+            "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
+            % (name, len(str(value)))
+        )
+
+
 def _dimension_sums(
     spec: TorusBundleSpec, k: int, cal: LatticeCalibration, name: str = "k"
 ) -> List[int]:
@@ -568,17 +582,9 @@ def _dimension_sums(
     Errors about k name ``name``.
     """
     if not isinstance(k, numbers.Integral) or k < 1:
-        raise InputError("k must be a positive integer, got %r" % (k,))
+        raise InputError("%s must be a positive integer, got %r" % (name, k))
     k = int(k)
-    try:
-        reach = k * spec.delta
-    except OverflowError:  # k beyond float range
-        reach = math.inf
-    if reach == math.inf:  # the inertia reads below take k * mu in floats
-        raise InputError(
-            "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
-            % (name, len(str(k)))
-        )
+    _check_window(spec, k, name, k)  # the inertia reads below take k * mu in floats
     # exact, with delta read as the decimal it prints as: 0.3 is 3/10, not
     # the binary float below it
     window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))

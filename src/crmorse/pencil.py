@@ -27,7 +27,6 @@ morse._CHUNK) to keep memory bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,6 +68,37 @@ class _IdenticallyZero:
 
 
 IDENTICALLY_ZERO = _IdenticallyZero()
+
+
+class _Frozen:
+    """Base of the validating value classes (RealPolynomial here, PencilPoint
+    and PencilField in morse).  Each subclass names its fields in
+    ``__slots__`` and sets them once, in ``__init__``, through
+    object.__setattr__; afterwards they are read-only.  Instances compare,
+    hash and print by their fields, in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
 
 
 class HermitianMatrix:
@@ -179,14 +209,13 @@ def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     return Inertia(int(neg), a.dim - int(neg) - int(pos), int(pos), float(tols))
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class RealPolynomial(_Frozen):
     """Real polynomial in ascending-degree coefficient order."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+    def __init__(self, coeffs):
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("polynomial coefficients must be a nonempty 1-d array")
         arr = arr.copy()

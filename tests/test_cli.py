@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 import crmorse
+import crmorse.__main__
+import crmorse.cli
 from crmorse.cli import parse_field, run, serialize_field
 from crmorse.errors import InputError
 
@@ -648,13 +650,17 @@ FAMILIES = {
                 ["convergence", "--example", "torus-d1", "--kmax", "20", "--cal", "{cal}"]],
 }
 
-# run in a fresh interpreter: run the commands, then list sys.modules
+# run in a fresh interpreter: run the commands, then list sys.modules and
+# the BLAS thread count that importing and running left in the environment
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 from crmorse.cli import run
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+blas = os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules), "blas": blas}))
 """
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_each_command_family_imports_only_its_modules(tmp_path):
@@ -669,6 +675,8 @@ def test_each_command_family_imports_only_its_modules(tmp_path):
     }
     argvs["help"] = [["--help"]]
     env = dict(os.environ, PYTHONPATH=str(Path(crmorse.__file__).parents[1]))
+    for name in BLAS_THREAD_VARIABLES:
+        env.pop(name, None)
     procs = {  # concurrently, to keep the test short
         family: subprocess.Popen(
             [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
@@ -683,12 +691,37 @@ def test_each_command_family_imports_only_its_modules(tmp_path):
         report = json.loads(out.splitlines()[-1])
         assert report["codes"] == [0] * len(argvs[family]), err
         loaded[family] = set(report["modules"])
-    assert not loaded["field"] & {"crmorse.model", "crmorse.oracles", "numpy.polynomial", "fractions"}
-    assert not loaded["model"] & {"crmorse.morse", "crmorse.oracles"}
-    assert "crmorse.model" not in loaded["lattice"]
+        assert report["blas"] is None  # only the process entry sets a thread count
+    handlers = {"crmorse.cli_model", "crmorse.cli_lattice"}
+    assert not loaded["field"] & {"crmorse.model", "crmorse.oracles", "numpy.polynomial", "fractions",
+                                  "dataclasses", *handlers}
+    assert not loaded["model"] & {"crmorse.morse", "crmorse.oracles", "numpy.polynomial",
+                                  "crmorse.cli_lattice"}
+    assert not loaded["lattice"] & {"crmorse.model", "crmorse.cli_model"}
+    assert "crmorse.cli_model" in loaded["model"] and "crmorse.cli_lattice" in loaded["lattice"]
     # --help pays the same base as every command: numpy and the pencil engine
     assert {"numpy", "crmorse.pencil"} <= loaded["help"]
-    assert not loaded["help"] & {"crmorse.morse", "crmorse.model", "crmorse.oracles"}
+    assert not loaded["help"] & {"crmorse.morse", "crmorse.model", "crmorse.oracles", *handlers}
+
+
+@pytest.mark.parametrize(
+    "user",
+    [{}, {"OPENBLAS_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "3"}, {"MKL_NUM_THREADS": "2"}],
+    ids=["default", "openblas", "omp", "mkl"],
+)
+def test_entry_point_defaults_blas_to_one_thread(monkeypatch, user):
+    # python -m crmorse and the crmorse script run crmorse.__main__.main, which
+    # must set the default before crmorse.cli (and so numpy) is imported; a
+    # thread count the user set is left as it is
+    seen = []
+    monkeypatch.setattr(crmorse.cli, "main", lambda: seen.append(dict(os.environ)))
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in user.items():
+        monkeypatch.setenv(name, value)
+    crmorse.__main__.main()
+    counts = {name: seen[0][name] for name in BLAS_THREAD_VARIABLES if name in seen[0]}
+    assert counts == (user or {"OPENBLAS_NUM_THREADS": "1"})
 
 
 PUBLIC_NAMES = """
@@ -812,17 +845,23 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
         (["extremal-check", "--q", "0", "--nodes", "16", "--z", "1e200,0"], MODEL_DOC,
          "--z: the extremal form at this z leaves floating-point range"),
         (["convergence", "--example", "torus-d1", "--kmin", "10", "--kmax", str(K400)], None,
-         "--kmax: an integer of 400 digits, whose window k * delta leaves floating-point range"),
+         "--kmax: an integer of 401 digits, whose window k * delta leaves floating-point range"),
         (["convergence", "--example", "torus-d1", "--q", "0", "--kmin", str(K400), "--kmax", str(K400)],
          None, "--kmin: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+        (["torus-demo", "--k", "0"], None, "--k must be a positive integer, got 0"),
+        (["bergman-check", "--q", "0", "--eta", "inf"], MODEL_DOC, "--eta must be finite, got inf"),
+        (["extremal-check", "--q", "0", "--theta", "inf"], MODEL_DOC, "--theta must be finite, got inf"),
+        (["morse", "--delta", "0"], MINIMAL, "--delta must lie in (0, 1] for this field, got 0"),
+        (["morse", "--delta", "2"], MINIMAL, "--delta must lie in (0, 1] for this field, got 2"),
     ],
     ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
-         "convergence-kmax", "convergence-kmin"],
+         "convergence-kmax", "convergence-kmin", "torus-k", "bergman-eta", "extremal-theta",
+         "morse-delta-0", "morse-delta-2"],
 )
 def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expected):
     if doc is not None:
         argv = argv + ["--input", str(write_json(tmp_path, "doc.json", doc))]
-    if argv[0] == "convergence":
+    if argv[0] in ("convergence", "torus-demo"):
         argv = argv + ["--cal", str(tmp_path / "cal.json")]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected

@@ -33,6 +33,7 @@ from crmorse.model import (
     ModelData,
     _bergman_gram,
     _frame,
+    _gauss_legendre,
     _permanents,
     _positive_definite,
     bergman_bruteforce,
@@ -317,6 +318,15 @@ def test_szego_sum_rule(seed, d):
 
 
 # --------------------------------------------------------- extremal_form
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_gauss_legendre_matches_numpy(n):
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.abs(nodes - ref_nodes).max() <= 1e-15
+    assert (np.abs(weights - ref_weights) / ref_weights).max() <= 1e-10
+    assert abs(weights.sum() - 2.0) <= 1e-14
 
 
 def test_extremal_form_d1_frozen():

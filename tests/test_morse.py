@@ -34,7 +34,7 @@ from crmorse.morse import (
     strong_sums,
     weak_bound,
 )
-from crmorse.pencil import HermitianMatrix
+from crmorse.pencil import HermitianMatrix, RealPolynomial
 from oracle_tools import (
     oracle_signature_intervals,
     random_hermitian,
@@ -78,6 +78,26 @@ def test_field_validation():
         PencilPoint(label="w", r=hm([[1]]), el=hm([[1]]), weight=0.0)
     with pytest.raises(InputError):
         PencilPoint(label="w", r=hm([[1]]), el=hm([[1, 0], [0, 1]]))
+
+
+def test_value_classes_are_read_only_and_compare_by_fields():
+    r, el = hm([[1]]), hm([[2]])
+    p = PencilPoint("a", r, el, 2)
+    field = PencilField(np.int64(2), 1, [p])
+    poly = RealPolynomial([1, 2])
+    assert (p.weight, field.n, field.delta) == (2.0, 2, 1.0)
+    assert type(p.weight) is float and type(field.n) is int and type(field.delta) is float
+    assert p == PencilPoint(label="a", r=r, el=el, weight=2.0) and hash(p) == hash(PencilPoint("a", r, el, 2))
+    assert p != PencilPoint("b", r, el, 2.0) and p != ("a", r, el, 2.0)
+    assert field == PencilField(2, 1.0, [p]) and field != PencilField(2, 0.5, [p])
+    assert repr(p) == "PencilPoint(label='a', r=HermitianMatrix(dim=1), el=HermitianMatrix(dim=1), weight=2.0)"
+    assert repr(poly) == "RealPolynomial(coeffs=array([1., 2.]))"
+    for obj, name in ((p, "weight"), (field, "points"), (poly, "coeffs")):
+        with pytest.raises(AttributeError, match="cannot assign to field '%s'" % name):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert not poly.coeffs.flags.writeable
 
 
 def test_density_argument_validation():

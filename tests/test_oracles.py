@@ -17,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crmorse.cli import _example_specs
+from crmorse.cli_lattice import _example_specs
 from crmorse.errors import CalibrationError, InputError
 from crmorse.morse import bigness_verdict, classify_bundle, density_q
 from crmorse.oracles import (
