@@ -423,6 +423,14 @@ def _cmd_chambers(args, started):
         )
     pt = field.points[args.point]
     delta = field.delta if args.delta is None else args.delta
+    if not delta > 0.0:
+        raise InputError("--delta must be positive, got %g" % delta)
+    if not math.isfinite(delta):
+        raise InputError("--delta must be finite, got %g" % delta)
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise InputError("--tol must be finite, got %g" % args.tol)
+    if args.tol is not None and args.tol < 0.0:
+        raise InputError("--tol must be nonnegative, got %g" % args.tol)
     dec, masses, _ = _decompose(pt.r, pt.el, delta, args.tol)
     result = {
         "label": pt.label,

@@ -43,18 +43,19 @@ def _finite_flag(value: float, flag: str) -> float:
     return value
 
 
+def _q_flag(q: int, d: int) -> int:
+    if not 0 <= q <= d:
+        raise InputError("--q must be in 0..%d, got %d" % (d, q))
+    return q
+
+
 def _cmd_szego(args, started):
     from .model import _szego_table
 
     raw = _read_input(args)
     data = parse_model(raw)
     cs, densities = _szego_table(data)
-    if args.q is None:
-        qs = list(range(data.d + 1))
-    else:
-        if not 0 <= args.q <= data.d:
-            raise InputError("--q must be in 0..%d, got %d" % (data.d, args.q))
-        qs = [args.q]
+    qs = list(range(data.d + 1)) if args.q is None else [_q_flag(args.q, data.d)]
     result = {
         "d": data.d,
         "delta": data.delta,
@@ -73,7 +74,10 @@ def _cmd_extremal(args, started):
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
     theta = _finite_flag(args.theta, "--theta")
-    form = _extremal_form(data, args.q, z, theta, args.nodes, "--z")
+    q = _q_flag(args.q, data.d)
+    if args.nodes < 16:
+        raise InputError("--nodes must be >= 16, got %d" % args.nodes)
+    form = _extremal_form(data, q, z, theta, args.nodes, "--z")
     result = {
         "q": args.q,
         "theta": args.theta,
@@ -99,7 +103,7 @@ def _cmd_bergman(args, started):
         raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
     z = _parse_z(args.z, data.d)
     eta = _finite_flag(args.eta, "--eta")
-    val = _bergman_diag(data, eta, args.q, z, "--z")
+    val = _bergman_diag(data, eta, _q_flag(args.q, data.d), z, "--z")
     bruteforce = None
     rel_gap = None
     if _positive_definite(m_phi_eta(data, eta).entries)[0] and args.q == 0 and not np.any(z):

@@ -18,11 +18,9 @@ pencil (mu, -diag(lambda)) with s identified to eta.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -32,6 +30,7 @@ from .pencil import (
     ChamberDecomposition,
     HermitianMatrix,
     _decompose,
+    _Frozen,
     _signature_masses,
     inertia,
     signature_set,
@@ -54,34 +53,27 @@ TWO_PI = 2.0 * math.pi
 _GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8 MB)
 
 
-@dataclass(frozen=True)
-class ModelData:
+class ModelData(_Frozen):
     """Model weight data at a point: Levi eigenvalues, curvature, window."""
 
-    d: int
-    lam: np.ndarray
-    mu: HermitianMatrix
-    delta: float
+    __slots__ = ("d", "lam", "mu", "delta")
 
-    def __post_init__(self):
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
-            raise InputError("d must be a positive integer, got %r" % (self.d,))
-        object.__setattr__(self, "d", int(self.d))
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if lam.shape != (self.d,) or not np.all(np.isfinite(lam)):
-            raise InputError(
-                "lam must be a finite real vector of length d=%d, got %r"
-                % (self.d, self.lam)
-            )
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        if self.mu.dim != self.d:
-            raise InputError("mu has dim %d, expected d=%d" % (self.mu.dim, self.d))
-        dlt = float(self.delta)
+    def __init__(self, d: int, lam, mu: HermitianMatrix, delta: float):
+        if not isinstance(d, numbers.Integral) or d < 1:
+            raise InputError("d must be a positive integer, got %r" % (d,))
+        d = int(d)
+        arr = np.atleast_1d(np.asarray(lam, dtype=float))
+        if arr.shape != (d,) or not np.all(np.isfinite(arr)):
+            raise InputError("lam must be a finite real vector of length d=%d, got %r" % (d, lam))
+        arr = arr.copy()
+        arr.setflags(write=False)
+        if mu.dim != d:
+            raise InputError("mu has dim %d, expected d=%d" % (mu.dim, d))
+        dlt = float(delta)
         if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("delta must be a positive real, got %r" % (self.delta,))
-        object.__setattr__(self, "delta", dlt)
+            raise InputError("delta must be a positive real, got %r" % (delta,))
+        for name, value in zip(self.__slots__, (d, arr, mu, dlt)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -192,15 +184,15 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanV
 
 
 def _permanents(a: np.ndarray) -> np.ndarray:
-    """Permanents of a (..., p, p) stack: the scalar expansion, elementwise."""
+    """Permanents of a (..., p, p) stack by Glynn's formula (Eur. J. Combin.
+    31, 2010): perm A = 2^(1-p) sum over sign vectors e with e_0 = 1 of
+    prod_i e_i prod_j sum_i e_i a_ij, 2^(p-1) terms in place of p!."""
     p = a.shape[-1]
-    total = np.zeros(a.shape[:-2], dtype=complex)
-    for perm in itertools.permutations(range(p)):
-        term = np.ones(a.shape[:-2], dtype=complex)
-        for i, j in enumerate(perm):
-            term = term * a[..., i, j]
-        total = total + term
-    return total
+    if p == 0:
+        return np.ones(a.shape[:-2], dtype=complex)
+    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+    signs = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
+    return (np.prod(signs @ a, axis=-1) @ np.prod(signs, axis=1)) / (1 << (p - 1))
 
 
 def _positive_definite(m: np.ndarray) -> Tuple[bool, float]:
@@ -230,7 +222,9 @@ def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
         idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
         block = gram[off : off + len(idx), off : off + len(idx)]
         off += len(idx)
-        step = max(1, _GATHER_ENTRIES // max(1, idx.size * idx.shape[1]))
+        # one row of the block: len(idx) gathered p x p matrices and their
+        # 2^(p-1) x p Glynn sums
+        step = max(1, _GATHER_ENTRIES // max(1, len(idx) * deg * (deg + (1 << max(deg - 1, 0)))))
         for r0 in range(0, len(idx), step):
             # the gathered stack is [r, c] -> cov[np.ix_(idx[r0 + r], idx[c])]
             block[r0 : r0 + step] = mass * _permanents(
@@ -266,28 +260,43 @@ def szego_density(data: ModelData, q: int) -> float:
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
 
-    Newton's method on P_n, evaluated by its three-term recurrence, from
-    Tricomi's first guesses, for the nodes in [0, 1); the others mirror
-    them.  The weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' from a pass
-    made after the nodes converged.
+    Newton's method on P_n, evaluated by its three-term recurrence, for the
+    nodes in [0, 1); the others mirror them.  The first guesses are
+    Tricomi's, with the n^-4 term.  Newton converges like
+    e' <= n^2 e^2 / 5, so it stops once n^2 dx^2 is below rounding: two
+    passes of the recurrence at n = 256.  The weights
+    2 / ((1 - x^2) P_n'(x)^2) take P_n' at the final nodes from its value
+    at the last iterate plus the step times P_n'', which Legendre's
+    equation gives.
     """
     m = (n + 1) // 2
-    k = np.arange(1, m + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    step = math.inf
+    theta = np.pi * (4 * np.arange(1, m + 1) - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
     for _ in range(100):
         p0, p1 = np.ones(m), x
         for j in range(2, n + 1):
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = n * (x * p1 - p0) / (x * x - 1.0)
-        if step <= 1e-15:
-            break
         dx = p1 / dp
+        dp = dp - dx * (2.0 * x * dp - n * (n + 1) * p1) / (1.0 - x * x)  # (1 - x^2) P'' = 2x P' - n(n+1) P
         x = x - dx
-        step = float(np.abs(dx).max())
+        if n * n * float(np.abs(dx).max()) ** 2 <= 2e-16:
+            break
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     h = n // 2
     return np.concatenate([-x, x[:h][::-1]]), np.concatenate([w, w[:h][::-1]])
+
+
+def _fsum_columns(terms: np.ndarray) -> np.ndarray:
+    """The exactly rounded column sums of the complex (k, m) array ``terms``,
+    each part by math.fsum, so they do not depend on the order of the rows;
+    inf where a term or a sum is not finite."""
+    if not (np.isfinite(terms.real).all() and np.isfinite(terms.imag).all()):
+        return np.full(terms.shape[1], math.inf, dtype=complex)
+    try:
+        return np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in terms.T])
+    except OverflowError:  # a sum beyond floating-point range
+        return np.full(terms.shape[1], math.inf, dtype=complex)
 
 
 _FRAME_TOL = 1e-10
@@ -356,34 +365,22 @@ def _extremal_form(
     c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
     js = list(itertools.combinations(range(data.d), q))
     nodes, weights = _gauss_legendre(int(eta_quad_points))
-    half = np.array([[0.5 * (ch.hi - ch.lo)] for ch in cells])
-    etas = half * nodes + np.array([[0.5 * (ch.hi + ch.lo)] for ch in cells])
-    wts = (half * weights).ravel().tolist()
-    vs, qmats = _frame(data.mu.entries - 2.0 * etas.reshape(-1, 1, 1) * np.diag(data.lam), q)
+    half = np.array([0.5 * (ch.hi - ch.lo) for ch in cells])[:, None]
+    etas = (half * nodes + np.array([0.5 * (ch.hi + ch.lo) for ch in cells])[:, None]).ravel()
+    wts = (half * weights).ravel()
+    vs, qmats = _frame(data.mu.entries - 2.0 * etas[:, None, None] * np.diag(data.lam), q)
     coeffs = np.linalg.det(qmats[:, np.array(js, dtype=np.intp), :q])  # 1 when q = 0
-    u = np.zeros(len(js), dtype=complex)
-    u_origin = np.zeros(len(js), dtype=complex)
-    norm_terms: List[float] = []
+    absdet = np.prod(np.abs(vs), axis=1)
+    base = wts * c0 * absdet
+    wcoord = np.einsum("kji,j->ki", qmats[:, :, :q].conj(), z)  # the first q coordinates of Q* z
     with np.errstate(over="ignore", invalid="ignore"):  # a z out of range fails below
         lam_zsq = float(data.lam @ (np.abs(z) ** 2))
-        for eta, wt, v, qmat, frame_coeff in zip(etas.ravel().tolist(), wts, vs, qmats, coeffs):
-            absdet = float(np.prod(np.abs(v)))
-            base = wt * c0 * absdet
-            u_origin += base * frame_coeff
-            wcoord = qmat.conj().T @ z
-            exponent = 1j * theta * eta + eta * lam_zsq + float(v[:q] @ (np.abs(wcoord[:q]) ** 2))
-            try:
-                u += base * cmath.exp(exponent) * frame_coeff
-            except OverflowError:  # e^exponent beyond floating-point range
-                u += math.inf
-            norm_terms.append(
-                wt * c0 * c0 * absdet * absdet * float(np.prod(TWO_PI / np.abs(v)))
-            )
+        exponent = 1j * theta * etas + etas * lam_zsq + (vs[:, :q] * np.abs(wcoord) ** 2).sum(axis=1)
+        u = _fsum_columns((base * np.exp(exponent))[:, None] * coeffs) / TWO_PI
     if not np.all(np.isfinite(u)):
         raise InputError("%s: the extremal form at this z leaves floating-point range" % name)
-    u /= TWO_PI
-    u_origin /= TWO_PI
-    norm_check = math.fsum(norm_terms) / TWO_PI
+    u_origin = _fsum_columns(base[:, None] * coeffs) / TWO_PI
+    norm_check = math.fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI
     szego = total_mass / TWO_PI**data.n
     peak_check = float(np.sum(np.abs(u_origin) ** 2)) / szego
     return ExtremalForm(

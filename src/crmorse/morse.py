@@ -6,8 +6,8 @@ density coefficients, weak and strong bound prefactors, the asymptotic
 Riemann-Roch-Hirzebruch total, the X(q) distance certificate, and the
 positivity / bigness verdicts.
 
-Each sample's pencil is decomposed once per window into a chamber
-record, the points of a field together in stacked passes of at most
+Each sample's pencil is decomposed once into a chamber record per
+window, the points of a field together in stacked passes of at most
 _CHUNK points; every quantity is a reduction over those records, run in
 input order with math.fsum so reports are byte-reproducible.
 """
@@ -144,16 +144,21 @@ def _chunks(field: PencilField):
     return (pts[i : i + _CHUNK] for i in range(0, len(pts), _CHUNK))
 
 
-def _records(field: PencilField, delta: float) -> List[_Record]:
-    out = []
+def _records(field: PencilField, *deltas: float) -> List[List[_Record]]:
+    """Each sample's record over each window of ``deltas``, one list per
+    window, all read from one decomposition of each pencil over the field
+    window."""
+    out: List[List[_Record]] = [[] for _ in deltas]
     for chunk in _chunks(field):
         batch = _decompose_batch(
             np.stack([p.r.entries for p in chunk]),
             np.stack([p.el.entries for p in chunk]),
-            delta,
+            deltas,
             labels=[p.label for p in chunk],
+            span=field.delta,
         )
-        out.extend(_Record(dec.chambers, _signature_masses(dec, m), signed) for dec, m, signed in batch)
+        for records, window in zip(out, batch):
+            records.extend(_Record(dec.chambers, _signature_masses(dec, m), signed) for dec, m, signed in window)
     return out
 
 
@@ -203,7 +208,7 @@ def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] =
     """
     q = _check_q(field, q)
     delta = _check_delta(field, delta)
-    return _densities(field, _records(field, delta))[q]
+    return _densities(field, _records(field, delta)[0])[q]
 
 
 def _power(k: int, n: int, name: str, factor: int = 1) -> float:
@@ -247,13 +252,13 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     between separately rounded chamber masses.
     """
     delta = _check_delta(field, delta)
-    return _rrh(field, _records(field, delta))
+    return _rrh(field, _records(field, delta)[0])
 
 
 def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
     """Strong Morse alternating partial sums; entry d is the RRH total."""
     delta = _check_delta(field, delta)
-    records = _records(field, delta)
+    records = _records(field, delta)[0]
     return _strong_from(_densities(field, records), _rrh(field, records))
 
 
@@ -277,7 +282,7 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
     certificate speaks only for the sample set, not the continuum.
     """
     q = _check_q(field, q)
-    return _xq(field, _records(field, field.delta), q)
+    return _xq(field, _records(field, field.delta)[0], q)
 
 
 def _positivity(field: PencilField, records: Sequence[_Record]) -> Positivity:
@@ -302,7 +307,7 @@ def classify_bundle(field: PencilField, threads: Optional[int] = None) -> Positi
     (the distance from 0 to the nearest chamber carrying a negative
     eigenvalue), or None when no positive radius exists.
     """
-    return _positivity(field, _records(field, field.delta))
+    return _positivity(field, _records(field, field.delta)[0])
 
 
 def _bigness_from(positivity: Positivity) -> Bigness:
@@ -327,12 +332,14 @@ def build_morse_report(
 
     Densities and sums are evaluated at ``delta`` (default: the field
     window); X(q) and positivity always use the full field window, as
-    their definitions fix it.  Each sample is decomposed once per
-    distinct window.
+    their definitions fix it.  Each sample is decomposed once, and both
+    windows read that decomposition.
     """
     delta = field.delta if delta is None else _check_delta(field, delta)
-    records = _records(field, delta)
-    window = records if delta == field.delta else _records(field, field.delta)
+    if delta == field.delta:
+        records = window = _records(field, delta)[0]
+    else:
+        records, window = _records(field, delta, field.delta)
     densities = _densities(field, records)
     total = _rrh(field, records)
     positivity = _positivity(field, window)

@@ -1,26 +1,46 @@
 """Signature chambers of the Hermitian pencil A(s) = R + 2sL.
 
-The pencil is decomposed over [-delta, delta] into maximal open intervals
-on which the eigenvalue-sign signature (inertia) is constant.  Chamber
-boundaries are the real roots of the characteristic polynomial
-p(s) = det(R + 2sL), recovered by determinant evaluation at d+1 probe
-points followed by a Vandermonde solve (exact for degree <= d and
-numerically adequate for d <= 8, the documented range).  Integrals of
-|det| over chambers use the exact polynomial antiderivative, so the only
-numerical error is in root location.
+The pencil is decomposed over [-delta, delta] into open intervals on which
+the eigenvalue-sign signature (inertia) is constant.  The chamber
+boundaries are the real roots of p(s) = det(R + 2sL).  They, the
+coefficients of p and the |det| mass of every chamber are all read from one
+eigenvalue decomposition per pencil:
 
-One engine decomposes a whole stack of pencils (n, d, d) at once, and a
-single pencil is the n = 1 case of it.  Each stage is one call on the
-stack: an eigenvalue call per degeneracy probe (for the pencils no earlier
-probe cleared), one determinant call on (n, d+1, d, d), one Vandermonde
-solve, root isolation one derivative degree at a time for all rows of that
-degree, one eigenvalue call over every chamber midpoint, and one
-antiderivative evaluation at every chamber end.  Root isolation refines
-its roots by plain bisection: the sign-change brackets of one degree are
-halved in lockstep, one polynomial evaluation per round, at most 200
-rounds.  Every result is bit for bit what the same steps give one pencil
-at a time.  The stacks of one call hold about (d+1) d^2 complex numbers
-per pencil, so callers with many pencils pass them in chunks (see
+* Units.  With s = delta x, the engine works over x in [-1, 1] on
+  (R, delta L) divided by the power of two 2^e just above
+  max(max|R_ij|, 2 delta max|L_ij|).  Nothing inside can overflow, and
+  scaling (R, L) by a power of two changes e and nothing else.  Masses are
+  scaled back by delta 2^(d e) at the end.  Eigenvalue tolerances are
+  1e-9 sigma with sigma = ||R||_F + 2 delta ||L||_F, so no test depends on
+  the units of the input.
+* Degeneracy.  The eigenvalues are evaluated at d + 2 probes in [-1, 1].  A
+  pencil whose smallest |eigenvalue| is within tolerance of zero at every
+  probe is degenerate: R and L share a near-common kernel.
+* Roots.  Take the probe x0 with the largest min|eig| / max|eig| and the
+  eigenvalues nu_i of N = A(x0)^-1 L.  A(x) = A(x0) (I + 2 (x - x0) N), so
+
+      det A(x) = det A(x0) prod_i ((1 - 2 x0 nu_i) + 2 nu_i x).
+
+  The roots are x0 - 1/(2 nu_i); a singular L only sends some of them to
+  infinity.  Expanding the product gives the coefficients.  This is the QZ
+  idea of Moler and Stewart (SIAM J. Numer. Anal. 10, 1973), made cheap by
+  the shift: one batched solve and one batched eigenvalue call.
+* Resolution.  Roots within _WIDTH = 1e-5 (in units of delta) of each
+  other and of the real axis are one root, their mean, and a root that
+  close to +-delta is not a chamber boundary.  A tangency, where an
+  eigenvalue of A(s) touches 0 without crossing, is a double root that the
+  eigenvalue solver splits by about 1e-8 into a real or a complex pair: it
+  is kept as one root, and the two chambers beside it, of equal inertia,
+  stay split.  Semisimple repeated roots (several eigenvalues crossing 0 at
+  one s) come out exact to rounding.
+* Chambers.  Inertia is read at each chamber's midpoint, in one eigenvalue
+  call over every chamber of the stack.  The |det| mass of a chamber is the
+  difference of the exact antiderivative of p at its ends.
+
+Each stage is one numpy call on the whole (n, d, d) stack.  A pencil's
+roots and chambers are bit for bit what it gets alone, and its masses agree
+to rounding: numpy may round a complex product differently at different
+array lengths.  Callers with many pencils pass them in chunks (see
 morse._CHUNK) to keep memory bounded.
 """
 
@@ -51,6 +71,7 @@ __all__ = [
 
 _HERMITIAN_INPUT_TOL = 1e-12
 _INERTIA_REL_TOL = 1e-9
+_WIDTH = 1e-5  # resolution of roots and chambers, relative to the window's scale
 
 
 class _IdenticallyZero:
@@ -72,8 +93,8 @@ IDENTICALLY_ZERO = _IdenticallyZero()
 
 class _Frozen:
     """Base of the validating value classes (RealPolynomial here, PencilPoint
-    and PencilField in morse).  Each subclass names its fields in
-    ``__slots__`` and sets them once, in ``__init__``, through
+    and PencilField in morse, ModelData in model).  Each subclass names its
+    fields in ``__slots__`` and sets them once, in ``__init__``, through
     object.__setattr__; afterwards they are read-only.  Instances compare,
     hash and print by their fields, in ``__slots__`` order."""
 
@@ -183,18 +204,22 @@ class Inertia(NamedTuple):
         return (self.neg, self.zero, self.pos)
 
 
+def _check_tol(tol) -> float:
+    tol = float(tol)
+    if not math.isfinite(tol):
+        raise InputError("inertia tolerance must be finite, got %g" % tol)
+    if tol < 0.0:
+        raise InputError("inertia tolerance must be nonnegative, got %g" % tol)
+    return tol
+
+
 def _signatures(w: np.ndarray, tol: Union[float, None] = None):
     """Negative and positive counts and the tolerance of each eigenvalue row
     of ``w`` (..., d), as ``inertia`` reads them."""
     if tol is None:
         tols = _INERTIA_REL_TOL * (1.0 + np.abs(w).max(axis=-1))
     else:
-        tol = float(tol)
-        if not math.isfinite(tol):
-            raise InputError("inertia tolerance must be finite, got %g" % tol)
-        if tol < 0.0:
-            raise InputError("inertia tolerance must be nonnegative, got %g" % tol)
-        tols = np.full(w.shape[:-1], tol)
+        tols = np.full(w.shape[:-1], _check_tol(tol))
     t = tols[..., None]
     return (w < -t).sum(axis=-1), (w > t).sum(axis=-1), tols
 
@@ -259,164 +284,92 @@ class RealPolynomial(_Frozen):
         return RealPolynomial(np.concatenate([np.zeros(1), c / np.arange(1, c.size + 1)]))
 
 
-def _char_coeffs(r: np.ndarray, el: np.ndarray) -> np.ndarray:
-    """Coefficients of det(R + 2sL) for each pencil of the (n, d, d) stacks,
-    one row per pencil; see pencil_char_poly."""
-    d = r.shape[-1]
-    j = np.arange(d + 1)
-    probes = np.cos((2 * j + 1) * np.pi / (2 * (d + 1)))
-    dets = np.linalg.det(r[:, None] + (2.0 * probes)[:, None, None] * el[:, None]).real
-    # one Vandermonde copy per row, not one multi-right-hand-side solve: each
-    # row then equals its own solve bit for bit
-    vand = np.vander(probes, d + 1, increasing=True)[None].repeat(len(dets), axis=0)
-    coeffs = np.linalg.solve(vand, dets[..., None])[..., 0]
-    coeffs[~dets.any(axis=1)] = 0.0
-    cmax = np.abs(coeffs).max(axis=1, keepdims=True)
-    coeffs[np.abs(coeffs) < 1e-12 * cmax] = 0.0
-    return coeffs
-
-
-def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
-    """Coefficients of p(s) = det(R + 2sL).
-
-    Evaluates the determinant at d+1 Chebyshev probe points and solves the
-    Vandermonde system; exact for the true degree <= d.  Coefficients
-    below 1e-12 of the largest one are clamped to zero to suppress
-    interpolation noise.
-    """
-    if r.dim != el.dim:
-        raise InputError(
-            "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
-        )
-    return RealPolynomial(_char_coeffs(r.entries[None], el.entries[None])[0])
-
-
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """numpy.polynomial.polynomial.polyval of coefficient row c[i] (ascending)
-    at every x[i, :], in polyval's order of operations, so each value equals
-    polyval's bit for bit."""
+    at every x[i, :], in polyval's order of operations."""
     v = c[:, -1:] + x * 0
     for i in range(2, c.shape[1] + 1):
         v = c[:, -i, None] + v * x
     return v
 
 
-def _compact(a: np.ndarray) -> np.ndarray:
-    """Move the NaN padding of each ascending row to its end, in place, and
-    drop all-padding columns."""
-    a.sort(axis=1)
-    return a[:, ~np.isnan(a).all(axis=0)]
+def _probe(r: np.ndarray, el: np.ndarray, delta: float):
+    """The pencils of the (n, d, d) stacks in the engine's units, and their
+    eigenvalues at the probes: (e, rn, ln, tols, x, w).
+
+    rn = R 2^-e and ln = delta L 2^-e, where 2^e is the least power of two
+    above max(max|R_ij|, 2 delta max|L_ij|); tols is 1e-9 (||rn||_F +
+    2 ||ln||_F); w (n, d + 2, d) holds the eigenvalues of rn + 2 x ln at the
+    d + 2 probes x, equally spaced on [-1, 1].  R +- 2 delta L must be
+    finite."""
+    step = 2.0 * delta * el
+    top = np.maximum(np.abs(r).max(axis=(1, 2)), np.abs(step).max(axis=(1, 2)))
+    e = np.maximum(np.frexp(top)[1], -1021)  # top < 2^e, and 2^-e stays finite
+    f = np.ldexp(1.0, -e)[:, None, None]
+    rn, ln = r * f, step * (0.5 * f)
+    tols = _INERTIA_REL_TOL * (np.linalg.norm(rn, axis=(1, 2)) + 2.0 * np.linalg.norm(ln, axis=(1, 2)))
+    x = np.linspace(-1.0, 1.0, r.shape[-1] + 2)
+    w = np.linalg.eigvalsh(rn[:, None] + (2.0 * x)[:, None, None] * ln[:, None])
+    return e, rn, ln, tols, x, w
 
 
-def _bisect(c: np.ndarray, a: np.ndarray, b: np.ndarray, up: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect each bracket [a, b] of coefficient row c, where c changes sign
-    and ``up`` says whether it is positive at a, and return what a scalar
-    bisection returns: the midpoint of the first bracket no longer than
-    tol, an exact zero met on the way, or the midpoint after 200 halvings.
-
-    The brackets are halved in lockstep: each round evaluates the midpoint
-    of every live bracket in one call and retires the brackets that are
-    done."""
-    out = np.empty(a.shape)
-    live = np.arange(a.size)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        v = _horner(c, m[:, None])[:, 0]
-        stop = (b - a <= tol) | (v == 0.0)
-        out[live[stop]] = m[stop]
-        right = (v > 0.0) == up  # the root lies right of m
-        go = ~stop
-        a, b = np.where(right, m, a)[go], np.where(right, b, m)[go]
-        live, c, up = live[go], c[go], up[go]
-        if not live.size:
-            return out
-    out[live] = 0.5 * (a + b)
-    return out
+def _spectrum(rn: np.ndarray, ln: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """The complex roots (n, d) and the ascending real coefficients
+    (n, d + 1) of det(rn + 2x ln) for each pencil, from the eigenvalues of
+    A(x0)^-1 ln at the probe x0 with the largest min|eig| / max|eig|.  Every
+    pencil must have a probe where A is not singular."""
+    a = np.abs(w)
+    with np.errstate(invalid="ignore"):  # 0/0 at a probe where A vanishes
+        k = np.nan_to_num(a.min(axis=2) / a.max(axis=2)).argmax(axis=1)
+    x0 = x[k]
+    nu = np.linalg.eigvals(np.linalg.solve(rn + (2.0 * x0)[:, None, None] * ln, ln))
+    b = 2.0 * nu
+    a0 = 1.0 - x0[:, None] * b  # det A(x) = det A(x0) prod_i (a0_i + b_i x)
+    c = np.zeros((len(k), rn.shape[-1] + 1), dtype=complex)
+    c[:, 0] = np.prod(w[np.arange(len(k)), k], axis=1)
+    for i in range(nu.shape[1]):
+        c[:, 1:] = c[:, 1:] * a0[:, i, None] + c[:, :-1] * b[:, i, None]
+        c[:, 0] *= a0[:, i]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # nu = 0: a root at infinity
+        roots = x0[:, None] - 0.5 / nu
+    return roots, c.real
 
 
-def _level_roots(q: np.ndarray, crit: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
-    """Roots in [lo, hi] of each degree >= 2 row of q, given the sorted
-    NaN-padded roots ``crit`` of its derivative.  q is strictly monotone
-    between consecutive stationary points, so each sign change brackets
-    exactly one root; tangent roots show as near-zero stationary values."""
-    k = q.shape[0]
-    cand = np.concatenate([crit, np.full((k, 1), hi)], axis=1)
-    pts = np.full((k, cand.shape[1] + 1), np.nan)
-    pts[:, 0] = last = np.full(k, lo)
-    for j in range(cand.shape[1]):
-        x = cand[:, j]
-        take = x > last + 1e-15 * (1.0 + np.abs(x))
-        pts[take, j + 1] = last[take] = x[take]
-    pts = _compact(pts)
-    valid = ~np.isnan(pts)
-    xs = np.where(valid, pts, lo)
-    both = _horner(np.concatenate([q, np.abs(q)]), np.concatenate([xs, np.abs(xs)]))
-    vals = both[:k]
-    zero = valid & (np.abs(vals) <= 1e-11 * both[k:] + 1e-300)
-    sign_change = (vals[:, :-1] > 0.0) != (vals[:, 1:] > 0.0)
-    bi, bj = np.nonzero(valid[:, 1:] & ~zero[:, :-1] & ~zero[:, 1:] & sign_change)
-    roots = np.full((k, 2 * pts.shape[1] - 1), np.nan)  # points at even slots, brackets at odd
-    roots[:, ::2] = np.where(zero, pts, np.nan)
-    if bi.size:
-        roots[bi, 2 * bj + 1] = _bisect(q[bi], pts[bi, bj], pts[bi, bj + 1], vals[bi, bj] > 0.0, tol)
-    return _compact(roots)
+def _real_roots(z: np.ndarray, width: float) -> np.ndarray:
+    """The real roots among the complex roots z (n, k) of each row, sorted
+    and NaN-padded: those within ``width`` of the real axis and of [-1, 1],
+    each run of real parts no more than ``width`` apart replaced by its mean,
+    clamped to [-1, 1]."""
+    re = np.where((np.abs(z.imag) <= width) & (np.abs(z.real) <= 1.0 + width), z.real, np.nan)
+    re.sort(axis=1)
+    live = ~np.isnan(re)
+    run = np.cumsum(live & ~(np.diff(re, axis=1, prepend=-np.inf) <= width), axis=1) - 1
+    n, k = re.shape
+    at = (np.arange(n)[:, None] * k + run)[live]  # row i's run j is bin i k + j
+    with np.errstate(invalid="ignore"):  # 0/0: no run there
+        means = np.bincount(at, re[live], n * k) / np.bincount(at, minlength=n * k)
+    return np.clip(means.reshape(n, k)[:, : int(run.max(initial=-1)) + 1], -1.0, 1.0)
 
 
-def _isolate(c: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
-    """Real roots in [lo, hi] of every coefficient row of c (n, D+1), as a
-    sorted NaN-padded (n, w) array.  Roots of a row's derivative chain are
-    found one degree at a time, from the linear derivative up, for all
-    rows of that degree together."""
-    n, width = c.shape
-    nonzero = c != 0.0
-    deg = np.where(nonzero.any(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
-    ders = np.zeros((width, n, width))  # ders[j] is the j-th derivative of each row
-    ders[0] = c
-    for j in range(1, width):
-        ders[j, :, : width - j] = ders[j - 1, :, 1 : width - j + 1] * np.arange(1, width - j + 1)
-    done = []  # (rows, roots) of the rows whose own polynomial a level solved
-    rows = np.flatnonzero(deg >= 1)
-    for m in range(1, int(deg.max(initial=0)) + 1):
-        q = ders[deg[rows] - m, rows, : m + 1]  # each row's derivative of degree m
-        if m == 1:
-            with np.errstate(over="ignore"):  # a root beyond float range is outside [lo, hi]
-                x = -q[:, :1] / q[:, 1:]
-            inside = (lo - 4.0 * tol <= x) & (x <= hi + 4.0 * tol)
-            x = np.where(inside, np.where(x < lo, lo, np.where(x > hi, hi, x)), np.nan)
-        else:
-            x = _level_roots(q, x, lo, hi, tol)
-        top = deg[rows] == m
-        done.append((rows[top], x[top]))
-        rows, x = rows[~top], x[~top]
-    found = np.full((n, max([x.shape[1] for _, x in done], default=0)), np.nan)
-    for top, x in done:
-        found[top, : x.shape[1]] = x
-    return found
+def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
+    """Coefficients of p(s) = det(R + 2sL).
 
-
-def _merge(raw: np.ndarray, eps: float) -> np.ndarray:
-    """Collapse each row's sorted roots closer than eps to their running midpoint."""
-    if not (raw[:, 1:] - raw[:, :-1] <= eps).any():
-        return raw  # nothing to collapse
-    n, w = raw.shape
-    rows = np.arange(n)
-    out = np.full((n, w), np.nan)
-    count = np.zeros(n, dtype=np.intp)
-    for j in range(w):
-        x = raw[:, j]
-        last = out[rows, np.maximum(count - 1, 0)]
-        join = (count > 0) & (x - last <= eps)
-        out[rows[join], count[join] - 1] = 0.5 * (last[join] + x[join])
-        add = ~np.isnan(x) & ~join
-        out[rows[add], count[add]] = x[add]
-        count += add
-    return out
-
-
-def _roots(c: np.ndarray, lo: float, hi: float, tol: float) -> np.ndarray:
-    """Real roots in [lo, hi] of every coefficient row of c, with roots
-    closer than the merge tolerance collapsed, sorted and NaN-padded."""
-    return _merge(_isolate(c, lo, hi, tol), max(4.0 * tol, 1e-11 * (1.0 + max(abs(lo), abs(hi)))))
+    Read from the eigenvalues of A(s0)^-1 L at the best conditioned of d + 2
+    probes s0 in [-1, 1], as in the chamber engine.  A pencil that is
+    singular within 1e-9 (||R||_F + 2 ||L||_F) at every probe gives the zero
+    polynomial.  Coefficients below 1e-12 of the largest one are clamped to
+    zero.
+    """
+    if r.dim != el.dim:
+        raise InputError(
+            "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
+        )
+    e, rn, ln, tols, x, w = _probe(r.entries[None], el.entries[None], 1.0)
+    if not (np.abs(w).min(axis=2) > tols[:, None]).any():
+        return RealPolynomial(np.zeros(r.dim + 1))
+    coeffs = np.ldexp(_spectrum(rn, ln, x, w)[1][0], r.dim * int(e[0]))
+    coeffs[np.abs(coeffs) < 1e-12 * np.abs(coeffs).max()] = 0.0
+    return RealPolynomial(coeffs)
 
 
 def real_roots(
@@ -424,20 +377,25 @@ def real_roots(
 ) -> Union[List[float], _IdenticallyZero]:
     """All real roots of ``p`` in [lo, hi], multiplicities collapsed.
 
-    Roots are isolated by sign-change bisection between the stationary
-    points of the derivative chain; tangent (even multiplicity) roots are
-    picked up where p vanishes at a stationary point.  An identically
-    zero polynomial returns the IDENTICALLY_ZERO marker so callers can
-    raise the degenerate-pencil condition.
+    The roots are the eigenvalues of p's companion matrix (numpy.roots).
+    With w = max(tol, 1e-5 (1 + max(|lo|, |hi|))), those within w of the
+    real axis and of [lo, hi] count, and each run of them no more than w
+    apart is one root, their mean, clamped to [lo, hi].  So a tangent
+    (double) root, which the eigenvalue solver splits by about 1e-8 of its
+    scale, shows once, and so does a triple root.  Floating-point
+    coefficients fix a root of multiplicity m only to about 1e-16^(1/m) of
+    its scale, so one of multiplicity 4 or more may show as two.  An
+    identically zero polynomial returns the IDENTICALLY_ZERO marker so
+    callers can raise the degenerate-pencil condition.
     """
     if not hi > lo:
         raise InputError("real_roots needs hi > lo, got [%g, %g]" % (lo, hi))
     if p.is_zero:
         return IDENTICALLY_ZERO
-    if not tol > 0.0:
-        tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    roots = _roots(np.asarray(p.coeffs, dtype=float)[None], float(lo), float(hi), float(tol))[0]
-    return roots[~np.isnan(roots)].tolist()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    width = max(tol, _WIDTH * (1.0 + max(abs(lo), abs(hi)))) / half
+    x = _real_roots(((np.roots(p.coeffs[::-1]) - mid) / half)[None], width)[0]
+    return np.clip(mid + half * x[~np.isnan(x)], lo, hi).tolist()
 
 
 class Chamber(NamedTuple):
@@ -466,58 +424,40 @@ class _Decomposed(NamedTuple):
     signed: float  # integral of det(R+2sL) over [-delta, delta]
 
 
-def _probe_degenerate(r: np.ndarray, el: np.ndarray, delta: float) -> dict:
-    """Pencils of the stacks whose eigenvalues come within tolerance of zero
-    at every one of d+2 probes in [-delta, delta]: {row: message}.  A probe
-    with no small eigenvalue clears a pencil, and cleared pencils are not
-    probed again."""
-    probes = np.linspace(-delta, delta, r.shape[-1] + 2)
-    pending = np.arange(r.shape[0])
-    smallest = np.zeros((r.shape[0], probes.size))
-    tols = np.zeros((r.shape[0], probes.size))
-    for k, s in enumerate(probes):
-        w = np.abs(np.linalg.eigvalsh(r[pending] + 2.0 * s * el[pending]))
-        tols[pending, k] = _INERTIA_REL_TOL * (1.0 + w.max(axis=1))
-        smallest[pending, k] = w.min(axis=1)
-        pending = pending[~(smallest[pending, k] > tols[pending, k])]
-        if not pending.size:
-            break
-    out = {}
-    for i in pending.tolist():
-        _, small, tol, s = max(
-            (a / t, a, t, s) for a, t, s in zip(smallest[i].tolist(), tols[i].tolist(), probes.tolist())
-        )
-        out[i] = (
-            "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
-            "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
-            "R and L share a near-common kernel" % (probes.size, delta, delta, small, tol, s)
-        )
-    return out
-
-
 def _decompose_batch(
     r: np.ndarray,
     el: np.ndarray,
-    delta: float,
+    deltas: Sequence[float],
     tol: Union[float, None] = None,
     labels: Union[Sequence[str], None] = None,
-) -> List[_Decomposed]:
-    """Decompose every pencil of the (n, d, d) stacks r, el over [-delta, delta].
+    span: Union[float, None] = None,
+) -> List[List[_Decomposed]]:
+    """Decompose every pencil of the (n, d, d) stacks r, el over each window
+    [-delta, delta] of ``deltas``: one list of results per window.
 
-    Each stage runs once on the whole stack: the degeneracy probes, the
-    probe determinants and Vandermonde solve, root isolation, one
-    eigenvalue call over every chamber midpoint, and the antiderivative at
-    every chamber end.  Each pencil's result equals what the stages give
-    it alone.  A pencil whose |det| integral over the window leaves
-    floating-point range fails as an input error naming delta.  The error
-    raised is the first failing pencil's in stack order, prefixed with its
-    label when ``labels`` is given.
+    The pencils are decomposed once, over [-span, span] (by default the
+    largest window; it must hold every window), and every window reads its
+    roots from that decomposition; each window's chambers then get their own
+    midpoint inertia and masses.  Each stage runs once on the whole stack:
+    the probes, one solve and one eigenvalue call for the roots, and per
+    window one eigenvalue call over every chamber midpoint and the
+    antiderivative at every chamber end.  A pencil fails at the first stage
+    it fails, in this order: R + 2sL out of range at s = +-span, degenerate
+    at the probes of [-span, span], then per window a |det| integral out of
+    floating-point range (an input error naming the window), numerically
+    singular at a chamber midpoint, an out-of-range chamber mass.  The
+    error raised is the first failing pencil's in stack order, prefixed with
+    its label when ``labels`` is given.
     """
-    if not delta > 0.0:
-        raise InputError("delta must be positive, got %g" % delta)
-    if not math.isfinite(delta):
-        raise InputError("delta must be finite, got %g" % delta)
-    delta = float(delta)
+    for delta in deltas:
+        if not delta > 0.0:
+            raise InputError("delta must be positive, got %g" % delta)
+        if not math.isfinite(delta):
+            raise InputError("delta must be finite, got %g" % delta)
+    if tol is not None:
+        tol = _check_tol(tol)
+    deltas = [float(delta) for delta in deltas]
+    top = max(deltas) if span is None else float(span)
     d = r.shape[-1]
     failures = {}  # row -> its error, from the first stage it fails
 
@@ -526,86 +466,92 @@ def _decompose_batch(
         failures.setdefault(row, kind(label + message))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        step = 2.0 * delta * el
+        step = 2.0 * top * el
         finite = np.isfinite(r + step).all(axis=(1, 2)) & np.isfinite(r - step).all(axis=(1, 2))
     for i in np.flatnonzero(~finite).tolist():
-        fail(i, InputError, "delta %g puts R + 2sL out of floating-point range at s = +-delta" % delta)
+        fail(i, InputError, "delta %g puts R + 2sL out of floating-point range at s = +-delta" % top)
     if not finite.any():
         raise failures[0]
     alive = np.flatnonzero(finite)
-    for i, message in _probe_degenerate(r[alive], el[alive], delta).items():
-        fail(int(alive[i]), DegeneratePencilError, message)
-    alive = np.array([i for i in alive.tolist() if i not in failures], dtype=np.intp)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a det out of range fails the bound below
-        coeffs = _char_coeffs(r[alive], el[alive])
-    zero = ~coeffs.any(axis=1)
-    for i in alive[zero].tolist():
-        fail(i, DegeneratePencilError,
-             "degenerate pencil: det(R+2sL) has an identically zero characteristic "
-             "polynomial on [-%g, %g]" % (delta, delta))
-    alive, coeffs = alive[~zero], coeffs[~zero]
-    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
-    out_of_range = (
-        "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of "
-        "floating-point range" % delta
-    )
-    with np.errstate(over="ignore"):
-        # sum_j |p_j| delta^(j+1) / (j+1) bounds |P| on the window; it is not
-        # finite either when a det overflowed at a probe
-        bound = _horner(np.abs(anti), np.full((alive.size, 1), delta))[:, 0]
-    huge = ~np.isfinite(bound)
-    for i in alive[huge].tolist():
-        fail(i, InputError, out_of_range)
-    alive, coeffs, anti = alive[~huge], coeffs[~huge], anti[~huge]
+    e, rn, ln, tols, x, w = _probe(r[alive], el[alive], top)
+    small = np.abs(w).min(axis=2)
+    clear = (small > tols[:, None]).any(axis=1)
+    for i in np.flatnonzero(~clear).tolist():
+        k = max(range(x.size), key=lambda j: (small[i, j], x[j]))  # the least singular probe
+        fail(int(alive[i]), DegeneratePencilError, (
+            "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
+            "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
+            "R and L share a near-common kernel"
+            % (x.size, top, top, math.ldexp(small[i, k], int(e[i])), math.ldexp(tols[i], int(e[i])), top * x[k])
+        ))
+    alive, e, rn, ln, tols, w = alive[clear], e[clear], rn[clear], ln[clear], tols[clear], w[clear]
     if not alive.size:
         raise failures[min(failures)]
 
-    root_tol = 1e-12 * (1.0 + delta)
-    roots = _roots(coeffs, -delta, delta, root_tol)
-    inner = (roots > -delta + 4.0 * root_tol) & (roots < delta - 4.0 * root_tol)
-    edge = np.ones((alive.size, 1))
-    breaks = _compact(np.concatenate([-delta * edge, np.where(inner, roots, np.nan), delta * edge], axis=1))
-    rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
-    mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
-    a_mid = r[alive[rows]] + (2.0 * mids)[:, None, None] * el[alive[rows]]
-    w = np.linalg.eigvalsh((a_mid + a_mid.conj().swapaxes(-1, -2)) / 2.0)
-    try:
-        neg, pos, tols = _signatures(w, tol)
-    except InputError as exc:
-        if alive.size:
-            fail(int(alive[0]), InputError, str(exc))
-    else:
+    z, coeffs = _spectrum(rn, ln, x, w)
+    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
+    mant, power = math.frexp(top)  # an integral over s is top 2^(d e) times one over x
+
+    def unscaled(v):  # each row of v, scaled back by top 2^(d e)
+        with np.errstate(over="ignore"):
+            return np.ldexp(v * mant, (d * e + power).reshape((-1,) + (1,) * (v.ndim - 1)))
+
+    out_of_range = (
+        "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
+    )
+    roots = top * _real_roots(z, _WIDTH)
+    windows = []
+    for delta in deltas:
+        # sum_j |p_j| h^(j+1) / (j+1) bounds |P| on [-h, h], h = delta / top
+        bound = unscaled(_horner(np.abs(anti), np.full((alive.size, 1), delta / top))[:, 0])
+        for i in alive[~np.isfinite(bound)].tolist():
+            fail(i, InputError, out_of_range % delta)
+        near = np.abs(roots) <= delta + top * _WIDTH
+        found = np.clip(np.where(near, roots, np.nan), -delta, delta)
+        edge = np.full((alive.size, 1), delta)
+        inner = np.abs(found) < delta - top * _WIDTH
+        breaks = np.concatenate([-edge, np.where(inner, found, np.nan), edge], axis=1)
+        breaks.sort(axis=1)  # the NaN padding to the end
+        breaks = breaks[:, ~np.isnan(breaks).all(axis=0)]
+        rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
+        mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
+        wm = np.linalg.eigvalsh(rn[rows] + (2.0 * mids / top)[:, None, None] * ln[rows])
+        t = tols[rows] if tol is None else np.ldexp(tol, -e[rows])
+        neg, pos = (wm < -t[:, None]).sum(axis=1), (wm > t[:, None]).sum(axis=1)
+        t = np.ldexp(t, e[rows])
         for c in np.flatnonzero(neg + pos < d).tolist():  # a row's first singular chamber names it
             fail(int(alive[rows[c]]), DegeneratePencilError, (
                 "pencil is numerically singular inside a chamber at s=%g "
                 "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
-                % (mids[c], np.abs(w[c]).min(), tols[c])
+                % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[rows[c]])), t[c])
             ))
-
-    with np.errstate(over="ignore"):  # a difference of two values of P can reach twice the bound
-        ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks))
-        masses = np.abs(ints[:, 1:] - ints[:, :-1])
+        ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks) / top)
         counts = np.bincount(rows, minlength=alive.size)
-        signed = ints[np.arange(alive.size), counts] - ints[:, 0]
-    for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
-        fail(i, InputError, out_of_range)
+        masses = unscaled(np.abs(ints[:, 1:] - ints[:, :-1]))
+        signed = unscaled(ints[np.arange(alive.size), counts] - ints[:, 0])
+        for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
+            fail(i, InputError, out_of_range % delta)
+        windows.append((delta, found, breaks, counts, masses, signed, zip(neg.tolist(), pos.tolist(), t.tolist())))
     if failures:
         raise failures[min(failures)]
 
-    masses, counts, signed = masses.tolist(), counts.tolist(), signed.tolist()
-    signatures = zip(neg.tolist(), pos.tolist(), tols.tolist())  # chamber by chamber, row by row
     out = []
-    for ends, row_roots, m, count, total in zip(breaks.tolist(), roots.tolist(), masses, counts, signed):
-        dec = ChamberDecomposition(
-            delta=delta,
-            roots=[x for x in row_roots if x == x],  # drop the NaN padding
-            chambers=[
-                Chamber(ends[j], ends[j + 1], Inertia(ng, d - ng - ps, ps, t), -1 if ng % 2 else 1)
-                for j, (ng, ps, t) in zip(range(count), signatures)
-            ],
-        )
-        out.append(_Decomposed(dec, m[:count], total))
+    for delta, found, breaks, counts, masses, signed, signatures in windows:  # chamber by chamber, row by row
+        results = []
+        for ends, row_roots, count, m, total in zip(
+            breaks.tolist(), found.tolist(), counts.tolist(), masses.tolist(), signed.tolist()
+        ):
+            dec = ChamberDecomposition(
+                delta=delta,
+                roots=[v for v in row_roots if v == v],  # drop the NaN padding
+                chambers=[
+                    Chamber(ends[j], ends[j + 1], Inertia(ng, d - ng - ps, ps, tj), -1 if ng % 2 else 1)
+                    for j, (ng, ps, tj) in zip(range(count), signatures)
+                ],
+            )
+            results.append(_Decomposed(dec, m[:count], total))
+        out.append(results)
     return out
 
 
@@ -619,7 +565,7 @@ def _decompose(
         raise InputError(
             "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
         )
-    return _decompose_batch(r.entries[None], el.entries[None], delta, tol)[0]
+    return _decompose_batch(r.entries[None], el.entries[None], [delta], tol)[0][0]
 
 
 def chambers(

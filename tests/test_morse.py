@@ -39,7 +39,6 @@ from oracle_tools import (
     oracle_signature_intervals,
     random_hermitian,
     random_int_hermitian,
-    scalar_records,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -465,14 +464,14 @@ def random_field(seed, d, points):
 
 
 def count_decompositions(monkeypatch):
-    """Record the window of every pencil decomposition morse asks for, one
-    entry per pencil of each stacked batch."""
+    """Record the windows and the span of every pencil decomposition morse
+    asks for, one entry per pencil of each stacked batch."""
     windows = []
     real = crmorse.morse._decompose_batch
 
-    def counting(r, el, delta, *rest, **kw):
-        windows.extend([delta] * len(r))
-        return real(r, el, delta, *rest, **kw)
+    def counting(r, el, deltas, *rest, **kw):
+        windows.extend([(tuple(deltas), kw["span"])] * len(r))
+        return real(r, el, deltas, *rest, **kw)
 
     monkeypatch.setattr(crmorse.morse, "_decompose_batch", counting)
     return windows
@@ -482,19 +481,22 @@ def test_each_point_decomposed_once_per_window(monkeypatch, tmp_path):
     field = random_field(7, 3, 5)
     windows = count_decompositions(monkeypatch)
     build_morse_report(field)
-    assert windows == [1.0] * 5
+    assert windows == [((1.0,), 1.0)] * 5
     windows.clear()
     build_morse_report(field, delta=1.0)
-    assert windows == [1.0] * 5
+    assert windows == [((1.0,), 1.0)] * 5
     windows.clear()
-    # a clipped report decomposes again at its own delta, not by clipping
+    # a clipped report reads both windows from one decomposition over the field window
     build_morse_report(field, delta=0.5)
-    assert windows == [0.5] * 5 + [1.0] * 5
+    assert windows == [((0.5, 1.0), 1.0)] * 5
+    windows.clear()
+    assert density_q(field, 0, 0.5) == build_morse_report(field, delta=0.5).densities[0]
+    assert windows == [((0.5,), 1.0)] * 5 + [((0.5, 1.0), 1.0)] * 5
     windows.clear()
     inp = tmp_path / "f.json"
     inp.write_text(json.dumps(serialize_field(field)))
     assert run(["classify", "--input", str(inp), "--out", str(tmp_path / "c.json")]) == 0
-    assert windows == [1.0] * 5
+    assert windows == [((1.0,), 1.0)] * 5
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -520,7 +522,7 @@ def test_public_reductions_equal_report_fields(seed, d, points, delta):
     assert bigness_verdict(field) == report.bigness
 
 
-# ------------------------------------------- batched engine against scalar
+# ------------------------------------------- batched engine, one pencil at a time
 
 
 def mixed_pencil(rng, d, kind):
@@ -558,31 +560,53 @@ def outcome(f):
     seed=st.integers(0, 10**6),
     d=st.integers(1, 5),
     kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=9),
-    chunk=st.sampled_from([1, 7, 10**6]),
+    chunk=st.sampled_from([7, 10**6]),
     delta=st.sampled_from([1.0, 0.6, 0.25]),
 )
-def test_batched_records_equal_scalar_reference(seed, d, kinds, chunk, delta):
+def test_batched_records_equal_one_pencil_records(seed, d, kinds, chunk, delta):
+    # a stacked pass gives each pencil the chambers, and the first failing
+    # pencil the error, that a pass over that pencil alone gives; masses
+    # agree to rounding
     rng = np.random.default_rng(seed)
     points = []
     for i, kind in enumerate(kinds):
         r, el = mixed_pencil(rng, d, kind)
         points.append(PencilPoint("p%d" % i, HermitianMatrix(r), HermitianMatrix(el)))
     field = PencilField(n=d + 1, delta=1.0, points=points)
-    expected = outcome(lambda: scalar_records(field, delta))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crmorse.morse, "_CHUNK", chunk)
-        got = outcome(lambda: [tuple(rec) for rec in crmorse.morse._records(field, delta)])
-    assert got == expected
+
+    def records(size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crmorse.morse, "_CHUNK", size)
+            return outcome(lambda: crmorse.morse._records(field, delta, 1.0))
+
+    got, alone = records(chunk), records(1)
+    if isinstance(alone, str):
+        assert got == alone
+        return
+    for window, single in zip(got, alone):
+        for rec, ref in zip(window, single):
+            assert rec.chambers == ref.chambers
+            scale = 1e-13 * (1.0 + sum(ref.masses))
+            np.testing.assert_allclose(rec.masses, ref.masses, rtol=1e-13, atol=scale)
+            assert rec.signed == pytest.approx(ref.signed, rel=1e-13, abs=scale)
 
 
 # R + 2sL = [[2s, e, 0], [e, -2s, 0], [0, 0, 1e6]] with e = 1e-4: det < 0 on
 # the whole line, so [-1, 1] is one chamber, but at its midpoint s = 0 the
-# eigenvalues +-e fall below the 1e-9 (1 + 1e6) inertia tolerance
+# eigenvalues +-e fall below the 1e-9 (||R||_F + 2 ||L||_F) inertia tolerance
 SINGULAR_MID = (
     [[0, 1e-4, 0], [1e-4, 0, 0], [0, 0, 1e6]],
     [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
 )
 SHARED_KERNEL = ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+MESSAGES = {
+    "mid": "sample 'mid': pencil is numerically singular inside a chamber at s=0 "
+    "(min |eig| = 1.0e-04 vs tol 1.0e-03); cannot assign a signature",
+    # tol is 1e-9 (||R||_F + 2 ||L||_F) = 1e-9 * 3 sqrt(2)
+    "kern": "sample 'kern': degenerate pencil: det(R+2sL) is numerically zero at all 5 probes in "
+    "[-1, 1] (least singular: min |eig| = 0.0e+00 vs tol 4.2e-09 at s=1); R and L share a "
+    "near-common kernel",
+}
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 256])
@@ -595,8 +619,7 @@ def test_first_failing_sample_named_in_input_order(chunk, monkeypatch):
         field = PencilField(n=4, delta=1.0, points=[pt("ok", *ok), *order])
         with pytest.raises(DegeneratePencilError) as exc:
             crmorse.morse._records(field, 1.0)
-        assert str(exc.value) == outcome(lambda: scalar_records(field, 1.0)).split(": ", 1)[1]
-        assert str(exc.value).startswith("sample %r: " % first)
+        assert str(exc.value) == MESSAGES[first]
     assert "singular inside a chamber at s=0 (min |eig| = 1.0e-04 vs tol 1.0e-03)" in outcome(
         lambda: crmorse.morse._records(PencilField(n=4, delta=1.0, points=[mid]), 1.0)
     )

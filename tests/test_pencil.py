@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crmorse.errors import DegeneratePencilError, InputError
 from crmorse.pencil import (
+    _decompose,
     IDENTICALLY_ZERO,
     HermitianMatrix,
     RealPolynomial,
@@ -26,7 +27,6 @@ from oracle_tools import (
     oracle_signed_integral,
     random_hermitian,
     random_int_hermitian,
-    scalar_real_roots,
 )
 
 
@@ -204,43 +204,48 @@ def test_real_roots_against_companion_matrix():
             assert abs(g - r) < 1e-6
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    roots=st.lists(st.integers(-8, 8), max_size=6),
-    wobble=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    # quarter-integer roots k/4, each of multiplicity 1 to 3
+    roots=st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=4),
+    # and a complex pair (u +- i v)/4, at least 1/4 off the real axis
+    pair=st.tuples(st.integers(-8, 8), st.integers(1, 8)),
     scale=st.sampled_from([1.0, -3.0, 1e-3, 1e4]),
-    # no bracket gets as short as 1e-300: one that meets no exact zero stops
-    # at the 200-halving cap
-    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-300]),
     window=st.sampled_from([(-1.0, 1.0), (-0.5, 2.0), (0.25, 0.75)]),
 )
-def test_real_roots_match_scalar_reference(roots, wobble, scale, tol, window):
-    # repeated quarter-integer roots give tangent and double roots at
-    # stationary points; the wobble factor adds roots that need bisection
-    coeffs = scale * npoly.polyfromroots(np.array(roots, dtype=float) / 4.0)
-    coeffs = npoly.polymul(coeffs, wobble) if any(wobble) else coeffs
-    p = RealPolynomial(coeffs)
+def test_real_roots_match_known_roots(roots, pair, scale, window):
+    u, v = pair
+    coeffs = scale * npoly.polymul(
+        npoly.polyfromroots([k / 4.0 for k, m in roots.items() for _ in range(m)]),
+        [(u * u + v * v) / 16.0, -u / 2.0, 1.0],
+    )
     lo, hi = window
-    got = real_roots(p, lo, hi, tol)
-    if p.is_zero:
-        assert got is IDENTICALLY_ZERO
-    else:
-        # tol = 0 asks for the default, 1e-12 (1 + max(|lo|, |hi|))
-        assert got == scalar_real_roots(coeffs, lo, hi, tol or 1e-12 * (1.0 + max(-lo, hi)))
+    got = real_roots(RealPolynomial(coeffs), lo, hi, 0.0)
+    want = sorted(k / 4.0 for k in roots if lo <= k / 4.0 <= hi)
+    assert len(got) == len(want)
+    assert np.abs(np.subtract(got, want)).max(initial=0.0) <= 1e-9
+
+
+def test_real_roots_high_multiplicity_stays_near_the_root():
+    # floating-point coefficients fix a 6-fold root only to about 1e-16^(1/6):
+    # the companion eigenvalues ring 1/4 at radius ~3e-3, and the real ones
+    # among them need not merge
+    got = real_roots(RealPolynomial(npoly.polyfromroots([0.25] * 6)), -1.0, 1.0, 0.0)
+    assert 1 <= len(got) <= 2
+    assert max(abs(x - 0.25) for x in got) <= 1e-2
 
 
 @pytest.mark.parametrize(
-    "coeffs",
+    "coeffs, want",
     [
-        # a stationary point one ulp inside the window is not a separate point
-        npoly.polysub(npoly.polyfromroots([np.nextafter(-1.0, 0.0)] * 2), [1e-3]),
-        # a double root 1e-13 inside the window is found at the edge and at
-        # the stationary point, and the two merge
-        npoly.polyfromroots([-1.0 + 1e-13] * 2),
+        # a stationary point one ulp inside the window: the roots are -1 +- 0.0316
+        (npoly.polysub(npoly.polyfromroots([np.nextafter(-1.0, 0.0)] * 2), [1e-3]), [-1.0 + 1e-3**0.5]),
+        # a double root 1e-13 inside the window is one root at the edge
+        (npoly.polyfromroots([-1.0 + 1e-13] * 2), [-1.0]),
     ],
 )
-def test_real_roots_edge_cases_match_scalar_reference(coeffs):
-    assert real_roots(RealPolynomial(coeffs), -1.0, 1.0, 2e-12) == scalar_real_roots(coeffs, -1.0, 1.0, 2e-12)
+def test_real_roots_near_the_window_edge(coeffs, want):
+    assert real_roots(RealPolynomial(coeffs), -1.0, 1.0, 2e-12) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +442,130 @@ def test_chamber_integral_validates_q():
         chamber_integral(hm([[2.0]]), hm([[1.0]]), q=2, delta=1.0)
     with pytest.raises(InputError):
         chamber_integral(hm([[2.0]]), hm([[1.0]]), q=-1, delta=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue engine against independent references
+
+
+def qz_roots(r, el, delta):
+    """Real roots of det(R + 2sL) in [-delta, delta] from scipy's QZ
+    (generalized Schur) eigenvalues of the pair (R, -2L)."""
+    from scipy.linalg import eigvals
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular L: infinite eigenvalues
+        ev = eigvals(r, -2.0 * el)
+    ev = ev[np.isfinite(ev)]
+    return np.sort(ev[(np.abs(ev.imag) <= 1e-9) & (np.abs(ev.real) <= delta)].real)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 12, 16, 20])
+def test_chamber_roots_match_qz_reference(d):
+    rng = np.random.default_rng(1000 + d)
+    for delta in (0.3, 1.0, 3.0):
+        for _ in range(6):
+            r, el = random_hermitian(rng, d), random_hermitian(rng, d)
+            dec = chambers(HermitianMatrix(r), HermitianMatrix(el), delta)
+            ref = qz_roots(r, el, delta)
+            assert len(dec.roots) == len(ref)
+            assert np.abs(np.subtract(dec.roots, ref)).max(initial=0.0) <= 1e-13 * (1.0 + delta)
+            assert len(dec.chambers) == len(ref) + 1
+            for ch in dec.chambers:  # inertia against the eigenvalues at a fresh point
+                s = ch.lo + 0.3 * (ch.hi - ch.lo)
+                assert ch.inertia.neg == int((np.linalg.eigvalsh(r + 2.0 * s * el) < 0).sum())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+    power=st.floats(-12.0, 12.0),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_chambers_are_unit_free(d, seed, power, delta):
+    # scaling (R, L) by t moves no chamber and scales every mass by t^d
+    rng = np.random.default_rng(seed)
+    r, el = random_hermitian(rng, d), random_hermitian(rng, d)
+    t = 10.0**power
+    base = _decompose(HermitianMatrix(r), HermitianMatrix(el), delta)
+    got = _decompose(HermitianMatrix(t * r), HermitianMatrix(t * el), delta)
+    assert np.allclose(got.dec.roots, base.dec.roots, rtol=0.0, atol=1e-13 * (1.0 + delta))
+    assert [c.inertia.signature for c in got.dec.chambers] == [c.inertia.signature for c in base.dec.chambers]
+    np.testing.assert_allclose(got.masses, np.multiply(base.masses, t**d), rtol=1e-12)
+    assert got.signed == pytest.approx(base.signed * t**d, rel=1e-12, abs=1e-12 * t**d * sum(base.masses))
+
+
+def unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def test_clustered_roots_resolve_down_to_the_root_width():
+    # eigenvalue j of R + 2sL is 2 (s - a_j): one crossing at each a_j
+    a = np.array([-0.5, 0.1, 0.1 + 1e-3, 0.1 + 1e-4 + 1e-3, 0.7, 0.7 + 1e-7])
+    u = unitary(np.random.default_rng(3), a.size)
+    r = u @ np.diag(-2.0 * a) @ u.conj().T
+    dec = chambers(HermitianMatrix(r), hm(np.eye(a.size)), 1.0)
+    # roots 1e-4 apart are resolved; the pair 1e-7 apart, below the 1e-5
+    # resolution, is one root at its mean, crossed by two eigenvalues at once
+    want = [-0.5, 0.1, 0.1 + 1e-3, 0.1 + 1.1e-3, 0.7 + 5e-8]
+    assert dec.roots == pytest.approx(want, abs=1e-13)
+    assert [c.inertia.neg for c in dec.chambers] == [6, 5, 4, 3, 2, 0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_repeated_root_of_full_multiplicity(d):
+    # R + 2sL = (1 - 2s) U diag(+-1) U*: det = c (1 - 2s)^d, every
+    # eigenvalue crossing 0 at s = 1/2 together
+    rng = np.random.default_rng(d)
+    u = unitary(rng, d)
+    signs = np.where(np.arange(d) % 2, -1.0, 1.0)
+    r = u @ np.diag(signs) @ u.conj().T
+    dec, masses, signed = _decompose(HermitianMatrix(r), HermitianMatrix(-r), 1.0)
+    assert dec.roots == pytest.approx([0.5], abs=1e-13)
+    q = d // 2  # negative eigenvalues of diag(signs)
+    assert [c.inertia.neg for c in dec.chambers] == [q, d - q]
+    # int_{-1}^{1/2} (1 - 2s)^d ds = 3^(d+1) / (2 (d+1)), and 1/(2 (d+1)) after
+    assert masses == pytest.approx([3.0 ** (d + 1) / (2 * (d + 1)), 1.0 / (2 * (d + 1))], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tangent_root_is_one_root_between_equal_chambers(seed):
+    # [[0, s - a], [s - a, 1]] has det -(s - a)^2: an eigenvalue touches 0 at
+    # s = a without crossing.  Under a congruence C, QZ splits the double root
+    # by ~1e-8 into a real or complex pair; the engine reports it once.
+    rng = np.random.default_rng(seed)
+    a = float(rng.uniform(-0.8, 0.8))
+    c = unitary(rng, 2) @ np.diag([1.0, float(rng.uniform(1.0, 30.0))]) @ unitary(rng, 2)
+    r = c.conj().T @ np.array([[0.0, -a], [-a, 1.0]]) @ c
+    el = c.conj().T @ np.array([[0.0, 0.5], [0.5, 0.0]]) @ c
+    dec, masses, _ = _decompose(HermitianMatrix(r), HermitianMatrix(el), 1.0)
+    assert dec.roots == pytest.approx([a], abs=1e-10)
+    assert [c.inertia.signature for c in dec.chambers] == [(1, 0, 1), (1, 0, 1)]
+    scale = abs(np.linalg.det(c)) ** 2  # det(C* A C) = |det C|^2 det A
+    assert sum(masses) == pytest.approx(scale * ((1 + a) ** 3 + (1 - a) ** 3) / 3.0, rel=1e-10)
+
+
+def test_tangent_root_of_the_plain_example():
+    dec = chambers(hm([[0, 0], [0, 1]]), hm([[0, 0.5], [0.5, 0]]), 1.0)
+    assert dec.roots == [0.0]
+    assert [(c.lo, c.hi, c.inertia.signature) for c in dec.chambers] == [
+        (-1.0, 0.0, (1, 0, 1)),
+        (0.0, 1.0, (1, 0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_singular_l_sends_roots_to_infinity(rank):
+    # L of rank < d: det(R + 2sL) has degree rank, and the missing roots are
+    # infinite eigenvalues of the pair
+    rng = np.random.default_rng(rank)
+    d = 3
+    v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    el = v @ np.diag(rng.choice([-1.0, 1.0], size=rank)) @ v.conj().T
+    r = random_hermitian(rng, d) + 2.0 * np.eye(d)
+    dec, masses, signed = _decompose(HermitianMatrix(r), HermitianMatrix(el), 2.0)
+    ref = qz_roots(r, el, 2.0)
+    assert len(dec.roots) == len(ref) <= rank
+    assert np.abs(np.subtract(dec.roots, ref)).max(initial=0.0) <= 1e-13
+    assert signed == pytest.approx(oracle_signed_integral(r, el, 2.0), rel=1e-10)
+    assert pencil_char_poly(HermitianMatrix(r), HermitianMatrix(el)).degree == rank
