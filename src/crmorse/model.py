@@ -186,13 +186,27 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanV
 def _permanents(a: np.ndarray) -> np.ndarray:
     """Permanents of a (..., p, p) stack by Glynn's formula (Eur. J. Combin.
     31, 2010): perm A = 2^(1-p) sum over sign vectors e with e_0 = 1 of
-    prod_i e_i prod_j sum_i e_i a_ij, 2^(p-1) terms in place of p!."""
+    prod_i e_i prod_j s_j, s_j = sum_i e_i a_ij; 2^(p-1) terms in place of
+    p!.  The sign vectors run in Gray-code order, so each s is the last
+    one with a single row's sign flipped."""
     p = a.shape[-1]
     if p == 0:
         return np.ones(a.shape[:-2], dtype=complex)
-    bits = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
-    signs = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
-    return (np.prod(signs @ a, axis=-1) @ np.prod(signs, axis=1)) / (1 << (p - 1))
+    def products(s):  # prod_j s_j, one column at a time (numpy's prod is slow on a short axis)
+        out = s[..., 0]
+        for j in range(1, p):
+            out = out * s[..., j]
+        return out
+
+    e = [1.0] * p
+    s = a.sum(axis=-2)
+    total = products(s)
+    for k in range(1, 1 << (p - 1)):
+        i = (k & -k).bit_length()  # the row whose sign flips, 1..p-1
+        s = s - 2.0 * e[i] * a[..., i, :]
+        e[i] = -e[i]
+        total = total + math.prod(e) * products(s)
+    return total / (1 << (p - 1))
 
 
 def _positive_definite(m: np.ndarray) -> Tuple[bool, float]:
@@ -222,9 +236,7 @@ def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
         idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
         block = gram[off : off + len(idx), off : off + len(idx)]
         off += len(idx)
-        # one row of the block: len(idx) gathered p x p matrices and their
-        # 2^(p-1) x p Glynn sums
-        step = max(1, _GATHER_ENTRIES // max(1, len(idx) * deg * (deg + (1 << max(deg - 1, 0)))))
+        step = max(1, _GATHER_ENTRIES // max(1, idx.size * idx.shape[1]))
         for r0 in range(0, len(idx), step):
             # the gathered stack is [r, c] -> cov[np.ix_(idx[r0 + r], idx[c])]
             block[r0 : r0 + step] = mass * _permanents(

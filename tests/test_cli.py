@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,52 @@ def test_chambers_overflowing_mass(tmp_path, capsys):
     assert run(["chambers", "--input", str(inp), "--delta", "1e297"]) == 0
     assert run(["chambers", "--input", str(inp), "--delta", "1e298"]) == 2
     assert capsys.readouterr().err == "error: %s\n" % (OUT_OF_RANGE % 1e298)
+
+
+def bench_field(d, seed, scale):
+    """bench/gen.py's Gaussian field, every matrix entry times ``scale``."""
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    doc = gen.field_doc(seed, d, 100)
+    for p in doc["points"]:
+        for key in ("R", "L"):
+            p[key] = [[[scale * v[0], scale * v[1]] for v in row] for row in p[key]]
+    return doc
+
+
+def test_morse_on_a_tiny_field_scales_its_densities(tmp_path):
+    # at 1e-12 the former absolute tolerances called every pencil degenerate (exit 3)
+    docs = {}
+    for scale in (1.0, 1e-12):
+        out = tmp_path / ("m%g.json" % scale)
+        inp = write_json(tmp_path, "f.json", bench_field(4, 1, scale))
+        assert run(["morse", "--input", str(inp), "--out", str(out)]) == 0
+        docs[scale] = json.loads(out.read_text())["result"]
+    np.testing.assert_allclose(
+        docs[1e-12]["densities"], np.multiply(docs[1.0]["densities"], 1e-48), rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("point", [0, 1, 2])
+def test_chambers_on_a_huge_field_short_window(tmp_path, point):
+    # entries near 4e37 at d = 8: det reaches 1e300 but the engine works in
+    # units of the pencil, so no step overflows (every warning is an error here)
+    docs = {}
+    for scale in (1.0, 4e37):
+        out = tmp_path / ("c%g.json" % scale)
+        inp = write_json(tmp_path, "f.json", bench_field(8, 1, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["chambers", "--input", str(inp), "--point", str(point), "--delta", "0.01",
+                        "--out", str(out)])
+        assert code == 0
+        docs[scale] = json.loads(out.read_text())["result"]
+    small, big = docs[1.0], docs[4e37]
+    assert big["roots"] == pytest.approx(small["roots"], abs=1e-15)
+    assert [c["inertia"] for c in big["chambers"]] == [c["inertia"] for c in small["chambers"]]
+    for c, ref in zip(big["chambers"], small["chambers"]):
+        assert c["mass"] == pytest.approx(ref["mass"] * 4e37**8, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["morse", "classify"])
