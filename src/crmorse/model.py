@@ -192,6 +192,7 @@ def _permanents(a: np.ndarray) -> np.ndarray:
     p = a.shape[-1]
     if p == 0:
         return np.ones(a.shape[:-2], dtype=complex)
+
     def products(s):  # prod_j s_j, one column at a time (numpy's prod is slow on a short axis)
         out = s[..., 0]
         for j in range(1, p):

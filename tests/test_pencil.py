@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from crmorse.errors import DegeneratePencilError, InputError
 from crmorse.pencil import (
-    _decompose,
     IDENTICALLY_ZERO,
     HermitianMatrix,
     RealPolynomial,
@@ -21,6 +20,7 @@ from crmorse.pencil import (
     pencil_signed_integral,
     real_roots,
     signature_set,
+    _decompose,
 )
 from oracle_tools import (
     oracle_chamber_integral,
