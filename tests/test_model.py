@@ -9,6 +9,7 @@ hand-computed linear integrals plus scipy quadrature.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -377,6 +378,54 @@ def test_extremal_form_q1_offcenter_matches_quadrature():
     quad, _ = integrate.quad(integrand, 0.5, 1.0, epsabs=1e-14)
     expected = c0 * quad / TWO_PI
     assert abs(form.value[0]) == pytest.approx(expected, rel=1e-9)
+
+
+def loop_extremal_form(data, q, z, theta, nodes):
+    """extremal_form one quadrature node at a time, with plain running sums:
+    the loop that the array code replaced, on the same chambers and frames."""
+    dec = eta_chambers(data)
+    total_mass = szego_density(data, q) * TWO_PI**data.n
+    c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
+    js = list(itertools.combinations(range(data.d), q))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    z = np.asarray(z, dtype=complex)
+    u = np.zeros(len(js), dtype=complex)
+    u_origin = np.zeros(len(js), dtype=complex)
+    norm = 0.0
+    for lo, hi in dec.intervals[q]:
+        for xi, wi in zip(x, w):
+            eta, wt = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xi, 0.5 * (hi - lo) * wi
+            v, qmat = _frame(data.mu.entries - 2.0 * eta * np.diag(data.lam), q)
+            coeff = np.array([np.linalg.det(qmat[np.ix_(j, range(q))]) if q else 1.0 for j in js])
+            base = wt * c0 * np.prod(np.abs(v))
+            wq = qmat.conj().T @ z
+            u += base * np.exp(1j * theta * eta + eta * (data.lam @ np.abs(z) ** 2) + v[:q] @ np.abs(wq[:q]) ** 2) * coeff
+            u_origin += base * coeff
+            norm += wt * (c0 * np.prod(np.abs(v))) ** 2 * np.prod(TWO_PI / np.abs(v))
+    return u / TWO_PI, norm / TWO_PI, float(np.sum(np.abs(u_origin / TWO_PI) ** 2)) / (total_mass / TWO_PI**data.n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_extremal_form_matches_the_node_loop(seed, d):
+    # order-independent sums in place of running ones: equal to rounding
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (d - d // 2, d // 2)]
+    mu = np.zeros((d, d), dtype=complex)
+    mu[: len(blocks[0]), : len(blocks[0])] = blocks[0] @ blocks[0].conj().T + np.eye(len(blocks[0]))
+    if d // 2:
+        mu[len(blocks[0]) :, len(blocks[0]) :] = -(blocks[1] @ blocks[1].conj().T) - np.eye(d // 2)
+    lam = np.concatenate([np.ones(d - d // 2), -np.ones(d // 2)]) * rng.uniform(0.5, 2.0, size=d)
+    data = ModelData(d=d, lam=lam, mu=HermitianMatrix(mu), delta=1.0)
+    z = 0.3 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+    for q in range(d + 1):
+        if not eta_chambers(data).intervals[q]:
+            continue
+        form = extremal_form(data, q, z, 0.7, 64)
+        value, norm, peak = loop_extremal_form(data, q, z, 0.7, 64)
+        np.testing.assert_allclose(form.value, value, rtol=1e-12, atol=1e-14 * np.abs(value).max())
+        assert form.norm_check == pytest.approx(norm, rel=1e-12)
+        assert form.peak_check == pytest.approx(peak, rel=1e-12)
 
 
 def test_extremal_form_theta_is_fourier_phase():
