@@ -569,3 +569,17 @@ def test_singular_l_sends_roots_to_infinity(rank):
     assert np.abs(np.subtract(dec.roots, ref)).max(initial=0.0) <= 1e-13
     assert signed == pytest.approx(oracle_signed_integral(r, el, 2.0), rel=1e-10)
     assert pencil_char_poly(HermitianMatrix(r), HermitianMatrix(el)).degree == rank
+
+
+def test_root_where_two_eigenvalues_cross_together():
+    # at s = 0 two eigenvalues of this integer pencil cross 0 at once, so det
+    # has a double root there without changing sign; a stationary-point
+    # search missed it and read inertia (1, 0, 3) on (-0.186, 0)
+    r = np.array([[0, 0, 2 - 2j, 0], [0, 0, -1 - 1j, 0], [2 + 2j, -1 + 1j, 2, 1 + 1j], [0, 0, 1 - 1j, 0]])
+    el = np.array([[0, 1 - 2j, -1 - 1j, -1], [1 + 2j, 2, 1 + 1j, 1], [-1 + 1j, 1 - 1j, -2, -2j], [-1, 1, 2j, 0]])
+    dec = chambers(HermitianMatrix(r), HermitianMatrix(el), 0.25)
+    assert dec.roots == pytest.approx([-0.18558011501, 0.0], abs=1e-10)
+    assert [c.inertia.signature for c in dec.chambers] == [(2, 0, 2), (3, 0, 1), (1, 0, 3)]
+    for ch in dec.chambers:
+        s = ch.lo + 0.3 * (ch.hi - ch.lo)
+        assert ch.inertia.neg == int((np.linalg.eigvalsh(r + 2.0 * s * el) < 0).sum())
