@@ -6,7 +6,9 @@ byte-deterministic except for the ``timing_s`` field.  Exit codes: 0 on
 success, 2 for input problems, 3 for degenerate pencils, 4 for a
 calibration record that fails re-derivation.
 
-Only numpy, the pencil engine and serialization are imported up front.
+Only numpy, the pencil engine and serialization are imported up front,
+and the input digest comes from CPython's built-in SHA-256, so no command
+loads OpenSSL.
 Each parser and handler imports the layer it runs (morse, model or
 oracles), so a command pays start-up only for the modules it uses.  This
 module holds the document parsers, the shared output code and the field
@@ -18,7 +20,6 @@ only when one of their commands runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import itertools
 import json
@@ -35,6 +36,17 @@ import numpy as np
 from .errors import CalibrationError, DegeneratePencilError, InputError
 from .pencil import HermitianMatrix, _decompose, _symmetrized
 from .serialize import canonical_json, csv_table
+
+# CPython's own SHA-256, as random.py takes its SHA-512: hashlib would load
+# OpenSSL's libcrypto (about 3.5 MB of peak memory and 2.4 ms per process)
+# to hash one input; hashlib only where the build has no built-in module
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .model import ModelData
@@ -308,13 +320,18 @@ def parse_levi_flat(data: Any) -> PencilField:
 # ------------------------------------------------------------- plumbing
 
 
+def _file_error(flag: str, verb: str, path, exc: OSError) -> InputError:
+    """The input error for an OSError on the file a flag names."""
+    return InputError("%s: cannot %s %s: %s" % (flag, verb, path, exc.strerror or exc))
+
+
 def _read_input(args, default_doc: Optional[Dict] = None) -> bytes:
     path = getattr(args, "input", None)
     if path:
-        p = Path(path)
-        if not p.is_file():
-            raise InputError("input file not found: %s" % p)
-        return p.read_bytes()
+        try:
+            return Path(path).read_bytes()
+        except OSError as exc:
+            raise _file_error("--input", "read", path, exc) from exc
     if default_doc is None:
         raise InputError("this command requires --input")
     return (canonical_json(default_doc) + "\n").encode()
@@ -339,6 +356,10 @@ def _finite(compute: Callable[[], Sequence[float]], source: str) -> List[float]:
     return values
 
 
+def _digest(raw: bytes) -> str:
+    return "sha256:" + sha256(raw).hexdigest()
+
+
 def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: float) -> None:
     if args.format == "csv":
         text = csv_text
@@ -346,13 +367,16 @@ def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: 
         payload = {
             "schema": REPORT_SCHEMA,
             "command": command,
-            "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
+            "input_digest": _digest(raw),
             "timing_s": max(time.perf_counter() - started, 1e-9),
             "result": result,
         }
         text = canonical_json(payload) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _file_error("--out", "write", args.out, exc) from exc
     else:
         sys.stdout.write(text)
 

@@ -18,6 +18,7 @@ from .cli import (
     LEVI_SCHEMA,
     TORUS_SCHEMA,
     _emit,
+    _file_error,
     _finite,
     _matrix_doc,
     _read_input,
@@ -90,13 +91,20 @@ def serialize_torus(spec: TorusBundleSpec) -> Dict:
 
 
 def _load_or_make_cal(path) -> LatticeCalibration:
+    """The --cal record at ``path``, derived and saved there if absent."""
     from .oracles import calibrate, load_calibration, save_calibration
 
     p = Path(path)
     if p.is_file():
-        return load_calibration(p)
+        try:
+            return load_calibration(p)
+        except OSError as exc:
+            raise _file_error("--cal", "read", path, exc) from exc
     cal = calibrate()
-    save_calibration(cal, p)
+    try:
+        save_calibration(cal, p)
+    except OSError as exc:
+        raise _file_error("--cal", "write", path, exc) from exc
     return cal
 
 
@@ -160,7 +168,10 @@ def _cmd_calibrate(args, started):
     from .oracles import calibrate, save_calibration
 
     cal = calibrate()
-    save_calibration(cal, args.out)
+    try:
+        save_calibration(cal, args.out)
+    except OSError as exc:
+        raise _file_error("--out", "write", args.out, exc) from exc
     sys.stdout.write(
         "calibration written to %s (c_dim=%s, c_mode=%s)\n"
         % (args.out, cal.c_dim, cal.c_mode)

@@ -72,8 +72,7 @@ class ModelData(_Frozen):
         dlt = float(delta)
         if not (math.isfinite(dlt) and dlt > 0.0):
             raise InputError("delta must be a positive real, got %r" % (delta,))
-        for name, value in zip(self.__slots__, (d, arr, mu, dlt)):
-            object.__setattr__(self, name, value)
+        self._set(d, arr, mu, dlt)
 
     @property
     def n(self) -> int:

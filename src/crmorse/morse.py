@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .pencil import Chamber, HermitianMatrix, _decompose_batch, _Frozen, _signature_masses, _signatures
+from .pencil import Chamber, HermitianMatrix, _decompose_batch, _Frozen, _signature_masses, _units
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -70,8 +70,7 @@ class PencilPoint(_Frozen):
         w = float(weight)
         if not (math.isfinite(w) and w > 0.0):
             raise InputError("sample %r: weight must be a positive real, got %r" % (label, weight))
-        for name, value in zip(self.__slots__, (label, r, el, w)):
-            object.__setattr__(self, name, value)
+        self._set(label, r, el, w)
 
 
 class PencilField(_Frozen):
@@ -94,8 +93,7 @@ class PencilField(_Frozen):
                 raise InputError(
                     "sample %r has pencil dim %d, expected n-1 = %d" % (p.label, p.r.dim, d)
                 )
-        for name, value in zip(self.__slots__, (int(n), dlt, pts)):
-            object.__setattr__(self, name, value)
+        self._set(int(n), dlt, pts)
 
     @property
     def dim(self) -> int:
@@ -288,8 +286,12 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
 def _positivity(field: PencilField, records: Sequence[_Record]) -> Positivity:
     pd = []
     for chunk in _chunks(field):
-        _, pos, _ = _signatures(np.linalg.eigvalsh(np.stack([p.r.entries for p in chunk])))
-        pd.extend((pos == field.dim).tolist())
+        # R is positive where its least eigenvalue clears the chamber
+        # engine's tolerance, 1e-9 (||R||_F + 2 delta ||L||_F): unit-free
+        r = np.stack([p.r.entries for p in chunk])
+        el = np.stack([p.el.entries for p in chunk])
+        _, rn, _, tols = _units(r, el, field.delta)
+        pd.extend((np.linalg.eigvalsh(rn)[:, 0] > tols).tolist())
     bad = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg > 0]
     radius = min(bad) if bad else field.delta
     return Positivity(

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import CalibrationError, InputError
 from .morse import PencilField, PencilPoint, _power, density_q
-from .pencil import HermitianMatrix, inertia
+from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
 __all__ = [
@@ -71,73 +70,58 @@ def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
     return h
 
 
-@dataclass(frozen=True)
-class TorusBundleSpec:
+def _positive_delta(delta) -> float:
+    dlt = float(delta)
+    if not (math.isfinite(dlt) and dlt > 0.0):
+        raise InputError("delta must be a positive real, got %r" % (delta,))
+    return dlt
+
+
+class TorusBundleSpec(_Frozen):
     """Grauert-tube circle bundle: L_mu pulled back, tube from L_lambda."""
 
-    d: int
-    lambda_mat: HermitianMatrix
-    mu_mat: HermitianMatrix
-    delta: float
+    __slots__ = ("d", "lambda_mat", "mu_mat", "delta")
 
-    def __post_init__(self):
-        d = _as_int(self.d, "torus dimension d")
+    def __init__(self, d: int, lambda_mat: HermitianMatrix, mu_mat: HermitianMatrix, delta: float):
+        d = _as_int(d, "torus dimension d")
         if d < 1:
             raise InputError("torus dimension d must be >= 1, got %d" % d)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "lambda_mat", _int_hermitian(self.lambda_mat, "lambda_mat", d))
-        object.__setattr__(self, "mu_mat", _int_hermitian(self.mu_mat, "mu_mat", d))
-        dlt = float(self.delta)
-        if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("delta must be a positive real, got %r" % (self.delta,))
-        object.__setattr__(self, "delta", dlt)
+        lambda_mat = _int_hermitian(lambda_mat, "lambda_mat", d)
+        mu_mat = _int_hermitian(mu_mat, "mu_mat", d)
+        self._set(d, lambda_mat, mu_mat, _positive_delta(delta))
 
 
-@dataclass(frozen=True)
-class HeisenbergSpec:
+class HeisenbergSpec(_Frozen):
     """Compact Heisenberg quotient: diagonal Levi form, constant curvature."""
 
-    d: int
-    lambda_vec: Tuple[int, ...]
-    mu_mat: HermitianMatrix
-    delta: float
+    __slots__ = ("d", "lambda_vec", "mu_mat", "delta")
 
-    def __post_init__(self):
-        d = _as_int(self.d, "dimension d")
+    def __init__(self, d: int, lambda_vec: Tuple[int, ...], mu_mat: HermitianMatrix, delta: float):
+        d = _as_int(d, "dimension d")
         if d < 1:
             raise InputError("dimension d must be >= 1, got %d" % d)
-        object.__setattr__(self, "d", d)
-        vec = tuple(_as_int(v, "lambda_vec entry") for v in self.lambda_vec)
+        vec = tuple(_as_int(v, "lambda_vec entry") for v in lambda_vec)
         if len(vec) != d:
             raise InputError("lambda_vec must have length d=%d, got %d" % (d, len(vec)))
         if any(v == 0 for v in vec):
             raise InputError("every Levi eigenvalue lambda_j must be nonzero")
-        object.__setattr__(self, "lambda_vec", vec)
-        object.__setattr__(self, "mu_mat", _int_hermitian(self.mu_mat, "mu_mat", d))
-        dlt = float(self.delta)
-        if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("delta must be a positive real, got %r" % (self.delta,))
-        object.__setattr__(self, "delta", dlt)
+        self._set(d, vec, _int_hermitian(mu_mat, "mu_mat", d), _positive_delta(delta))
 
 
-@dataclass(frozen=True)
-class LatticeCalibration:
+class LatticeCalibration(_Frozen):
     """Frozen lattice constants plus the derivation transcript."""
 
-    c_mode: Fraction
-    c_dim: Fraction
-    provenance: Dict
+    __slots__ = ("c_mode", "c_dim", "provenance")
 
-    def __post_init__(self):
-        c_mode, c_dim = Fraction(self.c_mode), Fraction(self.c_dim)
+    def __init__(self, c_mode: Fraction, c_dim: Fraction, provenance: Dict):
+        c_mode, c_dim = Fraction(c_mode), Fraction(c_dim)
         if c_dim <= 0:
             raise InputError("c_dim must be positive, got %s" % c_dim)
         # the mode counts are integers only for integer constants
         for name, value in (("c_mode", c_mode), ("c_dim", c_dim)):
             if value.denominator != 1:
                 raise CalibrationError("%s must be an integer, got %s" % (name, _frac_str(value)))
-        object.__setattr__(self, "c_mode", c_mode)
-        object.__setattr__(self, "c_dim", c_dim)
+        self._set(c_mode, c_dim, provenance)
 
 
 # ------------------------------------------------------------------ fields

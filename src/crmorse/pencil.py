@@ -93,12 +93,17 @@ IDENTICALLY_ZERO = _IdenticallyZero()
 
 class _Frozen:
     """Base of the validating value classes (RealPolynomial here, PencilPoint
-    and PencilField in morse, ModelData in model).  Each subclass names its
-    fields in ``__slots__`` and sets them once, in ``__init__``, through
-    object.__setattr__; afterwards they are read-only.  Instances compare,
-    hash and print by their fields, in ``__slots__`` order."""
+    and PencilField in morse, ModelData in model, the specs and the
+    calibration record in oracles).  Each subclass names its fields in
+    ``__slots__`` and sets them once, in ``__init__``, through _set;
+    afterwards they are read-only.  Instances compare, hash and print by
+    their fields, in ``__slots__`` order."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -213,25 +218,16 @@ def _check_tol(tol) -> float:
     return tol
 
 
-def _signatures(w: np.ndarray, tol: Union[float, None] = None):
-    """Negative and positive counts and the tolerance of each eigenvalue row
-    of ``w`` (..., d), as ``inertia`` reads them."""
-    if tol is None:
-        tols = _INERTIA_REL_TOL * (1.0 + np.abs(w).max(axis=-1))
-    else:
-        tols = np.full(w.shape[:-1], _check_tol(tol))
-    t = tols[..., None]
-    return (w < -t).sum(axis=-1), (w > t).sum(axis=-1), tols
-
-
 def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     """Count eigenvalues of ``a`` below -tol, within [-tol, tol], above tol.
 
     With ``tol=None`` the tolerance defaults to 1e-9 * (1 + spectral
     radius), which makes the strict sign counts robustly decidable.
     """
-    neg, pos, tols = _signatures(np.linalg.eigvalsh(a.entries), tol)
-    return Inertia(int(neg), a.dim - int(neg) - int(pos), int(pos), float(tols))
+    w = np.linalg.eigvalsh(a.entries)
+    t = _INERTIA_REL_TOL * (1.0 + float(np.abs(w).max())) if tol is None else _check_tol(tol)
+    neg, pos = int((w < -t).sum()), int((w > t).sum())
+    return Inertia(neg, a.dim - neg - pos, pos, t)
 
 
 class RealPolynomial(_Frozen):
@@ -245,7 +241,7 @@ class RealPolynomial(_Frozen):
             raise InputError("polynomial coefficients must be a nonempty 1-d array")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        self._set(arr)
 
     @property
     def degree(self) -> int:
@@ -293,21 +289,27 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def _probe(r: np.ndarray, el: np.ndarray, delta: float):
+def _units(r: np.ndarray, el: np.ndarray, delta: float):
     """The pencils of the (n, d, d) stacks in the engine's units, and their
-    eigenvalues at the probes: (e, rn, ln, tols, x, w).
+    tolerances: (e, rn, ln, tols).
 
     rn = R 2^-e and ln = delta L 2^-e, where 2^e is the least power of two
     above max(max|R_ij|, 2 delta max|L_ij|); tols is 1e-9 (||rn||_F +
-    2 ||ln||_F); w (n, d + 2, d) holds the eigenvalues of rn + 2 x ln at the
-    d + 2 probes x, equally spaced on [-1, 1].  R +- 2 delta L must be
-    finite."""
+    2 ||ln||_F).  R +- 2 delta L must be finite."""
     step = 2.0 * delta * el
     top = np.maximum(np.abs(r).max(axis=(1, 2)), np.abs(step).max(axis=(1, 2)))
     e = np.maximum(np.frexp(top)[1], -1021)  # top < 2^e, and 2^-e stays finite
     f = np.ldexp(1.0, -e)[:, None, None]
     rn, ln = r * f, step * (0.5 * f)
     tols = _INERTIA_REL_TOL * (np.linalg.norm(rn, axis=(1, 2)) + 2.0 * np.linalg.norm(ln, axis=(1, 2)))
+    return e, rn, ln, tols
+
+
+def _probe(r: np.ndarray, el: np.ndarray, delta: float):
+    """_units, and the eigenvalues at the probes: (e, rn, ln, tols, x, w),
+    where w (n, d + 2, d) holds the eigenvalues of rn + 2 x ln at the d + 2
+    probes x, equally spaced on [-1, 1]."""
+    e, rn, ln, tols = _units(r, el, delta)
     x = np.linspace(-1.0, 1.0, r.shape[-1] + 2)
     w = np.linalg.eigvalsh(rn[:, None] + (2.0 * x)[:, None, None] * ln[:, None])
     return e, rn, ln, tols, x, w

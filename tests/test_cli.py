@@ -8,7 +8,9 @@ determinism modulo the timing field, and a few frozen numeric values.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -298,6 +300,20 @@ def bench_field(d, seed, scale):
         for key in ("R", "L"):
             p[key] = [[[scale * v[0], scale * v[1]] for v in row] for row in p[key]]
     return doc
+
+
+@pytest.mark.parametrize("size", [0, 3, 2**20 + 1])
+def test_input_digest_is_sha256(size):
+    # the built-in SHA-256 gives hashlib's hex digest, below and above a megabyte
+    raw = bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8))
+    assert crmorse.cli._digest(raw) == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def test_input_digest_of_a_bench_field(tmp_path):
+    inp = write_json(tmp_path, "f.json", bench_field(4, 1, 1.0))
+    assert run(["classify", "--input", str(inp), "--out", str(tmp_path / "c.json")]) == 0
+    doc = json.loads((tmp_path / "c.json").read_text())
+    assert doc["input_digest"] == "sha256:" + hashlib.sha256(inp.read_bytes()).hexdigest()
 
 
 def test_morse_on_a_tiny_field_scales_its_densities(tmp_path):
@@ -706,6 +722,10 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules), "blas": blas})
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# CPython's built-in SHA-256: _sha2 from 3.12, _sha256 before; a build
+# without either takes the digest from hashlib
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
 
 def test_each_command_family_imports_only_its_modules(tmp_path):
     paths = {
@@ -741,7 +761,10 @@ def test_each_command_family_imports_only_its_modules(tmp_path):
                                   "dataclasses", *handlers}
     assert not loaded["model"] & {"crmorse.morse", "crmorse.oracles", "numpy.polynomial",
                                   "dataclasses", "crmorse.cli_lattice"}
-    assert not loaded["lattice"] & {"crmorse.model", "crmorse.cli_model"}
+    assert not loaded["lattice"] & {"crmorse.model", "crmorse.cli_model", "dataclasses"}
+    if BUILTIN_SHA256:  # the input digest does not load OpenSSL
+        for family, modules in loaded.items():
+            assert not modules & {"hashlib", "_hashlib"}, family
     assert "crmorse.cli_model" in loaded["model"] and "crmorse.cli_lattice" in loaded["lattice"]
     # --help pays the same base as every command: numpy and the pencil engine
     assert {"numpy", "crmorse.pencil"} <= loaded["help"]
@@ -921,6 +944,31 @@ def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expec
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["morse", "--input", "{field}", "--out", "{absent}/x.json"],
+         "--out: cannot write {absent}/x.json: No such file or directory"),
+        (["morse", "--input", "{field}", "--out", "{tmp}"], "--out: cannot write {tmp}: Is a directory"),
+        (["calibrate", "--out", "{absent}/cal.json"],
+         "--out: cannot write {absent}/cal.json: No such file or directory"),
+        (["torus-demo", "--cal", "{absent}/cal.json"],
+         "--cal: cannot write {absent}/cal.json: No such file or directory"),
+        (["convergence", "--example", "torus-d1", "--cal", "{absent}/cal.json"],
+         "--cal: cannot write {absent}/cal.json: No such file or directory"),
+        (["morse", "--input", "{absent}/f.json"], "--input: cannot read {absent}/f.json: No such file or directory"),
+        (["classify", "--input", "{tmp}"], "--input: cannot read {tmp}: Is a directory"),
+    ],
+    ids=["morse-out-absent", "morse-out-dir", "calibrate-out", "torus-demo-cal", "convergence-cal",
+         "morse-input-absent", "classify-input-dir"],
+)
+def test_file_errors_exit_2_naming_the_flag_and_path(tmp_path, capsys, argv, expected):
+    # an OSError on the file a flag names is an input error, not a traceback
+    paths = {"field": write_json(tmp_path, "f.json", MINIMAL), "absent": tmp_path / "absent", "tmp": tmp_path}
+    assert run([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % expected.format(**paths)
 
 
 # -------------------------------------------------------------- main()

@@ -307,6 +307,45 @@ def test_classify_guard_matches_eigen_scan(seed, d):
         assert pos.semi_positive_delta == pytest.approx(expected, abs=1e-6)
 
 
+def test_classify_positivity_is_unit_free():
+    # R = diag(2, 3) is positive definite at any scale; the former absolute
+    # tolerance, 1e-9 (1 + max|eig|), called it singular at 1e-12
+    for t in (1e-12, 1.0, 1e12):
+        field = single(3, 0.5, [[2 * t, 0], [0, 3 * t]], [[t, 0], [0, -t]])
+        pos = classify_bundle(field)
+        assert (pos.positive_everywhere, pos.positive_somewhere) == (True, True), t
+        assert bigness_verdict(field).reason == REASON_POSITIVE
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    power=st.integers(-12, 12),
+    shifts=st.lists(st.sampled_from([-3.0, 0.0, 3.0]), min_size=1, max_size=3),
+)
+def test_classify_and_bigness_are_unit_free(d, seed, power, shifts):
+    # scaling (R, L) by t changes no verdict; a shift of 3 makes most R
+    # positive definite, so both answers of each criterion are drawn
+    rng = np.random.default_rng(seed)
+    points = [(random_hermitian(rng, d) + shift * np.eye(d), random_hermitian(rng, d)) for shift in shifts]
+
+    def field(t):
+        return PencilField(n=d + 1, delta=0.5, points=[
+            PencilPoint("p%d" % i, HermitianMatrix(t * r), HermitianMatrix(t * el))
+            for i, (r, el) in enumerate(points)
+        ])
+
+    base, scaled = field(1.0), field(10.0**power)
+    pos, got = classify_bundle(base), classify_bundle(scaled)
+    assert (got.positive_everywhere, got.positive_somewhere) == (pos.positive_everywhere, pos.positive_somewhere)
+    if pos.semi_positive_delta is None:
+        assert got.semi_positive_delta is None
+    else:
+        assert got.semi_positive_delta == pytest.approx(pos.semi_positive_delta, rel=1e-12, abs=1e-13)
+    assert bigness_verdict(scaled) == bigness_verdict(base)
+
+
 # -------------------------------------------------------------- bigness
 
 
