@@ -644,7 +644,6 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--kmin", type=int, default=10)
         p.add_argument("--kmax", type=int, default=100)
         p.add_argument("--kstep", type=int, default=None)
-        p.add_argument("--k0", type=int, default=50, help="Richardson reference level")
         p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
 
     return parser

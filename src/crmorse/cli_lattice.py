@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 from .cli import (
     HEISENBERG_SCHEMA,
@@ -20,7 +20,6 @@ from .cli import (
     _emit,
     _file_error,
     _finite,
-    _matrix_doc,
     _read_input,
     _report_csv,
     _report_doc,
@@ -30,7 +29,7 @@ from .cli import (
     parse_torus,
 )
 from .errors import InputError
-from .serialize import canonical_json, csv_table
+from .serialize import csv_table
 
 if TYPE_CHECKING:
     from .oracles import LatticeCalibration, TorusBundleSpec
@@ -64,30 +63,17 @@ DEFAULT_LEVI_DOC = {
 }
 
 
-def _example_specs() -> Dict[str, TorusBundleSpec]:
-    from .oracles import TorusBundleSpec
-
-    return {
-        "torus-d1": TorusBundleSpec(
-            d=1, lambda_mat=[[1]], mu_mat=[[2]], delta=0.5
-        ),
-        "torus-d2-indefinite": TorusBundleSpec(
-            d=2,
-            lambda_mat=[[1, 0], [0, 1]],
-            mu_mat=[[1, 0], [0, -1]],
-            delta=0.25,
-        ),
-    }
-
-
-def serialize_torus(spec: TorusBundleSpec) -> Dict:
-    return {
+# the documents of convergence --example, read as an --input would be
+EXAMPLE_TORUS_DOCS = {
+    "torus-d1": DEFAULT_TORUS_DOC,
+    "torus-d2-indefinite": {
         "schema": TORUS_SCHEMA,
-        "d": spec.d,
-        "lambda": _matrix_doc(spec.lambda_mat),
-        "mu": _matrix_doc(spec.mu_mat),
-        "delta": spec.delta,
-    }
+        "d": 2,
+        "lambda": _pairs([[1, 0], [0, 1]]),
+        "mu": _pairs([[1, 0], [0, -1]]),
+        "delta": 0.25,
+    },
+}
 
 
 def _load_or_make_cal(path) -> LatticeCalibration:
@@ -108,24 +94,29 @@ def _load_or_make_cal(path) -> LatticeCalibration:
     return cal
 
 
-def _cmd_torus_demo(args, started):
+def _torus_report(args, spec: TorusBundleSpec):
+    """The --cal record, the field it gives ``spec`` and that field's
+    report, once --q is checked against spec.d."""
     from .morse import build_morse_report
-    from .oracles import _dimension_sums, torus_bundle_field
+    from .oracles import _lattice_field
+
+    if args.q is not None and not 0 <= args.q <= spec.d:
+        raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
+    cal = _load_or_make_cal(args.cal)
+    field = _lattice_field(spec, cal)
+    return cal, field, build_morse_report(field)
+
+
+def _cmd_torus_demo(args, started):
+    from .oracles import _dimension_sums
 
     raw = _read_input(args, DEFAULT_TORUS_DOC)
     spec = parse_torus(raw)
-    cal = _load_or_make_cal(args.cal)
-    field = torus_bundle_field(spec)
-    rep = build_morse_report(field)
+    cal, _, rep = _torus_report(args, spec)
     k = args.k
     oracle = _dimension_sums(spec, k, cal, "--k")
     weak = _weak_bounds(rep, k, "mu")
-    if args.q is None:
-        qs = list(range(spec.d + 1))
-    else:
-        if not 0 <= args.q <= spec.d:
-            raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
-        qs = [args.q]
+    qs = range(spec.d + 1) if args.q is None else [args.q]
     result = {
         "d": spec.d,
         "delta": spec.delta,
@@ -178,33 +169,14 @@ def _cmd_calibrate(args, started):
     )
 
 
-def _weight_for_euler(spec: TorusBundleSpec, k0: int, cal: LatticeCalibration) -> Tuple[float, int]:
-    """The weight of the first degree that calibrates one, and that degree."""
-    from .oracles import calibrate_weight
-
-    reasons = []
-    for q in range(spec.d + 1):
-        try:
-            return calibrate_weight(spec, q, k0, cal), q
-        except InputError as exc:
-            reasons.append("q=%d: %s" % (q, exc))
-    raise InputError("no degree calibrates a weight (%s)" % "; ".join(reasons))
-
-
 def _cmd_convergence(args, started):
-    from .morse import _power, build_morse_report
-    from .oracles import _check_window, _dimension_sums, calibrate_weight, torus_bundle_field
+    from .oracles import _check_window, _dimension_sums
 
-    if args.input:
-        raw = _read_input(args)
-        spec = parse_torus(raw)
-        source = "input"
-    elif args.example:
-        spec = _example_specs()[args.example]
-        raw = (canonical_json(serialize_torus(spec)) + "\n").encode()
-        source = args.example
-    else:
+    if not (args.input or args.example):
         raise InputError("convergence needs --example or --input")
+    raw = _read_input(args, EXAMPLE_TORUS_DOCS.get(args.example))
+    spec = parse_torus(raw)
+    source = "input" if args.input else args.example
     if args.kmin < 1 or args.kmax < args.kmin:
         raise InputError(
             "need 1 <= kmin <= kmax, got kmin=%d kmax=%d" % (args.kmin, args.kmax)
@@ -212,23 +184,14 @@ def _cmd_convergence(args, started):
     kstep = args.kstep if args.kstep is not None else max(1, (args.kmax - args.kmin) // 9)
     if kstep < 1:
         raise InputError("--kstep must be >= 1, got %d" % kstep)
-    if args.k0 < 1:
-        raise InputError("--k0 must be >= 1, got %d" % args.k0)
-    _power(args.k0, spec.d + 1, "--k0", 2**spec.d)  # the divisor of calibrate_weight
-    cal = _load_or_make_cal(args.cal)
+    cal, field, rep = _torus_report(args, spec)
     ks = list(range(args.kmin, args.kmax + 1, kstep))
-    n = spec.d + 1
     q = args.q
-    if q is None:
-        weight, weight_q = _weight_for_euler(spec, args.k0, cal)
-    else:
-        if not 0 <= q <= spec.d:
-            raise InputError("--q must be in 0..%d, got %d" % (spec.d, q))
-        weight, weight_q = calibrate_weight(spec, q, args.k0, cal), q
-    rep = build_morse_report(torus_bundle_field(spec, weight=weight))
     dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
-    if q is None and dens == 0.0:
-        raise InputError("signed density total vanishes for this spec; no Euler comparison")
+    if dens == 0.0:
+        if q is None:
+            raise InputError("signed density total vanishes for this spec; no Euler comparison")
+        raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
     # windows grow with k, so the first and last levels swept bound the rest;
     # a --kmax beyond the last level reached is not an error
     _check_window(spec, ks[0], "--kmin", args.kmin)
@@ -237,7 +200,7 @@ def _cmd_convergence(args, started):
     for k in ks:
         sums = _dimension_sums(spec, k, cal)
         oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
-    bounds = _finite(lambda: [k**n * dens for k in ks], "--kmax")
+    bounds = _finite(lambda: [k**rep.n * dens for k in ks], "--kmax")
     ratios = _finite(lambda: [o / b for o, b in zip(oracles, bounds)], "--kmax")
     rows = [
         {"k": k, "oracle": o, "bound": b, "ratio": r}
@@ -249,9 +212,7 @@ def _cmd_convergence(args, started):
         "delta": spec.delta,
         "mode": "euler" if q is None else "density",
         "q": q,
-        "k0": args.k0,
-        "weight": weight,
-        "weightQ": weight_q,
+        "weight": field.points[0].weight,
         "rows": rows,
     }
     csv_text = csv_table(

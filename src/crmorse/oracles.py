@@ -11,7 +11,8 @@ Two normalization constants the geometry literature leaves implicit are
 derived here rather than hard-coded: c_dim (sections per unit of
 determinant) and c_mode (coupling of the circle Fourier index m to the
 lambda-curvature).  ``calibrate`` fixes both against the d=1 brute-force
-count and freezes them in a persisted, re-verifiable record.
+count and freezes them in a persisted, re-verifiable record; the lattice
+commands build their torus field from the record alone (_lattice_field).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import CalibrationError, InputError
-from .morse import PencilField, PencilPoint, _power, density_q
+from .morse import TWO_PI, PencilField, PencilPoint, _power, density_q
 from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
@@ -136,6 +137,24 @@ def heisenberg_field(spec: HeisenbergSpec, weight: float = 1.0) -> PencilField:
 def torus_bundle_field(spec: TorusBundleSpec, weight: float = 1.0) -> PencilField:
     point = PencilPoint("torus", spec.mu_mat, spec.lambda_mat, weight)
     return PencilField(n=spec.d + 1, delta=spec.delta, points=[point])
+
+
+def _lattice_field(spec: TorusBundleSpec, cal: LatticeCalibration) -> PencilField:
+    """The field whose weak bounds the mode counts approach with nothing
+    fitted: mode m at level k has curvature k (R + 2 (m/k) L) for R = mu and
+    L = c_mode lambda / 2, and c_dim^d sections per unit of |det|, so the
+    weight is (2pi)^n c_dim^d.  An InputError naming d when it overflows."""
+    n, c_dim = spec.d + 1, int(cal.c_dim)
+    try:
+        weight = TWO_PI**n * c_dim**spec.d
+    except OverflowError:  # (2pi)^n, or c_dim^d, beyond float range
+        weight = math.inf
+    if weight == math.inf:
+        raise InputError(
+            "d: the lattice volume weight (2pi)^%d * %d^%d leaves floating-point range" % (n, c_dim, spec.d)
+        )
+    el = HermitianMatrix(spec.lambda_mat.entries * (int(cal.c_mode) / 2))
+    return PencilField(n=n, delta=spec.delta, points=[PencilPoint("torus", spec.mu_mat, el, weight)])
 
 
 def levi_flat_field(mu_mat, d: int, delta: float = 1.0) -> PencilField:
@@ -264,8 +283,9 @@ def calibrate() -> LatticeCalibration:
 
 
 def verify_calibration(cal: LatticeCalibration) -> None:
+    """A CalibrationError unless ``cal`` has the constants of calibrate()."""
     fresh = calibrate()
-    if fresh != cal:
+    if (fresh.c_mode, fresh.c_dim) != (cal.c_mode, cal.c_dim):
         raise CalibrationError(
             "calibration record does not reproduce (expected c_mode=%s, c_dim=%s)"
             % (_frac_str(fresh.c_mode), _frac_str(fresh.c_dim))

@@ -96,7 +96,8 @@ class _Frozen:
     and PencilField in morse, ModelData in model, the specs and the
     calibration record in oracles).  Each subclass names its fields in
     ``__slots__`` and sets them once, in ``__init__``, through _set;
-    afterwards they are read-only.  Instances compare, hash and print by
+    afterwards they are read-only.  Instances compare and hash by their
+    fields' values (_by_value), ``==`` never raises, and they print by
     their fields, in ``__slots__`` order."""
 
     __slots__ = ()
@@ -112,7 +113,7 @@ class _Frozen:
         raise AttributeError("cannot delete field %r" % name)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(_by_value(getattr(self, name)) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,6 +126,19 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
         return "%s(%s)" % (type(self).__name__, fields)
+
+
+def _by_value(value):
+    """A hashable stand-in for a field value, equal for equal contents:
+    arrays and Hermitian matrices by shape and entries, lists, tuples and
+    dicts by items, anything else as itself."""
+    if isinstance(value, HermitianMatrix):
+        value = value.entries
+    if isinstance(value, np.ndarray):
+        return value.shape, tuple(value.ravel().tolist())
+    if isinstance(value, dict):
+        return frozenset((key, _by_value(item)) for key, item in value.items())
+    return tuple(map(_by_value, value)) if isinstance(value, (list, tuple)) else value
 
 
 class HermitianMatrix:

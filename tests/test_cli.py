@@ -612,6 +612,29 @@ def test_corrupt_calibration_exit_code(tmp_path, capsys):
     assert "calibration" in capsys.readouterr().err.lower()
 
 
+def test_calibration_record_with_edited_provenance_loads(tmp_path, capsys):
+    # only the constants are re-derived; the transcript is not compared
+    cal = tmp_path / "cal.json"
+    assert run(["calibrate", "--out", str(cal)]) == 0
+    doc = json.loads(cal.read_text())
+    doc["provenance"] = 5
+    cal.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["torus-demo", "--k", "4", "--cal", str(cal)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["oracleDims"] == [80, 0]
+
+
+def test_calibration_record_with_a_wrong_constant_exits_4(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    assert run(["calibrate", "--out", str(cal)]) == 0
+    cal.write_text(cal.read_text().replace('"c_dim": "2/1"', '"c_dim": "3/1"'))
+    capsys.readouterr()
+    assert run(["torus-demo", "--k", "4", "--cal", str(cal)]) == 4
+    assert capsys.readouterr().err == (
+        "calibration error: calibration record does not reproduce (expected c_mode=1/1, c_dim=2/1)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -678,11 +701,14 @@ def test_convergence_rrh_mode(tmp_path):
     assert row["ratio"] == pytest.approx(1.0, abs=0.25)
 
 
-# q = 0 carries pencil mass, but its oracle sums never grow like k^2
+# the modes of the window all have q = 1: the curvature -k + m is negative
+# for |m| < k and singular at m = k
 TRAP_TORUS = {"schema": "crmorse/torus-v1", "d": 1, "lambda": [[[1, 0]]], "mu": [[[-1, 0]]], "delta": 1.0}
 
 
-def test_convergence_euler_falls_through_to_a_calibrating_degree(tmp_path):
+def test_convergence_trap_torus_ratios_are_unfitted(tmp_path):
+    # R + 2sL = -1 + s with L = lambda/2 has q = 1 on all of (-1, 1), as the
+    # modes do: the oracle is -2k(2k + 1), the bound -4k^2, the ratio 1 + 1/(2k)
     out = tmp_path / "trap.json"
     assert run([
         "convergence", "--input", str(write_json(tmp_path, "t.json", TRAP_TORUS)),
@@ -691,20 +717,84 @@ def test_convergence_euler_falls_through_to_a_calibrating_degree(tmp_path):
     ]) == 0
     res = json.loads(out.read_text())["result"]
     assert res["mode"] == "euler"
-    assert res["weightQ"] == 1
+    assert res["weight"] == pytest.approx(2 * TWO_PI**2, rel=1e-15)  # (2pi)^n c_dim^d
+    assert "k0" not in res and "weightQ" not in res
     assert [row["oracle"] for row in res["rows"]] == [-420, -1640]
+    assert [row["bound"] for row in res["rows"]] == pytest.approx([-400, -1600], rel=1e-14)
+    assert [row["ratio"] for row in res["rows"]] == pytest.approx([1.05, 1.025], rel=1e-14)
 
 
-def test_convergence_euler_lists_each_degree_reason(tmp_path, capsys):
-    assert run([
-        "convergence", "--example", "torus-d1", "--kmin", "10", "--kmax", "10",
-        "--k0", str(6 * 10**153), "--cal", str(tmp_path / "cal.json"),
-    ]) == 2
-    assert capsys.readouterr().err == (
-        "error: no degree calibrates a weight ("
-        "q=0: k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range; "
-        "q=1: q=1 spectral density vanishes for this spec; nothing to calibrate)\n"
-    )
+def test_convergence_ratios_need_no_fit(tmp_path):
+    cal = str(tmp_path / "cal.json")
+    expected = {
+        ("--example", "torus-d1", "--q", "0"): [1.01, 1.001, 1.00005],
+        ("--example", "torus-d2-indefinite"): [1.0191, 1.0019, 1.0001],
+    }
+    for flags, ratios in expected.items():
+        out = tmp_path / "conv.csv"
+        assert run(["convergence", *flags, "--kmin", "100", "--kmax", "20000", "--kstep", "100",
+                    "--cal", cal, "--format", "csv", "--out", str(out)]) == 0
+        rows = {int(k): float(ratio) for k, _, _, ratio in (line.split(",") for line in out.read_text().split()[1:])}
+        assert [rows[k] for k in (100, 1000, 20000)] == pytest.approx(ratios, abs=1e-4), flags
+
+
+def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_path, monkeypatch):
+    import crmorse.morse
+    import crmorse.oracles
+
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+    count(crmorse.morse, "_decompose_batch")
+    count(crmorse.oracles, "_dimension_sums")
+    for flags in (["--example", "torus-d2-indefinite"], ["--example", "torus-d1", "--q", "0"]):
+        calls.clear()
+        assert run(["convergence", *flags, "--kmin", "10", "--kmax", "30", "--kstep", "10",
+                    "--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == ["_decompose_batch"] + ["_dimension_sums"] * 3, flags
+
+
+# a torus of dimension 280, whose weight (2pi)^281 2^280 exceeds the largest float
+BIG_TORUS = {"schema": "crmorse/torus-v1", "d": 280, "lambda": mat(np.zeros((280, 280))), "mu": mat(np.eye(280)),
+             "delta": 0.5}
+BIG_WEIGHT = "d: the lattice volume weight (2pi)^281 * 2^280 leaves floating-point range"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, expected",
+    [
+        (["convergence", "--example", "torus-d1", "--q", "1", "--kmin", "10", "--kmax", "10"], None,
+         "--q 1: the q=1 density vanishes for this spec; no ratio to report"),
+        (["convergence", "--q", "0"], TRAP_TORUS,
+         "--q 0: the q=0 density vanishes for this spec; no ratio to report"),
+        (["convergence"], BIG_TORUS, BIG_WEIGHT),
+        (["torus-demo"], BIG_TORUS, BIG_WEIGHT),
+    ],
+    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo"],
+)
+def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypatch, argv, doc, expected):
+    import crmorse.oracles
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("an oracle pass ran")
+
+    monkeypatch.setattr(crmorse.oracles, "_dimension_sums", no_pass)
+    if doc is not None:
+        argv = argv + ["--input", str(write_json(tmp_path, "t.json", doc))]
+    assert run(argv + ["--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % expected
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_weight_is_finite_up_to_d_279():
+    from crmorse.oracles import TorusBundleSpec, _lattice_field
+
+    spec = TorusBundleSpec(d=279, lambda_mat=np.zeros((279, 279)), mu_mat=np.eye(279), delta=1)
+    field = _lattice_field(spec, crmorse.calibrate())
+    assert field.points[0].weight == pytest.approx(TWO_PI**280 * 2.0**279, rel=1e-12)
 
 
 # ---------------------------------------------------------------- misc
@@ -751,8 +841,8 @@ PARSER_CASES = {
     "levi-flat-demo": (["--input", "l.json", "--k", "10", "--format", "csv"], [["--k", "ten"], ["--bogus"]]),
     "calibrate": (["--out", "c.json"], [["--out"], ["--format", "csv"]]),
     "convergence": (["--example", "torus-d1", "--q", "0", "--kmin", "5", "--kmax", "50", "--kstep", "5",
-                     "--k0", "20", "--cal", "c.json"],
-                    [["--example", "torus-d3"], ["--kmin", "x"]]),
+                     "--cal", "c.json"],
+                    [["--example", "torus-d3"], ["--kmin", "x"], ["--k0", "20"]]),
 }
 
 
@@ -990,12 +1080,6 @@ def _torus():
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (lambda tmp, cap: _cli_error(tmp, cap, ["convergence", "--example", "torus-d2-indefinite",
-                                                "--kmin", "10", "--kmax", "10", "--k0", str(K200)]),
-         "--k0: an integer of 201 digits, whose power n = 3 leaves floating-point range"),
-        (lambda tmp, cap: _cli_error(tmp, cap, ["convergence", "--example", "torus-d1", "--q", "0",
-                                                "--k0", str(K400)]),
-         "--k0: an integer of 401 digits, whose power n = 2 leaves floating-point range"),
         (lambda tmp, cap: _cli_error(tmp, cap, ["torus-demo", "--k", str(K400)]),
          "--k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
         (lambda tmp, cap: _library_error(lambda: crmorse.calibrate_weight(_torus(), 1, K200, crmorse.calibrate())),
@@ -1007,7 +1091,7 @@ def _torus():
             lambda: crmorse.fourier_dimension_sum(_torus(), 0, K400, crmorse.calibrate())),
          "k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
     ],
-    ids=["cli-k0-euler", "cli-k0-density", "cli-torus-k", "calibrate_weight-k0", "weak_bound-k",
+    ids=["cli-torus-k", "calibrate_weight-k0", "weak_bound-k",
          "fourier_dimension_sum-k"],
 )
 def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expected):

@@ -34,6 +34,8 @@ from crmorse.morse import (
     strong_sums,
     weak_bound,
 )
+from crmorse.model import ModelData
+from crmorse.oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
 from crmorse.pencil import HermitianMatrix, RealPolynomial
 from oracle_tools import (
     oracle_signature_intervals,
@@ -97,6 +99,38 @@ def test_value_classes_are_read_only_and_compare_by_fields():
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert not poly.coeffs.flags.writeable
+
+
+def _point(weight=1.0):
+    return PencilPoint("p", hm([[1, 1j], [-1j, 2]]), hm([[1, 0], [0, -1]]), weight)
+
+
+# each value class: a maker of fresh equal instances, and an unequal one
+FROZEN_CASES = {
+    "RealPolynomial": (lambda: RealPolynomial([1.0, 2.0]), lambda: RealPolynomial([1.0, 3.0])),
+    "PencilPoint": (_point, lambda: _point(2.0)),
+    "PencilField": (lambda: PencilField(3, 0.5, [_point(), _point()]), lambda: PencilField(3, 0.5, [_point()])),
+    "ModelData": (lambda: ModelData(2, [1.0, -1.0], hm([[3, 1], [1, 2]]), 0.5),
+                  lambda: ModelData(2, [1.0, 1.0], hm([[3, 1], [1, 2]]), 0.5)),
+    "TorusBundleSpec": (lambda: TorusBundleSpec(2, [[1, 0], [0, 1]], [[1, 1j], [-1j, -1]], 0.25),
+                        lambda: TorusBundleSpec(2, [[1, 0], [0, 1]], [[1, 1j], [-1j, 1]], 0.25)),
+    "HeisenbergSpec": (lambda: HeisenbergSpec(2, (1, 2), [[3, 1], [1, 3]], 0.5),
+                       lambda: HeisenbergSpec(2, (1, 2), [[3, 1], [1, 4]], 0.5)),
+    "LatticeCalibration": (lambda: LatticeCalibration(1, 2, {"seed": 3, "tuples": [[1, 2], [3, 4]]}),
+                           lambda: LatticeCalibration(1, 2, {"seed": 3, "tuples": [[1, 2], [3, 5]]})),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_value_classes_compare_and_hash_by_value(name):
+    make, make_other = FROZEN_CASES[name]
+    a, b, other = make(), make(), make_other()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert a != object() and a != None  # noqa: E711
+    assert len({a, b, other}) == 2
+    assert repr(a).startswith(name + "(") and all("%s=" % f in repr(a) for f in type(a).__slots__)
 
 
 def test_density_argument_validation():
