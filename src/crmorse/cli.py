@@ -184,15 +184,14 @@ def _point(praw: Any, path: str, d: int) -> PencilPoint:
     return PencilPoint(label, r, el, weight)
 
 
-def _stacked_points(raw_points: List[Any], d: int) -> Optional[List[PencilPoint]]:
-    """Every sample point, with the R and L matrices of all points parsed
-    as one stack; None when any point has a fault."""
-    from .morse import PencilPoint
-
+def _stacked_points(raw_points: List[Any], d: int) -> Optional[tuple]:
+    """The labels, the R and L stacks and the weights of every sample point,
+    with the matrices of all points parsed as one stack; None when any point
+    has a fault."""
     try:
         labels = [p["label"] for p in raw_points]
         weights = [p.get("weight", 1.0) for p in raw_points]
-        stack = _matrix_stack([p[key] for p in raw_points for key in ("R", "L")], d)
+        stack = _matrix_stack([p["R"] for p in raw_points] + [p["L"] for p in raw_points], d)
         if stack is None or not set(map(type, weights)) <= _JSON_NUMBERS:
             return None
         weights = [float(w) for w in weights]
@@ -202,11 +201,7 @@ def _stacked_points(raw_points: List[Any], d: int) -> Optional[List[PencilPoint]
         return None
     if not all(math.isfinite(w) and w > 0.0 for w in weights):
         return None
-    wrap = HermitianMatrix._from_symmetrized
-    return [
-        PencilPoint(label, wrap(stack[2 * i]), wrap(stack[2 * i + 1]), w)
-        for i, (label, w) in enumerate(zip(labels, weights))
-    ]
+    return labels, stack[: len(labels)], stack[len(labels) :], weights
 
 
 def parse_field(data: Any) -> PencilField:
@@ -228,16 +223,15 @@ def parse_field(data: Any) -> PencilField:
     if not isinstance(raw_points, list) or not raw_points:
         _fail("points", "expected a nonempty list of sample points")
     d = n - 1
-    points = _stacked_points(raw_points, d)
-    if points is None:  # a fault: walk the points to name the first one
+    stacks = _stacked_points(raw_points, d)
+    if stacks is None:  # a fault: walk the points to name the first one
         points = [_point(praw, "points[%d]" % i, d) for i, praw in enumerate(raw_points)]
-    return PencilField(n=n, delta=delta, points=points)
+        return PencilField(n=n, delta=delta, points=points)
+    return PencilField._of_stacks(n, delta, *stacks)
 
 
-def _matrix_doc(m: HermitianMatrix) -> List[List[List[float]]]:
-    return [
-        [[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m.entries)
-    ]
+def _matrix_doc(m: np.ndarray) -> List[List[List[float]]]:
+    return [[[float(e.real), float(e.imag)] for e in row] for row in m]
 
 
 def serialize_field(field: PencilField) -> Dict:
@@ -247,13 +241,8 @@ def serialize_field(field: PencilField) -> Dict:
         "n": field.n,
         "delta": field.delta,
         "points": [
-            {
-                "label": p.label,
-                "weight": p.weight,
-                "R": _matrix_doc(p.r),
-                "L": _matrix_doc(p.el),
-            }
-            for p in field.points
+            {"label": label, "weight": weight, "R": _matrix_doc(r), "L": _matrix_doc(el)}
+            for label, weight, r, el in zip(field.labels, field.weights.tolist(), field.r, field.el)
         ],
     }
 
@@ -442,12 +431,12 @@ def _report_csv(rep: MorseReport, weak: Optional[List[float]]) -> str:
 def _cmd_chambers(args, started):
     raw = _read_input(args)
     field = parse_field(raw)
-    if not 0 <= args.point < len(field.points):
+    if not 0 <= args.point < len(field.labels):
         raise InputError(
             "--point index %d out of range (field has %d sample points)"
-            % (args.point, len(field.points))
+            % (args.point, len(field.labels))
         )
-    pt = field.points[args.point]
+    pt = field._point(args.point)
     delta = field.delta if args.delta is None else args.delta
     if not delta > 0.0:
         raise InputError("--delta must be positive, got %g" % delta)
@@ -457,7 +446,7 @@ def _cmd_chambers(args, started):
         raise InputError("--tol must be finite, got %g" % args.tol)
     if args.tol is not None and args.tol < 0.0:
         raise InputError("--tol must be nonnegative, got %g" % args.tol)
-    dec, masses, _ = _decompose(pt.r, pt.el, delta, args.tol)
+    dec, masses = _decompose(pt.r, pt.el, delta, args.tol)[:2]
     result = {
         "label": pt.label,
         "delta": dec.delta,

@@ -31,7 +31,6 @@ from .pencil import (
     HermitianMatrix,
     _decompose,
     _Frozen,
-    _signature_masses,
     inertia,
     signature_set,
 )
@@ -116,8 +115,8 @@ def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass of each
     q-signature set."""
     r, el = _eta_pencil(data)
-    dec, masses, _ = _decompose(r, el, data.delta)
-    return dec, _signature_masses(dec, masses)
+    dec, _, _, masses = _decompose(r, el, data.delta)
+    return dec, masses
 
 
 def _szego_table(data: ModelData) -> Tuple[EtaChamberSet, List[float]]:

@@ -6,22 +6,23 @@ density coefficients, weak and strong bound prefactors, the asymptotic
 Riemann-Roch-Hirzebruch total, the X(q) distance certificate, and the
 positivity / bigness verdicts.
 
-Each sample's pencil is decomposed once into a chamber record per
-window, the points of a field together in stacked passes of at most
-_CHUNK points; every quantity is a reduction over those records, run in
-input order with math.fsum so reports are byte-reproducible.
+A field is arrays: stacks of R and L, weights and labels.  Every
+quantity comes from one pass of build_morse_report over the field in
+slices of at most _CHUNK points, each decomposed once in a stacked pass.
+Per point it keeps only the weighted q-masses and signed integral,
+summed in input order with math.fsum so reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .pencil import Chamber, HermitianMatrix, _decompose_batch, _Frozen, _signature_masses, _units
+from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _q_masses, _units
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -74,30 +75,56 @@ class PencilPoint(_Frozen):
 
 
 class PencilField(_Frozen):
-    """Weighted sample field with shared fiber dimension d = n - 1."""
+    """Weighted sample field with shared fiber dimension d = n - 1, held as
+    arrays: the labels, the read-only (N, d, d) stacks ``r`` and ``el`` of
+    R and L, and the weights.  ``points`` builds the PencilPoints at each
+    read."""
 
-    __slots__ = ("n", "delta", "points")
+    __slots__ = ("n", "delta", "labels", "r", "el", "weights")
 
     def __init__(self, n: int, delta: float, points: List[PencilPoint]):
-        if not isinstance(n, numbers.Integral) or n < 2:
-            raise InputError("n must be an integer >= 2, got %r" % (n,))
-        dlt = float(delta)
-        if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("field delta must be a positive real, got %r" % (delta,))
         pts = list(points)
-        if not pts:
-            raise InputError("field needs at least one sample point")
-        d = int(n) - 1
-        for p in pts:
-            if p.r.dim != d:
-                raise InputError(
-                    "sample %r has pencil dim %d, expected n-1 = %d" % (p.label, p.r.dim, d)
-                )
-        self._set(int(n), dlt, pts)
+        _fill(self, n, delta, [p.label for p in pts], [p.r.entries for p in pts], [p.el.entries for p in pts],
+              [p.weight for p in pts])
+
+    @classmethod
+    def _of_stacks(cls, n: int, delta: float, labels, r: np.ndarray, el: np.ndarray, weights) -> "PencilField":
+        """The field of validated samples: nonempty labels, symmetrized
+        read-only stacks and positive finite weights."""
+        field = object.__new__(cls)
+        _fill(field, n, delta, labels, r, el, weights)
+        return field
 
     @property
     def dim(self) -> int:
         return self.n - 1
+
+    @property
+    def points(self) -> List[PencilPoint]:
+        return [self._point(i) for i in range(len(self.labels))]
+
+    def _point(self, i: int) -> PencilPoint:
+        wrap = HermitianMatrix._from_symmetrized
+        return PencilPoint(self.labels[i], wrap(self.r[i]), wrap(self.el[i]), self.weights[i])
+
+
+def _fill(field: PencilField, n, delta, labels, r, el, weights) -> None:
+    """Set the fields of ``field``, once n is an integer >= 2, delta a
+    positive real and every matrix of dimension n - 1."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise InputError("n must be an integer >= 2, got %r" % (n,))
+    dlt = float(delta)
+    if not (math.isfinite(dlt) and dlt > 0.0):
+        raise InputError("field delta must be a positive real, got %r" % (delta,))
+    if not len(labels):
+        raise InputError("field needs at least one sample point")
+    for label, m in zip(labels, r):
+        if m.shape[0] != n - 1:
+            raise InputError("sample %r has pencil dim %d, expected n-1 = %d" % (label, m.shape[0], n - 1))
+    arrays = np.asarray(r), np.asarray(el), np.asarray(weights, dtype=float)
+    for a in arrays:
+        a.setflags(write=False)
+    field._set(int(n), dlt, tuple(labels), *arrays)
 
 
 class XqResult(NamedTuple):
@@ -127,37 +154,10 @@ class MorseReport(NamedTuple):
     bigness: Bigness
 
 
-class _Record(NamedTuple):
-    """One sample's chambers over a window, with the integrals of det."""
-
-    chambers: List[Chamber]
-    masses: List[float]  # |det| integral over the q-signature set, per q
-    signed: float  # signed integral of det over the whole window
-
-
 def _chunks(field: PencilField):
-    """The field's points in runs of at most _CHUNK, which bounds the memory
-    of the stacked passes."""
-    pts = field.points
-    return (pts[i : i + _CHUNK] for i in range(0, len(pts), _CHUNK))
-
-
-def _records(field: PencilField, *deltas: float) -> List[List[_Record]]:
-    """Each sample's record over each window of ``deltas``, one list per
-    window, all read from one decomposition of each pencil over the field
-    window."""
-    out: List[List[_Record]] = [[] for _ in deltas]
-    for chunk in _chunks(field):
-        batch = _decompose_batch(
-            np.stack([p.r.entries for p in chunk]),
-            np.stack([p.el.entries for p in chunk]),
-            deltas,
-            labels=[p.label for p in chunk],
-            span=field.delta,
-        )
-        for records, window in zip(out, batch):
-            records.extend(_Record(dec.chambers, _signature_masses(dec, m), signed) for dec, m, signed in window)
-    return out
+    """The field's points in slices of at most _CHUNK, which bounds the
+    memory of the stacked passes."""
+    return (slice(i, i + _CHUNK) for i in range(0, len(field.labels), _CHUNK))
 
 
 def _check_delta(field: PencilField, delta: float, name: str = "delta") -> float:
@@ -187,26 +187,15 @@ def _fsum(terms) -> float:
         return math.nan
 
 
-def _densities(field: PencilField, records: Sequence[_Record]) -> List[float]:
-    return [
-        _fsum(p.weight * rec.masses[q] for p, rec in zip(field.points, records)) / TWO_PI**field.n
-        for q in range(field.dim + 1)
-    ]
-
-
-def _rrh(field: PencilField, records: Sequence[_Record]) -> float:
-    return _fsum(p.weight * rec.signed for p, rec in zip(field.points, records)) / TWO_PI**field.n
-
-
 def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] = None) -> float:
     """Leading spectral density coefficient c_q(delta).
 
     (2pi)^{-n} times the weighted sum over samples of the |det| integral
-    over each sample's q-signature chambers.
+    over each sample's q-signature chambers.  ``threads`` is accepted and
+    ignored: the computation is single-threaded.
     """
     q = _check_q(field, q)
-    delta = _check_delta(field, delta)
-    return _densities(field, _records(field, delta)[0])[q]
+    return build_morse_report(field, _check_delta(field, delta)).densities[q]
 
 
 def _power(k: int, n: int, name: str, factor: int = 1) -> float:
@@ -225,20 +214,11 @@ def _power(k: int, n: int, name: str, factor: int = 1) -> float:
 
 
 def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
-    """k^n * c_q(delta), the weak Morse bound prefactor at level k."""
+    """k^n * c_q(delta), the weak Morse bound prefactor at level k.
+    ``threads`` is accepted and ignored."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
     return _power(k, field.n, "k") * density_q(field, q, delta)
-
-
-def _strong_from(densities: Sequence[float], total: float) -> List[float]:
-    d = len(densities) - 1
-    out = [
-        _fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1))
-        for q in range(d)
-    ]
-    out.append(total)
-    return out
 
 
 def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -> float:
@@ -247,27 +227,16 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     On each chamber det = (-1)^neg |det|, so the alternating sum of
     unsigned chamber integrals telescopes to the plain signed integral of
     det(R+2sL) over [-delta, delta]; this route avoids cancellation
-    between separately rounded chamber masses.
+    between separately rounded chamber masses.  ``threads`` is accepted
+    and ignored.
     """
-    delta = _check_delta(field, delta)
-    return _rrh(field, _records(field, delta)[0])
+    return build_morse_report(field, _check_delta(field, delta)).rrh_total
 
 
 def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
-    """Strong Morse alternating partial sums; entry d is the RRH total."""
-    delta = _check_delta(field, delta)
-    records = _records(field, delta)[0]
-    return _strong_from(_densities(field, records), _rrh(field, records))
-
-
-def _dist0(lo: float, hi: float) -> float:
-    return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-
-
-def _xq(field: PencilField, records: Sequence[_Record], q: int) -> XqResult:
-    dists = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg == q]
-    best = min(dists) if dists else field.delta
-    return XqResult(holds=bool(best > 0.0), max_delta=float(best))
+    """Strong Morse alternating partial sums; entry d is the RRH total.
+    ``threads`` is accepted and ignored."""
+    return build_morse_report(field, _check_delta(field, delta)).strong_sums
 
 
 def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqResult:
@@ -278,27 +247,10 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
     samples with empty q-set contribute nothing, and a field where every
     sample is empty certifies the full window field.delta.  The
     certificate speaks only for the sample set, not the continuum.
+    ``threads`` is accepted and ignored.
     """
     q = _check_q(field, q)
-    return _xq(field, _records(field, field.delta)[0], q)
-
-
-def _positivity(field: PencilField, records: Sequence[_Record]) -> Positivity:
-    pd = []
-    for chunk in _chunks(field):
-        # R is positive where its least eigenvalue clears the chamber
-        # engine's tolerance, 1e-9 (||R||_F + 2 delta ||L||_F): unit-free
-        r = np.stack([p.r.entries for p in chunk])
-        el = np.stack([p.el.entries for p in chunk])
-        _, rn, _, tols = _units(r, el, field.delta)
-        pd.extend((np.linalg.eigvalsh(rn)[:, 0] > tols).tolist())
-    bad = [_dist0(ch.lo, ch.hi) for rec in records for ch in rec.chambers if ch.inertia.neg > 0]
-    radius = min(bad) if bad else field.delta
-    return Positivity(
-        positive_everywhere=all(pd),
-        semi_positive_delta=float(radius) if radius > 0.0 else None,
-        positive_somewhere=any(pd),
-    )
+    return build_morse_report(field).xq[q]
 
 
 def classify_bundle(field: PencilField, threads: Optional[int] = None) -> Positivity:
@@ -307,9 +259,10 @@ def classify_bundle(field: PencilField, threads: Optional[int] = None) -> Positi
     semi_positive_delta is the largest delta' <= field.delta with
     R + 2sL positive semidefinite for every sample and every |s| <= delta'
     (the distance from 0 to the nearest chamber carrying a negative
-    eigenvalue), or None when no positive radius exists.
+    eigenvalue), or None when no positive radius exists.  ``threads`` is
+    accepted and ignored.
     """
-    return _positivity(field, _records(field, field.delta)[0])
+    return build_morse_report(field).positivity
 
 
 def _bigness_from(positivity: Positivity) -> Bigness:
@@ -321,8 +274,9 @@ def _bigness_from(positivity: Positivity) -> Bigness:
 
 
 def bigness_verdict(field: PencilField, threads: Optional[int] = None) -> Bigness:
-    """Sufficient-criteria bigness check; False means inconclusive, not refuted."""
-    return _bigness_from(classify_bundle(field))
+    """Sufficient-criteria bigness check; False means inconclusive, not
+    refuted.  ``threads`` is accepted and ignored."""
+    return build_morse_report(field).bigness
 
 
 def build_morse_report(
@@ -334,24 +288,39 @@ def build_morse_report(
 
     Densities and sums are evaluated at ``delta`` (default: the field
     window); X(q) and positivity always use the full field window, as
-    their definitions fix it.  Each sample is decomposed once, and both
-    windows read that decomposition.
+    their definitions fix it.  Each sample is decomposed once, over the
+    field window, and both windows read that decomposition.  ``threads``
+    is accepted and ignored: the computation is single-threaded.
     """
     delta = field.delta if delta is None else _check_delta(field, delta)
-    if delta == field.delta:
-        records = window = _records(field, delta)[0]
-    else:
-        records, window = _records(field, delta, field.delta)
-    densities = _densities(field, records)
-    total = _rrh(field, records)
-    positivity = _positivity(field, window)
+    d = field.dim
+    deltas = (delta,) if delta == field.delta else (delta, field.delta)
+    terms = np.empty((len(field.labels), d + 2))  # weight times each q-mass, then times the signed integral
+    near = np.full(d + 2, field.delta)  # least distance from 0 to a q-chamber, q = 0..d, then to one with neg > 0
+    everywhere, somewhere = True, False  # R positive
+    for part in _chunks(field):
+        r, el = field.r[part], field.el[part]
+        windows = _decompose_batch(r, el, deltas, labels=field.labels[part], span=field.delta)
+        weights = field.weights[part, None]
+        with np.errstate(over="ignore"):  # an infinite term, rejected by the caller as out of range
+            terms[part, :-1] = weights * _q_masses(windows[0], d)
+            terms[part, -1] = weights[:, 0] * windows[0].signed
+        w = windows[-1]
+        lo, hi = w.breaks[:, :-1], w.breaks[:, 1:]
+        dist = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        for q in range(d + 1):
+            near[q] = dist[w.neg == q].min(initial=near[q])
+        near[-1] = dist[w.neg > 0].min(initial=near[-1])
+        # R is positive where its least eigenvalue clears the chamber
+        # engine's tolerance, 1e-9 (||R||_F + 2 delta ||L||_F): unit-free
+        _, rn, _, tols = _units(r, el, field.delta)
+        pd = np.linalg.eigvalsh(rn)[:, 0] > tols
+        everywhere, somewhere = everywhere and bool(pd.all()), somewhere or bool(pd.any())
+    *densities, total = [_fsum(terms[:, j].tolist()) / TWO_PI**field.n for j in range(d + 2)]
+    strong = [_fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1)) for q in range(d)] + [total]
+    positivity = Positivity(everywhere, float(near[-1]) if near[-1] > 0.0 else None, somewhere)
     return MorseReport(
-        n=field.n,
-        delta=delta,
-        densities=densities,
-        strong_sums=_strong_from(densities, total),
-        rrh_total=total,
-        xq=[_xq(field, window, q) for q in range(field.dim + 1)],
-        positivity=positivity,
-        bigness=_bigness_from(positivity),
+        n=field.n, delta=delta, densities=densities, strong_sums=strong, rrh_total=total,
+        xq=[XqResult(holds=bool(x > 0.0), max_delta=float(x)) for x in near[:-1]],
+        positivity=positivity, bigness=_bigness_from(positivity),
     )

@@ -31,17 +31,20 @@ eigenvalue decomposition per pencil:
   eigenvalue of A(s) touches 0 without crossing, is a double root that the
   eigenvalue solver splits by about 1e-8 into a real or a complex pair: it
   is kept as one root, and the two chambers beside it, of equal inertia,
-  stay split.  Semisimple repeated roots (several eigenvalues crossing 0 at
-  one s) come out exact to rounding.
+  stay split.  A triple root splits into a ring of radius up to about 1e-4,
+  which is one root at the ring's mean (_real_roots).  Semisimple
+  repeated roots (several eigenvalues crossing 0 at one s) come out exact
+  to rounding.
 * Chambers.  Inertia is read at each chamber's midpoint, in one eigenvalue
   call over every chamber of the stack.  The |det| mass of a chamber is the
   difference of the exact antiderivative of p at its ends.
 
-Each stage is one numpy call on the whole (n, d, d) stack.  A pencil's
-roots and chambers are bit for bit what it gets alone, and its masses agree
-to rounding: numpy may round a complex product differently at different
-array lengths.  Callers with many pencils pass them in chunks (see
-morse._CHUNK) to keep memory bounded.
+Each stage is one numpy call on the whole (n, d, d) stack, and the result
+is arrays too, a _Window per window; only the one-pencil path, _decompose,
+builds Chamber objects.  A pencil's roots and chambers are bit for bit
+what it gets alone, and its masses agree to rounding: numpy may round a
+complex product differently at different array lengths.  Callers with many
+pencils pass them in chunks (see morse._CHUNK) to keep memory bounded.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ __all__ = [
 _HERMITIAN_INPUT_TOL = 1e-12
 _INERTIA_REL_TOL = 1e-9
 _WIDTH = 1e-5  # resolution of roots and chambers, relative to the window's scale
+_SPLIT = 20.0  # reach of a root off the real axis, in units of the resolution
 
 
 class _IdenticallyZero:
@@ -353,18 +357,35 @@ def _spectrum(rn: np.ndarray, ln: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 def _real_roots(z: np.ndarray, width: float) -> np.ndarray:
     """The real roots among the complex roots z (n, k) of each row, sorted
-    and NaN-padded: those within ``width`` of the real axis and of [-1, 1],
-    each run of real parts no more than ``width`` apart replaced by its mean,
-    clamped to [-1, 1]."""
-    re = np.where((np.abs(z.imag) <= width) & (np.abs(z.real) <= 1.0 + width), z.real, np.nan)
-    re.sort(axis=1)
-    live = ~np.isnan(re)
-    run = np.cumsum(live & ~(np.diff(re, axis=1, prepend=-np.inf) <= width), axis=1) - 1
-    n, k = re.shape
-    at = (np.arange(n)[:, None] * k + run)[live]  # row i's run j is bin i k + j
-    with np.errstate(invalid="ignore"):  # 0/0: no run there
-        means = np.bincount(at, re[live], n * k) / np.bincount(at, minlength=n * k)
-    return np.clip(means.reshape(n, k)[:, : int(run.max(initial=-1)) + 1], -1.0, 1.0)
+    and NaN-padded.  Roots link when both lie within ``width`` of the real
+    axis and their real parts within ``width`` of each other, or when one
+    lies ``width``/2 off the axis and they lie within _SPLIT ``width``: the
+    ring of radius up to about 1e-4 into which rounding splits a triple
+    root.  A cluster of linked roots (within ``width`` of [-1, 1] and
+    _SPLIT ``width`` of the axis) with a member within ``width`` of the
+    axis, or of three or more whose mean is, is one root: its members' mean
+    real part, accurate where each member is not, clamped to [-1, 1]."""
+    n, k = z.shape
+    if not k:
+        return np.empty((n, 0))
+    reach = _SPLIT * width
+    z = np.where((np.abs(z.real) <= 1.0 + width) & (np.abs(z.imag) <= reach), z, complex(np.nan, np.nan))
+    z = np.take_along_axis(z, np.argsort(z.real, axis=1), axis=1)  # ascending real parts, NaN last
+    re, im = z.real, np.abs(z.imag)
+    on, off = im <= width, im > 0.5 * width
+    link = on[:, :, None] & on[:, None, :] & (np.abs(re[:, :, None] - re[:, None, :]) <= width)
+    link |= (off[:, :, None] | off[:, None, :]) & (np.abs(z[:, :, None] - z[:, None, :]) <= reach)
+    link |= np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):  # link becomes reachability: paths of up to k - 1 links
+        link = link @ link
+    at = (np.arange(n)[:, None] * k + link.argmax(axis=2)).ravel()  # a cluster's bin: its first member's
+    size = np.bincount(at, minlength=n * k)
+    tilt = np.abs(np.bincount(at, z.imag.ravel(), n * k))  # size times the distance of the mean from the axis
+    live = ((np.bincount(at, on.ravel(), n * k) > 0) | ((size >= 3) & (tilt <= width * size)))[at]
+    with np.errstate(invalid="ignore"):  # 0/0: no cluster there
+        means = np.bincount(at[live], re.ravel()[live], n * k) / np.bincount(at[live], minlength=n * k)
+    means = np.sort(means.reshape(n, k), axis=1)  # NaN last
+    return np.clip(means[:, : int((~np.isnan(means)).sum(axis=1).max(initial=0))], -1.0, 1.0)
 
 
 def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
@@ -376,11 +397,7 @@ def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
     polynomial.  Coefficients below 1e-12 of the largest one are clamped to
     zero.
     """
-    if r.dim != el.dim:
-        raise InputError(
-            "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
-        )
-    e, rn, ln, tols, x, w = _probe(r.entries[None], el.entries[None], 1.0)
+    e, rn, ln, tols, x, w = _probe(*_stacked(r, el), 1.0)
     if not (np.abs(w).min(axis=2) > tols[:, None]).any():
         return RealPolynomial(np.zeros(r.dim + 1))
     coeffs = np.ldexp(_spectrum(rn, ln, x, w)[1][0], r.dim * int(e[0]))
@@ -396,9 +413,10 @@ def real_roots(
     The roots are the eigenvalues of p's companion matrix (numpy.roots).
     With w = max(tol, 1e-5 (1 + max(|lo|, |hi|))), those within w of the
     real axis and of [lo, hi] count, and each run of them no more than w
-    apart is one root, their mean, clamped to [lo, hi].  So a tangent
-    (double) root, which the eigenvalue solver splits by about 1e-8 of its
-    scale, shows once, and so does a triple root.  Floating-point
+    apart is one root, their mean, clamped to [lo, hi]; a root more than
+    w/2 off the axis joins every root within 20 w (_real_roots).  So a
+    tangent (double) root, which the eigenvalue solver splits by about 1e-8
+    of its scale, shows once, and so does a triple root.  Floating-point
     coefficients fix a root of multiplicity m only to about 1e-16^(1/m) of
     its scale, so one of multiplicity 4 or more may show as two.  An
     identically zero polynomial returns the IDENTICALLY_ZERO marker so
@@ -432,12 +450,30 @@ class ChamberDecomposition(NamedTuple):
         return first.neg + first.zero + first.pos
 
 
+class _Window(NamedTuple):
+    """The chambers of a stack of pencils over [-delta, delta], one row per
+    pencil.  Chamber j < counts[i] of row i is (breaks[i, j], breaks[i,
+    j + 1]), with neg[i, j] eigenvalues below -tol[i] at its midpoint and
+    the rest above tol[i], and |det| integral masses[i, j].  Past it
+    breaks and roots are NaN, neg -1 and masses 0."""
+
+    delta: float
+    roots: np.ndarray  # (n, k): the roots in [-delta, delta], ascending
+    breaks: np.ndarray  # (n, m + 1): -delta, the roots inside, delta
+    counts: np.ndarray  # (n,)
+    neg: np.ndarray  # (n, m)
+    tol: np.ndarray  # (n,)
+    masses: np.ndarray  # (n, m)
+    signed: np.ndarray  # (n,): the integral of det(R + 2sL) over the window
+
+
 class _Decomposed(NamedTuple):
     """One pencil's chambers with the integrals of its det over them."""
 
     dec: ChamberDecomposition
     masses: List[float]  # integral of |det(R+2sL)| over each chamber, in order
     signed: float  # integral of det(R+2sL) over [-delta, delta]
+    q_masses: List[float]  # integral of |det(R+2sL)| over each q-signature set, q = 0..d
 
 
 def _decompose_batch(
@@ -447,9 +483,9 @@ def _decompose_batch(
     tol: Union[float, None] = None,
     labels: Union[Sequence[str], None] = None,
     span: Union[float, None] = None,
-) -> List[List[_Decomposed]]:
+) -> List[_Window]:
     """Decompose every pencil of the (n, d, d) stacks r, el over each window
-    [-delta, delta] of ``deltas``: one list of results per window.
+    [-delta, delta] of ``deltas``: one _Window per window.
 
     The pencils are decomposed once, over [-span, span] (by default the
     largest window; it must hold every window), and every window reads its
@@ -517,6 +553,7 @@ def _decompose_batch(
         "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
     )
     roots = top * _real_roots(z, _WIDTH)
+    t = tols if tol is None else np.ldexp(tol, -e)  # the inertia tolerance in the engine's units
     windows = []
     for delta in deltas:
         # sum_j |p_j| h^(j+1) / (j+1) bounds |P| on [-h, h], h = delta / top
@@ -533,14 +570,13 @@ def _decompose_batch(
         rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
         mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
         wm = np.linalg.eigvalsh(rn[rows] + (2.0 * mids / top)[:, None, None] * ln[rows])
-        t = tols[rows] if tol is None else np.ldexp(tol, -e[rows])
-        neg, pos = (wm < -t[:, None]).sum(axis=1), (wm > t[:, None]).sum(axis=1)
-        t = np.ldexp(t, e[rows])
+        neg, pos = (wm < -t[rows, None]).sum(axis=1), (wm > t[rows, None]).sum(axis=1)
         for c in np.flatnonzero(neg + pos < d).tolist():  # a row's first singular chamber names it
-            fail(int(alive[rows[c]]), DegeneratePencilError, (
+            i = rows[c]
+            fail(int(alive[i]), DegeneratePencilError, (
                 "pencil is numerically singular inside a chamber at s=%g "
                 "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
-                % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[rows[c]])), t[c])
+                % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[i])), math.ldexp(t[i], int(e[i])))
             ))
         ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks) / top)
         counts = np.bincount(rows, minlength=alive.size)
@@ -548,26 +584,25 @@ def _decompose_batch(
         signed = unscaled(ints[np.arange(alive.size), counts] - ints[:, 0])
         for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
             fail(i, InputError, out_of_range % delta)
-        windows.append((delta, found, breaks, counts, masses, signed, zip(neg.tolist(), pos.tolist(), t.tolist())))
+        signs = np.full(masses.shape, -1)
+        signs[rows, cells] = neg
+        windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(t, e), masses, signed))
     if failures:
         raise failures[min(failures)]
+    return windows
 
-    out = []
-    for delta, found, breaks, counts, masses, signed, signatures in windows:  # chamber by chamber, row by row
-        results = []
-        for ends, row_roots, count, m, total in zip(
-            breaks.tolist(), found.tolist(), counts.tolist(), masses.tolist(), signed.tolist()
-        ):
-            dec = ChamberDecomposition(
-                delta=delta,
-                roots=[v for v in row_roots if v == v],  # drop the NaN padding
-                chambers=[
-                    Chamber(ends[j], ends[j + 1], Inertia(ng, d - ng - ps, ps, tj), -1 if ng % 2 else 1)
-                    for j, (ng, ps, tj) in zip(range(count), signatures)
-                ],
-            )
-            results.append(_Decomposed(dec, m[:count], total))
-        out.append(results)
+
+def _q_masses(w: _Window, d: int) -> np.ndarray:
+    """(n, d + 1): each pencil's |det| integral over its q-signature set,
+    q = 0..d, the math.fsum of its q-chambers' masses in chamber order."""
+    out = np.empty((w.counts.size, d + 1))
+    for q in range(d + 1):
+        at = w.neg == q
+        m = np.where(at, w.masses, 0.0)
+        with np.errstate(over="ignore"):
+            out[:, q] = m.sum(axis=1)  # two chambers or fewer: one rounding, as fsum
+        for i in np.flatnonzero((at.sum(axis=1) > 2) | ~np.isfinite(out[:, q])).tolist():
+            out[i, q] = math.fsum(m[i].tolist())
     return out
 
 
@@ -577,11 +612,27 @@ def _decompose(
     delta: float,
     tol: Union[float, None] = None,
 ) -> _Decomposed:
+    """The one-pencil path: _decompose_batch on a stack of one, as objects."""
+    w = _decompose_batch(*_stacked(r, el), [delta], tol)[0]
+    count, t, ends = int(w.counts[0]), float(w.tol[0]), w.breaks[0].tolist()
+    dec = ChamberDecomposition(
+        delta=w.delta,
+        roots=[v for v in w.roots[0].tolist() if v == v],  # drop the NaN padding
+        chambers=[
+            Chamber(ends[j], ends[j + 1], Inertia(ng, 0, r.dim - ng, t), -1 if ng % 2 else 1)
+            for j, ng in enumerate(w.neg[0, :count].tolist())
+        ],
+    )
+    return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), _q_masses(w, r.dim)[0].tolist())
+
+
+def _stacked(r: HermitianMatrix, el: HermitianMatrix):
+    """The pencil as (1, d, d) stacks, once R and L have one dimension."""
     if r.dim != el.dim:
         raise InputError(
             "pencil dimension mismatch: R has dim %d, L has dim %d" % (r.dim, el.dim)
         )
-    return _decompose_batch(r.entries[None], el.entries[None], [delta], tol)[0][0]
+    return r.entries[None], el.entries[None]
 
 
 def chambers(
@@ -608,15 +659,6 @@ def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]
     return [(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
 
 
-def _signature_masses(dec: ChamberDecomposition, masses: Sequence[float]) -> List[float]:
-    """Integral of |det(R+2sL)| over the q-signature set of ``dec`` for
-    q = 0..d, each a math.fsum of its chambers' ``masses`` in order."""
-    per_q: List[List[float]] = [[] for _ in range(dec.dim + 1)]
-    for ch, m in zip(dec.chambers, masses):
-        per_q[ch.inertia.neg].append(m)
-    return [math.fsum(ms) for ms in per_q]
-
-
 def chamber_integral(
     r: HermitianMatrix,
     el: HermitianMatrix,
@@ -633,8 +675,7 @@ def chamber_integral(
         raise InputError("q must be an integer, got %r" % (q,))
     if not 0 <= q <= r.dim:
         raise InputError("q must lie in 0..%d, got %d" % (r.dim, q))
-    dec, masses, _ = _decompose(r, el, delta, tol)
-    return _signature_masses(dec, masses)[q]
+    return _decompose(r, el, delta, tol).q_masses[q]
 
 
 def pencil_signed_integral(

@@ -121,6 +121,21 @@ FROZEN_CASES = {
 }
 
 
+def test_field_holds_read_only_stacks_and_builds_its_points_on_read():
+    points = [_point(), PencilPoint("q", hm([[2, 0], [0, 1]]), hm([[0, 1j], [-1j, 0]]), 3)]
+    field = PencilField(3, 0.5, points)
+    assert field.points == points and field.points is not field.points
+    assert field.labels == ("p", "q") and field.weights.tolist() == [1.0, 3.0]
+    assert field.r.shape == field.el.shape == (2, 2, 2)
+    np.testing.assert_array_equal(field.el[1], points[1].el.entries)
+    for stack in (field.r, field.el, field.weights):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0] = 0
+    with pytest.raises(ValueError):
+        field.points[0].r.entries[0, 0] = 5.0
+
+
 @pytest.mark.parametrize("name", list(FROZEN_CASES))
 def test_value_classes_compare_and_hash_by_value(name):
     make, make_other = FROZEN_CASES[name]
@@ -563,8 +578,9 @@ def test_each_point_decomposed_once_per_window(monkeypatch, tmp_path):
     build_morse_report(field, delta=0.5)
     assert windows == [((0.5, 1.0), 1.0)] * 5
     windows.clear()
+    # every reduction reads the report's one pass, so density_q asks for both windows too
     assert density_q(field, 0, 0.5) == build_morse_report(field, delta=0.5).densities[0]
-    assert windows == [((0.5,), 1.0)] * 5 + [((0.5, 1.0), 1.0)] * 5
+    assert windows == [((0.5, 1.0), 1.0)] * 10
     windows.clear()
     inp = tmp_path / "f.json"
     inp.write_text(json.dumps(serialize_field(field)))
@@ -628,6 +644,33 @@ def outcome(f):
         return "DegeneratePencilError: %s" % exc
 
 
+def chunked_report(field, size, delta=None):
+    """build_morse_report in chunks of ``size`` points (or the error it
+    raises), with each point's chambers, masses and signed integral over
+    each window, as its chunk's stacked pass decomposed them."""
+    rows = []
+    real = crmorse.morse._decompose_batch
+
+    def spy(*args, **kw):
+        windows = real(*args, **kw)
+        for i in range(len(windows[0].counts)):
+            rows.append([
+                (
+                    [(w.breaks[i, j], w.breaks[i, j + 1], w.neg[i, j], w.tol[i]) for j in range(w.counts[i])],
+                    w.masses[i, : w.counts[i]],
+                    w.signed[i],
+                )
+                for w in windows
+            ])
+        return windows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crmorse.morse, "_CHUNK", size)
+        mp.setattr(crmorse.morse, "_decompose_batch", spy)
+        report = outcome(lambda: build_morse_report(field, delta))
+    return report, rows
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10**6),
@@ -647,21 +690,18 @@ def test_batched_records_equal_one_pencil_records(seed, d, kinds, chunk, delta):
         points.append(PencilPoint("p%d" % i, HermitianMatrix(r), HermitianMatrix(el)))
     field = PencilField(n=d + 1, delta=1.0, points=points)
 
-    def records(size):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crmorse.morse, "_CHUNK", size)
-            return outcome(lambda: crmorse.morse._records(field, delta, 1.0))
-
-    got, alone = records(chunk), records(1)
+    (got, got_rows), (alone, alone_rows) = chunked_report(field, chunk, delta), chunked_report(field, 1, delta)
     if isinstance(alone, str):
         assert got == alone
         return
-    for window, single in zip(got, alone):
-        for rec, ref in zip(window, single):
-            assert rec.chambers == ref.chambers
-            scale = 1e-13 * (1.0 + sum(ref.masses))
-            np.testing.assert_allclose(rec.masses, ref.masses, rtol=1e-13, atol=scale)
-            assert rec.signed == pytest.approx(ref.signed, rel=1e-13, abs=scale)
+    assert len(got_rows) == len(alone_rows) == len(points)
+    for windows, singles in zip(got_rows, alone_rows):
+        for (chambers, masses, signed), (ref_chambers, ref_masses, ref_signed) in zip(windows, singles):
+            assert chambers == ref_chambers
+            scale = 1e-13 * (1.0 + sum(ref_masses))
+            np.testing.assert_allclose(masses, ref_masses, rtol=1e-13, atol=scale)
+            assert signed == pytest.approx(ref_signed, rel=1e-13, abs=scale)
+    assert (got.xq, got.positivity, got.bigness) == (alone.xq, alone.positivity, alone.bigness)
 
 
 # R + 2sL = [[2s, e, 0], [e, -2s, 0], [0, 0, 1e6]] with e = 1e-4: det < 0 on
@@ -691,16 +731,16 @@ def test_first_failing_sample_named_in_input_order(chunk, monkeypatch):
     for order, first in (([mid, kern], "mid"), ([kern, mid], "kern")):
         field = PencilField(n=4, delta=1.0, points=[pt("ok", *ok), *order])
         with pytest.raises(DegeneratePencilError) as exc:
-            crmorse.morse._records(field, 1.0)
+            build_morse_report(field)
         assert str(exc.value) == MESSAGES[first]
     assert "singular inside a chamber at s=0 (min |eig| = 1.0e-04 vs tol 1.0e-03)" in outcome(
-        lambda: crmorse.morse._records(PencilField(n=4, delta=1.0, points=[mid]), 1.0)
+        lambda: build_morse_report(PencilField(n=4, delta=1.0, points=[mid]))
     )
 
 
 def test_records_memory_bounded_by_chunk(monkeypatch):
     # the stacked passes hold one chunk at a time: at d = 8 and 64 points in
-    # chunks of 8 the traced peak is about 0.3 MB; one 64-point pass needs 1.6 MB
+    # chunks of 8 the traced peak is about 0.3 MB; one 64-point pass needs 1.7 MB
     monkeypatch.setattr(crmorse.morse, "_CHUNK", 8)
     rng = np.random.default_rng(3)
     field = PencilField(
@@ -715,8 +755,30 @@ def test_records_memory_bounded_by_chunk(monkeypatch):
     )
     tracemalloc.start()
     try:
-        crmorse.morse._records(field, 1.0)
+        build_morse_report(field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.8 * 2**20
+
+
+def test_report_memory_does_not_grow_with_the_points():
+    # a report keeps per point only its weight times each q-mass and the
+    # signed integral, 32 bytes at d = 2, beside one chunk's stacked pass:
+    # on 4096 points the traced peak is about 0.5 MB
+    rng = np.random.default_rng(4)
+    field = PencilField(
+        n=3,
+        delta=1.0,
+        points=[
+            PencilPoint("p%d" % i, HermitianMatrix(random_hermitian(rng, 2)), HermitianMatrix(random_hermitian(rng, 2)))
+            for i in range(4096)
+        ],
+    )
+    tracemalloc.start()
+    try:
+        build_morse_report(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

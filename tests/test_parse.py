@@ -4,8 +4,9 @@ A field's matrices are converted and checked as one stack, and a
 document with any fault is walked element by element to name the first
 fault in document order.  The messages below are the walk's; each
 malformed document carries two faults, and the earlier one must be the
-one named.  A property test checks that the stacked path gives the
-entries of point-by-point HermitianMatrix construction bit for bit.
+one named.  Property tests check that the stacked path gives the
+entries of point-by-point HermitianMatrix construction bit for bit, and
+the field the walk gives.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crmorse.cli
 from crmorse.cli import PARSE_HERMITIAN_TOL, parse_field, parse_heisenberg, parse_model, parse_torus
 from crmorse.errors import InputError
 from crmorse.pencil import HermitianMatrix
@@ -234,3 +236,19 @@ def test_stacked_parse_equals_pointwise_construction(doc):
         assert p.r.entries.tobytes() == _pointwise(raw["R"]).tobytes()  # signed zeros included
         assert p.el.entries.tobytes() == _pointwise(raw["L"]).tobytes()
         assert not p.r.entries.flags.writeable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=field_docs())
+def test_stacked_and_walked_parses_give_equal_fields(doc):
+    raw = json.dumps(doc).encode()
+    stacked = parse_field(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crmorse.cli, "_stacked_points", lambda raw_points, d: None)  # as for a document with a fault
+        walked = parse_field(raw)
+    assert stacked == walked and hash(stacked) == hash(walked)
+    for name in ("r", "el", "weights"):
+        a, b = getattr(stacked, name), getattr(walked, name)
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype  # signed zeros included
+        assert not a.flags.writeable and not b.flags.writeable
+    assert stacked.labels == walked.labels == tuple(p["label"] for p in doc["points"])

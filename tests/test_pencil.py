@@ -21,6 +21,9 @@ from crmorse.pencil import (
     real_roots,
     signature_set,
     _decompose,
+    _q_masses,
+    _real_roots,
+    _Window,
 )
 from oracle_tools import (
     oracle_chamber_integral,
@@ -233,6 +236,25 @@ def test_real_roots_high_multiplicity_stays_near_the_root():
     got = real_roots(RealPolynomial(npoly.polyfromroots([0.25] * 6)), -1.0, 1.0, 0.0)
     assert 1 <= len(got) <= 2
     assert max(abs(x - 0.25) for x in got) <= 1e-2
+
+
+def test_real_roots_take_the_mean_of_a_split_triple_root():
+    # rounding rings a triple root at 0.3; the resolution is w = 1e-5
+    w = 1e-5
+
+    def ring(radius, phase):
+        return 0.3 + radius * np.exp(1j * (phase + 2.0 * np.pi * np.arange(3) / 3.0))
+
+    z = np.array([
+        ring(1.18e-5, -2.82),  # two members within w of the axis, but 2e-5 apart
+        ring(8e-5, 0.3),  # no member within w of the axis
+        [0.3, 0.3 + 2e-5, 5.0],  # simple real roots 2e-5 apart stay two
+        [0.3 + 5e-5j, 0.3 - 5e-5j, 0.6],  # a complex pair near the axis is no root
+    ])
+    assert (np.abs(z[0].imag) <= w).sum() == 2 and np.ptp(z[0].real[np.abs(z[0].imag) <= w]) > 2 * w
+    assert (np.abs(z[1].imag) > w).all()
+    got = _real_roots(z, w)
+    np.testing.assert_allclose(got, [[0.3, np.nan], [0.3, np.nan], [0.3, 0.3 + 2e-5], [0.6, np.nan]], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -512,6 +534,31 @@ def test_clustered_roots_resolve_down_to_the_root_width():
     assert [c.inertia.neg for c in dec.chambers] == [6, 5, 4, 3, 2, 0]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 4),
+    rows=st.lists(
+        st.lists(st.tuples(st.integers(0, 4), st.sampled_from([2.0**53, 1.0, 3.0, 0.1, 7e15])), min_size=1, max_size=6),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_q_masses_equal_a_math_fsum_per_degree(d, rows):
+    # the stacked q-masses are, bit for bit, the math.fsum of each row's
+    # q-chamber masses in chamber order, also for three or more chambers of
+    # one q whose naive sum rounds differently (2^53 + 1 + 1)
+    m = max(map(len, rows))
+    neg, masses = np.full((len(rows), m), -1), np.zeros((len(rows), m))
+    for i, row in enumerate(rows):
+        for j, (q, mass) in enumerate(row):
+            neg[i, j], masses[i, j] = min(q, d), mass
+    counts = np.array([len(row) for row in rows])
+    none = np.zeros(len(rows))
+    got = _q_masses(_Window(1.0, none[:, None], none[:, None], counts, neg, none, masses, none), d)
+    want = [[math.fsum(masses[i, j] for j in range(m) if neg[i, j] == q) for q in range(d + 1)] for i in range(len(rows))]
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_repeated_root_of_full_multiplicity(d):
     # R + 2sL = (1 - 2s) U diag(+-1) U*: det = c (1 - 2s)^d, every
@@ -520,7 +567,7 @@ def test_repeated_root_of_full_multiplicity(d):
     u = unitary(rng, d)
     signs = np.where(np.arange(d) % 2, -1.0, 1.0)
     r = u @ np.diag(signs) @ u.conj().T
-    dec, masses, signed = _decompose(HermitianMatrix(r), HermitianMatrix(-r), 1.0)
+    dec, masses, signed, _ = _decompose(HermitianMatrix(r), HermitianMatrix(-r), 1.0)
     assert dec.roots == pytest.approx([0.5], abs=1e-13)
     q = d // 2  # negative eigenvalues of diag(signs)
     assert [c.inertia.neg for c in dec.chambers] == [q, d - q]
@@ -538,7 +585,7 @@ def test_tangent_root_is_one_root_between_equal_chambers(seed):
     c = unitary(rng, 2) @ np.diag([1.0, float(rng.uniform(1.0, 30.0))]) @ unitary(rng, 2)
     r = c.conj().T @ np.array([[0.0, -a], [-a, 1.0]]) @ c
     el = c.conj().T @ np.array([[0.0, 0.5], [0.5, 0.0]]) @ c
-    dec, masses, _ = _decompose(HermitianMatrix(r), HermitianMatrix(el), 1.0)
+    dec, masses = _decompose(HermitianMatrix(r), HermitianMatrix(el), 1.0)[:2]
     assert dec.roots == pytest.approx([a], abs=1e-10)
     assert [c.inertia.signature for c in dec.chambers] == [(1, 0, 1), (1, 0, 1)]
     scale = abs(np.linalg.det(c)) ** 2  # det(C* A C) = |det C|^2 det A
@@ -563,7 +610,7 @@ def test_singular_l_sends_roots_to_infinity(rank):
     v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     el = v @ np.diag(rng.choice([-1.0, 1.0], size=rank)) @ v.conj().T
     r = random_hermitian(rng, d) + 2.0 * np.eye(d)
-    dec, masses, signed = _decompose(HermitianMatrix(r), HermitianMatrix(el), 2.0)
+    dec, masses, signed, _ = _decompose(HermitianMatrix(r), HermitianMatrix(el), 2.0)
     ref = qz_roots(r, el, 2.0)
     assert len(dec.roots) == len(ref) <= rank
     assert np.abs(np.subtract(dec.roots, ref)).max(initial=0.0) <= 1e-13
