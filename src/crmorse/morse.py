@@ -53,7 +53,7 @@ REASON_SEMIPOSITIVE = (
 )
 REASON_INCONCLUSIVE = "criteria inconclusive"
 
-_CHUNK = 256  # sample points decomposed together in one stacked pass
+_CHUNK = 256  # sample points decomposed together in one stacked pass, which bounds its memory
 
 
 class PencilPoint(_Frozen):
@@ -84,16 +84,43 @@ class PencilField(_Frozen):
 
     def __init__(self, n: int, delta: float, points: List[PencilPoint]):
         pts = list(points)
-        _fill(self, n, delta, [p.label for p in pts], [p.r.entries for p in pts], [p.el.entries for p in pts],
-              [p.weight for p in pts])
+        self._fill(
+            n,
+            delta,
+            [p.label for p in pts],
+            [p.r.entries for p in pts],
+            [p.el.entries for p in pts],
+            [p.weight for p in pts],
+        )
 
     @classmethod
-    def _of_stacks(cls, n: int, delta: float, labels, r: np.ndarray, el: np.ndarray, weights) -> "PencilField":
-        """The field of validated samples: nonempty labels, symmetrized
-        read-only stacks and positive finite weights."""
+    def _of_stacks(cls, *fields) -> "PencilField":
+        """The field of validated samples (n, delta, labels, r, el,
+        weights): nonempty labels, symmetrized stacks, positive finite
+        weights."""
         field = object.__new__(cls)
-        _fill(field, n, delta, labels, r, el, weights)
+        field._fill(*fields)
         return field
+
+    def _fill(self, n, delta, labels, r, el, weights) -> None:
+        """Set the fields, once n is an integer >= 2, delta a positive real
+        and every matrix of dimension n - 1."""
+        if not isinstance(n, numbers.Integral) or n < 2:
+            raise InputError("n must be an integer >= 2, got %r" % (n,))
+        dlt = float(delta)
+        if not (math.isfinite(dlt) and dlt > 0.0):
+            raise InputError("field delta must be a positive real, got %r" % (delta,))
+        if not len(labels):
+            raise InputError("field needs at least one sample point")
+        for label, m in zip(labels, r):
+            if m.shape[0] != n - 1:
+                raise InputError(
+                    "sample %r has pencil dim %d, expected n-1 = %d" % (label, m.shape[0], n - 1)
+                )
+        arrays = np.asarray(r), np.asarray(el), np.asarray(weights, dtype=float)
+        for a in arrays:
+            a.setflags(write=False)
+        self._set(int(n), dlt, tuple(labels), *arrays)
 
     @property
     def dim(self) -> int:
@@ -106,25 +133,6 @@ class PencilField(_Frozen):
     def _point(self, i: int) -> PencilPoint:
         wrap = HermitianMatrix._from_symmetrized
         return PencilPoint(self.labels[i], wrap(self.r[i]), wrap(self.el[i]), self.weights[i])
-
-
-def _fill(field: PencilField, n, delta, labels, r, el, weights) -> None:
-    """Set the fields of ``field``, once n is an integer >= 2, delta a
-    positive real and every matrix of dimension n - 1."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise InputError("n must be an integer >= 2, got %r" % (n,))
-    dlt = float(delta)
-    if not (math.isfinite(dlt) and dlt > 0.0):
-        raise InputError("field delta must be a positive real, got %r" % (delta,))
-    if not len(labels):
-        raise InputError("field needs at least one sample point")
-    for label, m in zip(labels, r):
-        if m.shape[0] != n - 1:
-            raise InputError("sample %r has pencil dim %d, expected n-1 = %d" % (label, m.shape[0], n - 1))
-    arrays = np.asarray(r), np.asarray(el), np.asarray(weights, dtype=float)
-    for a in arrays:
-        a.setflags(write=False)
-    field._set(int(n), dlt, tuple(labels), *arrays)
 
 
 class XqResult(NamedTuple):
@@ -152,12 +160,6 @@ class MorseReport(NamedTuple):
     xq: List[XqResult]
     positivity: Positivity
     bigness: Bigness
-
-
-def _chunks(field: PencilField):
-    """The field's points in slices of at most _CHUNK, which bounds the
-    memory of the stacked passes."""
-    return (slice(i, i + _CHUNK) for i in range(0, len(field.labels), _CHUNK))
 
 
 def _check_delta(field: PencilField, delta: float, name: str = "delta") -> float:
@@ -191,8 +193,11 @@ def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] =
     """Leading spectral density coefficient c_q(delta).
 
     (2pi)^{-n} times the weighted sum over samples of the |det| integral
-    over each sample's q-signature chambers.  ``threads`` is accepted and
-    ignored: the computation is single-threaded.
+    over each sample's q-signature chambers.  Like every quantity here it
+    decomposes each sample over the field window, so a fault anywhere in
+    [-field.delta, field.delta] raises, also at a smaller ``delta``.
+    ``threads`` is accepted and ignored: the computation is
+    single-threaded.
     """
     q = _check_q(field, q)
     return build_morse_report(field, _check_delta(field, delta)).densities[q]
@@ -214,8 +219,9 @@ def _power(k: int, n: int, name: str, factor: int = 1) -> float:
 
 
 def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
-    """k^n * c_q(delta), the weak Morse bound prefactor at level k.
-    ``threads`` is accepted and ignored."""
+    """k^n * c_q(delta), the weak Morse bound prefactor at level k.  Like
+    density_q it raises for a fault anywhere in the field window, also at a
+    smaller ``delta``.  ``threads`` is accepted and ignored."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise InputError("k must be a positive integer, got %r" % (k,))
     return _power(k, field.n, "k") * density_q(field, q, delta)
@@ -227,15 +233,17 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     On each chamber det = (-1)^neg |det|, so the alternating sum of
     unsigned chamber integrals telescopes to the plain signed integral of
     det(R+2sL) over [-delta, delta]; this route avoids cancellation
-    between separately rounded chamber masses.  ``threads`` is accepted
-    and ignored.
+    between separately rounded chamber masses.  Like density_q it raises
+    for a fault anywhere in the field window, also at a smaller ``delta``.
+    ``threads`` is accepted and ignored.
     """
     return build_morse_report(field, _check_delta(field, delta)).rrh_total
 
 
 def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
     """Strong Morse alternating partial sums; entry d is the RRH total.
-    ``threads`` is accepted and ignored."""
+    Like density_q it raises for a fault anywhere in the field window, also
+    at a smaller ``delta``.  ``threads`` is accepted and ignored."""
     return build_morse_report(field, _check_delta(field, delta)).strong_sums
 
 
@@ -298,7 +306,8 @@ def build_morse_report(
     terms = np.empty((len(field.labels), d + 2))  # weight times each q-mass, then times the signed integral
     near = np.full(d + 2, field.delta)  # least distance from 0 to a q-chamber, q = 0..d, then to one with neg > 0
     everywhere, somewhere = True, False  # R positive
-    for part in _chunks(field):
+    for start in range(0, len(field.labels), _CHUNK):
+        part = slice(start, start + _CHUNK)
         r, el = field.r[part], field.el[part]
         windows = _decompose_batch(r, el, deltas, labels=field.labels[part], span=field.delta)
         weights = field.weights[part, None]
@@ -320,7 +329,12 @@ def build_morse_report(
     strong = [_fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1)) for q in range(d)] + [total]
     positivity = Positivity(everywhere, float(near[-1]) if near[-1] > 0.0 else None, somewhere)
     return MorseReport(
-        n=field.n, delta=delta, densities=densities, strong_sums=strong, rrh_total=total,
+        n=field.n,
+        delta=delta,
+        densities=densities,
+        strong_sums=strong,
+        rrh_total=total,
         xq=[XqResult(holds=bool(x > 0.0), max_delta=float(x)) for x in near[:-1]],
-        positivity=positivity, bigness=_bigness_from(positivity),
+        positivity=positivity,
+        bigness=_bigness_from(positivity),
     )

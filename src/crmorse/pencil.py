@@ -31,10 +31,10 @@ eigenvalue decomposition per pencil:
   eigenvalue of A(s) touches 0 without crossing, is a double root that the
   eigenvalue solver splits by about 1e-8 into a real or a complex pair: it
   is kept as one root, and the two chambers beside it, of equal inertia,
-  stay split.  A triple root splits into a ring of radius up to about 1e-4,
-  which is one root at the ring's mean (_real_roots).  Semisimple
-  repeated roots (several eigenvalues crossing 0 at one s) come out exact
-  to rounding.
+  stay split.  A triple root splits into a ring of radius up to about 1e-4;
+  where its near-real members are not one run, it is one root at the
+  ring's mean (_real_roots).  Semisimple repeated roots (several
+  eigenvalues crossing 0 at one s) come out exact to rounding.
 * Chambers.  Inertia is read at each chamber's midpoint, in one eigenvalue
   call over every chamber of the stack.  The |det| mass of a chamber is the
   difference of the exact antiderivative of p at its ends.
@@ -357,33 +357,31 @@ def _spectrum(rn: np.ndarray, ln: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 def _real_roots(z: np.ndarray, width: float) -> np.ndarray:
     """The real roots among the complex roots z (n, k) of each row, sorted
-    and NaN-padded.  Roots link when both lie within ``width`` of the real
-    axis and their real parts within ``width`` of each other, or when one
-    lies ``width``/2 off the axis and they lie within _SPLIT ``width``: the
-    ring of radius up to about 1e-4 into which rounding splits a triple
-    root.  A cluster of linked roots (within ``width`` of [-1, 1] and
-    _SPLIT ``width`` of the axis) with a member within ``width`` of the
-    axis, or of three or more whose mean is, is one root: its members' mean
-    real part, accurate where each member is not, clamped to [-1, 1]."""
+    and NaN-padded.  A run of roots within ``width`` of the real axis and of
+    [-1, 1], real parts at most ``width`` apart, is one root, its mean,
+    clamped to [-1, 1].  Rounding rings a triple root with radius up to
+    about 1e-4, in two runs or none, so roots also chain across gaps of up
+    to _SPLIT ``width`` beside one more than ``width``/2 off the axis.  A
+    chain with two or more runs, or with none but three or more roots whose
+    mean is within ``width`` of the axis, is one root, its members' mean."""
     n, k = z.shape
-    if not k:
-        return np.empty((n, 0))
     reach = _SPLIT * width
     z = np.where((np.abs(z.real) <= 1.0 + width) & (np.abs(z.imag) <= reach), z, complex(np.nan, np.nan))
-    z = np.take_along_axis(z, np.argsort(z.real, axis=1), axis=1)  # ascending real parts, NaN last
+    z = np.sort(z, axis=1)  # ascending real parts, NaN last
     re, im = z.real, np.abs(z.imag)
-    on, off = im <= width, im > 0.5 * width
-    link = on[:, :, None] & on[:, None, :] & (np.abs(re[:, :, None] - re[:, None, :]) <= width)
-    link |= (off[:, :, None] | off[:, None, :]) & (np.abs(z[:, :, None] - z[:, None, :]) <= reach)
-    link |= np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):  # link becomes reachability: paths of up to k - 1 links
-        link = link @ link
-    at = (np.arange(n)[:, None] * k + link.argmax(axis=2)).ravel()  # a cluster's bin: its first member's
+    live, on, off = ~np.isnan(re), im <= width, im > 0.5 * width
+    gap = np.diff(re, axis=1, prepend=np.nan)  # NaN first: a row's first root starts a chain
+    linked = (on & np.roll(on, 1, axis=1) & (gap <= width)) | ((off | np.roll(off, 1, axis=1)) & (gap <= reach))
+    before = np.pad(np.where(on, re, -np.inf), ((0, 0), (1, 0)), constant_values=-np.inf)
+    starts = on & ~(re - np.maximum.accumulate(before, axis=1)[:, :-1] <= width)  # from the last on-axis root
+    at = (np.arange(n)[:, None] * k + np.cumsum(live & ~linked, axis=1) - 1)[live]  # row i's chain j: bin i k + j
     size = np.bincount(at, minlength=n * k)
-    tilt = np.abs(np.bincount(at, z.imag.ravel(), n * k))  # size times the distance of the mean from the axis
-    live = ((np.bincount(at, on.ravel(), n * k) > 0) | ((size >= 3) & (tilt <= width * size)))[at]
-    with np.errstate(invalid="ignore"):  # 0/0: no cluster there
-        means = np.bincount(at[live], re.ravel()[live], n * k) / np.bincount(at[live], minlength=n * k)
+    runs = np.bincount(at, starts[live], n * k)
+    tilt = np.abs(np.bincount(at, z.imag[live], n * k))  # size times the distance of the mean from the axis
+    ring = (runs > 1) | ((runs == 0) & (size >= 3) & (tilt <= width * size))
+    use = np.where(runs[at] == 1, on[live], ring[at])
+    with np.errstate(invalid="ignore"):  # 0/0: no root there
+        means = np.bincount(at[use], re[live][use], n * k) / np.bincount(at[use], minlength=n * k)
     means = np.sort(means.reshape(n, k), axis=1)  # NaN last
     return np.clip(means[:, : int((~np.isnan(means)).sum(axis=1).max(initial=0))], -1.0, 1.0)
 
@@ -413,8 +411,8 @@ def real_roots(
     The roots are the eigenvalues of p's companion matrix (numpy.roots).
     With w = max(tol, 1e-5 (1 + max(|lo|, |hi|))), those within w of the
     real axis and of [lo, hi] count, and each run of them no more than w
-    apart is one root, their mean, clamped to [lo, hi]; a root more than
-    w/2 off the axis joins every root within 20 w (_real_roots).  So a
+    apart is one root, their mean, clamped to [lo, hi]; runs that a ring
+    of roots up to 20 w wide joins are one root (_real_roots).  So a
     tangent (double) root, which the eigenvalue solver splits by about 1e-8
     of its scale, shows once, and so does a triple root.  Floating-point
     coefficients fix a root of multiplicity m only to about 1e-16^(1/m) of
@@ -595,15 +593,9 @@ def _decompose_batch(
 def _q_masses(w: _Window, d: int) -> np.ndarray:
     """(n, d + 1): each pencil's |det| integral over its q-signature set,
     q = 0..d, the math.fsum of its q-chambers' masses in chamber order."""
-    out = np.empty((w.counts.size, d + 1))
-    for q in range(d + 1):
-        at = w.neg == q
-        m = np.where(at, w.masses, 0.0)
-        with np.errstate(over="ignore"):
-            out[:, q] = m.sum(axis=1)  # two chambers or fewer: one rounding, as fsum
-        for i in np.flatnonzero((at.sum(axis=1) > 2) | ~np.isfinite(out[:, q])).tolist():
-            out[i, q] = math.fsum(m[i].tolist())
-    return out
+    return np.array([
+        [math.fsum(row) for row in np.where(w.neg == q, w.masses, 0.0).tolist()] for q in range(d + 1)
+    ]).T
 
 
 def _decompose(

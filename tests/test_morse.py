@@ -738,6 +738,27 @@ def test_first_failing_sample_named_in_input_order(chunk, monkeypatch):
     )
 
 
+def test_fault_outside_a_smaller_delta_raises_for_every_quantity():
+    # SINGULAR_MID moved to s = -0.1 beside a simple root at s = 0.8: the
+    # field window's chamber [-1, 0.8] is singular at its midpoint, while
+    # [-0.5, 0.5] alone decomposes; every quantity reads the field window
+    r = np.array([[0.2, 1e-4, 0, 0], [1e-4, -0.2, 0, 0], [0, 0, 1e6, 0], [0, 0, 0, -1.6]])
+    el = np.diag([1.0, -1.0, 0.0, 1.0])
+    assert len(crmorse.pencil.chambers(HermitianMatrix(r), HermitianMatrix(el), delta=0.5).chambers) == 1
+    field = PencilField(n=5, delta=1.0, points=[pt("far", r, el)])
+    message = "sample 'far': pencil is numerically singular inside a chamber at s=-0.1 "
+    for quantity in (
+        lambda: density_q(field, 2, 0.5),
+        lambda: weak_bound(field, 2, 0.5, 3),
+        lambda: rrh_total(field, 0.5),
+        lambda: strong_sums(field, 0.5),
+        lambda: build_morse_report(field, 0.5),
+    ):
+        with pytest.raises(DegeneratePencilError) as exc:
+            quantity()
+        assert str(exc.value).startswith(message)
+
+
 def test_records_memory_bounded_by_chunk(monkeypatch):
     # the stacked passes hold one chunk at a time: at d = 8 and 64 points in
     # chunks of 8 the traced peak is about 0.3 MB; one 64-point pass needs 1.7 MB

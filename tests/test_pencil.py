@@ -250,11 +250,20 @@ def test_real_roots_take_the_mean_of_a_split_triple_root():
         ring(8e-5, 0.3),  # no member within w of the axis
         [0.3, 0.3 + 2e-5, 5.0],  # simple real roots 2e-5 apart stay two
         [0.3 + 5e-5j, 0.3 - 5e-5j, 0.6],  # a complex pair near the axis is no root
+        [0.3, 0.3001 + 5e-5j, 0.3001 - 5e-5j],  # a simple root beside such a pair stays put
     ])
     assert (np.abs(z[0].imag) <= w).sum() == 2 and np.ptp(z[0].real[np.abs(z[0].imag) <= w]) > 2 * w
     assert (np.abs(z[1].imag) > w).all()
     got = _real_roots(z, w)
-    np.testing.assert_allclose(got, [[0.3, np.nan], [0.3, np.nan], [0.3, 0.3 + 2e-5], [0.6, np.nan]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        got, [[0.3, np.nan], [0.3, np.nan], [0.3, 0.3 + 2e-5], [0.6, np.nan], [0.3, np.nan]], rtol=0, atol=1e-15
+    )
+    # det = -(s - 0.3) ((s - 0.3001)^2 + 2.5e-9): R + 2sL = diag(s - 0.3) + [[s - b, ic], [-ic, b - s]]
+    r = np.diag([-0.3, -0.3001, 0.3001]).astype(complex)
+    r[1, 2], r[2, 1] = 5e-5j, -5e-5j
+    dec = chambers(HermitianMatrix(r), HermitianMatrix(np.diag([0.5, 0.5, -0.5])), delta=1.0)
+    assert dec.roots == pytest.approx([0.3], abs=1e-15)
+    assert [c.inertia.neg for c in dec.chambers] == [2, 1]
 
 
 @pytest.mark.parametrize(
