@@ -31,11 +31,19 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DegeneratePencilError, InputError
+from .errors import (
+    CalibrationError,
+    DegeneratePencilError,
+    InputError,
+    _float_range,
+    _int_arg,
+    _positive_arg,
+    _real_arg,
+)
 from .pencil import HermitianMatrix, _decompose, _symmetrized
 from .serialize import canonical_json, csv_table
 
@@ -328,23 +336,8 @@ def _read_input(args, default_doc: Optional[Dict] = None) -> bytes:
     return (canonical_json(default_doc) + "\n").encode()
 
 
-def _check_threads(args) -> None:
-    """Validate --threads; computation is single-threaded."""
-    if args.threads is not None and args.threads < 1:
-        raise InputError("--threads must be >= 1, got %d" % args.threads)
-
-
-def _finite(compute: Callable[[], Sequence[float]], source: str) -> List[float]:
-    """The numbers ``compute`` gives, once each is finite.  A number out of
-    floating-point range, or an integer too large to meet a float, is an
-    input error naming ``source``, the input that scaled it there."""
-    try:
-        values = list(compute())
-    except OverflowError:  # an int beyond float range times or over a float
-        values = [math.inf]
-    if not all(math.isfinite(v) for v in values):
-        raise InputError("%s: the reported values leave floating-point range" % source)
-    return values
+# the range error of reported values, named by the input that scaled them there
+_REPORT_RANGE = "%s: the reported values leave floating-point range"
 
 
 def _digest(raw: bytes) -> str:
@@ -389,12 +382,11 @@ def _weak_bounds(rep: MorseReport, k: Optional[int], source: str) -> Optional[Li
     of the report is checked finite.  The input error names ``source``
     for a report out of range and --k for a k below 1 or a weak bound out
     of range."""
-    _finite(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], source)
+    _float_range(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], _REPORT_RANGE % source)
     if k is None:
         return None
-    if k < 1:
-        raise InputError("--k must be >= 1, got %d" % k)
-    return _finite(lambda: [k**rep.n * dens for dens in rep.densities], "--k")
+    _int_arg(k, "--k", 1)
+    return _float_range(lambda: [k**rep.n * dens for dens in rep.densities], _REPORT_RANGE % "--k")
 
 
 def _report_doc(rep: MorseReport, k: Optional[int], weak: Optional[List[float]]) -> Dict:
@@ -431,22 +423,10 @@ def _report_csv(rep: MorseReport, weak: Optional[List[float]]) -> str:
 def _cmd_chambers(args, started):
     raw = _read_input(args)
     field = parse_field(raw)
-    if not 0 <= args.point < len(field.labels):
-        raise InputError(
-            "--point index %d out of range (field has %d sample points)"
-            % (args.point, len(field.labels))
-        )
-    pt = field._point(args.point)
-    delta = field.delta if args.delta is None else args.delta
-    if not delta > 0.0:
-        raise InputError("--delta must be positive, got %g" % delta)
-    if not math.isfinite(delta):
-        raise InputError("--delta must be finite, got %g" % delta)
-    if args.tol is not None and not math.isfinite(args.tol):
-        raise InputError("--tol must be finite, got %g" % args.tol)
-    if args.tol is not None and args.tol < 0.0:
-        raise InputError("--tol must be nonnegative, got %g" % args.tol)
-    dec, masses = _decompose(pt.r, pt.el, delta, args.tol)[:2]
+    pt = field._point(_int_arg(args.point, "--point", 0, len(field.labels) - 1))
+    delta = field.delta if args.delta is None else _positive_arg(args.delta, "--delta")
+    tol = None if args.tol is None else _real_arg(args.tol, "--tol", 0.0)
+    dec, masses = _decompose(pt.r, pt.el, delta, tol)[:2]
     result = {
         "label": pt.label,
         "delta": dec.delta,
@@ -473,12 +453,12 @@ def _cmd_chambers(args, started):
 
 
 def _cmd_morse(args, started):
-    from .morse import _check_delta, build_morse_report
+    from .morse import build_morse_report
 
     raw = _read_input(args)
     field = parse_field(raw)
-    _check_threads(args)
-    delta = None if args.delta is None else _check_delta(field, args.delta, "--delta")
+    _int_arg(args.threads, "--threads", 1)
+    delta = None if args.delta is None else _positive_arg(args.delta, "--delta", field.delta)
     rep = build_morse_report(field, delta=delta)
     weak = _weak_bounds(rep, args.k, "points[*].weight")
     _emit(args, "morse", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
@@ -489,7 +469,7 @@ def _cmd_classify(args, started):
 
     raw = _read_input(args)
     field = parse_field(raw)
-    _check_threads(args)
+    _int_arg(args.threads, "--threads", 1)
     rep = build_morse_report(field)
     positivity, big = rep.positivity, rep.bigness
     result = {
@@ -574,13 +554,13 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="PATH", required=True)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--k", type=int, default=None, help="also emit k^n weak bounds")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="validated (>= 1) but unused: computation is single-threaded")
 
     if wanted("classify"):
         p = add("classify", "_cmd_classify", "positivity, X(q), and bigness verdicts")
         p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="validated (>= 1) but unused: computation is single-threaded")
 
     if wanted("szego-density"):

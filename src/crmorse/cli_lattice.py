@@ -9,6 +9,7 @@ so the field commands never compile it.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Sequence
@@ -17,9 +18,9 @@ from .cli import (
     HEISENBERG_SCHEMA,
     LEVI_SCHEMA,
     TORUS_SCHEMA,
+    _REPORT_RANGE,
     _emit,
     _file_error,
-    _finite,
     _read_input,
     _report_csv,
     _report_doc,
@@ -28,11 +29,17 @@ from .cli import (
     parse_levi_flat,
     parse_torus,
 )
-from .errors import InputError
+from .errors import InputError, _float_range, _int_arg
 from .serialize import csv_table
 
 if TYPE_CHECKING:
     from .oracles import LatticeCalibration, TorusBundleSpec
+
+
+# a signed total within this fraction of the density sum, which bounds it,
+# is the rounding of a total that vanishes: the chamber engine reads
+# eigenvalues to 1e-9 of the pencil's scale
+_EULER_MARGIN = 1e-9
 
 
 def _pairs(rows: Sequence[Sequence[complex]]) -> List[List[List[float]]]:
@@ -100,8 +107,8 @@ def _torus_report(args, spec: TorusBundleSpec):
     from .morse import build_morse_report
     from .oracles import _lattice_field
 
-    if args.q is not None and not 0 <= args.q <= spec.d:
-        raise InputError("--q must be in 0..%d, got %d" % (spec.d, args.q))
+    if args.q is not None:
+        _int_arg(args.q, "--q", 0, spec.d)
     cal = _load_or_make_cal(args.cal)
     field = _lattice_field(spec, cal)
     return cal, field, build_morse_report(field)
@@ -170,38 +177,35 @@ def _cmd_calibrate(args, started):
 
 
 def _cmd_convergence(args, started):
-    from .oracles import _check_window, _dimension_sums
+    from .oracles import _WINDOW_RANGE, _dimension_sums
 
     if not (args.input or args.example):
         raise InputError("convergence needs --example or --input")
     raw = _read_input(args, EXAMPLE_TORUS_DOCS.get(args.example))
     spec = parse_torus(raw)
     source = "input" if args.input else args.example
-    if args.kmin < 1 or args.kmax < args.kmin:
-        raise InputError(
-            "need 1 <= kmin <= kmax, got kmin=%d kmax=%d" % (args.kmin, args.kmax)
-        )
-    kstep = args.kstep if args.kstep is not None else max(1, (args.kmax - args.kmin) // 9)
-    if kstep < 1:
-        raise InputError("--kstep must be >= 1, got %d" % kstep)
+    kmin = _int_arg(args.kmin, "--kmin", 1)
+    kmax = _int_arg(args.kmax, "--kmax", kmin)
+    kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", 1)
     cal, field, rep = _torus_report(args, spec)
-    ks = list(range(args.kmin, args.kmax + 1, kstep))
+    ks = list(range(kmin, kmax + 1, kstep))
     q = args.q
     dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
+    # a density sum out of range is left to the range error of the bounds below
+    if q is None and abs(dens) <= _EULER_MARGIN * sum(rep.densities) < math.inf:
+        raise InputError("signed density total vanishes for this spec; no Euler comparison")
     if dens == 0.0:
-        if q is None:
-            raise InputError("signed density total vanishes for this spec; no Euler comparison")
         raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
     # windows grow with k, so the first and last levels swept bound the rest;
     # a --kmax beyond the last level reached is not an error
-    _check_window(spec, ks[0], "--kmin", args.kmin)
-    _check_window(spec, ks[-1], "--kmax", args.kmax)
+    _float_range(lambda: ks[0] * spec.delta, _WINDOW_RANGE % ("--kmin", len(str(kmin))))
+    _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", len(str(kmax))))
     oracles = []
     for k in ks:
         sums = _dimension_sums(spec, k, cal)
         oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
-    bounds = _finite(lambda: [k**rep.n * dens for k in ks], "--kmax")
-    ratios = _finite(lambda: [o / b for o, b in zip(oracles, bounds)], "--kmax")
+    bounds = _float_range(lambda: [k**rep.n * dens for k in ks], _REPORT_RANGE % "--kmax")
+    ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
     rows = [
         {"k": k, "oracle": o, "bound": b, "ratio": r}
         for k, o, b, r in zip(ks, oracles, bounds, ratios)

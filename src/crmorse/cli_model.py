@@ -7,13 +7,12 @@ so the field commands never compile it.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .cli import _emit, _read_input, parse_model
-from .errors import InputError
+from .errors import InputError, _int_arg, _real_arg
 from .serialize import csv_table
 
 
@@ -37,25 +36,13 @@ def _parse_z(text: Optional[str], d: int) -> np.ndarray:
     return out
 
 
-def _finite_flag(value: float, flag: str) -> float:
-    if not math.isfinite(value):
-        raise InputError("%s must be finite, got %r" % (flag, value))
-    return value
-
-
-def _q_flag(q: int, d: int) -> int:
-    if not 0 <= q <= d:
-        raise InputError("--q must be in 0..%d, got %d" % (d, q))
-    return q
-
-
 def _cmd_szego(args, started):
     from .model import _szego_table
 
     raw = _read_input(args)
     data = parse_model(raw)
     cs, densities = _szego_table(data)
-    qs = list(range(data.d + 1)) if args.q is None else [_q_flag(args.q, data.d)]
+    qs = list(range(data.d + 1)) if args.q is None else [_int_arg(args.q, "--q", 0, data.d)]
     result = {
         "d": data.d,
         "delta": data.delta,
@@ -73,11 +60,10 @@ def _cmd_extremal(args, started):
     raw = _read_input(args)
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
-    theta = _finite_flag(args.theta, "--theta")
-    q = _q_flag(args.q, data.d)
-    if args.nodes < 16:
-        raise InputError("--nodes must be >= 16, got %d" % args.nodes)
-    form = _extremal_form(data, q, z, theta, args.nodes, "--z")
+    theta = _real_arg(args.theta, "--theta")
+    q = _int_arg(args.q, "--q", 0, data.d)
+    nodes = _int_arg(args.nodes, "--nodes", 16)
+    form = _extremal_form(data, q, z, theta, nodes, "--z")
     result = {
         "q": args.q,
         "theta": args.theta,
@@ -99,15 +85,14 @@ def _cmd_bergman(args, started):
 
     raw = _read_input(args)
     data = parse_model(raw)
-    if args.max_degree < 0:
-        raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
+    max_degree = _int_arg(args.max_degree, "--max-degree", 0)
     z = _parse_z(args.z, data.d)
-    eta = _finite_flag(args.eta, "--eta")
-    val = _bergman_diag(data, eta, _q_flag(args.q, data.d), z, "--z")
+    eta = _real_arg(args.eta, "--eta")
+    val = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--z")
     bruteforce = None
     rel_gap = None
     if _positive_definite(m_phi_eta(data, eta).entries)[0] and args.q == 0 and not np.any(z):
-        bruteforce = bergman_bruteforce(data, eta, args.max_degree)
+        bruteforce = bergman_bruteforce(data, eta, max_degree)
         if bruteforce != 0.0:
             rel_gap = (val.value - bruteforce) / bruteforce
     result = {

@@ -1,8 +1,23 @@
-"""Exception hierarchy shared by all crmorse modules.
+"""Exception hierarchy shared by all crmorse modules, and the argument
+checks behind every InputError about a value the caller set.
 
 Exit-code contract used by the CLI: InputError maps to 2,
 DegeneratePencilError (and subclasses) to 3, CalibrationError to 4.
+
+Each check takes the value, the name its message reports (a parameter,
+or the flag that set it) and plain bounds, and returns the value as an
+int or a float.  A bool is neither an integer nor a real here, as in the
+document parsers.  The messages read
+
+    <name> must be an integer [>= lo | in lo..hi], got <value>
+    <name> must be a positive real [<= hi], got <value>
+    <name> must be a finite real [>= lo], got <value>
+
+and _float_range raises the caller's own message.
 """
+
+import math
+import numbers
 
 
 class CRMorseError(Exception):
@@ -32,3 +47,63 @@ class ZeroExtremalMassError(InputError):
 
 class CalibrationError(CRMorseError):
     """Lattice calibration record is missing, inconsistent, or irreproducible."""
+
+
+def _int_arg(value, name: str, lo=None, hi=None) -> int:
+    """``value`` as an int, once it is an integer with lo <= value <= hi;
+    a bound of None is open, and an upper bound comes with a lower one."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (lo is not None and value < lo)
+        or (hi is not None and value > hi)
+    ):
+        if hi is not None:
+            span = " in %d..%d" % (lo, hi)
+        else:
+            span = "" if lo is None else " >= %d" % lo
+        raise InputError("%s must be an integer%s, got %r" % (name, span, value))
+    return int(value)
+
+
+def _as_float(value) -> float:
+    """float(value), or nan for a bool or a value float() cannot read."""
+    if isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        return math.nan
+
+
+def _positive_arg(value, name: str, hi: float = math.inf) -> float:
+    """``value`` as a float, once it is a finite real with 0 < value <= hi."""
+    v = _as_float(value)
+    if not (0.0 < v <= hi and math.isfinite(v)):
+        span = "" if hi == math.inf else " <= %g" % hi
+        raise InputError("%s must be a positive real%s, got %r" % (name, span, value))
+    return v
+
+
+def _real_arg(value, name: str, lo: float = -math.inf) -> float:
+    """``value`` as a float, once it is a finite real with value >= lo."""
+    v = _as_float(value)
+    if not (v >= lo and math.isfinite(v)):
+        span = "" if lo == -math.inf else " >= %g" % lo
+        raise InputError("%s must be a finite real%s, got %r" % (name, span, value))
+    return v
+
+
+def _float_range(compute, message: str):
+    """What ``compute()`` gives, a float or a list of floats, once every
+    number is finite.  A number out of floating-point range, or an
+    OverflowError on the way (an integer too large to meet a float, a float
+    power beyond range), is an InputError with ``message``, which names the
+    input that scaled it there."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+        raise InputError(message)
+    return value

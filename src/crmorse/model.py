@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import ChamberBoundaryError, InputError, ZeroExtremalMassError
+from .errors import (
+    ChamberBoundaryError,
+    InputError,
+    ZeroExtremalMassError,
+    _float_range,
+    _int_arg,
+    _positive_arg,
+    _real_arg,
+)
 from .pencil import (
     ChamberDecomposition,
     HermitianMatrix,
@@ -58,9 +65,7 @@ class ModelData(_Frozen):
     __slots__ = ("d", "lam", "mu", "delta")
 
     def __init__(self, d: int, lam, mu: HermitianMatrix, delta: float):
-        if not isinstance(d, numbers.Integral) or d < 1:
-            raise InputError("d must be a positive integer, got %r" % (d,))
-        d = int(d)
+        d = _int_arg(d, "d", 1)
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         if arr.shape != (d,) or not np.all(np.isfinite(arr)):
             raise InputError("lam must be a finite real vector of length d=%d, got %r" % (d, lam))
@@ -68,10 +73,7 @@ class ModelData(_Frozen):
         arr.setflags(write=False)
         if mu.dim != d:
             raise InputError("mu has dim %d, expected d=%d" % (mu.dim, d))
-        dlt = float(delta)
-        if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("delta must be a positive real, got %r" % (delta,))
-        self._set(d, arr, mu, dlt)
+        self._set(d, arr, mu, _positive_arg(delta, "delta"))
 
     @property
     def n(self) -> int:
@@ -100,9 +102,7 @@ class ExtremalForm(NamedTuple):
 
 def m_phi_eta(data: ModelData, eta: float) -> HermitianMatrix:
     """Complex Hessian of Phi_eta: mu - 2 eta diag(lambda)."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise InputError("eta must be finite, got %r" % (eta,))
+    eta = _real_arg(eta, "eta")
     return HermitianMatrix(data.mu.entries - 2.0 * eta * np.diag(data.lam))
 
 
@@ -135,12 +135,6 @@ def eta_chambers(data: ModelData) -> EtaChamberSet:
     return _szego_table(data)[0]
 
 
-def _check_q(data: ModelData, q: int) -> int:
-    if not isinstance(q, numbers.Integral) or not 0 <= q <= data.d:
-        raise InputError("q must be an integer in 0..%d, got %r" % (data.d, q))
-    return int(q)
-
-
 def _check_z(data: ModelData, z) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if arr.shape != (data.d,) or not np.all(np.isfinite(arr.view(float))):
@@ -161,7 +155,7 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
 
 def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanValue:
     """bergman_diag, with ``name`` for z in its range error."""
-    q = _check_q(data, q)
+    q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
     m = m_phi_eta(data, eta)
     ine = inertia(m)
@@ -172,12 +166,10 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanV
     with np.errstate(over="ignore", invalid="ignore"):  # a Phi out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
     det = abs(float(np.linalg.det(m.entries).real))
-    try:
-        value = math.exp(phi) * det / TWO_PI**data.d
-    except OverflowError:  # e^Phi beyond floating-point range
-        value = math.inf
-    if not math.isfinite(value):
-        raise InputError("%s: the Bergman density at this z leaves floating-point range" % name)
+    value = _float_range(
+        lambda: math.exp(phi) * det / TWO_PI**data.d,
+        "%s: the Bergman density at this z leaves floating-point range" % name,
+    )
     return BergmanValue(value, False)
 
 
@@ -216,8 +208,7 @@ def _positive_definite(m: np.ndarray) -> Tuple[bool, float]:
 
 def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
     """The monomial Gram matrix of bergman_bruteforce."""
-    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
-        raise InputError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
+    max_degree = _int_arg(max_degree, "max_degree", 0)
     m = m_phi_eta(data, eta).entries
     positive, lo = _positive_definite(m)
     if not positive:
@@ -228,10 +219,10 @@ def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
     cov = np.linalg.inv(m)
     det = float(np.linalg.det(m).real)
     mass = TWO_PI**data.d / det
-    size = math.comb(data.d + int(max_degree), data.d)  # monomials of degree <= max_degree
+    size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
     gram = np.zeros((size, size), dtype=complex)
     off = 0
-    for deg in range(int(max_degree) + 1):
+    for deg in range(max_degree + 1):
         idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
         block = gram[off : off + len(idx), off : off + len(idx)]
         off += len(idx)
@@ -264,7 +255,7 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
 
 def szego_density(data: ModelData, q: int) -> float:
     """(2pi)^{-n} integral of |det M_eta| over the q-chambers in eta."""
-    q = _check_q(data, q)
+    q = _int_arg(q, "q", 0, data.d)
     return _szego_table(data)[1][q]
 
 
@@ -356,15 +347,10 @@ def _extremal_form(
     data: ModelData, q: int, z, theta: float, eta_quad_points: int, name: str
 ) -> ExtremalForm:
     """extremal_form, with ``name`` for z in its range error."""
-    q = _check_q(data, q)
+    q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InputError("theta must be finite, got %r" % (theta,))
-    if not isinstance(eta_quad_points, numbers.Integral) or eta_quad_points < 16:
-        raise InputError(
-            "eta_quad_points must be an integer >= 16, got %r" % (eta_quad_points,)
-        )
+    theta = _real_arg(theta, "theta")
+    eta_quad_points = _int_arg(eta_quad_points, "eta_quad_points", 16)
     dec, masses = _eta_record(data)
     cells = [ch for ch in dec.chambers if ch.inertia.neg == q]
     if not cells:
@@ -375,7 +361,7 @@ def _extremal_form(
     total_mass = masses[q]
     c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
     js = list(itertools.combinations(range(data.d), q))
-    nodes, weights = _gauss_legendre(int(eta_quad_points))
+    nodes, weights = _gauss_legendre(eta_quad_points)
     half = np.array([0.5 * (ch.hi - ch.lo) for ch in cells])[:, None]
     etas = (half * nodes + np.array([0.5 * (ch.hi + ch.lo) for ch in cells])[:, None]).ravel()
     wts = (half * weights).ravel()

@@ -16,12 +16,11 @@ summed in input order with math.fsum so reports are byte-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _float_range, _int_arg, _positive_arg
 from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _q_masses, _units
 
 __all__ = [
@@ -55,6 +54,9 @@ REASON_INCONCLUSIVE = "criteria inconclusive"
 
 _CHUNK = 256  # sample points decomposed together in one stacked pass, which bounds its memory
 
+# the range error of a level k, named by the caller, whose power k^n leaves float range
+_POWER_RANGE = "%s: an integer of %d digits, whose power n = %d leaves floating-point range"
+
 
 class PencilPoint(_Frozen):
     """One sample: curvature R, Levi form L, and its volume mass."""
@@ -68,10 +70,7 @@ class PencilPoint(_Frozen):
             raise InputError(
                 "sample %r: R has dim %d but L has dim %d" % (label, r.dim, el.dim)
             )
-        w = float(weight)
-        if not (math.isfinite(w) and w > 0.0):
-            raise InputError("sample %r: weight must be a positive real, got %r" % (label, weight))
-        self._set(label, r, el, w)
+        self._set(label, r, el, _positive_arg(weight, "sample %r: weight" % (label,)))
 
 
 class PencilField(_Frozen):
@@ -105,11 +104,8 @@ class PencilField(_Frozen):
     def _fill(self, n, delta, labels, r, el, weights) -> None:
         """Set the fields, once n is an integer >= 2, delta a positive real
         and every matrix of dimension n - 1."""
-        if not isinstance(n, numbers.Integral) or n < 2:
-            raise InputError("n must be an integer >= 2, got %r" % (n,))
-        dlt = float(delta)
-        if not (math.isfinite(dlt) and dlt > 0.0):
-            raise InputError("field delta must be a positive real, got %r" % (delta,))
+        n = _int_arg(n, "n", 2)
+        dlt = _positive_arg(delta, "field delta")
         if not len(labels):
             raise InputError("field needs at least one sample point")
         for label, m in zip(labels, r):
@@ -120,7 +116,7 @@ class PencilField(_Frozen):
         arrays = np.asarray(r), np.asarray(el), np.asarray(weights, dtype=float)
         for a in arrays:
             a.setflags(write=False)
-        self._set(int(n), dlt, tuple(labels), *arrays)
+        self._set(n, dlt, tuple(labels), *arrays)
 
     @property
     def dim(self) -> int:
@@ -162,21 +158,6 @@ class MorseReport(NamedTuple):
     bigness: Bigness
 
 
-def _check_delta(field: PencilField, delta: float, name: str = "delta") -> float:
-    delta = float(delta)
-    if not (math.isfinite(delta) and 0.0 < delta <= field.delta):
-        raise InputError(
-            "%s must lie in (0, %g] for this field, got %g" % (name, field.delta, delta)
-        )
-    return delta
-
-
-def _check_q(field: PencilField, q: int) -> int:
-    if not isinstance(q, numbers.Integral) or not 0 <= q <= field.dim:
-        raise InputError("q must be an integer in 0..%d, got %r" % (field.dim, q))
-    return int(q)
-
-
 def _fsum(terms) -> float:
     """math.fsum, except that a sum out of floating-point range is inf (nan
     for inf - inf) instead of an exception, for the caller to reject."""
@@ -199,32 +180,17 @@ def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] =
     ``threads`` is accepted and ignored: the computation is
     single-threaded.
     """
-    q = _check_q(field, q)
-    return build_morse_report(field, _check_delta(field, delta)).densities[q]
-
-
-def _power(k: int, n: int, name: str, factor: int = 1) -> float:
-    """factor * k^n in floating point; an InputError naming ``name`` when it
-    leaves floating-point range."""
-    try:
-        value = factor * float(k) ** n
-    except OverflowError:  # k or k^n beyond float range
-        value = math.inf
-    if value == math.inf:
-        raise InputError(
-            "%s: an integer of %d digits, whose power n = %d leaves floating-point range"
-            % (name, len(str(k)), n)
-        )
-    return value
+    q = _int_arg(q, "q", 0, field.dim)
+    return build_morse_report(field, delta).densities[q]
 
 
 def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
     """k^n * c_q(delta), the weak Morse bound prefactor at level k.  Like
     density_q it raises for a fault anywhere in the field window, also at a
     smaller ``delta``.  ``threads`` is accepted and ignored."""
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise InputError("k must be a positive integer, got %r" % (k,))
-    return _power(k, field.n, "k") * density_q(field, q, delta)
+    k = _int_arg(k, "k", 1)
+    power = _float_range(lambda: float(k) ** field.n, _POWER_RANGE % ("k", len(str(k)), field.n))
+    return power * density_q(field, q, delta)
 
 
 def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -> float:
@@ -237,14 +203,14 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     for a fault anywhere in the field window, also at a smaller ``delta``.
     ``threads`` is accepted and ignored.
     """
-    return build_morse_report(field, _check_delta(field, delta)).rrh_total
+    return build_morse_report(field, delta).rrh_total
 
 
 def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
     """Strong Morse alternating partial sums; entry d is the RRH total.
     Like density_q it raises for a fault anywhere in the field window, also
     at a smaller ``delta``.  ``threads`` is accepted and ignored."""
-    return build_morse_report(field, _check_delta(field, delta)).strong_sums
+    return build_morse_report(field, delta).strong_sums
 
 
 def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqResult:
@@ -257,7 +223,7 @@ def check_Xq(field: PencilField, q: int, threads: Optional[int] = None) -> XqRes
     certificate speaks only for the sample set, not the continuum.
     ``threads`` is accepted and ignored.
     """
-    q = _check_q(field, q)
+    q = _int_arg(q, "q", 0, field.dim)
     return build_morse_report(field).xq[q]
 
 
@@ -300,7 +266,7 @@ def build_morse_report(
     field window, and both windows read that decomposition.  ``threads``
     is accepted and ignored: the computation is single-threaded.
     """
-    delta = field.delta if delta is None else _check_delta(field, delta)
+    delta = field.delta if delta is None else _positive_arg(delta, "delta", field.delta)
     d = field.dim
     deltas = (delta,) if delta == field.delta else (delta, field.delta)
     terms = np.empty((len(field.labels), d + 2))  # weight times each q-mass, then times the signed integral

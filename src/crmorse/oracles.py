@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +26,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, InputError
-from .morse import TWO_PI, PencilField, PencilPoint, _power, density_q
+from .errors import CalibrationError, InputError, _float_range, _int_arg, _positive_arg
+from .morse import _POWER_RANGE, TWO_PI, PencilField, PencilPoint, density_q
 from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
@@ -53,14 +52,6 @@ _CAL_SEED = 20260825
 _RAY_CHECK = 1000
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InputError("%s must be an integer, got %r" % (what, value))
-
-
 def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
     h = raw if isinstance(raw, HermitianMatrix) else HermitianMatrix(np.asarray(raw, dtype=complex))
     if h.dim != d:
@@ -71,25 +62,16 @@ def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
     return h
 
 
-def _positive_delta(delta) -> float:
-    dlt = float(delta)
-    if not (math.isfinite(dlt) and dlt > 0.0):
-        raise InputError("delta must be a positive real, got %r" % (delta,))
-    return dlt
-
-
 class TorusBundleSpec(_Frozen):
     """Grauert-tube circle bundle: L_mu pulled back, tube from L_lambda."""
 
     __slots__ = ("d", "lambda_mat", "mu_mat", "delta")
 
     def __init__(self, d: int, lambda_mat: HermitianMatrix, mu_mat: HermitianMatrix, delta: float):
-        d = _as_int(d, "torus dimension d")
-        if d < 1:
-            raise InputError("torus dimension d must be >= 1, got %d" % d)
+        d = _int_arg(d, "torus dimension d", 1)
         lambda_mat = _int_hermitian(lambda_mat, "lambda_mat", d)
         mu_mat = _int_hermitian(mu_mat, "mu_mat", d)
-        self._set(d, lambda_mat, mu_mat, _positive_delta(delta))
+        self._set(d, lambda_mat, mu_mat, _positive_arg(delta, "delta"))
 
 
 class HeisenbergSpec(_Frozen):
@@ -98,15 +80,13 @@ class HeisenbergSpec(_Frozen):
     __slots__ = ("d", "lambda_vec", "mu_mat", "delta")
 
     def __init__(self, d: int, lambda_vec: Tuple[int, ...], mu_mat: HermitianMatrix, delta: float):
-        d = _as_int(d, "dimension d")
-        if d < 1:
-            raise InputError("dimension d must be >= 1, got %d" % d)
-        vec = tuple(_as_int(v, "lambda_vec entry") for v in lambda_vec)
+        d = _int_arg(d, "dimension d", 1)
+        vec = tuple(_int_arg(v, "lambda_vec entry") for v in lambda_vec)
         if len(vec) != d:
             raise InputError("lambda_vec must have length d=%d, got %d" % (d, len(vec)))
         if any(v == 0 for v in vec):
             raise InputError("every Levi eigenvalue lambda_j must be nonzero")
-        self._set(d, vec, _int_hermitian(mu_mat, "mu_mat", d), _positive_delta(delta))
+        self._set(d, vec, _int_hermitian(mu_mat, "mu_mat", d), _positive_arg(delta, "delta"))
 
 
 class LatticeCalibration(_Frozen):
@@ -145,14 +125,10 @@ def _lattice_field(spec: TorusBundleSpec, cal: LatticeCalibration) -> PencilFiel
     L = c_mode lambda / 2, and c_dim^d sections per unit of |det|, so the
     weight is (2pi)^n c_dim^d.  An InputError naming d when it overflows."""
     n, c_dim = spec.d + 1, int(cal.c_dim)
-    try:
-        weight = TWO_PI**n * c_dim**spec.d
-    except OverflowError:  # (2pi)^n, or c_dim^d, beyond float range
-        weight = math.inf
-    if weight == math.inf:
-        raise InputError(
-            "d: the lattice volume weight (2pi)^%d * %d^%d leaves floating-point range" % (n, c_dim, spec.d)
-        )
+    weight = _float_range(
+        lambda: TWO_PI**n * c_dim**spec.d,
+        "d: the lattice volume weight (2pi)^%d * %d^%d leaves floating-point range" % (n, c_dim, spec.d),
+    )
     el = HermitianMatrix(spec.lambda_mat.entries * (int(cal.c_mode) / 2))
     return PencilField(n=n, delta=spec.delta, points=[PencilPoint("torus", spec.mu_mat, el, weight)])
 
@@ -164,9 +140,7 @@ def levi_flat_field(mu_mat, d: int, delta: float = 1.0) -> PencilField:
     exactly 2 (interval length) to every density, which is the bookkeeping
     expected by the classical product-manifold dimension counts.
     """
-    d = _as_int(d, "dimension d")
-    if d < 1:
-        raise InputError("dimension d must be >= 1, got %d" % d)
+    d = _int_arg(d, "dimension d", 1)
     mu = mu_mat if isinstance(mu_mat, HermitianMatrix) else HermitianMatrix(np.asarray(mu_mat, dtype=complex))
     if mu.dim != d:
         raise InputError("curvature matrix has dim %d, expected d=%d" % (mu.dim, d))
@@ -208,9 +182,7 @@ def _d1_section_count(a: int) -> int:
 
 def d1_fourier_bruteforce(a: int) -> int:
     """First-principles dimension count for positive d=1 curvature."""
-    if not isinstance(a, numbers.Integral) or a < 1:
-        raise InputError("curvature must be a positive integer, got %r" % (a,))
-    return _d1_section_count(int(a))
+    return _d1_section_count(_int_arg(a, "curvature", 1))
 
 
 # ------------------------------------------------------------- calibration
@@ -389,15 +361,14 @@ def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
     """
     mat = a if isinstance(a, HermitianMatrix) else HermitianMatrix(np.asarray(a, dtype=complex))
     d = mat.dim
-    if not isinstance(q, numbers.Integral) or not 0 <= q <= d:
-        raise InputError("q must be an integer in 0..%d, got %r" % (d, q))
+    q = _int_arg(q, "q", 0, d)
     mat = _int_hermitian(mat, "mode curvature matrix", d)
     det_re, det_im = _exact_det(_gaussian_rows(mat))
     if det_im != 0:
         raise InputError("Hermitian determinant came out non-real; input corrupt")
     if det_re == 0:
         return 0
-    if inertia(mat).signature != (int(q), 0, d - int(q)):
+    if inertia(mat).signature != (q, 0, d - q):
         return 0
     return int(cal.c_dim) ** d * abs(det_re)
 
@@ -559,18 +530,9 @@ def _range_sum(p: List[int], a: int, b: int) -> int:
     return total
 
 
-def _check_window(spec: TorusBundleSpec, k: int, name: str, value: int) -> None:
-    """An InputError naming ``name`` and the digits of ``value``, the input
-    that set level k, when the window k * delta leaves floating-point range."""
-    try:
-        reach = k * spec.delta
-    except OverflowError:  # k beyond float range
-        reach = math.inf
-    if reach == math.inf:
-        raise InputError(
-            "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
-            % (name, len(str(value)))
-        )
+# the range error of a level k, named by the input that set it and its
+# digits, whose window k * delta leaves floating-point range
+_WINDOW_RANGE = "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
 
 
 def _dimension_sums(
@@ -589,10 +551,9 @@ def _dimension_sums(
     exactly, so the sums are exact at any k whose k*delta is a float.
     Errors about k name ``name``.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise InputError("%s must be a positive integer, got %r" % (name, k))
-    k = int(k)
-    _check_window(spec, k, name, k)  # the inertia reads below take k * mu in floats
+    k = _int_arg(k, name, 1)
+    # the inertia reads below take k * mu in floats
+    _float_range(lambda: k * spec.delta, _WINDOW_RANGE % (name, len(str(k))))
     # exact, with delta read as the decimal it prints as: 0.3 is 3/10, not
     # the binary float below it
     window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))
@@ -617,8 +578,7 @@ def fourier_dimension_sum(
     Equal to the sum of torus_mode_dim over the modes m of the window;
     the cost does not depend on k.
     """
-    if not isinstance(q, numbers.Integral) or not 0 <= q <= spec.d:
-        raise InputError("q must be an integer in 0..%d, got %r" % (spec.d, q))
+    q = _int_arg(q, "q", 0, spec.d)
     return _dimension_sums(spec, k, cal)[q]
 
 
@@ -632,24 +592,22 @@ def calibrate_weight(
     single-k match would bake into the weight, then divides by the
     weight-1 density.
     """
-    if not isinstance(k0, numbers.Integral) or k0 < 1:
-        raise InputError("reference level k0 must be a positive integer, got %r" % (k0,))
+    k0 = _int_arg(k0, "k0", 1)
     field = torus_bundle_field(spec)
     n = field.n
-    scale = _power(k0, n, "k0", 2 ** (n - 1))  # checked before the sums at k0 and 2 k0
-    y1 = fourier_dimension_sum(spec, q, int(k0), cal)
-    y2 = fourier_dimension_sum(spec, q, 2 * int(k0), cal)
+    # checked before the sums at k0 and 2 k0
+    scale = _float_range(lambda: 2 ** (n - 1) * float(k0) ** n, _POWER_RANGE % ("k0", len(str(k0)), n))
+    y1 = fourier_dimension_sum(spec, q, k0, cal)
+    y2 = fourier_dimension_sum(spec, q, 2 * k0, cal)
     dens = density_q(field, q, spec.delta)
     if dens <= 0.0:
         raise InputError(
             "q=%d spectral density vanishes for this spec; nothing to calibrate" % q
         )
-    try:
-        lead = (y2 - 2 ** (n - 1) * y1) / scale
-    except OverflowError:  # an exact dimension sum beyond float range
-        raise InputError(
-            "k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range"
-        ) from None
+    lead = _float_range(
+        lambda: (y2 - 2 ** (n - 1) * y1) / scale,
+        "k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range",
+    )
     if lead <= 0.0:
         raise InputError(
             "oracle dimension sums do not grow like k^%d; cannot extract a weight" % n

@@ -54,7 +54,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegeneratePencilError, InputError
+from .errors import DegeneratePencilError, InputError, _int_arg, _positive_arg, _real_arg
 
 __all__ = [
     "IDENTICALLY_ZERO",
@@ -198,7 +198,7 @@ def _symmetrized(a: np.ndarray, tol: float) -> np.ndarray:
     first matrix that fails, in stack order.  HermitianMatrix is the n = 1
     case; the document parser checks all matrices of a field in one call."""
     ah = a.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix rejected as not finite
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, in a matrix rejected as not finite
         residual = np.abs(a - ah).max(axis=(1, 2))
     limit = tol * (1.0 + np.abs(a).max(axis=(1, 2)))
     finite = np.isfinite(a.view(float)).all(axis=(1, 2))
@@ -211,7 +211,7 @@ def _symmetrized(a: np.ndarray, tol: float) -> np.ndarray:
             "matrix is not Hermitian: max |A - A*| = %.3e exceeds tolerance %.3e"
             % (residual[i], limit[i])
         )
-    h = (a + ah) / 2.0
+    h = a / 2.0 + ah / 2.0  # halves first: no overflow near the float maximum
     h.setflags(write=False)
     return h
 
@@ -227,15 +227,6 @@ class Inertia(NamedTuple):
         return (self.neg, self.zero, self.pos)
 
 
-def _check_tol(tol) -> float:
-    tol = float(tol)
-    if not math.isfinite(tol):
-        raise InputError("inertia tolerance must be finite, got %g" % tol)
-    if tol < 0.0:
-        raise InputError("inertia tolerance must be nonnegative, got %g" % tol)
-    return tol
-
-
 def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     """Count eigenvalues of ``a`` below -tol, within [-tol, tol], above tol.
 
@@ -243,7 +234,7 @@ def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     radius), which makes the strict sign counts robustly decidable.
     """
     w = np.linalg.eigvalsh(a.entries)
-    t = _INERTIA_REL_TOL * (1.0 + float(np.abs(w).max())) if tol is None else _check_tol(tol)
+    t = _INERTIA_REL_TOL * (1.0 + float(np.abs(w).max())) if tol is None else _real_arg(tol, "inertia tolerance", 0.0)
     neg, pos = int((w < -t).sum()), int((w > t).sum())
     return Inertia(neg, a.dim - neg - pos, pos, t)
 
@@ -270,32 +261,26 @@ class RealPolynomial(_Frozen):
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
-    # The three methods below give numpy.polynomial.polynomial's polyval,
-    # polyder and polyint bit for bit (polyint for finite coefficients),
-    # without importing numpy.polynomial.
+    # The three methods below import numpy.polynomial when called, so that
+    # no command, which calls none of them, loads it.
 
     def __call__(self, s):
-        """Horner's rule in polyval's order of operations."""
-        if isinstance(s, (tuple, list)):
-            s = np.asarray(s)
-        c = self.coeffs
-        v = c[-1] + s * 0
-        for a in c[-2::-1]:
-            v = a + v * s
-        return v
+        from numpy.polynomial.polynomial import polyval
+
+        return polyval(s, self.coeffs)
 
     def derivative(self) -> "RealPolynomial":
+        """The derivative, without the trailing zero coefficients of p."""
+        from numpy.polynomial.polynomial import polyder
+
         d = self.degree
-        if d == 0:
-            return RealPolynomial(np.zeros(1))
-        return RealPolynomial(self.coeffs[1 : d + 1] * np.arange(1, d + 1))
+        return RealPolynomial(polyder(self.coeffs[: d + 1]) if d else np.zeros(1))
 
     def antiderivative(self) -> "RealPolynomial":
         """The antiderivative that vanishes at 0."""
-        c = self.coeffs
-        if c.size == 1 and c[0] == 0.0:
-            return RealPolynomial(np.zeros(1))
-        return RealPolynomial(np.concatenate([np.zeros(1), c / np.arange(1, c.size + 1)]))
+        from numpy.polynomial.polynomial import polyint
+
+        return RealPolynomial(polyint(self.coeffs))
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -499,14 +484,9 @@ def _decompose_batch(
     error raised is the first failing pencil's in stack order, prefixed with
     its label when ``labels`` is given.
     """
-    for delta in deltas:
-        if not delta > 0.0:
-            raise InputError("delta must be positive, got %g" % delta)
-        if not math.isfinite(delta):
-            raise InputError("delta must be finite, got %g" % delta)
+    deltas = [_positive_arg(delta, "delta") for delta in deltas]
     if tol is not None:
-        tol = _check_tol(tol)
-    deltas = [float(delta) for delta in deltas]
+        tol = _real_arg(tol, "inertia tolerance", 0.0)
     top = max(deltas) if span is None else float(span)
     d = r.shape[-1]
     failures = {}  # row -> its error, from the first stage it fails
@@ -645,9 +625,7 @@ def chambers(
 def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]]:
     """Open intervals of the decomposition with exactly q negative and
     d - q positive eigenvalues (possibly empty)."""
-    d = dec.dim
-    if not 0 <= q <= d:
-        raise InputError("q must lie in 0..%d, got %r" % (d, q))
+    q = _int_arg(q, "q", 0, dec.dim)
     return [(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
 
 
@@ -663,10 +641,7 @@ def chamber_integral(
     Uses the exact polynomial antiderivative P per chamber; |P(b) - P(a)|
     is exact because det keeps a constant sign between roots.
     """
-    if not isinstance(q, (int, np.integer)):
-        raise InputError("q must be an integer, got %r" % (q,))
-    if not 0 <= q <= r.dim:
-        raise InputError("q must lie in 0..%d, got %d" % (r.dim, q))
+    q = _int_arg(q, "q", 0, r.dim)
     return _decompose(r, el, delta, tol).q_masses[q]
 
 

@@ -264,6 +264,16 @@ def test_morse_overflowing_window_names_sample(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["morse", "classify", "chambers"])
+def test_entries_near_the_float_maximum_give_one_error_line(tmp_path, capsys, command):
+    # symmetrizing R = 1.5e308 must not overflow on the way: a RuntimeWarning
+    # would fail the test (pyproject filterwarnings), and stderr holds one line
+    inp = write_json(tmp_path, "f.json", field_doc(2, 1.0, [point_doc("big", [[1.5e308]], [[1]])]))
+    assert run([command, "--input", str(inp)]) == 2
+    label = "" if command == "chambers" else "sample 'big': "
+    assert capsys.readouterr().err == "error: %s%s\n" % (label, OUT_OF_RANGE % 1.0)
+
+
 OUT_OF_RANGE = "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
 
 
@@ -761,6 +771,15 @@ def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_pat
 BIG_TORUS = {"schema": "crmorse/torus-v1", "d": 280, "lambda": mat(np.zeros((280, 280))), "mu": mat(np.eye(280)),
              "delta": 0.5}
 BIG_WEIGHT = "d: the lattice volume weight (2pi)^281 * 2^280 leaves floating-point range"
+# a torus whose exact signed density total is 0 and whose engine total is
+# the rounding residue 9.6e-16, against a density sum of 0.125
+RESIDUE_TORUS = {
+    "schema": "crmorse/torus-v1",
+    "d": 3,
+    "lambda": mat([[0, 2j, -1 - 1j], [-2j, 0, -2 - 2j], [-1 + 1j, -2 + 2j, -2]]),
+    "mu": mat([[-1, 0, 0], [0, 0, 0], [0, 0, 2]]),
+    "delta": 0.25,
+}
 
 
 @pytest.mark.parametrize(
@@ -772,8 +791,9 @@ BIG_WEIGHT = "d: the lattice volume weight (2pi)^281 * 2^280 leaves floating-poi
          "--q 0: the q=0 density vanishes for this spec; no ratio to report"),
         (["convergence"], BIG_TORUS, BIG_WEIGHT),
         (["torus-demo"], BIG_TORUS, BIG_WEIGHT),
+        (["convergence"], RESIDUE_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
     ],
-    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo"],
+    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler"],
 )
 def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypatch, argv, doc, expected):
     import crmorse.oracles
@@ -787,6 +807,29 @@ def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypa
     assert run(argv + ["--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
+
+
+def test_convergence_keeps_totals_beyond_the_rounding_margin(tmp_path):
+    # the margin reads only a residue as zero: the indefinite example's total,
+    # -1.958, and the residue torus in density mode keep their rows
+    cal = str(tmp_path / "cal.json")
+    expected = {
+        ("--example", "torus-d2-indefinite"): [
+            "10,-1960,-1958.3333333333333,1.0008510638297872",
+            "20,-17160,-15666.666666666666,1.0953191489361702",
+            "30,-52880,-52875,1.0000945626477542",
+        ],
+        ("--input", str(write_json(tmp_path, "t.json", RESIDUE_TORUS)), "--q", "1"): [
+            "10,576,624.99999999999034,0.9216000000000143",
+            "20,14400,9999.9999999998454,1.4400000000000224",
+            "30,50176,50624.999999999221,0.99113086419754615",
+        ],
+    }
+    for flags, rows in expected.items():
+        out = tmp_path / "conv.csv"
+        assert run(["convergence", *flags, "--kmin", "10", "--kmax", "30", "--kstep", "10",
+                    "--cal", cal, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().split() == ["k,oracle,bound,ratio", *rows]
 
 
 def test_lattice_weight_is_finite_up_to_d_279():
@@ -1101,9 +1144,9 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
 @pytest.mark.parametrize(
     "argv, doc, expected",
     [
-        (["morse", "--k", "-3"], MINIMAL, "--k must be >= 1, got -3"),
-        (["levi-flat-demo", "--k", "0"], None, "--k must be >= 1, got 0"),
-        (["heisenberg-demo", "--k", "0"], None, "--k must be >= 1, got 0"),
+        (["morse", "--k", "-3"], MINIMAL, "--k must be an integer >= 1, got -3"),
+        (["levi-flat-demo", "--k", "0"], None, "--k must be an integer >= 1, got 0"),
+        (["heisenberg-demo", "--k", "0"], None, "--k must be an integer >= 1, got 0"),
         (["bergman-check", "--q", "0", "--eta", "0", "--z", "30,0"], MODEL_DOC,
          "--z: the Bergman density at this z leaves floating-point range"),
         (["bergman-check", "--q", "0", "--eta", "0", "--z", "1e200,0"], MODEL_DOC,
@@ -1114,20 +1157,20 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
          "--kmax: an integer of 401 digits, whose window k * delta leaves floating-point range"),
         (["convergence", "--example", "torus-d1", "--q", "0", "--kmin", str(K400), "--kmax", str(K400)],
          None, "--kmin: an integer of 401 digits, whose window k * delta leaves floating-point range"),
-        (["torus-demo", "--k", "0"], None, "--k must be a positive integer, got 0"),
-        (["bergman-check", "--q", "0", "--eta", "inf"], MODEL_DOC, "--eta must be finite, got inf"),
-        (["extremal-check", "--q", "0", "--theta", "inf"], MODEL_DOC, "--theta must be finite, got inf"),
-        (["morse", "--delta", "0"], MINIMAL, "--delta must lie in (0, 1] for this field, got 0"),
-        (["morse", "--delta", "2"], MINIMAL, "--delta must lie in (0, 1] for this field, got 2"),
-        (["chambers", "--delta", "0"], MINIMAL, "--delta must be positive, got 0"),
-        (["chambers", "--delta", "inf"], MINIMAL, "--delta must be finite, got inf"),
-        (["chambers", "--tol", "nan"], MINIMAL, "--tol must be finite, got nan"),
-        (["chambers", "--tol", "inf"], MINIMAL, "--tol must be finite, got inf"),
-        (["chambers", "--tol", "-1"], MINIMAL, "--tol must be nonnegative, got -1"),
-        (["extremal-check", "--q", "0", "--nodes", "8"], MODEL_DOC, "--nodes must be >= 16, got 8"),
-        (["extremal-check", "--q", "9"], MODEL_DOC, "--q must be in 0..1, got 9"),
-        (["bergman-check", "--q", "9", "--eta", "0"], MODEL_DOC, "--q must be in 0..1, got 9"),
-        (["szego-density", "--q", "9"], MODEL_DOC, "--q must be in 0..1, got 9"),
+        (["torus-demo", "--k", "0"], None, "--k must be an integer >= 1, got 0"),
+        (["bergman-check", "--q", "0", "--eta", "inf"], MODEL_DOC, "--eta must be a finite real, got inf"),
+        (["extremal-check", "--q", "0", "--theta", "inf"], MODEL_DOC, "--theta must be a finite real, got inf"),
+        (["morse", "--delta", "0"], MINIMAL, "--delta must be a positive real <= 1, got 0.0"),
+        (["morse", "--delta", "2"], MINIMAL, "--delta must be a positive real <= 1, got 2.0"),
+        (["chambers", "--delta", "0"], MINIMAL, "--delta must be a positive real, got 0.0"),
+        (["chambers", "--delta", "inf"], MINIMAL, "--delta must be a positive real, got inf"),
+        (["chambers", "--tol", "nan"], MINIMAL, "--tol must be a finite real >= 0, got nan"),
+        (["chambers", "--tol", "inf"], MINIMAL, "--tol must be a finite real >= 0, got inf"),
+        (["chambers", "--tol", "-1"], MINIMAL, "--tol must be a finite real >= 0, got -1.0"),
+        (["extremal-check", "--q", "0", "--nodes", "8"], MODEL_DOC, "--nodes must be an integer >= 16, got 8"),
+        (["extremal-check", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
+        (["bergman-check", "--q", "9", "--eta", "0"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
+        (["szego-density", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
     ],
     ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
          "convergence-kmax", "convergence-kmin", "torus-k", "bergman-eta", "extremal-theta",
@@ -1143,6 +1186,171 @@ def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expec
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------ the argument-check policy
+#
+# crmorse.errors holds one check per kind of argument: an integer within
+# bounds, a positive finite real, a finite real with an optional lower
+# bound, and the float-range guard.  Each names the parameter, or the flag
+# that set it, in one message form.
+
+
+def _field():
+    return parse_field(json.dumps(MINIMAL).encode())  # n = 2, delta = 1
+
+
+def _model(mu=3.0):
+    return crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[mu]]), delta=1.0)
+
+
+@pytest.mark.parametrize(
+    "case, doc, expected",
+    [
+        (lambda: crmorse.density_q(_field(), 9, 1.0), None, "q must be an integer in 0..1, got 9"),
+        (lambda: crmorse.extremal_form(_model(), 0, [0.0], 0.0, 8), None,
+         "eta_quad_points must be an integer >= 16, got 8"),
+        (["chambers", "--point", "1"], MINIMAL, "--point must be an integer in 0..0, got 1"),
+        (["morse", "--threads", "0"], MINIMAL, "--threads must be an integer >= 1, got 0"),
+        (["convergence", "--example", "torus-d1", "--kmin", "0"], None, "--kmin must be an integer >= 1, got 0"),
+        (["convergence", "--example", "torus-d1", "--kmin", "20", "--kmax", "10"], None,
+         "--kmax must be an integer >= 20, got 10"),
+        (["convergence", "--example", "torus-d1", "--kstep", "0"], None, "--kstep must be an integer >= 1, got 0"),
+        (["bergman-check", "--q", "0", "--eta", "0", "--max-degree", "-1"], MODEL_DOC,
+         "--max-degree must be an integer >= 0, got -1"),
+        (lambda: crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[3.0]]), delta=0.0), None,
+         "delta must be a positive real, got 0.0"),
+        (lambda: crmorse.rrh_total(_field(), 2.0), None, "delta must be a positive real <= 1, got 2.0"),
+        (["chambers", "--delta", "-1"], MINIMAL, "--delta must be a positive real, got -1.0"),
+        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=-1.0), None,
+         "inertia tolerance must be a finite real >= 0, got -1.0"),
+        (lambda: crmorse.m_phi_eta(_model(), math.nan), None, "eta must be a finite real, got nan"),
+        (["bergman-check", "--q", "0", "--eta", "nan"], MODEL_DOC, "--eta must be a finite real, got nan"),
+        (lambda: crmorse.weak_bound(_field(), 0, 1.0, K200), None,
+         "k: an integer of 201 digits, whose power n = 2 leaves floating-point range"),
+        (["morse", "--k", str(K200)], MINIMAL, "--k: the reported values leave floating-point range"),
+    ],
+    ids=["int-library", "int-library-lower", "int-point", "int-threads", "int-kmin", "int-kmax", "int-kstep",
+         "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library-lower",
+         "real-library", "real-eta", "range-library", "range-k"],
+)
+def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):
+    out = tmp_path / "out"
+    if callable(case):
+        with pytest.raises(InputError) as exc:
+            case()
+        err = "error: %s\n" % exc.value
+    else:
+        argv = case + ["--out", str(out)]
+        if doc is not None:
+            argv += ["--input", str(write_json(tmp_path, "doc.json", doc))]
+        if case[0] == "convergence":
+            argv += ["--cal", str(tmp_path / "cal.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+    assert err == "error: %s\n" % expected
+    assert not out.exists()
+
+
+def _torus_spec(**kwargs):
+    from crmorse.oracles import TorusBundleSpec
+
+    return TorusBundleSpec(**{"d": 1, "lambda_mat": [[1]], "mu_mat": [[2]], "delta": 0.5, **kwargs})
+
+
+def _heisenberg_spec(**kwargs):
+    from crmorse.oracles import HeisenbergSpec
+
+    return HeisenbergSpec(**{"d": 1, "lambda_vec": [1], "mu_mat": [[2]], "delta": 0.5, **kwargs})
+
+
+def _point(weight):
+    return crmorse.PencilPoint("w", crmorse.HermitianMatrix([[1.0]]), crmorse.HermitianMatrix([[1.0]]), weight)
+
+
+def _decomposition():
+    return crmorse.chambers(crmorse.HermitianMatrix([[2.0]]), crmorse.HermitianMatrix([[1.0]]), 1.0)
+
+
+# a bool is not an integer, nor is a float with an integral value: each of
+# these calls returned a value before the checks were shared
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: _torus_spec(d=1.0), "torus dimension d must be an integer >= 1, got 1.0"),
+        (lambda: _heisenberg_spec(d=1.0), "dimension d must be an integer >= 1, got 1.0"),
+        (lambda: _heisenberg_spec(lambda_vec=[1.0]), "lambda_vec entry must be an integer, got 1.0"),
+        (lambda: crmorse.levi_flat_field([[1.0]], 1.0), "dimension d must be an integer >= 1, got 1.0"),
+        (lambda: _torus_spec(d=True), "torus dimension d must be an integer >= 1, got True"),
+        (lambda: _heisenberg_spec(d=True), "dimension d must be an integer >= 1, got True"),
+        (lambda: _heisenberg_spec(lambda_vec=[True]), "lambda_vec entry must be an integer, got True"),
+        (lambda: crmorse.levi_flat_field([[1.0]], True), "dimension d must be an integer >= 1, got True"),
+        (lambda: crmorse.density_q(_field(), True, 1.0), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.check_Xq(_field(), True), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.weak_bound(_field(), 0, 1.0, True), "k must be an integer >= 1, got True"),
+        (lambda: crmorse.ModelData(d=True, lam=[1.0], mu=crmorse.HermitianMatrix([[3.0]]), delta=1.0),
+         "d must be an integer >= 1, got True"),
+        (lambda: crmorse.szego_density(_model(), True), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.bergman_diag(_model(), 0.0, True, [0.0]), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.extremal_form(_model(mu=1.0), True, [0.0], 0.0), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.bergman_bruteforce(_model(), 0.0, True), "max_degree must be an integer >= 0, got True"),
+        (lambda: crmorse.torus_mode_dim(True, [[1]], crmorse.calibrate()), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.fourier_dimension_sum(_torus_spec(), True, 4, crmorse.calibrate()),
+         "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.fourier_dimension_sum(_torus_spec(), 0, True, crmorse.calibrate()),
+         "k must be an integer >= 1, got True"),
+        (lambda: crmorse.calibrate_weight(_torus_spec(), 0, True, crmorse.calibrate()),
+         "k0 must be an integer >= 1, got True"),
+        (lambda: crmorse.d1_fourier_bruteforce(True), "curvature must be an integer >= 1, got True"),
+        (lambda: crmorse.chamber_integral(crmorse.HermitianMatrix([[2.0]]), crmorse.HermitianMatrix([[1.0]]),
+                                          True, 1.0), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.signature_set(_decomposition(), True), "q must be an integer in 0..1, got True"),
+        (lambda: crmorse.signature_set(_decomposition(), 0.5), "q must be an integer in 0..1, got 0.5"),
+    ],
+    ids=["torus-d-float", "heisenberg-d-float", "heisenberg-lambda-float", "levi-flat-d-float", "torus-d-bool",
+         "heisenberg-d-bool", "heisenberg-lambda-bool", "levi-flat-d-bool", "density_q-q", "check_Xq-q",
+         "weak_bound-k", "model-d", "szego_density-q", "bergman_diag-q", "extremal_form-q",
+         "bergman_bruteforce-max_degree", "torus_mode_dim-q", "fourier_dimension_sum-q",
+         "fourier_dimension_sum-k", "calibrate_weight-k0", "d1_fourier_bruteforce-a", "chamber_integral-q",
+         "signature_set-q-bool", "signature_set-q-half"],
+)
+def test_an_integer_argument_is_not_a_bool_or_a_float(call, expected):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == expected
+
+
+# a bool is not a real either, and a value float() cannot read is an input
+# error: the bools were read as 1.0 before the checks were shared, and the
+# unreadable values raised TypeError or ValueError
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: crmorse.PencilField(2, True, [_point(1.0)]), "field delta must be a positive real, got True"),
+        (lambda: _point(True), "sample 'w': weight must be a positive real, got True"),
+        (lambda: crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[3.0]]), delta=True),
+         "delta must be a positive real, got True"),
+        (lambda: _torus_spec(delta=True), "delta must be a positive real, got True"),
+        (lambda: _heisenberg_spec(delta=True), "delta must be a positive real, got True"),
+        (lambda: crmorse.rrh_total(_field(), True), "delta must be a positive real <= 1, got True"),
+        (lambda: crmorse.chambers(crmorse.HermitianMatrix([[2.0]]), crmorse.HermitianMatrix([[1.0]]), True),
+         "delta must be a positive real, got True"),
+        (lambda: crmorse.m_phi_eta(_model(), True), "eta must be a finite real, got True"),
+        (lambda: crmorse.extremal_form(_model(), 0, [0.0], True), "theta must be a finite real, got True"),
+        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=True),
+         "inertia tolerance must be a finite real >= 0, got True"),
+        (lambda: _torus_spec(delta=None), "delta must be a positive real, got None"),
+        (lambda: _point("heavy"), "sample 'w': weight must be a positive real, got 'heavy'"),
+        (lambda: crmorse.m_phi_eta(_model(), [1.0]), "eta must be a finite real, got [1.0]"),
+    ],
+    ids=["field-delta", "point-weight", "model-delta", "torus-delta", "heisenberg-delta", "rrh_total-delta",
+         "chambers-delta", "m_phi_eta-eta", "extremal_form-theta", "inertia-tol", "torus-delta-none",
+         "point-weight-text", "m_phi_eta-eta-list"],
+)
+def test_a_real_argument_is_not_a_bool_or_unreadable(call, expected):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == expected
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,18 @@ def test_hermitian_rejects_non_square():
         HermitianMatrix(np.zeros((2, 3), dtype=complex))
 
 
+def test_symmetrization_halves_before_adding():
+    # A/2 + A*/2 is (A + A*)/2 bit for bit on normal entries, and stays
+    # finite where A + A* would overflow
+    rng = np.random.default_rng(7)
+    for d in (1, 3, 6):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = (a + a.conj().T) + 1e-13 * (a - a.conj().T)  # Hermitian up to 1e-13
+        assert hm(a).entries.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+    big = hm([[1.5e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]]).entries
+    assert big.tolist() == [[1.5e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]]
+
+
 def test_inertia_identity():
     assert inertia(hm(np.eye(3)), tol=1e-9).signature == (0, 0, 3)
 
