@@ -8,21 +8,14 @@ calibration record that fails re-derivation.
 
 Only numpy, the pencil engine and serialization are imported up front,
 and the input digest comes from CPython's built-in SHA-256, so no command
-loads OpenSSL.
-Each parser and handler imports the layer it runs (morse, model or
-oracles), so a command pays start-up only for the modules it uses.  This
-module holds the document parsers, the shared output code and the field
-commands (``chambers``, ``morse``, ``classify``); the model and the
-lattice/demo commands live in ``cli_model`` and ``cli_lattice``, imported
-only when one of their commands runs.  ``run`` builds the subparser of
-the command it runs alone; ``--help``, no command or an unknown command
-build all of them.
+loads OpenSSL.  Each parser and handler imports the layer it runs (morse,
+model or oracles), so a command pays start-up only for the modules it
+uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import math
@@ -39,6 +32,7 @@ from .errors import (
     CalibrationError,
     DegeneratePencilError,
     InputError,
+    _digits,
     _float_range,
     _int_arg,
     _positive_arg,
@@ -61,7 +55,7 @@ except ImportError:
 if TYPE_CHECKING:
     from .model import ModelData
     from .morse import MorseReport, PencilField, PencilPoint
-    from .oracles import HeisenbergSpec, TorusBundleSpec
+    from .oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
 
 FIELD_SCHEMA = "crmorse/field-v1"
 MODEL_SCHEMA = "crmorse/model-v1"
@@ -99,7 +93,7 @@ def _number(value: Any, path: str) -> float:
     try:
         v = float(value)
     except OverflowError:  # an int beyond float range
-        _fail(path, "expected a finite number, got an integer of %d digits" % len(str(abs(value))))
+        _fail(path, "expected a finite number, got an integer of %d digits" % _digits(value))
     if not math.isfinite(v):
         _fail(path, "expected a finite number, got %r" % (value,))
     return v
@@ -158,7 +152,8 @@ def _hermitian(value: Any, path: str, d: int, what: str) -> HermitianMatrix:
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
-def _load_json(data: Any) -> Dict:
+def _document(data: Any, schema: str) -> Dict:
+    """The JSON object of a document, once its schema is ``schema``."""
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8", errors="replace")
     try:
@@ -167,13 +162,17 @@ def _load_json(data: Any) -> Dict:
         raise InputError("document is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise InputError("document root must be a JSON object")
+    if doc.get("schema") != schema:
+        raise InputError("schema: expected %r, got %r" % (schema, doc.get("schema")))
     return doc
 
 
-def _check_schema(doc: Dict, expected: str) -> None:
-    schema = doc.get("schema")
-    if schema != expected:
-        raise InputError("schema: expected %r, got %r" % (expected, schema))
+def _dimension(doc: Dict, key: str, lo: int) -> int:
+    """The integer at ``key`` of a document, once it is at least ``lo``."""
+    value = _integer(_get(doc, key, "$"), key)
+    if value < lo:
+        _fail(key, "must be >= %d, got %d" % (lo, value))
+    return value
 
 
 def _point(praw: Any, path: str, d: int) -> PencilPoint:
@@ -221,11 +220,8 @@ def parse_field(data: Any) -> PencilField:
     """
     from .morse import PencilField
 
-    doc = _load_json(data)
-    _check_schema(doc, FIELD_SCHEMA)
-    n = _integer(_get(doc, "n", "$"), "n")
-    if n < 2:
-        _fail("n", "must be >= 2, got %d" % n)
+    doc = _document(data, FIELD_SCHEMA)
+    n = _dimension(doc, "n", 2)
     delta = _number(_get(doc, "delta", "$"), "delta")
     raw_points = _get(doc, "points", "$")
     if not isinstance(raw_points, list) or not raw_points:
@@ -258,11 +254,8 @@ def serialize_field(field: PencilField) -> Dict:
 def parse_model(data: Any) -> ModelData:
     from .model import ModelData
 
-    doc = _load_json(data)
-    _check_schema(doc, MODEL_SCHEMA)
-    d = _integer(_get(doc, "d", "$"), "d")
-    if d < 1:
-        _fail("d", "must be >= 1, got %d" % d)
+    doc = _document(data, MODEL_SCHEMA)
+    d = _dimension(doc, "d", 1)
     raw_lam = _get(doc, "lambda", "$")
     if not isinstance(raw_lam, list) or len(raw_lam) != d:
         _fail("lambda", "expected a list of %d real Levi eigenvalues" % d)
@@ -275,11 +268,8 @@ def parse_model(data: Any) -> ModelData:
 def parse_torus(data: Any) -> TorusBundleSpec:
     from .oracles import TorusBundleSpec
 
-    doc = _load_json(data)
-    _check_schema(doc, TORUS_SCHEMA)
-    d = _integer(_get(doc, "d", "$"), "d")
-    if d < 1:
-        _fail("d", "must be >= 1, got %d" % d)
+    doc = _document(data, TORUS_SCHEMA)
+    d = _dimension(doc, "d", 1)
     lam = _hermitian(_get(doc, "lambda", "$"), "lambda", d, "d")
     mu = _hermitian(_get(doc, "mu", "$"), "mu", d, "d")
     delta = _number(_get(doc, "delta", "$"), "delta")
@@ -289,11 +279,8 @@ def parse_torus(data: Any) -> TorusBundleSpec:
 def parse_heisenberg(data: Any) -> HeisenbergSpec:
     from .oracles import HeisenbergSpec
 
-    doc = _load_json(data)
-    _check_schema(doc, HEISENBERG_SCHEMA)
-    d = _integer(_get(doc, "d", "$"), "d")
-    if d < 1:
-        _fail("d", "must be >= 1, got %d" % d)
+    doc = _document(data, HEISENBERG_SCHEMA)
+    d = _dimension(doc, "d", 1)
     raw_lam = _get(doc, "lambda", "$")
     if not isinstance(raw_lam, list) or len(raw_lam) != d:
         _fail("lambda", "expected a list of %d integer Levi eigenvalues" % d)
@@ -306,14 +293,55 @@ def parse_heisenberg(data: Any) -> HeisenbergSpec:
 def parse_levi_flat(data: Any) -> PencilField:
     from .oracles import levi_flat_field
 
-    doc = _load_json(data)
-    _check_schema(doc, LEVI_SCHEMA)
-    d = _integer(_get(doc, "d", "$"), "d")
-    if d < 1:
-        _fail("d", "must be >= 1, got %d" % d)
+    doc = _document(data, LEVI_SCHEMA)
+    d = _dimension(doc, "d", 1)
     mu = _hermitian(_get(doc, "mu", "$"), "mu", d, "d")
     delta = _number(doc.get("delta", 1.0), "delta")
     return levi_flat_field(mu, d, delta)
+
+
+# ---------------------------------------------------- built-in documents
+
+
+def _pairs(rows: Sequence[Sequence[complex]]) -> List[List[List[float]]]:
+    return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
+
+
+DEFAULT_TORUS_DOC = {
+    "schema": TORUS_SCHEMA,
+    "d": 1,
+    "lambda": _pairs([[1]]),
+    "mu": _pairs([[2]]),
+    "delta": 0.5,
+}
+
+DEFAULT_HEISENBERG_DOC = {
+    "schema": HEISENBERG_SCHEMA,
+    "d": 2,
+    "lambda": [1, 2],
+    "mu": _pairs([[3, 1], [1, 3]]),
+    "delta": 0.5,
+}
+
+DEFAULT_LEVI_DOC = {
+    "schema": LEVI_SCHEMA,
+    "d": 2,
+    "mu": _pairs([[1, 0], [0, 1]]),
+    "delta": 1.0,
+}
+
+
+# the documents of convergence --example, read as an --input would be
+EXAMPLE_TORUS_DOCS = {
+    "torus-d1": DEFAULT_TORUS_DOC,
+    "torus-d2-indefinite": {
+        "schema": TORUS_SCHEMA,
+        "d": 2,
+        "lambda": _pairs([[1, 0], [0, 1]]),
+        "mu": _pairs([[1, 0], [0, -1]]),
+        "delta": 0.25,
+    },
+}
 
 
 # ------------------------------------------------------------- plumbing
@@ -389,7 +417,14 @@ def _weak_bounds(rep: MorseReport, k: Optional[int], source: str) -> Optional[Li
     return _float_range(lambda: [k**rep.n * dens for dens in rep.densities], _REPORT_RANGE % "--k")
 
 
-def _report_doc(rep: MorseReport, k: Optional[int], weak: Optional[List[float]]) -> Dict:
+def _emit_report(args, command: str, raw: bytes, field: PencilField, started: float,
+                 delta: Optional[float] = None, source: str = "mu") -> None:
+    """Emit the Morse report of ``field`` at ``delta`` (default its window),
+    with the weak bounds of --k; a report out of range names ``source``."""
+    from .morse import build_morse_report
+
+    rep = build_morse_report(field, delta=delta)
+    weak = _weak_bounds(rep, args.k, source)
     doc = {
         "n": rep.n,
         "delta": rep.delta,
@@ -400,21 +435,17 @@ def _report_doc(rep: MorseReport, k: Optional[int], weak: Optional[List[float]])
         "positivity": _positivity_doc(rep.positivity),
         "bigness": {"big": rep.bigness.big, "reason": rep.bigness.reason},
     }
-    if k is not None:
-        doc["k"] = k
+    if args.k is not None:
+        doc["k"] = args.k
         doc["weakBounds"] = weak
-    return doc
-
-
-def _report_csv(rep: MorseReport, weak: Optional[List[float]]) -> str:
-    weak = [""] * len(rep.densities) if weak is None else weak
     rows = [
-        [q, dens, rep.strong_sums[q], w, rep.xq[q].holds, rep.xq[q].max_delta]
-        for q, (dens, w) in enumerate(zip(rep.densities, weak))
+        [q, dens, rep.strong_sums[q], "" if weak is None else weak[q], rep.xq[q].holds, rep.xq[q].max_delta]
+        for q, dens in enumerate(rep.densities)
     ]
-    return csv_table(
+    csv_text = csv_table(
         ["q", "density", "strong_sum", "weak_bound", "xq_holds", "xq_max_delta"], rows
     )
+    _emit(args, command, raw, doc, csv_text, started)
 
 
 # --------------------------------------------------------------- handlers
@@ -453,15 +484,11 @@ def _cmd_chambers(args, started):
 
 
 def _cmd_morse(args, started):
-    from .morse import build_morse_report
-
     raw = _read_input(args)
     field = parse_field(raw)
     _int_arg(args.threads, "--threads", 1)
     delta = None if args.delta is None else _positive_arg(args.delta, "--delta", field.delta)
-    rep = build_morse_report(field, delta=delta)
-    weak = _weak_bounds(rep, args.k, "points[*].weight")
-    _emit(args, "morse", raw, _report_doc(rep, args.k, weak), _report_csv(rep, weak), started)
+    _emit_report(args, "morse", raw, field, started, delta, "points[*].weight")
 
 
 def _cmd_classify(args, started):
@@ -495,30 +522,252 @@ def _cmd_classify(args, started):
     _emit(args, "classify", raw, result, csv_table(["key", "value"], rows), started)
 
 
+# the model commands import crmorse.model, the lattice and demo commands
+# crmorse.morse and crmorse.oracles, each inside its handler
+
+
+def _parse_z(text: Optional[str], d: int) -> np.ndarray:
+    if text is None:
+        return np.zeros(d, dtype=complex)
+    parts = text.split(";")
+    if len(parts) != d:
+        raise InputError(
+            "--z needs %d 're,im' components separated by ';', got %d" % (d, len(parts))
+        )
+    out = np.zeros(d, dtype=complex)
+    for i, part in enumerate(parts):
+        bits = part.split(",")
+        if len(bits) != 2:
+            raise InputError("--z component %d must be 're,im', got %r" % (i, part))
+        try:
+            out[i] = complex(float(bits[0]), float(bits[1]))
+        except ValueError as exc:
+            raise InputError("--z component %d: %s" % (i, exc)) from exc
+    return out
+
+
+def _cmd_szego(args, started):
+    from .model import _szego_table
+
+    raw = _read_input(args)
+    data = parse_model(raw)
+    cs, densities = _szego_table(data)
+    qs = list(range(data.d + 1)) if args.q is None else [_int_arg(args.q, "--q", 0, data.d)]
+    result = {
+        "d": data.d,
+        "delta": data.delta,
+        "roots": list(cs.roots),
+        "intervals": [[list(iv) for iv in per_q] for per_q in cs.intervals],
+        "densities": densities,
+    }
+    csv_text = csv_table(["q", "density"], [[q, densities[q]] for q in qs])
+    _emit(args, "szego-density", raw, result, csv_text, started)
+
+
+def _cmd_extremal(args, started):
+    from .model import _extremal_form
+
+    raw = _read_input(args)
+    data = parse_model(raw)
+    z = _parse_z(args.z, data.d)
+    theta = _real_arg(args.theta, "--theta")
+    q = _int_arg(args.q, "--q", 0, data.d)
+    nodes = _int_arg(args.nodes, "--nodes", 16)
+    form = _extremal_form(data, q, z, theta, nodes, "--z")
+    result = {
+        "q": args.q,
+        "theta": args.theta,
+        "nodes": args.nodes,
+        "z": [[v.real, v.imag] for v in z],
+        "multiIndices": [list(j) for j in form.multi_indices],
+        "value": [[v.real, v.imag] for v in form.value],
+        "norm_check": form.norm_check,
+        "peak_check": form.peak_check,
+    }
+    rows = [["norm_check", form.norm_check, ""], ["peak_check", form.peak_check, ""]]
+    for j, v in zip(form.multi_indices, form.value):
+        rows.append(["(%s)" % ";".join(str(t) for t in j), v.real, v.imag])
+    _emit(args, "extremal-check", raw, result, csv_table(["field", "re", "im"], rows), started)
+
+
+def _cmd_bergman(args, started):
+    from .model import _bergman_diag, _positive_definite, bergman_bruteforce, m_phi_eta
+
+    raw = _read_input(args)
+    data = parse_model(raw)
+    max_degree = _int_arg(args.max_degree, "--max-degree", 0)
+    z = _parse_z(args.z, data.d)
+    eta = _real_arg(args.eta, "--eta")
+    val = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--z")
+    bruteforce = None
+    rel_gap = None
+    if _positive_definite(m_phi_eta(data, eta).entries)[0] and args.q == 0 and not np.any(z):
+        bruteforce = bergman_bruteforce(data, eta, max_degree)
+        if bruteforce != 0.0:
+            rel_gap = (val.value - bruteforce) / bruteforce
+    result = {
+        "eta": args.eta,
+        "q": args.q,
+        "z": [[v.real, v.imag] for v in z],
+        "value": val.value,
+        "boundary": val.boundary,
+        "bruteforce": bruteforce,
+        "rel_gap": rel_gap,
+    }
+    rows = [
+        ["value", val.value],
+        ["boundary", val.boundary],
+        ["bruteforce", "" if bruteforce is None else bruteforce],
+        ["rel_gap", "" if rel_gap is None else rel_gap],
+    ]
+    _emit(args, "bergman-check", raw, result, csv_table(["key", "value"], rows), started)
+
+
+def _load_or_make_cal(path) -> LatticeCalibration:
+    """The --cal record at ``path``, derived and saved there if absent."""
+    from .oracles import calibrate, load_calibration, save_calibration
+
+    p = Path(path)
+    if p.is_file():
+        try:
+            return load_calibration(p)
+        except OSError as exc:
+            raise _file_error("--cal", "read", path, exc) from exc
+    cal = calibrate()
+    try:
+        save_calibration(cal, p)
+    except OSError as exc:
+        raise _file_error("--cal", "write", path, exc) from exc
+    return cal
+
+
+def _torus_report(args, spec: TorusBundleSpec):
+    """The --cal record, the field it gives ``spec`` and that field's
+    report, once --q is checked against spec.d."""
+    from .morse import build_morse_report
+    from .oracles import _lattice_field
+
+    if args.q is not None:
+        _int_arg(args.q, "--q", 0, spec.d)
+    cal = _load_or_make_cal(args.cal)
+    field = _lattice_field(spec, cal)
+    return cal, field, build_morse_report(field)
+
+
+def _cmd_torus_demo(args, started):
+    from .oracles import _dimension_sums
+
+    raw = _read_input(args, DEFAULT_TORUS_DOC)
+    spec = parse_torus(raw)
+    cal, _, rep = _torus_report(args, spec)
+    k = args.k
+    oracle = _dimension_sums(spec, k, cal, "--k")
+    weak = _weak_bounds(rep, k, "mu")
+    qs = range(spec.d + 1) if args.q is None else [args.q]
+    result = {
+        "d": spec.d,
+        "delta": spec.delta,
+        "k": k,
+        "densities": list(rep.densities),
+        "weakBounds": weak,
+        "oracleDims": oracle,
+        "strongSums": list(rep.strong_sums),
+        "rrhTotal": rep.rrh_total,
+    }
+    csv_text = csv_table(
+        ["q", "density", "weak_bound", "oracle_dim"],
+        [[q, rep.densities[q], weak[q], oracle[q]] for q in qs],
+    )
+    _emit(args, "torus-demo", raw, result, csv_text, started)
+
+
+def _cmd_heisenberg_demo(args, started):
+    from .oracles import heisenberg_field
+
+    raw = _read_input(args, DEFAULT_HEISENBERG_DOC)
+    _emit_report(args, "heisenberg-demo", raw, heisenberg_field(parse_heisenberg(raw)), started)
+
+
+def _cmd_levi_flat_demo(args, started):
+    raw = _read_input(args, DEFAULT_LEVI_DOC)
+    _emit_report(args, "levi-flat-demo", raw, parse_levi_flat(raw), started)
+
+
+def _cmd_calibrate(args, started):
+    from .oracles import calibrate, save_calibration
+
+    cal = calibrate()
+    try:
+        save_calibration(cal, args.out)
+    except OSError as exc:
+        raise _file_error("--out", "write", args.out, exc) from exc
+    sys.stdout.write(
+        "calibration written to %s (c_dim=%s, c_mode=%s)\n"
+        % (args.out, cal.c_dim, cal.c_mode)
+    )
+
+
+# a signed total within this fraction of the density sum, which bounds it,
+# is the rounding of a total that vanishes: the chamber engine reads
+# eigenvalues to 1e-9 of the pencil's scale
+_EULER_MARGIN = 1e-9
+
+
+def _cmd_convergence(args, started):
+    from .oracles import _WINDOW_RANGE, _dimension_sums
+
+    if not (args.input or args.example):
+        raise InputError("convergence needs --example or --input")
+    raw = _read_input(args, EXAMPLE_TORUS_DOCS.get(args.example))
+    spec = parse_torus(raw)
+    source = "input" if args.input else args.example
+    kmin = _int_arg(args.kmin, "--kmin", 1)
+    kmax = _int_arg(args.kmax, "--kmax", kmin)
+    kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", 1)
+    cal, field, rep = _torus_report(args, spec)
+    ks = list(range(kmin, kmax + 1, kstep))
+    q = args.q
+    dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
+    # a density sum out of range is left to the range error of the bounds below
+    if q is None and abs(dens) <= _EULER_MARGIN * sum(rep.densities) < math.inf:
+        raise InputError("signed density total vanishes for this spec; no Euler comparison")
+    if dens == 0.0:
+        raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
+    # windows grow with k, so the first and last levels swept bound the rest;
+    # a --kmax beyond the last level reached is not an error
+    _float_range(lambda: ks[0] * spec.delta, _WINDOW_RANGE % ("--kmin", _digits(kmin)))
+    _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", _digits(kmax)))
+    oracles = []
+    for k in ks:
+        sums = _dimension_sums(spec, k, cal)
+        oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
+    bounds = _float_range(lambda: [k**rep.n * dens for k in ks], _REPORT_RANGE % "--kmax")
+    ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
+    rows = [
+        {"k": k, "oracle": o, "bound": b, "ratio": r}
+        for k, o, b, r in zip(ks, oracles, bounds, ratios)
+    ]
+    result = {
+        "source": source,
+        "d": spec.d,
+        "delta": spec.delta,
+        "mode": "euler" if q is None else "density",
+        "q": q,
+        "weight": field.points[0].weight,
+        "rows": rows,
+    }
+    csv_text = csv_table(
+        ["k", "oracle", "bound", "ratio"],
+        [[r["k"], r["oracle"], r["bound"], r["ratio"]] for r in rows],
+    )
+    _emit(args, "convergence", raw, result, csv_text, started)
+
+
 # ----------------------------------------------------------------- parser
 
 
-# each command, in the order of --help, and the module of its handler
-COMMANDS = {
-    "chambers": "cli",
-    "morse": "cli",
-    "classify": "cli",
-    "szego-density": "cli_model",
-    "extremal-check": "cli_model",
-    "bergman-check": "cli_model",
-    "torus-demo": "cli_lattice",
-    "heisenberg-demo": "cli_lattice",
-    "levi-flat-demo": "cli_lattice",
-    "calibrate": "cli_lattice",
-    "convergence": "cli_lattice",
-}
-
-
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The crmorse parser with the subparser of ``command`` alone, or with
-    all of them when ``command`` is None.  Either parser gives the same
-    namespace, help and error text for an argv that starts with
-    ``command``."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The crmorse parser: each command's namespace holds its handler."""
     parser = argparse.ArgumentParser(
         prog="crmorse",
         description="Signature chambers, Morse densities, and model-state checks "
@@ -531,99 +780,79 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                     help="output format (default json)")
     io.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
-    def wanted(name):
-        return command in (None, name)
-
     def add(name, handler, helptext, parents=(io,)):
-        """The subparser of ``name``; its namespace names the handler as
-        (module, function), and run imports the module, so a family's
-        module is loaded only when one of its commands runs."""
         p = sub.add_parser(name, help=helptext, parents=list(parents))
-        p.set_defaults(handler=(COMMANDS[name], handler))
+        p.set_defaults(handler=handler)
         return p
 
-    if wanted("chambers"):
-        p = add("chambers", "_cmd_chambers", "signature chamber table for one sample point")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--point", type=int, default=0, help="sample index (default 0)")
-        p.add_argument("--delta", type=float, default=None, help="override the field window")
-        p.add_argument("--tol", type=float, default=None, help="inertia eigenvalue tolerance")
+    p = add("chambers", _cmd_chambers, "signature chamber table for one sample point")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--point", type=int, default=0, help="sample index (default 0)")
+    p.add_argument("--delta", type=float, default=None, help="override the field window")
+    p.add_argument("--tol", type=float, default=None, help="inertia eigenvalue tolerance")
 
-    if wanted("morse"):
-        p = add("morse", "_cmd_morse", "full Morse density report for a field")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--k", type=int, default=None, help="also emit k^n weak bounds")
-        p.add_argument("--threads", type=int, default=1,
-                       help="validated (>= 1) but unused: computation is single-threaded")
+    p = add("morse", _cmd_morse, "full Morse density report for a field")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--k", type=int, default=None, help="also emit k^n weak bounds")
+    p.add_argument("--threads", type=int, default=1,
+                   help="validated (>= 1) but unused: computation is single-threaded")
 
-    if wanted("classify"):
-        p = add("classify", "_cmd_classify", "positivity, X(q), and bigness verdicts")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--threads", type=int, default=1,
-                       help="validated (>= 1) but unused: computation is single-threaded")
+    p = add("classify", _cmd_classify, "positivity, X(q), and bigness verdicts")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="validated (>= 1) but unused: computation is single-threaded")
 
-    if wanted("szego-density"):
-        p = add("szego-density", "_cmd_szego", "model Szego density per degree")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--q", type=int, default=None)
+    p = add("szego-density", _cmd_szego, "model Szego density per degree")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--q", type=int, default=None)
 
-    if wanted("extremal-check"):
-        p = add("extremal-check", "_cmd_extremal", "extremal form with norm and peak checks")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--z", metavar="RE,IM;...", default=None)
-        p.add_argument("--theta", type=float, default=0.0)
-        p.add_argument("--nodes", type=int, default=64, help="eta quadrature nodes per chamber")
+    p = add("extremal-check", _cmd_extremal, "extremal form with norm and peak checks")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--z", metavar="RE,IM;...", default=None)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--nodes", type=int, default=64, help="eta quadrature nodes per chamber")
 
-    if wanted("bergman-check"):
-        p = add("bergman-check", "_cmd_bergman", "closed-form Bergman density vs brute force")
-        p.add_argument("--input", metavar="PATH", required=True)
-        p.add_argument("--eta", type=float, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--z", metavar="RE,IM;...", default=None)
-        p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
+    p = add("bergman-check", _cmd_bergman, "closed-form Bergman density vs brute force")
+    p.add_argument("--input", metavar="PATH", required=True)
+    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--z", metavar="RE,IM;...", default=None)
+    p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
 
-    if wanted("torus-demo"):
-        p = add("torus-demo", "_cmd_torus_demo", "torus bundle densities against the exact mode count")
-        p.add_argument("--input", metavar="PATH", default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--k", type=int, default=50)
-        p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
+    p = add("torus-demo", _cmd_torus_demo, "torus bundle densities against the exact mode count")
+    p.add_argument("--input", metavar="PATH", default=None)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
 
-    if wanted("heisenberg-demo"):
-        p = add("heisenberg-demo", "_cmd_heisenberg_demo", "Heisenberg quotient report")
-        p.add_argument("--input", metavar="PATH", default=None)
-        p.add_argument("--k", type=int, default=None)
+    p = add("heisenberg-demo", _cmd_heisenberg_demo, "Heisenberg quotient report")
+    p.add_argument("--input", metavar="PATH", default=None)
+    p.add_argument("--k", type=int, default=None)
 
-    if wanted("levi-flat-demo"):
-        p = add("levi-flat-demo", "_cmd_levi_flat_demo", "Levi-flat product report")
-        p.add_argument("--input", metavar="PATH", default=None)
-        p.add_argument("--k", type=int, default=None)
+    p = add("levi-flat-demo", _cmd_levi_flat_demo, "Levi-flat product report")
+    p.add_argument("--input", metavar="PATH", default=None)
+    p.add_argument("--k", type=int, default=None)
 
-    if wanted("calibrate"):
-        p = add("calibrate", "_cmd_calibrate", "derive and freeze the lattice constants", parents=())
-        p.add_argument("--out", metavar="PATH", default=DEFAULT_CAL_PATH)
+    p = add("calibrate", _cmd_calibrate, "derive and freeze the lattice constants", parents=())
+    p.add_argument("--out", metavar="PATH", default=DEFAULT_CAL_PATH)
 
-    if wanted("convergence"):
-        p = add("convergence", "_cmd_convergence", "oracle/bound ratio as k grows")
-        p.add_argument("--example", choices=("torus-d1", "torus-d2-indefinite"), default=None)
-        p.add_argument("--input", metavar="PATH", default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--kmin", type=int, default=10)
-        p.add_argument("--kmax", type=int, default=100)
-        p.add_argument("--kstep", type=int, default=None)
-        p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
+    p = add("convergence", _cmd_convergence, "oracle/bound ratio as k grows")
+    p.add_argument("--example", choices=("torus-d1", "torus-d2-indefinite"), default=None)
+    p.add_argument("--input", metavar="PATH", default=None)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--kmin", type=int, default=10)
+    p.add_argument("--kmax", type=int, default=100)
+    p.add_argument("--kstep", type=int, default=None)
+    p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, dispatch, and map exceptions to documented exit codes.
-    The parser holds the subparser of the command argv names, or all of
-    them when argv names none."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    """Parse argv, dispatch, and map exceptions to documented exit codes."""
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -636,8 +865,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        module, name = handler
-        getattr(importlib.import_module("." + module, __package__), name)(args, started)
+        handler(args, started)
     except CalibrationError as exc:
         sys.stderr.write("calibration error: %s\n" % exc)
         return 4

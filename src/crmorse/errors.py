@@ -6,8 +6,8 @@ DegeneratePencilError (and subclasses) to 3, CalibrationError to 4.
 
 Each check takes the value, the name its message reports (a parameter,
 or the flag that set it) and plain bounds, and returns the value as an
-int or a float.  A bool is neither an integer nor a real here, as in the
-document parsers.  The messages read
+int or a float.  A bool is neither an integer nor a real here, and a
+string is not a real, as in the document parsers.  The messages read
 
     <name> must be an integer [>= lo | in lo..hi], got <value>
     <name> must be a positive real [<= hi], got <value>
@@ -67,12 +67,14 @@ def _int_arg(value, name: str, lo=None, hi=None) -> int:
 
 
 def _as_float(value) -> float:
-    """float(value), or nan for a bool or a value float() cannot read."""
-    if isinstance(value, bool):
+    """float(value) for a real number other than a bool; nan for any other
+    value, a string that float() reads included, and for an int beyond
+    float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return math.nan
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+    except OverflowError:
         return math.nan
 
 
@@ -92,6 +94,16 @@ def _real_arg(value, name: str, lo: float = -math.inf) -> float:
         span = "" if lo == -math.inf else " >= %g" % lo
         raise InputError("%s must be a finite real%s, got %r" % (name, span, value))
     return v
+
+
+def _digits(k: int) -> int:
+    """The number of decimal digits of |k|, counted without str(k), which
+    refuses an int of more than 4300 digits."""
+    k = abs(k)
+    n = max(1, int(k.bit_length() * 0.30102999566398120))  # log10(2): never above the count
+    while k >= 10**n:
+        n += 1
+    return n
 
 
 def _float_range(compute, message: str):

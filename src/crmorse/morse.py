@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, _float_range, _int_arg, _positive_arg
+from .errors import InputError, _digits, _float_range, _int_arg, _positive_arg
 from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _q_masses, _units
 
 __all__ = [
@@ -189,7 +189,7 @@ def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Option
     density_q it raises for a fault anywhere in the field window, also at a
     smaller ``delta``.  ``threads`` is accepted and ignored."""
     k = _int_arg(k, "k", 1)
-    power = _float_range(lambda: float(k) ** field.n, _POWER_RANGE % ("k", len(str(k)), field.n))
+    power = _float_range(lambda: float(k) ** field.n, _POWER_RANGE % ("k", _digits(k), field.n))
     return power * density_q(field, q, delta)
 
 
@@ -275,7 +275,7 @@ def build_morse_report(
     for start in range(0, len(field.labels), _CHUNK):
         part = slice(start, start + _CHUNK)
         r, el = field.r[part], field.el[part]
-        windows = _decompose_batch(r, el, deltas, labels=field.labels[part], span=field.delta)
+        windows = _decompose_batch(r, el, deltas, labels=field.labels[part])
         weights = field.weights[part, None]
         with np.errstate(over="ignore"):  # an infinite term, rejected by the caller as out of range
             terms[part, :-1] = weights * _q_masses(windows[0], d)

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, InputError, _float_range, _int_arg, _positive_arg
+from .errors import CalibrationError, InputError, _digits, _float_range, _int_arg, _positive_arg
 from .morse import _POWER_RANGE, TWO_PI, PencilField, PencilPoint, density_q
 from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
@@ -145,7 +145,7 @@ def levi_flat_field(mu_mat, d: int, delta: float = 1.0) -> PencilField:
     if mu.dim != d:
         raise InputError("curvature matrix has dim %d, expected d=%d" % (mu.dim, d))
     point = PencilPoint("levi-flat", mu, HermitianMatrix.zeros(d), 1.0)
-    return PencilField(n=d + 1, delta=float(delta), points=[point])
+    return PencilField(n=d + 1, delta=_positive_arg(delta, "delta"), points=[point])
 
 
 # ------------------------------------------------------- d=1 Fourier count
@@ -553,7 +553,7 @@ def _dimension_sums(
     """
     k = _int_arg(k, name, 1)
     # the inertia reads below take k * mu in floats
-    _float_range(lambda: k * spec.delta, _WINDOW_RANGE % (name, len(str(k))))
+    _float_range(lambda: k * spec.delta, _WINDOW_RANGE % (name, _digits(k)))
     # exact, with delta read as the decimal it prints as: 0.3 is 3/10, not
     # the binary float below it
     window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))
@@ -596,7 +596,7 @@ def calibrate_weight(
     field = torus_bundle_field(spec)
     n = field.n
     # checked before the sums at k0 and 2 k0
-    scale = _float_range(lambda: 2 ** (n - 1) * float(k0) ** n, _POWER_RANGE % ("k0", len(str(k0)), n))
+    scale = _float_range(lambda: 2 ** (n - 1) * float(k0) ** n, _POWER_RANGE % ("k0", _digits(k0), n))
     y1 = fourier_dimension_sum(spec, q, k0, cal)
     y2 = fourier_dimension_sum(spec, q, 2 * k0, cal)
     dens = density_q(field, q, spec.delta)

@@ -198,22 +198,38 @@ def _symmetrized(a: np.ndarray, tol: float) -> np.ndarray:
     first matrix that fails, in stack order.  HermitianMatrix is the n = 1
     case; the document parser checks all matrices of a field in one call."""
     ah = a.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, in a matrix rejected as not finite
-        residual = np.abs(a - ah).max(axis=(1, 2))
-    limit = tol * (1.0 + np.abs(a).max(axis=(1, 2)))
-    finite = np.isfinite(a.view(float)).all(axis=(1, 2))
+    parts = np.abs(a.view(float)).reshape(len(a), -1)
+    finite = np.isfinite(parts).all(axis=1)
+    # the check runs on each matrix scaled by 2^-e, its largest real or
+    # imaginary part below 1, so neither side overflows near the float maximum
+    e = np.maximum(np.frexp(parts.max(axis=1))[1], 0)
+    unit = np.ldexp(1.0, -e)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, in a matrix rejected as not finite
+        scaled = a * unit[:, None, None]
+        residual = np.abs(scaled - scaled.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    limit = tol * (unit + np.abs(scaled).max(axis=(1, 2)))
     bad = ~finite | (residual > limit)
     if bad.any():
         i = int(bad.argmax())
         if not finite[i]:
             raise InputError("Hermitian matrix entries must be finite")
         raise InputError(
-            "matrix is not Hermitian: max |A - A*| = %.3e exceeds tolerance %.3e"
-            % (residual[i], limit[i])
+            "matrix is not Hermitian: max |A - A*| = %s exceeds tolerance %s"
+            % (_sci(residual[i], int(e[i])), _sci(limit[i], int(e[i])))
         )
     h = a / 2.0 + ah / 2.0  # halves first: no overflow near the float maximum
     h.setflags(write=False)
     return h
+
+
+def _sci(m: float, e: int) -> str:
+    """m 2^e in %.3e form, also beyond floating-point range."""
+    try:
+        return "%.3e" % math.ldexp(m, e)
+    except OverflowError:
+        from decimal import Decimal
+
+        return format(Decimal(m) * Decimal(2) ** e, ".3e")
 
 
 class Inertia(NamedTuple):
@@ -465,29 +481,28 @@ def _decompose_batch(
     deltas: Sequence[float],
     tol: Union[float, None] = None,
     labels: Union[Sequence[str], None] = None,
-    span: Union[float, None] = None,
 ) -> List[_Window]:
     """Decompose every pencil of the (n, d, d) stacks r, el over each window
     [-delta, delta] of ``deltas``: one _Window per window.
 
-    The pencils are decomposed once, over [-span, span] (by default the
-    largest window; it must hold every window), and every window reads its
-    roots from that decomposition; each window's chambers then get their own
-    midpoint inertia and masses.  Each stage runs once on the whole stack:
-    the probes, one solve and one eigenvalue call for the roots, and per
-    window one eigenvalue call over every chamber midpoint and the
-    antiderivative at every chamber end.  A pencil fails at the first stage
-    it fails, in this order: R + 2sL out of range at s = +-span, degenerate
-    at the probes of [-span, span], then per window a |det| integral out of
-    floating-point range (an input error naming the window), numerically
-    singular at a chamber midpoint, an out-of-range chamber mass.  The
-    error raised is the first failing pencil's in stack order, prefixed with
-    its label when ``labels`` is given.
+    The pencils are decomposed once, over the largest window [-top, top],
+    and every window reads its roots from that decomposition; each
+    window's chambers then get their own midpoint inertia and masses.  Each
+    stage runs once on the whole stack: the probes, one solve and one
+    eigenvalue call for the roots, and per window one eigenvalue call over
+    every chamber midpoint and the antiderivative at every chamber end.  A
+    pencil fails at the first stage it fails, in this order: R + 2sL out of
+    range at s = +-top, degenerate at the probes of [-top, top], then per
+    window a |det| integral out of floating-point range (an input error
+    naming the window), numerically singular at a chamber midpoint, an
+    out-of-range chamber mass.  The error raised is the first failing
+    pencil's in stack order, prefixed with its label when ``labels`` is
+    given.
     """
     deltas = [_positive_arg(delta, "delta") for delta in deltas]
     if tol is not None:
         tol = _real_arg(tol, "inertia tolerance", 0.0)
-    top = max(deltas) if span is None else float(span)
+    top = max(deltas)
     d = r.shape[-1]
     failures = {}  # row -> its error, from the first stage it fails
 

@@ -553,12 +553,13 @@ def random_field(seed, d, points):
 
 def count_decompositions(monkeypatch):
     """Record the windows and the span of every pencil decomposition morse
-    asks for, one entry per pencil of each stacked batch."""
+    asks for, one entry per pencil of each stacked batch; a batch is
+    decomposed over its largest window."""
     windows = []
     real = crmorse.morse._decompose_batch
 
     def counting(r, el, deltas, *rest, **kw):
-        windows.extend([(tuple(deltas), kw["span"])] * len(r))
+        windows.extend([(tuple(deltas), max(deltas))] * len(r))
         return real(r, el, deltas, *rest, **kw)
 
     monkeypatch.setattr(crmorse.morse, "_decompose_batch", counting)

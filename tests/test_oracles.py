@@ -18,8 +18,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crmorse.cli import parse_torus
-from crmorse.cli_lattice import EXAMPLE_TORUS_DOCS
+from crmorse.cli import EXAMPLE_TORUS_DOCS, parse_torus
 from crmorse.errors import CalibrationError, InputError
 from crmorse.morse import bigness_verdict, build_morse_report, classify_bundle, density_q
 from crmorse.oracles import (

@@ -46,6 +46,13 @@ def test_hermitian_rejects_non_hermitian():
         hm([[1.0, 1.0], [0.0, 1.0]])
 
 
+def test_hermitian_check_does_not_overflow_near_the_float_maximum():
+    # |A - A*| = 2.6e308 and the modulus of A[0][0] are beyond float range;
+    # unscaled, both sides of the check read inf and the matrix passed
+    with pytest.raises(InputError, match=r"max \|A - A\*\| = 2.600e\+308 exceeds tolerance 1.838e\+296"):
+        hm([[1.3e308 + 1.3e308j, 1], [7, 0]])
+
+
 def test_hermitian_rejects_non_square():
     with pytest.raises(InputError):
         HermitianMatrix(np.zeros((2, 3), dtype=complex))
