@@ -32,11 +32,13 @@ from .errors import (
     CalibrationError,
     DegeneratePencilError,
     InputError,
+    _as_float,
     _digits,
     _float_range,
     _int_arg,
     _positive_arg,
     _real_arg,
+    _shown,
 )
 from .pencil import HermitianMatrix, _decompose, _symmetrized
 from .serialize import canonical_json, csv_table
@@ -90,12 +92,9 @@ def _get(doc: Dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(path, "expected a real number, got %r" % (value,))
-    try:
-        v = float(value)
-    except OverflowError:  # an int beyond float range
-        _fail(path, "expected a finite number, got an integer of %d digits" % _digits(value))
+    v = _as_float(value)  # nan for an int beyond float range
     if not math.isfinite(v):
-        _fail(path, "expected a finite number, got %r" % (value,))
+        _fail(path, "expected a finite number, got %s" % _shown(value))
     return v
 
 
@@ -565,14 +564,14 @@ def _cmd_szego(args, started):
 
 
 def _cmd_extremal(args, started):
-    from .model import _extremal_form
+    from .model import _MAX_NODES, _extremal_form
 
     raw = _read_input(args)
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
     theta = _real_arg(args.theta, "--theta")
     q = _int_arg(args.q, "--q", 0, data.d)
-    nodes = _int_arg(args.nodes, "--nodes", 16)
+    nodes = _int_arg(args.nodes, "--nodes", 16, _MAX_NODES)
     form = _extremal_form(data, q, z, theta, nodes, "--z")
     result = {
         "q": args.q,
@@ -591,18 +590,17 @@ def _cmd_extremal(args, started):
 
 
 def _cmd_bergman(args, started):
-    from .model import _bergman_diag, _positive_definite, bergman_bruteforce, m_phi_eta
+    from .model import _bergman_diag, _bruteforce, _degree_cap
 
     raw = _read_input(args)
     data = parse_model(raw)
-    max_degree = _int_arg(args.max_degree, "--max-degree", 0)
+    max_degree = _int_arg(args.max_degree, "--max-degree", 0, _degree_cap(data.d))
     z = _parse_z(args.z, data.d)
     eta = _real_arg(args.eta, "--eta")
-    val = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--z")
-    bruteforce = None
-    rel_gap = None
-    if _positive_definite(m_phi_eta(data, eta).entries)[0] and args.q == 0 and not np.any(z):
-        bruteforce = bergman_bruteforce(data, eta, max_degree)
+    val, m, ine = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--z")
+    bruteforce = rel_gap = None
+    if ine.pos == data.d and args.q == 0 and not np.any(z):
+        bruteforce = _bruteforce(data, m, ine, max_degree)
         if bruteforce != 0.0:
             rel_gap = (val.value - bruteforce) / bruteforce
     result = {
@@ -711,6 +709,7 @@ def _cmd_calibrate(args, started):
 # is the rounding of a total that vanishes: the chamber engine reads
 # eigenvalues to 1e-9 of the pencil's scale
 _EULER_MARGIN = 1e-9
+_MAX_LEVELS = 1000  # levels k of one convergence sweep, at most
 
 
 def _cmd_convergence(args, started):
@@ -723,7 +722,8 @@ def _cmd_convergence(args, started):
     source = "input" if args.input else args.example
     kmin = _int_arg(args.kmin, "--kmin", 1)
     kmax = _int_arg(args.kmax, "--kmax", kmin)
-    kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", 1)
+    least = (kmax - kmin) // _MAX_LEVELS + 1  # the least --kstep that sweeps at most _MAX_LEVELS levels
+    kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", least)
     cal, field, rep = _torus_report(args, spec)
     ks = list(range(kmin, kmax + 1, kstep))
     q = args.q
@@ -812,14 +812,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--z", metavar="RE,IM;...", default=None)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=64, help="eta quadrature nodes per chamber")
+    p.add_argument("--nodes", type=int, default=64, help="eta quadrature nodes per chamber, 16..4096")
 
     p = add("bergman-check", _cmd_bergman, "closed-form Bergman density vs brute force")
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--z", metavar="RE,IM;...", default=None)
-    p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
+    p.add_argument("--max-degree", type=int, default=2, dest="max_degree",
+                   help="monomial degree of the Gram oracle: at most 12 and 1024 monomials")
 
     p = add("torus-demo", _cmd_torus_demo, "torus bundle densities against the exact mode count")
     p.add_argument("--input", metavar="PATH", default=None)
@@ -844,7 +845,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--kmin", type=int, default=10)
     p.add_argument("--kmax", type=int, default=100)
-    p.add_argument("--kstep", type=int, default=None)
+    p.add_argument("--kstep", type=int, default=None, help="level step; at most 1000 levels")
     p.add_argument("--cal", metavar="PATH", default=DEFAULT_CAL_PATH)
 
     return parser

@@ -13,7 +13,8 @@ string is not a real, as in the document parsers.  The messages read
     <name> must be a positive real [<= hi], got <value>
     <name> must be a finite real [>= lo], got <value>
 
-and _float_range raises the caller's own message.
+where an int beyond float range, a value or a bound, shows as "an
+integer of N digits", and _float_range raises the caller's own message.
 """
 
 import math
@@ -59,11 +60,23 @@ def _int_arg(value, name: str, lo=None, hi=None) -> int:
         or (hi is not None and value > hi)
     ):
         if hi is not None:
-            span = " in %d..%d" % (lo, hi)
+            span = " in %s..%s" % (_shown(lo), _shown(hi))
         else:
-            span = "" if lo is None else " >= %d" % lo
-        raise InputError("%s must be an integer%s, got %r" % (name, span, value))
+            span = "" if lo is None else " >= %s" % _shown(lo)
+        raise InputError("%s must be an integer%s, got %s" % (name, span, _shown(value)))
     return int(value)
+
+
+def _shown(value) -> str:
+    """repr(value) for a message; an int beyond float range as 'an integer
+    of N digits', as the document parsers show one, since str() refuses an
+    int of more than 4300 digits."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            return "an integer of %d digits" % _digits(value)
+    return repr(value)
 
 
 def _as_float(value) -> float:
@@ -83,7 +96,7 @@ def _positive_arg(value, name: str, hi: float = math.inf) -> float:
     v = _as_float(value)
     if not (0.0 < v <= hi and math.isfinite(v)):
         span = "" if hi == math.inf else " <= %g" % hi
-        raise InputError("%s must be a positive real%s, got %r" % (name, span, value))
+        raise InputError("%s must be a positive real%s, got %s" % (name, span, _shown(value)))
     return v
 
 
@@ -92,7 +105,7 @@ def _real_arg(value, name: str, lo: float = -math.inf) -> float:
     v = _as_float(value)
     if not (v >= lo and math.isfinite(v)):
         span = "" if lo == -math.inf else " >= %g" % lo
-        raise InputError("%s must be a finite real%s, got %r" % (name, span, value))
+        raise InputError("%s must be a finite real%s, got %s" % (name, span, _shown(value)))
     return v
 
 

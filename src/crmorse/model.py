@@ -36,8 +36,10 @@ from .errors import (
 from .pencil import (
     ChamberDecomposition,
     HermitianMatrix,
+    Inertia,
     _decompose,
     _Frozen,
+    _sign_tols,
     inertia,
     signature_set,
 )
@@ -57,6 +59,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8 MB)
+_GRAM_SIDE = 1024  # monomials of the brute-force Gram matrix, at most (16 MB)
+_GRAM_DEGREE = 12  # their degree, at most: Glynn's formula sums 2^(degree - 1) terms
+_MAX_NODES = 4096  # eta quadrature nodes per chamber, at most
 
 
 class ModelData(_Frozen):
@@ -146,23 +151,22 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
     """Summed diagonal of the model Bergman kernel of degree q.
 
     Closed form e^{Phi_eta(z)} (2pi)^{-d} |det M_eta| when eta lies in the
-    q-signature chamber, 0 otherwise.  At a chamber boundary (singular
-    M_eta at tolerance) the value is 0 and the boundary flag is set.  A z
-    at which the value leaves floating-point range is an InputError.
+    q-signature chamber, 0 otherwise.  At a chamber boundary (M_eta singular
+    at inertia()'s tolerance) the value is 0 and the boundary flag is set.  A
+    z at which the value leaves floating-point range is an InputError.
     """
-    return _bergman_diag(data, eta, q, z, "z")
+    return _bergman_diag(data, eta, q, z, "z")[0]
 
 
-def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanValue:
-    """bergman_diag, with ``name`` for z in its range error."""
+def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> Tuple[BergmanValue, HermitianMatrix, Inertia]:
+    """bergman_diag, with ``name`` for z in its range error, and the M_eta
+    and inertia it read, for the brute-force oracle to reuse."""
     q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
     m = m_phi_eta(data, eta)
     ine = inertia(m)
-    if ine.zero > 0:
-        return BergmanValue(0.0, True)
-    if ine.neg != q:
-        return BergmanValue(0.0, False)
+    if ine.zero or ine.neg != q:
+        return BergmanValue(0.0, ine.zero > 0), m, ine
     with np.errstate(over="ignore", invalid="ignore"):  # a Phi out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
     det = abs(float(np.linalg.det(m.entries).real))
@@ -170,7 +174,7 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> BergmanV
         lambda: math.exp(phi) * det / TWO_PI**data.d,
         "%s: the Bergman density at this z leaves floating-point range" % name,
     )
-    return BergmanValue(value, False)
+    return BergmanValue(value, False), m, ine
 
 
 def _permanents(a: np.ndarray) -> np.ndarray:
@@ -200,25 +204,12 @@ def _permanents(a: np.ndarray) -> np.ndarray:
     return total / (1 << (p - 1))
 
 
-def _positive_definite(m: np.ndarray) -> Tuple[bool, float]:
-    """Whether Hermitian m is positive definite at tolerance; its least eigenvalue."""
-    w = np.linalg.eigvalsh(m)
-    return float(np.min(w)) > 1e-12 * (1.0 + float(np.max(np.abs(w)))), float(np.min(w))
-
-
-def _bergman_gram(data: ModelData, eta: float, max_degree: int) -> np.ndarray:
-    """The monomial Gram matrix of bergman_bruteforce."""
-    max_degree = _int_arg(max_degree, "max_degree", 0)
-    m = m_phi_eta(data, eta).entries
-    positive, lo = _positive_definite(m)
-    if not positive:
-        raise InputError(
-            "brute-force Bergman oracle needs M_Phi_eta positive definite "
-            "(min eigenvalue %.3e)" % lo
-        )
-    cov = np.linalg.inv(m)
-    det = float(np.linalg.det(m).real)
-    mass = TWO_PI**data.d / det
+def _bergman_gram(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: int) -> np.ndarray:
+    """bergman_bruteforce's monomial Gram matrix at M_eta = m, of inertia ine."""
+    if ine.pos != data.d:
+        raise InputError("brute-force Bergman oracle needs M_Phi_eta positive definite, got %r" % (ine,))
+    cov = np.linalg.inv(m.entries)
+    mass = TWO_PI**data.d / float(np.linalg.det(m.entries).real)
     size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
     gram = np.zeros((size, size), dtype=complex)
     off = 0
@@ -243,12 +234,28 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     with every Gaussian moment evaluated in closed form (Wick permanents
     of M^{-1}); the reproducing-kernel value at the origin is the (0,0)
     entry of the inverse Gram matrix.  Only valid where M_eta is positive
-    definite.  Mixed-degree moments vanish, so G is block diagonal by degree
-    and built block by block, in row slices of bounded memory.  Hence
+    definite at inertia()'s default tolerance, as bergman_diag reads it.
+    Mixed-degree moments vanish, so G is block diagonal by degree and built
+    block by block, in row slices of bounded memory.  Hence
     (G^-1)_00 = 1/G_00 = det M_eta / (2pi)^d at every max_degree: the oracle
     checks the determinant, and the degree >= 1 blocks cannot move it.
+    max_degree is at most 12, and at most the degree at which G reaches 1024
+    monomials a side (10 at d = 4), so G takes at most 16 MB.
     """
-    gram = _bergman_gram(data, eta, max_degree)
+    max_degree = _int_arg(max_degree, "max_degree", 0, _degree_cap(data.d))
+    m = m_phi_eta(data, eta)
+    return _bruteforce(data, m, inertia(m), max_degree)
+
+
+def _degree_cap(d: int) -> int:
+    """The largest max_degree of bergman_bruteforce at dimension d: at most
+    _GRAM_DEGREE, with at most _GRAM_SIDE monomials of degree <= max_degree."""
+    return max(deg for deg in range(_GRAM_DEGREE + 1) if math.comb(d + deg, d) <= _GRAM_SIDE)
+
+
+def _bruteforce(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: int) -> float:
+    """bergman_bruteforce at M_eta = m, whose inertia is ine."""
+    gram = _bergman_gram(data, m, ine, max_degree)
     sol = np.linalg.solve(gram, np.eye(1, len(gram), dtype=complex)[0])  # G^-1 e_0
     return float(sol[0].real)
 
@@ -301,19 +308,16 @@ def _fsum_columns(terms: np.ndarray) -> np.ndarray:
         return np.full(terms.shape[1], math.inf, dtype=complex)
 
 
-_FRAME_TOL = 1e-10
 _PHASE_TOL = 1e-12
 
 
 def _frame(m: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (..., d, d) stack with ascending eigenvalues, strict
-    sign split at position q (first failure named), and deterministic column phases."""
+    """Eigendecomposition of a (..., d, d) stack with ascending eigenvalues, a strict
+    sign split at q at _sign_tols (first failure named), and fixed column phases."""
     v, qmat = np.linalg.eigh(m)
     d = v.shape[-1]
-    btol = _FRAME_TOL * (1.0 + np.max(np.abs(v), axis=-1))
-    bad = np.logical_or(
-        v[..., q - 1] >= -btol if q >= 1 else False, v[..., q] <= btol if q < d else False
-    )
+    tol = _sign_tols(m.reshape(-1, d, d)).reshape(v.shape[:-1] + (1,))
+    bad = (v[..., :q] >= -tol).any(axis=-1) | (v[..., q:] <= tol).any(axis=-1)
     if np.any(bad):
         first = v.reshape(-1, d)[np.flatnonzero(bad)[0]]
         raise ChamberBoundaryError(
@@ -337,7 +341,8 @@ def extremal_form(
     dz-bar multi-index basis.  norm_check re-evaluates ||u||^2 through
     Parseval with exact Gaussian z-integrals at each quadrature node;
     peak_check compares |u(0,0)|^2 against the Szego density.  Both are 1
-    up to quadrature error.  A z at which the value leaves floating-point
+    up to quadrature error.  eta_quad_points, the Gauss-Legendre nodes per
+    chamber, is in 16..4096.  A z at which the value leaves floating-point
     range is an InputError.
     """
     return _extremal_form(data, q, z, theta, eta_quad_points, "z")
@@ -350,7 +355,7 @@ def _extremal_form(
     q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
     theta = _real_arg(theta, "theta")
-    eta_quad_points = _int_arg(eta_quad_points, "eta_quad_points", 16)
+    eta_quad_points = _int_arg(eta_quad_points, "eta_quad_points", 16, _MAX_NODES)
     dec, masses = _eta_record(data)
     cells = [ch for ch in dec.chambers if ch.inertia.neg == q]
     if not cells:

@@ -246,11 +246,11 @@ class Inertia(NamedTuple):
 def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
     """Count eigenvalues of ``a`` below -tol, within [-tol, tol], above tol.
 
-    With ``tol=None`` the tolerance defaults to 1e-9 * (1 + spectral
-    radius), which makes the strict sign counts robustly decidable.
+    With ``tol=None`` the tolerance is the chamber engine's for the pencil
+    (A, 0), 1e-9 ||A||_F (_sign_tols), so the counts are unit-free.
     """
     w = np.linalg.eigvalsh(a.entries)
-    t = _INERTIA_REL_TOL * (1.0 + float(np.abs(w).max())) if tol is None else _real_arg(tol, "inertia tolerance", 0.0)
+    t = float(_sign_tols(a.entries[None])[0]) if tol is None else _real_arg(tol, "inertia tolerance", 0.0)
     neg, pos = int((w < -t).sum()), int((w > t).sum())
     return Inertia(neg, a.dim - neg - pos, pos, t)
 
@@ -322,6 +322,13 @@ def _units(r: np.ndarray, el: np.ndarray, delta: float):
     rn, ln = r * f, step * (0.5 * f)
     tols = _INERTIA_REL_TOL * (np.linalg.norm(rn, axis=(1, 2)) + 2.0 * np.linalg.norm(ln, axis=(1, 2)))
     return e, rn, ln, tols
+
+
+def _sign_tols(a: np.ndarray) -> np.ndarray:
+    """1e-9 ||A||_F for each matrix A of the (n, d, d) stack ``a``: _units'
+    tolerance for the pencil (A, 0), scaled back, so it cannot overflow."""
+    e, _, _, tols = _units(a, np.zeros_like(a), 1.0)
+    return np.ldexp(tols, e)
 
 
 def _probe(r: np.ndarray, el: np.ndarray, delta: float):

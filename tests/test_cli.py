@@ -29,7 +29,7 @@ import pytest
 import crmorse
 import crmorse.__main__
 import crmorse.cli
-from crmorse.cli import parse_field, run, serialize_field
+from crmorse.cli import parse_field, parse_model, run, serialize_field
 from crmorse.errors import InputError
 
 TWO_PI = 2.0 * math.pi
@@ -1174,7 +1174,7 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
         (["chambers", "--tol", "nan"], MINIMAL, "--tol must be a finite real >= 0, got nan"),
         (["chambers", "--tol", "inf"], MINIMAL, "--tol must be a finite real >= 0, got inf"),
         (["chambers", "--tol", "-1"], MINIMAL, "--tol must be a finite real >= 0, got -1.0"),
-        (["extremal-check", "--q", "0", "--nodes", "8"], MODEL_DOC, "--nodes must be an integer >= 16, got 8"),
+        (["extremal-check", "--q", "0", "--nodes", "8"], MODEL_DOC, "--nodes must be an integer in 16..4096, got 8"),
         (["extremal-check", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
         (["bergman-check", "--q", "9", "--eta", "0"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
         (["szego-density", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
@@ -1211,12 +1211,16 @@ def _model(mu=3.0):
     return crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[mu]]), delta=1.0)
 
 
+MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
+            "mu": [[[3.1 if i == j else 0.1, 0.0] for j in range(4)] for i in range(4)]}
+
+
 @pytest.mark.parametrize(
     "case, doc, expected",
     [
         (lambda: crmorse.density_q(_field(), 9, 1.0), None, "q must be an integer in 0..1, got 9"),
         (lambda: crmorse.extremal_form(_model(), 0, [0.0], 0.0, 8), None,
-         "eta_quad_points must be an integer >= 16, got 8"),
+         "eta_quad_points must be an integer in 16..4096, got 8"),
         (["chambers", "--point", "1"], MINIMAL, "--point must be an integer in 0..0, got 1"),
         (["morse", "--threads", "0"], MINIMAL, "--threads must be an integer >= 1, got 0"),
         (["convergence", "--example", "torus-d1", "--kmin", "0"], None, "--kmin must be an integer >= 1, got 0"),
@@ -1224,7 +1228,7 @@ def _model(mu=3.0):
          "--kmax must be an integer >= 20, got 10"),
         (["convergence", "--example", "torus-d1", "--kstep", "0"], None, "--kstep must be an integer >= 1, got 0"),
         (["bergman-check", "--q", "0", "--eta", "0", "--max-degree", "-1"], MODEL_DOC,
-         "--max-degree must be an integer >= 0, got -1"),
+         "--max-degree must be an integer in 0..12, got -1"),
         (lambda: crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[3.0]]), delta=0.0), None,
          "delta must be a positive real, got 0.0"),
         (lambda: crmorse.rrh_total(_field(), 2.0), None, "delta must be a positive real <= 1, got 2.0"),
@@ -1241,11 +1245,40 @@ def _model(mu=3.0):
         (lambda: crmorse.density_q(_field(), 0, b"0.5"), None, "delta must be a positive real <= 1, got b'0.5'"),
         (lambda: crmorse.levi_flat_field([[1.0]], 1, True), None, "delta must be a positive real, got True"),
         (lambda: crmorse.levi_flat_field([[1.0]], 1, "x"), None, "delta must be a positive real, got 'x'"),
+        # an int beyond float range, a value or a bound, shows as its digit
+        # count, as in the document parsers: str() refuses one of more than
+        # 4300 digits, which made each of these a bare ValueError
+        (lambda: crmorse.density_q(_field(), 10**5000, 1.0), None,
+         "q must be an integer in 0..1, got an integer of 5001 digits"),
+        (lambda: crmorse.weak_bound(_field(), 0, 1.0, -10**5000), None,
+         "k must be an integer >= 1, got an integer of 5001 digits"),
+        (lambda: crmorse.density_q(_field(), 0, 10**5000), None,
+         "delta must be a positive real <= 1, got an integer of 5001 digits"),
+        (lambda: crmorse.density_q(_field(), 0, -10**5000), None,
+         "delta must be a positive real <= 1, got an integer of 5001 digits"),
+        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=10**5000), None,
+         "inertia tolerance must be a finite real >= 0, got an integer of 5001 digits"),
+        # sizes that would allocate terabytes are refused before anything is
+        # allocated, with the bound in the message
+        (["extremal-check", "--q", "0", "--nodes", "10000000000000"], MODEL_DOC,
+         "--nodes must be an integer in 16..4096, got 10000000000000"),
+        (lambda: crmorse.extremal_form(_model(), 0, [0.0], 0.0, 10**13), None,
+         "eta_quad_points must be an integer in 16..4096, got 10000000000000"),
+        (["bergman-check", "--q", "0", "--eta", "-0.5", "--max-degree", "60"], MODEL_D4,
+         "--max-degree must be an integer in 0..10, got 60"),
+        (lambda: crmorse.bergman_bruteforce(parse_model(json.dumps(MODEL_D4).encode()), 0.5, 60), None,
+         "max_degree must be an integer in 0..10, got 60"),
+        (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(10**15), "--kstep", "1"], None,
+         "--kstep must be an integer >= 1000000000000, got 1"),
+        (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(10**400), "--kstep", "1"], None,
+         "--kstep must be an integer >= an integer of 398 digits, got 1"),
     ],
     ids=["int-library", "int-library-lower", "int-point", "int-threads", "int-kmin", "int-kmax", "int-kstep",
          "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library-lower",
          "real-library", "real-eta", "range-library", "range-k", "positive-library-str", "positive-library-bytes",
-         "levi-flat-delta-bool", "levi-flat-delta-str"],
+         "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative", "positive-huge",
+         "positive-huge-negative", "real-huge", "size-nodes", "size-eta_quad_points", "size-max-degree",
+         "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
 )
 def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):
     out = tmp_path / "out"
@@ -1263,6 +1296,14 @@ def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, e
         err = capsys.readouterr().err
     assert err == "error: %s\n" % expected
     assert not out.exists()
+
+
+def test_degree_cap_admits_the_documented_sizes():
+    from crmorse.model import _degree_cap
+
+    # at most degree 12 and 1024 monomials a side: the bench's degree 5 at
+    # d = 4 and the tests' degree 5 at d = 6 stay admitted
+    assert [_degree_cap(d) for d in (1, 2, 3, 4, 6, 1023, 1024)] == [12, 12, 12, 10, 6, 1, 0]
 
 
 def _torus_spec(**kwargs):
@@ -1306,7 +1347,7 @@ def _decomposition():
         (lambda: crmorse.szego_density(_model(), True), "q must be an integer in 0..1, got True"),
         (lambda: crmorse.bergman_diag(_model(), 0.0, True, [0.0]), "q must be an integer in 0..1, got True"),
         (lambda: crmorse.extremal_form(_model(mu=1.0), True, [0.0], 0.0), "q must be an integer in 0..1, got True"),
-        (lambda: crmorse.bergman_bruteforce(_model(), 0.0, True), "max_degree must be an integer >= 0, got True"),
+        (lambda: crmorse.bergman_bruteforce(_model(), 0.0, True), "max_degree must be an integer in 0..12, got True"),
         (lambda: crmorse.torus_mode_dim(True, [[1]], crmorse.calibrate()), "q must be an integer in 0..1, got True"),
         (lambda: crmorse.fourier_dimension_sum(_torus_spec(), True, 4, crmorse.calibrate()),
          "q must be an integer in 0..1, got True"),

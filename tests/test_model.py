@@ -36,7 +36,6 @@ from crmorse.model import (
     _frame,
     _gauss_legendre,
     _permanents,
-    _positive_definite,
     bergman_bruteforce,
     bergman_diag,
     eta_chambers,
@@ -44,7 +43,7 @@ from crmorse.model import (
     m_phi_eta,
     szego_density,
 )
-from crmorse.pencil import HermitianMatrix, chamber_integral
+from crmorse.pencil import HermitianMatrix, chamber_integral, inertia
 from oracle_tools import (
     random_int_hermitian,
     scalar_bergman_bruteforce,
@@ -168,18 +167,70 @@ def test_bergman_bruteforce_preconditions():
 
 @pytest.mark.parametrize("top", [1.0, 1e6])
 def test_positive_definite_threshold(top):
-    # positive definite means min eig > 1e-12 (1 + max |eig|), pinned from both sides
-    edge = 1e-12 * (1.0 + top)
+    # an eigenvalue is zero within 1e-9 ||M||_F, the chamber engine's rule,
+    # pinned from both sides; the Bergman value, its boundary flag and the
+    # brute-force precondition all read that one inertia
+    edge = 1e-9 * top  # ||M||_F = top to within (1e-9)^2 relative
     u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, 1.0]]))
-    for low, positive in ((1.01 * edge, True), (0.99 * edge, False), (0.0, False), (-edge, False)):
+    for low, signature in (
+        (1.01 * edge, (0, 0, 2)), (0.99 * edge, (0, 1, 1)), (0.0, (0, 1, 1)),
+        (-0.99 * edge, (0, 1, 1)), (-1.01 * edge, (1, 0, 1)),
+    ):
         m = u @ np.diag([low, top]) @ u.conj().T
-        assert _positive_definite(m) == (positive, pytest.approx(low, abs=1e-3 * edge))
+        ine = inertia(HermitianMatrix(m))
+        assert ine.signature == signature and ine.tol == pytest.approx(edge, rel=1e-12)
         data = ModelData(d=2, lam=[0.0, 0.0], mu=HermitianMatrix(m), delta=1.0)
+        positive = signature == (0, 0, 2)
+        value = bergman_diag(data, 0.0, 0, [0.0, 0.0])
+        assert (value.value > 0.0, value.boundary) == (positive, signature[1] == 1)
         if positive:
             assert bergman_bruteforce(data, 0.0, 1) > 0.0
         else:
             with pytest.raises(InputError, match="positive definite"):
                 bergman_bruteforce(data, 0.0, 1)
+
+
+def _outcome(call):
+    """call()'s value, or the type of the crmorse error it raised."""
+    try:
+        return call()
+    except (InputError, DegeneratePencilError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([1, 2, 3, 4]), power=st.floats(-12.0, 12.0))
+def test_model_layer_is_unit_free(seed, d, power):
+    # scaling (mu, lambda) by t keeps every eta-chamber, so every sign the
+    # model layer reads must stay: szego_density scales as t^d, bergman_diag
+    # keeps its membership and boundary flag, the brute-force gate its
+    # verdict, and the extremal form its norm and peak checks
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mu, lam = (a + a.conj().T) / 2.0, rng.normal(size=d)
+    t = 10.0**power
+    data = ModelData(d=d, lam=lam, mu=HermitianMatrix(mu), delta=1.0)
+    scaled = ModelData(d=d, lam=t * lam, mu=HermitianMatrix(t * mu), delta=1.0)
+    # at d >= 2 a root is a chamber boundary at either scale; at d = 1 M_eta
+    # there is a rounding residue, which no relative tolerance reads as zero
+    etas = [-0.5, 1.0 / 3.0] + (eta_chambers(data).roots[:1] if d >= 2 else [])
+    for q in range(d + 1):
+        assert szego_density(scaled, q) == pytest.approx(t**d * szego_density(data, q), rel=1e-9, abs=1e-300)
+        for eta in etas:
+            base, got = bergman_diag(data, eta, q, np.zeros(d)), bergman_diag(scaled, eta, q, np.zeros(d))
+            assert (got.value > 0.0, got.boundary) == (base.value > 0.0, base.boundary)
+        base, got = (_outcome(lambda m=m: extremal_form(m, q, np.zeros(d), 0.0, 16)) for m in (data, scaled))
+        if isinstance(base, type):
+            assert got is base
+        else:
+            assert got.norm_check == pytest.approx(base.norm_check, rel=0.0, abs=1e-12)
+            assert got.peak_check == pytest.approx(base.peak_check, rel=0.0, abs=1e-12)
+    for eta in etas:
+        base, got = (_outcome(lambda m=m: bergman_bruteforce(m, eta, 1)) for m in (data, scaled))
+        if isinstance(base, type):
+            assert got is base
+        else:
+            assert got == pytest.approx(t**d * base, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -221,7 +272,8 @@ def test_bergman_bruteforce_matches_scalar_gram(seed, d, deg):
     # The value at z=0 reads only the degree-0 block, so compare G itself.
     # Not bit for bit: numpy's array complex multiply may be fused (FMA)
     # where its scalar multiply is not, which moves the last bits.
-    gram = _bergman_gram(data, eta, deg)
+    m = m_phi_eta(data, eta)
+    gram = _bergman_gram(data, m, inertia(m), deg)
     ref = scalar_bergman_gram(data, eta, deg)
     np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 

@@ -1,6 +1,7 @@
 """Tests for inertia, characteristic polynomials, roots, and chamber integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ def test_inertia_diagonal_with_zero():
 def test_inertia_off_diagonal():
     a = hm([[0.0, 1j], [-1j, 0.0]])
     assert inertia(a, tol=1e-9).signature == (1, 0, 1)
+
+
+def test_inertia_default_tolerance_is_unit_free():
+    # the default is the chamber engine's 1e-9 ||A||_F, so diag(1e-12, -1e-12)
+    # has the signs of diag(1, -1); taken at a power-of-two scale, it neither
+    # overflows near the float maximum nor vanishes near 1e-300
+    assert inertia(HermitianMatrix.diagonal([1e-12, -1e-12])).signature == (1, 0, 1)
+    u = unitary(np.random.default_rng(5), 3)
+    for small, signature in ((1e-12, (1, 1, 1)), (1e-6, (1, 0, 2))):
+        base = u @ np.diag([-0.75, small, 1.0]) @ u.conj().T
+        for t in (1.0, 1.5e308, 1e-300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ine = inertia(HermitianMatrix(t * base))
+            assert ine.signature == signature
+            assert ine.tol == pytest.approx(1e-9 * t * np.linalg.norm(base), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
