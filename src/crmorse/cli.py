@@ -455,8 +455,7 @@ def _cmd_chambers(args, started):
     field = parse_field(raw)
     pt = field._point(_int_arg(args.point, "--point", 0, len(field.labels) - 1))
     delta = field.delta if args.delta is None else _positive_arg(args.delta, "--delta")
-    tol = None if args.tol is None else _real_arg(args.tol, "--tol", 0.0)
-    dec, masses = _decompose(pt.r, pt.el, delta, tol)[:2]
+    dec, masses = _decompose(pt.r, pt.el, delta)[:2]
     result = {
         "label": pt.label,
         "delta": dec.delta,
@@ -542,6 +541,8 @@ def _parse_z(text: Optional[str], d: int) -> np.ndarray:
             out[i] = complex(float(bits[0]), float(bits[1]))
         except ValueError as exc:
             raise InputError("--z component %d: %s" % (i, exc)) from exc
+        if not np.isfinite(out[i]):
+            raise InputError("--z component %d must be finite, got %r" % (i, part))
     return out
 
 
@@ -789,7 +790,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="PATH", required=True)
     p.add_argument("--point", type=int, default=0, help="sample index (default 0)")
     p.add_argument("--delta", type=float, default=None, help="override the field window")
-    p.add_argument("--tol", type=float, default=None, help="inertia eigenvalue tolerance")
 
     p = add("morse", _cmd_morse, "full Morse density report for a field")
     p.add_argument("--input", metavar="PATH", required=True)

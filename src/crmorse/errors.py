@@ -11,7 +11,7 @@ string is not a real, as in the document parsers.  The messages read
 
     <name> must be an integer [>= lo | in lo..hi], got <value>
     <name> must be a positive real [<= hi], got <value>
-    <name> must be a finite real [>= lo], got <value>
+    <name> must be a finite real, got <value>
 
 where an int beyond float range, a value or a bound, shows as "an
 integer of N digits", and _float_range raises the caller's own message.
@@ -100,12 +100,11 @@ def _positive_arg(value, name: str, hi: float = math.inf) -> float:
     return v
 
 
-def _real_arg(value, name: str, lo: float = -math.inf) -> float:
-    """``value`` as a float, once it is a finite real with value >= lo."""
+def _real_arg(value, name: str) -> float:
+    """``value`` as a float, once it is a finite real."""
     v = _as_float(value)
-    if not (v >= lo and math.isfinite(v)):
-        span = "" if lo == -math.inf else " >= %g" % lo
-        raise InputError("%s must be a finite real%s, got %s" % (name, span, _shown(value)))
+    if not math.isfinite(v):
+        raise InputError("%s must be a finite real, got %s" % (name, _shown(value)))
     return v
 
 

@@ -234,7 +234,7 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     with every Gaussian moment evaluated in closed form (Wick permanents
     of M^{-1}); the reproducing-kernel value at the origin is the (0,0)
     entry of the inverse Gram matrix.  Only valid where M_eta is positive
-    definite at inertia()'s default tolerance, as bergman_diag reads it.
+    definite at inertia()'s tolerance, as bergman_diag reads it.
     Mixed-degree moments vanish, so G is block diagonal by degree and built
     block by block, in row slices of bounded memory.  Hence
     (G^-1)_00 = 1/G_00 = det M_eta / (2pi)^d at every max_degree: the oracle

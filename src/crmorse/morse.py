@@ -170,30 +170,32 @@ def _fsum(terms) -> float:
         return math.nan
 
 
-def density_q(field: PencilField, q: int, delta: float, threads: Optional[int] = None) -> float:
+def density_q(field: PencilField, q: int, delta: float) -> float:
     """Leading spectral density coefficient c_q(delta).
 
     (2pi)^{-n} times the weighted sum over samples of the |det| integral
     over each sample's q-signature chambers.  Like every quantity here it
     decomposes each sample over the field window, so a fault anywhere in
     [-field.delta, field.delta] raises, also at a smaller ``delta``.
-    ``threads`` is accepted and ignored: the computation is
-    single-threaded.
     """
     q = _int_arg(q, "q", 0, field.dim)
     return build_morse_report(field, delta).densities[q]
 
 
-def weak_bound(field: PencilField, q: int, delta: float, k: int, threads: Optional[int] = None) -> float:
+def weak_bound(field: PencilField, q: int, delta: float, k: int) -> float:
     """k^n * c_q(delta), the weak Morse bound prefactor at level k.  Like
     density_q it raises for a fault anywhere in the field window, also at a
-    smaller ``delta``.  ``threads`` is accepted and ignored."""
+    smaller ``delta``; k^n or k^n c_q beyond floating-point range is an
+    InputError naming k."""
     k = _int_arg(k, "k", 1)
     power = _float_range(lambda: float(k) ** field.n, _POWER_RANGE % ("k", _digits(k), field.n))
-    return power * density_q(field, q, delta)
+    density = density_q(field, q, delta)
+    return _float_range(
+        lambda: power * density, "k: the weak bound k^%d c_%d at this k leaves floating-point range" % (field.n, q)
+    )
 
 
-def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -> float:
+def rrh_total(field: PencilField, delta: float) -> float:
     """Alternating density sum, computed through the signed integral.
 
     On each chamber det = (-1)^neg |det|, so the alternating sum of
@@ -201,15 +203,14 @@ def rrh_total(field: PencilField, delta: float, threads: Optional[int] = None) -
     det(R+2sL) over [-delta, delta]; this route avoids cancellation
     between separately rounded chamber masses.  Like density_q it raises
     for a fault anywhere in the field window, also at a smaller ``delta``.
-    ``threads`` is accepted and ignored.
     """
     return build_morse_report(field, delta).rrh_total
 
 
-def strong_sums(field: PencilField, delta: float, threads: Optional[int] = None) -> List[float]:
+def strong_sums(field: PencilField, delta: float) -> List[float]:
     """Strong Morse alternating partial sums; entry d is the RRH total.
     Like density_q it raises for a fault anywhere in the field window, also
-    at a smaller ``delta``.  ``threads`` is accepted and ignored."""
+    at a smaller ``delta``."""
     return build_morse_report(field, delta).strong_sums
 
 

@@ -108,9 +108,9 @@ class LatticeCalibration(_Frozen):
 # ------------------------------------------------------------------ fields
 
 
-def heisenberg_field(spec: HeisenbergSpec, weight: float = 1.0) -> PencilField:
+def heisenberg_field(spec: HeisenbergSpec) -> PencilField:
     el = HermitianMatrix(np.diag([float(v) for v in spec.lambda_vec]).astype(complex))
-    point = PencilPoint("heisenberg", spec.mu_mat, el, weight)
+    point = PencilPoint("heisenberg", spec.mu_mat, el)
     return PencilField(n=spec.d + 1, delta=spec.delta, points=[point])
 
 
@@ -273,7 +273,7 @@ def save_calibration(cal: LatticeCalibration, path) -> None:
     Path(path).write_text(canonical_json(payload) + "\n")
 
 
-def load_calibration(path, verify: bool = True) -> LatticeCalibration:
+def load_calibration(path) -> LatticeCalibration:
     p = Path(path)
     if not p.is_file():
         raise InputError(
@@ -295,8 +295,7 @@ def load_calibration(path, verify: bool = True) -> LatticeCalibration:
         )
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:  # OverflowError: Infinity
         raise InputError("calibration record %s is malformed: %s" % (p, exc)) from exc
-    if verify:
-        verify_calibration(cal)
+    verify_calibration(cal)
     return cal
 
 

@@ -54,7 +54,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegeneratePencilError, InputError, _int_arg, _positive_arg, _real_arg
+from .errors import DegeneratePencilError, InputError, _int_arg, _positive_arg
 
 __all__ = [
     "IDENTICALLY_ZERO",
@@ -243,14 +243,14 @@ class Inertia(NamedTuple):
         return (self.neg, self.zero, self.pos)
 
 
-def inertia(a: HermitianMatrix, tol: Union[float, None] = None) -> Inertia:
+def inertia(a: HermitianMatrix) -> Inertia:
     """Count eigenvalues of ``a`` below -tol, within [-tol, tol], above tol.
 
-    With ``tol=None`` the tolerance is the chamber engine's for the pencil
-    (A, 0), 1e-9 ||A||_F (_sign_tols), so the counts are unit-free.
+    The tolerance is the chamber engine's for the pencil (A, 0),
+    1e-9 ||A||_F (_sign_tols), so the counts are unit-free.
     """
     w = np.linalg.eigvalsh(a.entries)
-    t = float(_sign_tols(a.entries[None])[0]) if tol is None else _real_arg(tol, "inertia tolerance", 0.0)
+    t = float(_sign_tols(a.entries[None])[0])
     neg, pos = int((w < -t).sum()), int((w > t).sum())
     return Inertia(neg, a.dim - neg - pos, pos, t)
 
@@ -486,7 +486,6 @@ def _decompose_batch(
     r: np.ndarray,
     el: np.ndarray,
     deltas: Sequence[float],
-    tol: Union[float, None] = None,
     labels: Union[Sequence[str], None] = None,
 ) -> List[_Window]:
     """Decompose every pencil of the (n, d, d) stacks r, el over each window
@@ -507,8 +506,6 @@ def _decompose_batch(
     given.
     """
     deltas = [_positive_arg(delta, "delta") for delta in deltas]
-    if tol is not None:
-        tol = _real_arg(tol, "inertia tolerance", 0.0)
     top = max(deltas)
     d = r.shape[-1]
     failures = {}  # row -> its error, from the first stage it fails
@@ -553,7 +550,6 @@ def _decompose_batch(
         "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
     )
     roots = top * _real_roots(z, _WIDTH)
-    t = tols if tol is None else np.ldexp(tol, -e)  # the inertia tolerance in the engine's units
     windows = []
     for delta in deltas:
         # sum_j |p_j| h^(j+1) / (j+1) bounds |P| on [-h, h], h = delta / top
@@ -570,13 +566,13 @@ def _decompose_batch(
         rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
         mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
         wm = np.linalg.eigvalsh(rn[rows] + (2.0 * mids / top)[:, None, None] * ln[rows])
-        neg, pos = (wm < -t[rows, None]).sum(axis=1), (wm > t[rows, None]).sum(axis=1)
+        neg, pos = (wm < -tols[rows, None]).sum(axis=1), (wm > tols[rows, None]).sum(axis=1)
         for c in np.flatnonzero(neg + pos < d).tolist():  # a row's first singular chamber names it
             i = rows[c]
             fail(int(alive[i]), DegeneratePencilError, (
                 "pencil is numerically singular inside a chamber at s=%g "
                 "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
-                % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[i])), math.ldexp(t[i], int(e[i])))
+                % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[i])), math.ldexp(tols[i], int(e[i])))
             ))
         ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks) / top)
         counts = np.bincount(rows, minlength=alive.size)
@@ -586,7 +582,7 @@ def _decompose_batch(
             fail(i, InputError, out_of_range % delta)
         signs = np.full(masses.shape, -1)
         signs[rows, cells] = neg
-        windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(t, e), masses, signed))
+        windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(tols, e), masses, signed))
     if failures:
         raise failures[min(failures)]
     return windows
@@ -600,14 +596,9 @@ def _q_masses(w: _Window, d: int) -> np.ndarray:
     ]).T
 
 
-def _decompose(
-    r: HermitianMatrix,
-    el: HermitianMatrix,
-    delta: float,
-    tol: Union[float, None] = None,
-) -> _Decomposed:
+def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomposed:
     """The one-pencil path: _decompose_batch on a stack of one, as objects."""
-    w = _decompose_batch(*_stacked(r, el), [delta], tol)[0]
+    w = _decompose_batch(*_stacked(r, el), [delta])[0]
     count, t, ends = int(w.counts[0]), float(w.tol[0]), w.breaks[0].tolist()
     dec = ChamberDecomposition(
         delta=w.delta,
@@ -629,19 +620,14 @@ def _stacked(r: HermitianMatrix, el: HermitianMatrix):
     return r.entries[None], el.entries[None]
 
 
-def chambers(
-    r: HermitianMatrix,
-    el: HermitianMatrix,
-    delta: float,
-    tol: Union[float, None] = None,
-) -> ChamberDecomposition:
+def chambers(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> ChamberDecomposition:
     """Decompose [-delta, delta] into signature chambers of R + 2sL.
 
     Chamber inertia is read at interior midpoints, never at roots.  A
     pencil whose determinant vanishes identically raises
     DegeneratePencilError naming an offending point.
     """
-    return _decompose(r, el, delta, tol).dec
+    return _decompose(r, el, delta).dec
 
 
 def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]]:
@@ -651,32 +637,21 @@ def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]
     return [(ch.lo, ch.hi) for ch in dec.chambers if ch.inertia.neg == q]
 
 
-def chamber_integral(
-    r: HermitianMatrix,
-    el: HermitianMatrix,
-    q: int,
-    delta: float,
-    tol: Union[float, None] = None,
-) -> float:
+def chamber_integral(r: HermitianMatrix, el: HermitianMatrix, q: int, delta: float) -> float:
     """Integral of |det(R+2sL)| over the q-signature set in [-delta, delta].
 
     Uses the exact polynomial antiderivative P per chamber; |P(b) - P(a)|
     is exact because det keeps a constant sign between roots.
     """
     q = _int_arg(q, "q", 0, r.dim)
-    return _decompose(r, el, delta, tol).q_masses[q]
+    return _decompose(r, el, delta).q_masses[q]
 
 
-def pencil_signed_integral(
-    r: HermitianMatrix,
-    el: HermitianMatrix,
-    delta: float,
-    tol: Union[float, None] = None,
-) -> float:
+def pencil_signed_integral(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> float:
     """Signed integral of det(R+2sL) over all of [-delta, delta].
 
     Because the determinant sign on each chamber is (-1)^neg, this equals
     the alternating sum over q of the unsigned chamber integrals; both
     routes are kept and compared in tests.
     """
-    return _decompose(r, el, delta, tol).signed
+    return _decompose(r, el, delta).signed

@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -880,8 +881,8 @@ def parsed(parser, argv):
 # per command: the flags of a valid argv, then argvs that argparse rejects
 # (a missing required flag where the command has one, a malformed value)
 PARSER_CASES = {
-    "chambers": (["--input", "f.json", "--point", "1", "--delta", "0.5", "--tol", "1e-9", "--format", "csv"],
-                 [[], ["--input", "f.json", "--point", "one"]]),
+    "chambers": (["--input", "f.json", "--point", "1", "--delta", "0.5", "--format", "csv"],
+                 [[], ["--input", "f.json", "--point", "one"], ["--input", "f.json", "--tol", "1e-9"]]),
     "morse": (["--input", "f.json", "--delta", "0.5", "--k", "100", "--threads", "2", "--out", "o.json"],
               [["--k", "3"], ["--input", "f.json", "--k", "1.5"]]),
     "classify": (["--input", "f.json", "--threads", "1"], [[], ["--input", "f.json", "--threads", "x"]]),
@@ -1063,6 +1064,26 @@ def test_public_names_resolve():
         crmorse.no_such_name
 
 
+def test_no_parameter_replaces_the_sign_rule_or_changes_nothing():
+    # pencil's unit-free tolerance is the only sign rule, a calibration
+    # record is always re-derived, and no function takes an ignored threads
+    signatures = {
+        "inertia": "(a)",
+        "chambers": "(r, el, delta)",
+        "chamber_integral": "(r, el, q, delta)",
+        "pencil_signed_integral": "(r, el, delta)",
+        "load_calibration": "(path)",
+        "heisenberg_field": "(spec)",
+        "density_q": "(field, q, delta)",
+        "weak_bound": "(field, q, delta, k)",
+        "rrh_total": "(field, delta)",
+        "strong_sums": "(field, delta)",
+    }
+    for name, expected in signatures.items():
+        parameters = inspect.signature(getattr(crmorse, name)).parameters
+        assert "(%s)" % ", ".join(parameters) == expected, name
+
+
 # ------------------------------------------------------------- records
 
 RECORD_FIELDS = {
@@ -1171,19 +1192,20 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
         (["morse", "--delta", "2"], MINIMAL, "--delta must be a positive real <= 1, got 2.0"),
         (["chambers", "--delta", "0"], MINIMAL, "--delta must be a positive real, got 0.0"),
         (["chambers", "--delta", "inf"], MINIMAL, "--delta must be a positive real, got inf"),
-        (["chambers", "--tol", "nan"], MINIMAL, "--tol must be a finite real >= 0, got nan"),
-        (["chambers", "--tol", "inf"], MINIMAL, "--tol must be a finite real >= 0, got inf"),
-        (["chambers", "--tol", "-1"], MINIMAL, "--tol must be a finite real >= 0, got -1.0"),
         (["extremal-check", "--q", "0", "--nodes", "8"], MODEL_DOC, "--nodes must be an integer in 16..4096, got 8"),
         (["extremal-check", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
         (["bergman-check", "--q", "9", "--eta", "0"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
         (["szego-density", "--q", "9"], MODEL_DOC, "--q must be an integer in 0..1, got 9"),
+        # a --z component that float() reads but that is not finite
+        (["bergman-check", "--q", "0", "--eta", "0", "--z", "inf,0"], MODEL_DOC,
+         "--z component 0 must be finite, got 'inf,0'"),
+        (["extremal-check", "--q", "0", "--nodes", "16", "--z", "nan,0"], MODEL_DOC,
+         "--z component 0 must be finite, got 'nan,0'"),
     ],
     ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
          "convergence-kmax", "convergence-kmin", "torus-k", "bergman-eta", "extremal-theta",
-         "morse-delta-0", "morse-delta-2", "chambers-delta-0", "chambers-delta-inf", "chambers-tol-nan",
-         "chambers-tol-inf", "chambers-tol-negative", "extremal-nodes", "extremal-q", "bergman-q",
-         "szego-q"],
+         "morse-delta-0", "morse-delta-2", "chambers-delta-0", "chambers-delta-inf", "extremal-nodes",
+         "extremal-q", "bergman-q", "szego-q", "bergman-z-inf", "extremal-z-nan"],
 )
 def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expected):
     if doc is not None:
@@ -1233,13 +1255,15 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "delta must be a positive real, got 0.0"),
         (lambda: crmorse.rrh_total(_field(), 2.0), None, "delta must be a positive real <= 1, got 2.0"),
         (["chambers", "--delta", "-1"], MINIMAL, "--delta must be a positive real, got -1.0"),
-        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=-1.0), None,
-         "inertia tolerance must be a finite real >= 0, got -1.0"),
         (lambda: crmorse.m_phi_eta(_model(), math.nan), None, "eta must be a finite real, got nan"),
         (["bergman-check", "--q", "0", "--eta", "nan"], MODEL_DOC, "--eta must be a finite real, got nan"),
         (lambda: crmorse.weak_bound(_field(), 0, 1.0, K200), None,
          "k: an integer of 201 digits, whose power n = 2 leaves floating-point range"),
         (["morse", "--k", str(K200)], MINIMAL, "--k: the reported values leave floating-point range"),
+        # k^n = 1e10 and c_0 are in range, their product is not
+        (lambda: crmorse.weak_bound(crmorse.PencilField(2, 1.0, [crmorse.PencilPoint(
+            "p", crmorse.HermitianMatrix([[1e300]]), crmorse.HermitianMatrix([[0.0]]))]), 0, 1.0, 10**5), None,
+         "k: the weak bound k^2 c_0 at this k leaves floating-point range"),
         # a real argument is a number: float() would read these strings
         (lambda: crmorse.density_q(_field(), 0, "0.5"), None, "delta must be a positive real <= 1, got '0.5'"),
         (lambda: crmorse.density_q(_field(), 0, b"0.5"), None, "delta must be a positive real <= 1, got b'0.5'"),
@@ -1256,8 +1280,8 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "delta must be a positive real <= 1, got an integer of 5001 digits"),
         (lambda: crmorse.density_q(_field(), 0, -10**5000), None,
          "delta must be a positive real <= 1, got an integer of 5001 digits"),
-        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=10**5000), None,
-         "inertia tolerance must be a finite real >= 0, got an integer of 5001 digits"),
+        (lambda: crmorse.m_phi_eta(_model(), 10**5000), None,
+         "eta must be a finite real, got an integer of 5001 digits"),
         # sizes that would allocate terabytes are refused before anything is
         # allocated, with the bound in the message
         (["extremal-check", "--q", "0", "--nodes", "10000000000000"], MODEL_DOC,
@@ -1274,11 +1298,11 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "--kstep must be an integer >= an integer of 398 digits, got 1"),
     ],
     ids=["int-library", "int-library-lower", "int-point", "int-threads", "int-kmin", "int-kmax", "int-kstep",
-         "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library-lower",
-         "real-library", "real-eta", "range-library", "range-k", "positive-library-str", "positive-library-bytes",
-         "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative", "positive-huge",
-         "positive-huge-negative", "real-huge", "size-nodes", "size-eta_quad_points", "size-max-degree",
-         "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
+         "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library",
+         "real-eta", "range-library", "range-k", "range-library-product", "positive-library-str",
+         "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
+         "positive-huge", "positive-huge-negative", "real-huge", "size-nodes", "size-eta_quad_points",
+         "size-max-degree", "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
 )
 def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):
     out = tmp_path / "out"
@@ -1391,14 +1415,12 @@ def test_an_integer_argument_is_not_a_bool_or_a_float(call, expected):
          "delta must be a positive real, got True"),
         (lambda: crmorse.m_phi_eta(_model(), True), "eta must be a finite real, got True"),
         (lambda: crmorse.extremal_form(_model(), 0, [0.0], True), "theta must be a finite real, got True"),
-        (lambda: crmorse.inertia(crmorse.HermitianMatrix([[1.0]]), tol=True),
-         "inertia tolerance must be a finite real >= 0, got True"),
         (lambda: _torus_spec(delta=None), "delta must be a positive real, got None"),
         (lambda: _point("heavy"), "sample 'w': weight must be a positive real, got 'heavy'"),
         (lambda: crmorse.m_phi_eta(_model(), [1.0]), "eta must be a finite real, got [1.0]"),
     ],
     ids=["field-delta", "point-weight", "model-delta", "torus-delta", "heisenberg-delta", "rrh_total-delta",
-         "chambers-delta", "m_phi_eta-eta", "extremal_form-theta", "inertia-tol", "torus-delta-none",
+         "chambers-delta", "m_phi_eta-eta", "extremal_form-theta", "torus-delta-none",
          "point-weight-text", "m_phi_eta-eta-list"],
 )
 def test_a_real_argument_is_not_a_bool_or_unreadable(call, expected):

@@ -531,6 +531,40 @@ def test_report_smaller_delta():
         build_morse_report(MIXED, delta=3.0)
 
 
+def gaussian_report(d, r, el, weights):
+    points = [PencilPoint("p%d" % i, HermitianMatrix(a), HermitianMatrix(b), w)
+              for i, (a, b, w) in enumerate(zip(r, el, weights))]
+    return build_morse_report(PencilField(n=d + 1, delta=1.0, points=points))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), points=st.integers(1, 40))
+def test_report_invariant_under_sample_order_splitting_negation_and_frames(seed, d, points):
+    # the densities are a weighted sum over the samples of chamber masses,
+    # each an integral over the signs of R + 2sL: fsum makes the sum exact
+    # in any order, halving a weight is exact, -(R, L) swaps q and d - q,
+    # and a common unitary frame leaves every eigenvalue alone
+    rng = np.random.default_rng(seed)
+    r = [random_hermitian(rng, d) for _ in range(points)]
+    el = [random_hermitian(rng, d) for _ in range(points)]
+    w = rng.uniform(0.5, 1.5, points).tolist()
+    base = gaussian_report(d, r, el, w)
+    total = math.fsum(base.densities)
+    perm = rng.permutation(points).tolist()
+    permuted = gaussian_report(d, [r[i] for i in perm], [el[i] for i in perm], [w[i] for i in perm])
+    assert (permuted.densities, permuted.rrh_total) == (base.densities, base.rrh_total)
+    split = gaussian_report(d, r + r, el + el, [x / 2 for x in w] * 2)
+    if points > 1:
+        assert (split.densities, split.rrh_total) == (base.densities, base.rrh_total)
+    else:  # a stack of one pencil rounds its complex products apart (see pencil)
+        np.testing.assert_allclose(split.densities, base.densities, rtol=0, atol=1e-14 * total)
+    negated = gaussian_report(d, [-a for a in r], [-b for b in el], w)
+    np.testing.assert_allclose(negated.densities[::-1], base.densities, rtol=0, atol=1e-14 * total)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    framed = gaussian_report(d, [u @ a @ u.conj().T for a in r], [u @ b @ u.conj().T for b in el], w)
+    np.testing.assert_allclose(framed.densities, base.densities, rtol=0, atol=1e-14 * total)
+
+
 # -------------------------------------------------- one record per point
 
 
