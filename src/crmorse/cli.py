@@ -264,6 +264,12 @@ def parse_model(data: Any) -> ModelData:
     return ModelData(d=d, lam=np.array(lam), mu=mu, delta=delta)
 
 
+def _integer_entries(m: HermitianMatrix, path: str) -> None:
+    """A spec matrix must have integer entries; the fault names its key."""
+    if not np.array_equal(m.entries, np.round(m.entries)):
+        _fail(path, "must have integer entries")
+
+
 def parse_torus(data: Any) -> TorusBundleSpec:
     from .oracles import TorusBundleSpec
 
@@ -272,6 +278,8 @@ def parse_torus(data: Any) -> TorusBundleSpec:
     lam = _hermitian(_get(doc, "lambda", "$"), "lambda", d, "d")
     mu = _hermitian(_get(doc, "mu", "$"), "mu", d, "d")
     delta = _number(_get(doc, "delta", "$"), "delta")
+    _integer_entries(lam, "lambda")
+    _integer_entries(mu, "mu")
     return TorusBundleSpec(d=d, lambda_mat=lam, mu_mat=mu, delta=delta)
 
 
@@ -286,6 +294,9 @@ def parse_heisenberg(data: Any) -> HeisenbergSpec:
     lam = tuple(_integer(v, "lambda[%d]" % i) for i, v in enumerate(raw_lam))
     mu = _hermitian(_get(doc, "mu", "$"), "mu", d, "d")
     delta = _number(_get(doc, "delta", "$"), "delta")
+    if 0 in lam:
+        _fail("lambda[%d]" % lam.index(0), "must be nonzero")
+    _integer_entries(mu, "mu")
     return HeisenbergSpec(d=d, lambda_vec=lam, mu_mat=mu, delta=delta)
 
 
@@ -392,28 +403,34 @@ def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: 
         sys.stdout.write(text)
 
 
-def _xq_doc(x) -> Dict:
-    return {"holds": x.holds, "maxDelta": x.max_delta}
+def _report_doc(rep: MorseReport, k: Optional[int] = None, source: Optional[str] = None) -> Dict:
+    """The Morse report document of ``rep``, whose keys every command that
+    reports a field takes, with the level ``k`` and its weak bounds when k
+    is set.  With ``source`` set, every density and sum is first checked
+    finite, a range error naming ``source``; a level error names --k."""
+    from .morse import _weak_bounds
 
-
-def _positivity_doc(p) -> Dict:
-    return {
-        "positiveEverywhere": p.positive_everywhere,
-        "semiPositiveDelta": p.semi_positive_delta,
-        "positiveSomewhere": p.positive_somewhere,
+    if source is not None:
+        _float_range(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], _REPORT_RANGE % source)
+    pos = rep.positivity
+    doc = {
+        "n": rep.n,
+        "delta": rep.delta,
+        "densities": list(rep.densities),
+        "strongSums": list(rep.strong_sums),
+        "rrhTotal": rep.rrh_total,
+        "xq": [{"holds": x.holds, "maxDelta": x.max_delta} for x in rep.xq],
+        "positivity": {
+            "positiveEverywhere": pos.positive_everywhere,
+            "semiPositiveDelta": pos.semi_positive_delta,
+            "positiveSomewhere": pos.positive_somewhere,
+        },
+        "bigness": {"big": rep.bigness.big, "reason": rep.bigness.reason},
     }
-
-
-def _weak_bounds(rep: MorseReport, k: Optional[int], source: str) -> Optional[List[float]]:
-    """k^n times each density (None without k), once every density and sum
-    of the report is checked finite.  The input error names ``source``
-    for a report out of range and --k for a k below 1 or a weak bound out
-    of range."""
-    _float_range(lambda: rep.densities + rep.strong_sums + [rep.rrh_total], _REPORT_RANGE % source)
-    if k is None:
-        return None
-    _int_arg(k, "--k", 1)
-    return _float_range(lambda: [k**rep.n * dens for dens in rep.densities], _REPORT_RANGE % "--k")
+    if k is not None:
+        doc["k"] = k
+        doc["weakBounds"] = _weak_bounds(k, rep.n, rep.densities, "--k")
+    return doc
 
 
 def _emit_report(args, command: str, raw: bytes, field: PencilField, started: float,
@@ -423,22 +440,10 @@ def _emit_report(args, command: str, raw: bytes, field: PencilField, started: fl
     from .morse import build_morse_report
 
     rep = build_morse_report(field, delta=delta)
-    weak = _weak_bounds(rep, args.k, source)
-    doc = {
-        "n": rep.n,
-        "delta": rep.delta,
-        "densities": list(rep.densities),
-        "strongSums": list(rep.strong_sums),
-        "rrhTotal": rep.rrh_total,
-        "xq": [_xq_doc(x) for x in rep.xq],
-        "positivity": _positivity_doc(rep.positivity),
-        "bigness": {"big": rep.bigness.big, "reason": rep.bigness.reason},
-    }
-    if args.k is not None:
-        doc["k"] = args.k
-        doc["weakBounds"] = weak
+    doc = _report_doc(rep, args.k, source)
+    weak = doc.get("weakBounds", [""] * len(rep.densities))
     rows = [
-        [q, dens, rep.strong_sums[q], "" if weak is None else weak[q], rep.xq[q].holds, rep.xq[q].max_delta]
+        [q, dens, rep.strong_sums[q], weak[q], rep.xq[q].holds, rep.xq[q].max_delta]
         for q, dens in enumerate(rep.densities)
     ]
     csv_text = csv_table(
@@ -497,13 +502,8 @@ def _cmd_classify(args, started):
     _int_arg(args.threads, "--threads", 1)
     rep = build_morse_report(field)
     positivity, big = rep.positivity, rep.bigness
-    result = {
-        "n": field.n,
-        "delta": field.delta,
-        "positivity": _positivity_doc(positivity),
-        "bigness": {"big": big.big, "reason": big.reason},
-        "xq": [_xq_doc(x) for x in rep.xq],
-    }
+    doc = _report_doc(rep)
+    result = {key: doc[key] for key in ("n", "delta", "positivity", "bigness", "xq")}
     rows = [
         ["positive_everywhere", positivity.positive_everywhere],
         [
@@ -622,22 +622,29 @@ def _cmd_bergman(args, started):
     _emit(args, "bergman-check", raw, result, csv_table(["key", "value"], rows), started)
 
 
-def _load_or_make_cal(path) -> LatticeCalibration:
-    """The --cal record at ``path``, derived and saved there if absent."""
-    from .oracles import calibrate, load_calibration, save_calibration
+def _calibrate_to(path, flag: str) -> LatticeCalibration:
+    """A freshly derived calibration record, saved at ``path``; a write
+    error names ``flag``."""
+    from .oracles import calibrate, save_calibration
 
-    p = Path(path)
-    if p.is_file():
-        try:
-            return load_calibration(p)
-        except OSError as exc:
-            raise _file_error("--cal", "read", path, exc) from exc
     cal = calibrate()
     try:
-        save_calibration(cal, p)
+        save_calibration(cal, path)
     except OSError as exc:
-        raise _file_error("--cal", "write", path, exc) from exc
+        raise _file_error(flag, "write", path, exc) from exc
     return cal
+
+
+def _load_or_make_cal(path) -> LatticeCalibration:
+    """The --cal record at ``path``, derived and saved there if absent."""
+    from .oracles import load_calibration
+
+    if not Path(path).is_file():
+        return _calibrate_to(path, "--cal")
+    try:
+        return load_calibration(path)
+    except OSError as exc:
+        raise _file_error("--cal", "read", path, exc) from exc
 
 
 def _torus_report(args, spec: TorusBundleSpec):
@@ -661,21 +668,13 @@ def _cmd_torus_demo(args, started):
     cal, _, rep = _torus_report(args, spec)
     k = args.k
     oracle = _dimension_sums(spec, k, cal, "--k")
-    weak = _weak_bounds(rep, k, "mu")
+    doc = _report_doc(rep, k, "mu")
     qs = range(spec.d + 1) if args.q is None else [args.q]
-    result = {
-        "d": spec.d,
-        "delta": spec.delta,
-        "k": k,
-        "densities": list(rep.densities),
-        "weakBounds": weak,
-        "oracleDims": oracle,
-        "strongSums": list(rep.strong_sums),
-        "rrhTotal": rep.rrh_total,
-    }
+    result = {key: doc[key] for key in ("delta", "k", "densities", "weakBounds", "strongSums", "rrhTotal")}
+    result.update(d=spec.d, oracleDims=oracle)
     csv_text = csv_table(
         ["q", "density", "weak_bound", "oracle_dim"],
-        [[q, rep.densities[q], weak[q], oracle[q]] for q in qs],
+        [[q, rep.densities[q], doc["weakBounds"][q], oracle[q]] for q in qs],
     )
     _emit(args, "torus-demo", raw, result, csv_text, started)
 
@@ -693,13 +692,7 @@ def _cmd_levi_flat_demo(args, started):
 
 
 def _cmd_calibrate(args, started):
-    from .oracles import calibrate, save_calibration
-
-    cal = calibrate()
-    try:
-        save_calibration(cal, args.out)
-    except OSError as exc:
-        raise _file_error("--out", "write", args.out, exc) from exc
+    cal = _calibrate_to(args.out, "--out")
     sys.stdout.write(
         "calibration written to %s (c_dim=%s, c_mode=%s)\n"
         % (args.out, cal.c_dim, cal.c_mode)
@@ -714,6 +707,7 @@ _MAX_LEVELS = 1000  # levels k of one convergence sweep, at most
 
 
 def _cmd_convergence(args, started):
+    from .morse import _weak_bounds
     from .oracles import _WINDOW_RANGE, _dimension_sums
 
     if not (args.input or args.example):
@@ -738,11 +732,13 @@ def _cmd_convergence(args, started):
     # a --kmax beyond the last level reached is not an error
     _float_range(lambda: ks[0] * spec.delta, _WINDOW_RANGE % ("--kmin", _digits(kmin)))
     _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", _digits(kmax)))
+    # the last level has the largest bound, so it is checked first: a range
+    # error shows the digits of the level --kmax reached
+    bounds = [_weak_bounds(k, rep.n, [dens], "--kmax")[0] for k in reversed(ks)][::-1]
     oracles = []
     for k in ks:
         sums = _dimension_sums(spec, k, cal)
         oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
-    bounds = _float_range(lambda: [k**rep.n * dens for k in ks], _REPORT_RANGE % "--kmax")
     ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
     rows = [
         {"k": k, "oracle": o, "bound": b, "ratio": r}

@@ -111,16 +111,11 @@ def m_phi_eta(data: ModelData, eta: float) -> HermitianMatrix:
     return HermitianMatrix(data.mu.entries - 2.0 * eta * np.diag(data.lam))
 
 
-def _eta_pencil(data: ModelData) -> Tuple[HermitianMatrix, HermitianMatrix]:
-    # mu + 2s(-diag lam) at s = eta reproduces m_phi_eta
-    return data.mu, HermitianMatrix(np.diag(-data.lam).astype(complex))
-
-
 def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass of each
-    q-signature set."""
-    r, el = _eta_pencil(data)
-    dec, _, _, masses = _decompose(r, el, data.delta)
+    q-signature set: the pencil mu + 2s(-diag lam) at s = eta is M_eta."""
+    el = HermitianMatrix(np.diag(-data.lam).astype(complex))
+    dec, _, _, masses = _decompose(data.mu, el, data.delta)
     return dec, masses
 
 
@@ -204,28 +199,6 @@ def _permanents(a: np.ndarray) -> np.ndarray:
     return total / (1 << (p - 1))
 
 
-def _bergman_gram(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: int) -> np.ndarray:
-    """bergman_bruteforce's monomial Gram matrix at M_eta = m, of inertia ine."""
-    if ine.pos != data.d:
-        raise InputError("brute-force Bergman oracle needs M_Phi_eta positive definite, got %r" % (ine,))
-    cov = np.linalg.inv(m.entries)
-    mass = TWO_PI**data.d / float(np.linalg.det(m.entries).real)
-    size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
-    gram = np.zeros((size, size), dtype=complex)
-    off = 0
-    for deg in range(max_degree + 1):
-        idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
-        block = gram[off : off + len(idx), off : off + len(idx)]
-        off += len(idx)
-        step = max(1, _GATHER_ENTRIES // max(1, idx.size * idx.shape[1]))
-        for r0 in range(0, len(idx), step):
-            # the gathered stack is [r, c] -> cov[np.ix_(idx[r0 + r], idx[c])]
-            block[r0 : r0 + step] = mass * _permanents(
-                np.take(cov[idx[r0 : r0 + step]], idx, axis=2).transpose(0, 2, 1, 3)
-            )
-    return gram
-
-
 def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     """Monomial Gram oracle for the degree-0 Bergman density at z=0.
 
@@ -254,8 +227,25 @@ def _degree_cap(d: int) -> int:
 
 
 def _bruteforce(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: int) -> float:
-    """bergman_bruteforce at M_eta = m, whose inertia is ine."""
-    gram = _bergman_gram(data, m, ine, max_degree)
+    """bergman_bruteforce at M_eta = m, whose inertia is ine: the monomial
+    Gram matrix, built block by block, and its (G^-1)_00."""
+    if ine.pos != data.d:
+        raise InputError("brute-force Bergman oracle needs M_Phi_eta positive definite, got %r" % (ine,))
+    cov = np.linalg.inv(m.entries)
+    mass = TWO_PI**data.d / float(np.linalg.det(m.entries).real)
+    size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
+    gram = np.zeros((size, size), dtype=complex)
+    off = 0
+    for deg in range(max_degree + 1):
+        idx = np.array(list(itertools.combinations_with_replacement(range(data.d), deg)), np.intp)
+        block = gram[off : off + len(idx), off : off + len(idx)]
+        off += len(idx)
+        step = max(1, _GATHER_ENTRIES // max(1, idx.size * idx.shape[1]))
+        for r0 in range(0, len(idx), step):
+            # the gathered stack is [r, c] -> cov[np.ix_(idx[r0 + r], idx[c])]
+            block[r0 : r0 + step] = mass * _permanents(
+                np.take(cov[idx[r0 : r0 + step]], idx, axis=2).transpose(0, 2, 1, 3)
+            )
     sol = np.linalg.solve(gram, np.eye(1, len(gram), dtype=complex)[0])  # G^-1 e_0
     return float(sol[0].real)
 

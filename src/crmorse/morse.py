@@ -54,8 +54,10 @@ REASON_INCONCLUSIVE = "criteria inconclusive"
 
 _CHUNK = 256  # sample points decomposed together in one stacked pass, which bounds its memory
 
-# the range error of a level k, named by the caller, whose power k^n leaves float range
+# the range errors of a level k, named by the argument or flag that set it:
+# its power k^n, or the weak bound k^n c_q of a density, leaves float range
 _POWER_RANGE = "%s: an integer of %d digits, whose power n = %d leaves floating-point range"
+_BOUND_RANGE = "%s: an integer of %d digits, whose weak bound k^%d c_q leaves floating-point range"
 
 
 class PencilPoint(_Frozen):
@@ -182,17 +184,26 @@ def density_q(field: PencilField, q: int, delta: float) -> float:
     return build_morse_report(field, delta).densities[q]
 
 
+def _weak_bounds(k, n: int, densities: List[float], name: str) -> List[float]:
+    """k^n times each of ``densities``, once k is an integer >= 1: k^n is
+    formed exactly and rounded to float once, so every caller rounds alike.
+    A k^n or a product beyond floating-point range is an InputError naming
+    ``name``; a k whose bit length puts k^n past range is refused before
+    any power is formed."""
+    k = _int_arg(k, name, 1)
+    power = _float_range(
+        lambda: float(k**n) if (k.bit_length() - 1) * n < 1024 else math.inf,  # else k^n >= 2^1024
+        _POWER_RANGE % (name, _digits(k), n),
+    )
+    return _float_range(lambda: [power * c for c in densities], _BOUND_RANGE % (name, _digits(k), n))
+
+
 def weak_bound(field: PencilField, q: int, delta: float, k: int) -> float:
     """k^n * c_q(delta), the weak Morse bound prefactor at level k.  Like
     density_q it raises for a fault anywhere in the field window, also at a
     smaller ``delta``; k^n or k^n c_q beyond floating-point range is an
     InputError naming k."""
-    k = _int_arg(k, "k", 1)
-    power = _float_range(lambda: float(k) ** field.n, _POWER_RANGE % ("k", _digits(k), field.n))
-    density = density_q(field, q, delta)
-    return _float_range(
-        lambda: power * density, "k: the weak bound k^%d c_%d at this k leaves floating-point range" % (field.n, q)
-    )
+    return _weak_bounds(k, field.n, [density_q(field, q, delta)], "k")[0]
 
 
 def rrh_total(field: PencilField, delta: float) -> float:

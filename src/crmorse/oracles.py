@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import CalibrationError, InputError, _digits, _float_range, _int_arg, _positive_arg
-from .morse import _POWER_RANGE, TWO_PI, PencilField, PencilPoint, density_q
+from .morse import TWO_PI, PencilField, PencilPoint, _weak_bounds, density_q
 from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
@@ -588,27 +588,26 @@ def calibrate_weight(
 
     Extracts the oracle's leading coefficient by a two-point Richardson
     step at (k0, 2k0), which cancels the k^{n-1} correction that a naive
-    single-k match would bake into the weight, then divides by the
-    weight-1 density.
+    single-k match would bake into the weight: the weight is the
+    Richardson excess y(2k0) - 2^{n-1} y(k0) over 2^{n-1} times the weak
+    bound k0^n c_q of the weight-1 field.
     """
-    k0 = _int_arg(k0, "k0", 1)
     field = torus_bundle_field(spec)
     n = field.n
-    # checked before the sums at k0 and 2 k0
-    scale = _float_range(lambda: 2 ** (n - 1) * float(k0) ** n, _POWER_RANGE % ("k0", _digits(k0), n))
-    y1 = fourier_dimension_sum(spec, q, k0, cal)
-    y2 = fourier_dimension_sum(spec, q, 2 * k0, cal)
     dens = density_q(field, q, spec.delta)
+    bound = _weak_bounds(k0, n, [dens], "k0")[0]  # checked before the sums at k0 and 2 k0
     if dens <= 0.0:
         raise InputError(
             "q=%d spectral density vanishes for this spec; nothing to calibrate" % q
         )
-    lead = _float_range(
-        lambda: (y2 - 2 ** (n - 1) * y1) / scale,
+    y1 = fourier_dimension_sum(spec, q, k0, cal)
+    y2 = fourier_dimension_sum(spec, q, 2 * k0, cal)
+    weight = _float_range(
+        lambda: (y2 - 2 ** (n - 1) * y1) / 2 ** (n - 1) / bound,
         "k0: the oracle dimension sums at k0 and 2 k0 leave floating-point range",
     )
-    if lead <= 0.0:
+    if weight <= 0.0:
         raise InputError(
             "oracle dimension sums do not grow like k^%d; cannot extract a weight" % n
         )
-    return lead / dens
+    return weight

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from typing import Any
 
 import numpy as np
@@ -35,12 +34,8 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
-    if isinstance(obj, numbers.Rational):  # a Fraction: ints were caught above
-        return json.dumps("%d/%d" % (obj.numerator, obj.denominator))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, complex):
-        return "[%s, %s]" % (format_float(obj.real), format_float(obj.imag))
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):

@@ -1233,6 +1233,11 @@ def _model(mu=3.0):
     return crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[mu]]), delta=1.0)
 
 
+# c_0 = 2e300 / (2 pi)^2: in range, but not times k^2 = 1e10
+BIG_C0 = {"schema": "crmorse/field-v1", "n": 2, "delta": 1.0,
+          "points": [{"label": "p", "R": [[[1e300, 0.0]]], "L": [[[0.0, 0.0]]]}]}
+BIG_LEVI = {"schema": "crmorse/leviflat-v1", "d": 1, "mu": [[[1e300, 0.0]]], "delta": 1.0}
+
 MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
             "mu": [[[3.1 if i == j else 0.1, 0.0] for j in range(4)] for i in range(4)]}
 
@@ -1259,11 +1264,19 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
         (["bergman-check", "--q", "0", "--eta", "nan"], MODEL_DOC, "--eta must be a finite real, got nan"),
         (lambda: crmorse.weak_bound(_field(), 0, 1.0, K200), None,
          "k: an integer of 201 digits, whose power n = 2 leaves floating-point range"),
-        (["morse", "--k", str(K200)], MINIMAL, "--k: the reported values leave floating-point range"),
+        (["morse", "--k", str(K200)], MINIMAL,
+         "--k: an integer of 201 digits, whose power n = 2 leaves floating-point range"),
         # k^n = 1e10 and c_0 are in range, their product is not
         (lambda: crmorse.weak_bound(crmorse.PencilField(2, 1.0, [crmorse.PencilPoint(
             "p", crmorse.HermitianMatrix([[1e300]]), crmorse.HermitianMatrix([[0.0]]))]), 0, 1.0, 10**5), None,
-         "k: the weak bound k^2 c_0 at this k leaves floating-point range"),
+         "k: an integer of 6 digits, whose weak bound k^2 c_q leaves floating-point range"),
+        (["morse", "--k", "100000"], BIG_C0,
+         "--k: an integer of 6 digits, whose weak bound k^2 c_q leaves floating-point range"),
+        (["levi-flat-demo", "--k", "100000"], BIG_LEVI,
+         "--k: an integer of 6 digits, whose weak bound k^2 c_q leaves floating-point range"),
+        # the window k * delta of 10^160 fits, its power k^2 does not
+        (["convergence", "--example", "torus-d1", "--kmin", str(10**160), "--kmax", str(10**160)], None,
+         "--kmax: an integer of 161 digits, whose power n = 2 leaves floating-point range"),
         # a real argument is a number: float() would read these strings
         (lambda: crmorse.density_q(_field(), 0, "0.5"), None, "delta must be a positive real <= 1, got '0.5'"),
         (lambda: crmorse.density_q(_field(), 0, b"0.5"), None, "delta must be a positive real <= 1, got b'0.5'"),
@@ -1299,7 +1312,8 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
     ],
     ids=["int-library", "int-library-lower", "int-point", "int-threads", "int-kmin", "int-kmax", "int-kstep",
          "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library",
-         "real-eta", "range-library", "range-k", "range-library-product", "positive-library-str",
+         "real-eta", "range-library", "range-k", "range-library-product", "range-k-product",
+         "range-levi-flat-product", "range-kmax-power", "positive-library-str",
          "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
          "positive-huge", "positive-huge-negative", "real-huge", "size-nodes", "size-eta_quad_points",
          "size-max-degree", "size-max_degree", "size-kstep", "size-kstep-huge-bound"],

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from crmorse.errors import (
 )
 from crmorse.model import (
     ModelData,
-    _bergman_gram,
     _frame,
     _gauss_legendre,
     _permanents,
@@ -269,11 +269,15 @@ def _random_positive_model(rng, d):
 def test_bergman_bruteforce_matches_scalar_gram(seed, d, deg):
     data, eta = _random_positive_model(np.random.default_rng(seed), d)
     assert bergman_bruteforce(data, eta, deg) == scalar_bergman_bruteforce(data, eta, deg)
-    # The value at z=0 reads only the degree-0 block, so compare G itself.
-    # Not bit for bit: numpy's array complex multiply may be fused (FMA)
-    # where its scalar multiply is not, which moves the last bits.
-    m = m_phi_eta(data, eta)
-    gram = _bergman_gram(data, m, inertia(m), deg)
+    # The value at z=0 reads only the degree-0 block, so compare G itself,
+    # the matrix bergman_bruteforce solves.  Not bit for bit: numpy's array
+    # complex multiply may be fused (FMA) where its scalar multiply is not,
+    # which moves the last bits.
+    solved = []
+    solve = np.linalg.solve
+    with mock.patch.object(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b)):
+        bergman_bruteforce(data, eta, deg)
+    (gram,) = solved
     ref = scalar_bergman_gram(data, eta, deg)
     np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crmorse.morse
-from crmorse.cli import run, serialize_field
+from crmorse.cli import DEFAULT_HEISENBERG_DOC, parse_heisenberg, run, serialize_field
 from crmorse.errors import DegeneratePencilError, InputError
 from crmorse.morse import (
     REASON_INCONCLUSIVE,
@@ -35,8 +37,9 @@ from crmorse.morse import (
     weak_bound,
 )
 from crmorse.model import ModelData
-from crmorse.oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
+from crmorse.oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec, heisenberg_field
 from crmorse.pencil import HermitianMatrix, RealPolynomial
+from crmorse.serialize import canonical_json
 from oracle_tools import (
     oracle_signature_intervals,
     random_hermitian,
@@ -644,6 +647,30 @@ def test_public_reductions_equal_report_fields(seed, d, points, delta):
     assert strong_sums(field, delta) == report.strong_sums
     assert classify_bundle(field) == report.positivity
     assert bigness_verdict(field) == report.bigness
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.none() | st.integers(0, 10**6), d=st.integers(1, 8), k=st.integers(1, 10**6))
+@example(seed=None, d=2, k=451590)  # float(k) ** 3 rounds this k^3 c_0 one ulp low
+def test_weak_bound_is_the_cli_weak_bound_bit_for_bit(seed, d, k):
+    # seed None is the default heisenberg-demo document (n = 3), else a random
+    # integer field of dimension n = d + 1, through morse --input
+    with tempfile.TemporaryDirectory() as tmp:
+        if seed is None:
+            field = heisenberg_field(parse_heisenberg(canonical_json(DEFAULT_HEISENBERG_DOC)))
+            argv = ["heisenberg-demo"]
+        else:
+            field = random_field(seed, d, 2)
+            inp = Path(tmp) / "f.json"
+            inp.write_text(json.dumps(serialize_field(field)))
+            argv = ["morse", "--input", str(inp)]
+        out = Path(tmp) / "out.json"
+        code = run(argv + ["--k", str(k), "--out", str(out)])
+        if code == 3:  # a degenerate random pencil
+            return
+        assert code == 0
+        weak = json.loads(out.read_text())["result"]["weakBounds"]
+    assert [weak_bound(field, q, field.delta, k) for q in range(field.dim + 1)] == weak
 
 
 # ------------------------------------------- batched engine, one pencil at a time

@@ -164,13 +164,20 @@ def _with(doc, *changes):
         (parse_torus, _with(torus(), (["mu", 1, 1, 1], math.inf), (["delta"], -1)),
          "mu[1][1][1]: expected a finite number, got inf"),
         (parse_torus, _with(torus(), (["lambda", 0, 0, 0], 0.5), (["mu", 1, 1, 0], 0.25)),
-         "lambda_mat must have integer entries"),
+         "lambda: must have integer entries"),
         (parse_heisenberg, _with(heisenberg(), (["lambda", 0], 1.5), (["mu", 0, 1], [0])),
          "lambda[0]: expected an integer, got 1.5"),
         (parse_heisenberg, _with(heisenberg(), (["mu", 1, 0, 0], False), (["delta"], math.nan)),
          "mu[1][0][0]: expected a real number, got False"),
         (parse_heisenberg, _with(heisenberg(), (["mu", 0, 1], [1, 4]), (["lambda", 1], 0)),
          "mu: matrix is not Hermitian: max |A - A*| = 4.000e+00 exceeds tolerance 5.123e-09"),
+        # the spec checks run once every key has parsed, and name the key
+        (parse_torus, _with(torus(), (["mu", 0, 0, 0], 1.5), (["delta"], -1)),
+         "mu: must have integer entries"),
+        (parse_heisenberg, _with(heisenberg(), (["lambda", 1], 0), (["mu", 0, 0, 0], 0.5)),
+         "lambda[1]: must be nonzero"),
+        (parse_heisenberg, _with(heisenberg(), (["mu", 1, 1, 0], 2.5), (["delta"], 0)),
+         "mu: must have integer entries"),
     ],
 )
 def test_matrix_documents_name_first_fault(parse, doc, expected):

@@ -128,6 +128,17 @@ def test_char_poly_dimension_mismatch():
         pencil_char_poly(hm([[1.0]]), hm(np.eye(2)))
 
 
+def test_char_poly_of_a_common_kernel_is_zero():
+    # R and L share a kernel vector, so det(R + 2sL) vanishes for every s
+    # and every probe is singular
+    for d, r, el in ((2, [[3.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]),
+                     (3, np.diag([0.0, 2.0, -1.0]), [[0.0, 0.0, 0.0], [0.0, 1.0, 1j], [0.0, -1j, 4.0]])):
+        p = pencil_char_poly(hm(r), hm(el))
+        assert p.coeffs.tolist() == [0.0] * (d + 1)
+        assert real_roots(p, -1.0, 1.0, 1e-9) is IDENTICALLY_ZERO
+    assert repr(IDENTICALLY_ZERO) == "IDENTICALLY_ZERO"
+
+
 def test_char_poly_interpolation_oracle():
     # evaluate the recovered polynomial at fresh points and compare with
     # direct determinant evaluation
