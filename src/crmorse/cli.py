@@ -369,8 +369,6 @@ def _read_input(args, default_doc: Optional[Dict] = None) -> bytes:
             return Path(path).read_bytes()
         except OSError as exc:
             raise _file_error("--input", "read", path, exc) from exc
-    if default_doc is None:
-        raise InputError("this command requires --input")
     return (canonical_json(default_doc) + "\n").encode()
 
 
@@ -729,11 +727,11 @@ def _cmd_convergence(args, started):
     if dens == 0.0:
         raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
     # windows grow with k, so the first and last levels swept bound the rest;
-    # a --kmax beyond the last level reached is not an error
-    _float_range(lambda: ks[0] * spec.delta, _WINDOW_RANGE % ("--kmin", _digits(kmin)))
-    _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", _digits(kmax)))
-    # the last level has the largest bound, so it is checked first: a range
+    # a --kmax beyond the last level reached is not an error, and a range
     # error shows the digits of the level --kmax reached
+    _float_range(lambda: ks[0] * spec.delta, _WINDOW_RANGE % ("--kmin", _digits(kmin)))
+    _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", _digits(ks[-1])))
+    # the last level has the largest bound, so it is checked first
     bounds = [_weak_bounds(k, rep.n, [dens], "--kmax")[0] for k in reversed(ks)][::-1]
     oracles = []
     for k in ks:

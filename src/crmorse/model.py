@@ -39,6 +39,7 @@ from .pencil import (
     Inertia,
     _decompose,
     _Frozen,
+    _gauss_legendre,
     _sign_tols,
     inertia,
     signature_set,
@@ -254,36 +255,6 @@ def szego_density(data: ModelData, q: int) -> float:
     """(2pi)^{-n} integral of |det M_eta| over the q-chambers in eta."""
     q = _int_arg(q, "q", 0, data.d)
     return _szego_table(data)[1][q]
-
-
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
-
-    Newton's method on P_n, evaluated by its three-term recurrence, for the
-    nodes in [0, 1); the others mirror them.  The first guesses are
-    Tricomi's, with the n^-4 term.  Newton converges like
-    e' <= n^2 e^2 / 5, so it stops once n^2 dx^2 is below rounding: two
-    passes of the recurrence at n = 256.  The weights
-    2 / ((1 - x^2) P_n'(x)^2) take P_n' at the final nodes from its value
-    at the last iterate plus the step times P_n'', which Legendre's
-    equation gives.
-    """
-    m = (n + 1) // 2
-    theta = np.pi * (4 * np.arange(1, m + 1) - 1) / (4 * n + 2)
-    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
-    for _ in range(100):
-        p0, p1 = np.ones(m), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
-        dp = dp - dx * (2.0 * x * dp - n * (n + 1) * p1) / (1.0 - x * x)  # (1 - x^2) P'' = 2x P' - n(n+1) P
-        x = x - dx
-        if n * n * float(np.abs(dx).max()) ** 2 <= 2e-16:
-            break
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    h = n // 2
-    return np.concatenate([-x, x[:h][::-1]]), np.concatenate([w, w[:h][::-1]])
 
 
 def _fsum_columns(terms: np.ndarray) -> np.ndarray:

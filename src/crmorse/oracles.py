@@ -276,25 +276,29 @@ def save_calibration(cal: LatticeCalibration, path) -> None:
 def load_calibration(path) -> LatticeCalibration:
     p = Path(path)
     if not p.is_file():
-        raise InputError(
-            "calibration record not found at %s (generate it with calibrate)" % p
-        )
+        raise InputError("calibration record not found at %s (generate it with calibrate)" % p)
+    malformed = "calibration record %s is malformed: " % p
     try:
         doc = json.loads(p.read_bytes().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError("calibration record %s is not valid JSON: %s" % (p, exc)) from exc
     except ValueError as exc:  # bytes that are not UTF-8, an integer too long to convert
-        raise InputError("calibration record %s is malformed: %s" % (p, exc)) from exc
+        raise InputError(malformed + str(exc)) from exc
     if not isinstance(doc, dict):
-        raise InputError("calibration record %s is malformed: expected a JSON object" % p)
+        raise InputError(malformed + "expected a JSON object")
+    constants = {}
+    for key in ("c_mode", "c_dim"):  # each read on its own, so that a fault names its key
+        try:
+            constants[key] = Fraction(doc[key])
+        except KeyError:
+            raise InputError(malformed + key + " is missing") from None
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:  # OverflowError: Infinity
+            got = json.dumps(doc[key])
+            raise InputError(malformed + "%s must be a number or a fraction string, got %s" % (key, got)) from exc
     try:
-        cal = LatticeCalibration(
-            c_mode=Fraction(doc["c_mode"]),
-            c_dim=Fraction(doc["c_dim"]),
-            provenance=doc.get("provenance", {}),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:  # OverflowError: Infinity
-        raise InputError("calibration record %s is malformed: %s" % (p, exc)) from exc
+        cal = LatticeCalibration(provenance=doc.get("provenance", {}), **constants)
+    except InputError as exc:  # c_dim <= 0
+        raise InputError(malformed + str(exc)) from exc
     verify_calibration(cal)
     return cal
 

@@ -19,12 +19,12 @@ eigenvalue decomposition per pencil:
 * Roots.  Take the probe x0 with the largest min|eig| / max|eig| and the
   eigenvalues nu_i of N = A(x0)^-1 L.  A(x) = A(x0) (I + 2 (x - x0) N), so
 
-      det A(x) = det A(x0) prod_i ((1 - 2 x0 nu_i) + 2 nu_i x).
+      det A(x) = det A(x0) prod_i (a0_i + b_i x),  a0_i = 1 - 2 x0 nu_i,  b_i = 2 nu_i.
 
   The roots are x0 - 1/(2 nu_i); a singular L only sends some of them to
-  infinity.  Expanding the product gives the coefficients.  This is the QZ
-  idea of Moler and Stewart (SIAM J. Numer. Anal. 10, 1973), made cheap by
-  the shift: one batched solve and one batched eigenvalue call.
+  infinity.  This is the QZ idea of Moler and Stewart (SIAM J. Numer.
+  Anal. 10, 1973), made cheap by the shift: one batched solve and one
+  batched eigenvalue call.
 * Resolution.  Roots within _WIDTH = 1e-5 (in units of delta) of each
   other and of the real axis are one root, their mean, and a root that
   close to +-delta is not a chamber boundary.  A tangency, where an
@@ -36,15 +36,15 @@ eigenvalue decomposition per pencil:
   ring's mean (_real_roots).  Semisimple repeated roots (several
   eigenvalues crossing 0 at one s) come out exact to rounding.
 * Chambers.  Inertia is read at each chamber's midpoint, in one eigenvalue
-  call over every chamber of the stack.  The |det| mass of a chamber is the
-  difference of the exact antiderivative of p at its ends.
+  call over every chamber of the stack.  Masses and the signed integral
+  are Gauss-Legendre rules on the factors (_det_integrals), which multiplied
+  out would cancel: by up to 1e-1 of a mass at d = 96.
 
 Each stage is one numpy call on the whole (n, d, d) stack, and the result
 is arrays too, a _Window per window; only the one-pencil path, _decompose,
-builds Chamber objects.  A pencil's roots and chambers are bit for bit
-what it gets alone, and its masses agree to rounding: numpy may round a
-complex product differently at different array lengths.  Callers with many
-pencils pass them in chunks (see morse._CHUNK) to keep memory bounded.
+builds Chamber objects.  A pencil's roots, chambers and masses are bit for
+bit what it gets alone (_det_integrals).  Callers with many pencils pass
+them in chunks (see morse._CHUNK) to keep memory bounded.
 """
 
 from __future__ import annotations
@@ -299,15 +299,6 @@ class RealPolynomial(_Frozen):
         return RealPolynomial(polyint(self.coeffs))
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """numpy.polynomial.polynomial.polyval of coefficient row c[i] (ascending)
-    at every x[i, :], in polyval's order of operations."""
-    v = c[:, -1:] + x * 0
-    for i in range(2, c.shape[1] + 1):
-        v = c[:, -i, None] + v * x
-    return v
-
-
 def _units(r: np.ndarray, el: np.ndarray, delta: float):
     """The pencils of the (n, d, d) stacks in the engine's units, and their
     tolerances: (e, rn, ln, tols).
@@ -342,25 +333,66 @@ def _probe(r: np.ndarray, el: np.ndarray, delta: float):
 
 
 def _spectrum(rn: np.ndarray, ln: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """The complex roots (n, d) and the ascending real coefficients
-    (n, d + 1) of det(rn + 2x ln) for each pencil, from the eigenvalues of
-    A(x0)^-1 ln at the probe x0 with the largest min|eig| / max|eig|.  Every
-    pencil must have a probe where A is not singular."""
+    """(roots, c0, a0, b): the complex roots (n, d) of det(rn + 2x ln) = c0
+    prod_i (a0_i + b_i x) for each pencil, from the eigenvalues of A(x0)^-1 ln
+    at the probe x0 with the largest min|eig| / max|eig|.  Every pencil must
+    have a probe where A is not singular."""
     a = np.abs(w)
     with np.errstate(invalid="ignore"):  # 0/0 at a probe where A vanishes
         k = np.nan_to_num(a.min(axis=2) / a.max(axis=2)).argmax(axis=1)
     x0 = x[k]
     nu = np.linalg.eigvals(np.linalg.solve(rn + (2.0 * x0)[:, None, None] * ln, ln))
     b = 2.0 * nu
-    a0 = 1.0 - x0[:, None] * b  # det A(x) = det A(x0) prod_i (a0_i + b_i x)
-    c = np.zeros((len(k), rn.shape[-1] + 1), dtype=complex)
-    c[:, 0] = np.prod(w[np.arange(len(k)), k], axis=1)
-    for i in range(nu.shape[1]):
-        c[:, 1:] = c[:, 1:] * a0[:, i, None] + c[:, :-1] * b[:, i, None]
-        c[:, 0] *= a0[:, i]
+    a0 = 1.0 - x0[:, None] * b
+    c0 = np.prod(w[np.arange(len(k)), k], axis=1)  # det A(x0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # nu = 0: a root at infinity
         roots = x0[:, None] - 0.5 / nu
-    return roots, c.real
+    return roots, c0, a0, b
+
+
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Newton's method on P_n (three-term recurrence) for the nodes in [0, 1),
+    the others mirrored, from Tricomi's guesses with the n^-4 term; it stops
+    once n^2 dx^2 is below rounding (e' <= n^2 e^2 / 5).  The weights
+    2 / ((1 - x^2) P_n'(x)^2) take P_n' at the final nodes from the last
+    iterate's plus the step times P_n'', from Legendre's equation; they are
+    scaled to sum to 2, as in numpy's leggauss.
+    """
+    m = (n + 1) // 2
+    theta = np.pi * (4 * np.arange(1, m + 1) - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    for _ in range(100):
+        p0, p1 = np.ones(m), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        dx = p1 / dp
+        dp = dp - dx * (2.0 * x * dp - n * (n + 1) * p1) / (1.0 - x * x)  # (1 - x^2) P'' = 2x P' - n(n+1) P
+        x = x - dx
+        if n * n * float(np.abs(dx).max()) ** 2 <= 2e-16:
+            break
+    h = n // 2
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = np.concatenate([w, w[:h][::-1]])
+    return np.concatenate([-x, x[:h][::-1]]), w * (2.0 / w.sum())
+
+
+def _det_integrals(rule, c0, a0, b, lo, hi, signed: bool) -> np.ndarray:
+    """Each row's integral over [lo, hi] of det(x) = Re c0 prod_j (a0_j + b_j x),
+    or of |det(x)| unless ``signed``, by ``rule``: _gauss_legendre(d // 2 + 1),
+    exact for degree d where det keeps one sign.  Only real elementwise
+    operations, in a fixed order: no row's value depends on another's."""
+    t, w = rule
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * t
+    re, im = c0[:, None], 0.0  # the product so far
+    for j in range(a0.shape[1]):
+        fr = a0.real[:, j, None] + b.real[:, j, None] * x
+        fi = a0.imag[:, j, None] + b.imag[:, j, None] * x
+        re, im = re * fr - im * fi, re * fi + im * fr
+    return half * sum(wk * column for wk, column in zip(w, (re if signed else np.abs(re)).T))
 
 
 def _real_roots(z: np.ndarray, width: float) -> np.ndarray:
@@ -406,7 +438,13 @@ def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
     e, rn, ln, tols, x, w = _probe(*_stacked(r, el), 1.0)
     if not (np.abs(w).min(axis=2) > tols[:, None]).any():
         return RealPolynomial(np.zeros(r.dim + 1))
-    coeffs = np.ldexp(_spectrum(rn, ln, x, w)[1][0], r.dim * int(e[0]))
+    _, c0, a0, b = _spectrum(rn, ln, x, w)
+    c = np.zeros((1, r.dim + 1), dtype=complex)
+    c[:, 0] = c0
+    for i in range(r.dim):  # multiply out c0 prod_i (a0_i + b_i x)
+        c[:, 1:] = c[:, 1:] * a0[:, i, None] + c[:, :-1] * b[:, i, None]
+        c[:, 0] *= a0[:, i]
+    coeffs = np.ldexp(c.real[0], r.dim * int(e[0]))
     coeffs[np.abs(coeffs) < 1e-12 * np.abs(coeffs).max()] = 0.0
     return RealPolynomial(coeffs)
 
@@ -491,19 +529,18 @@ def _decompose_batch(
     """Decompose every pencil of the (n, d, d) stacks r, el over each window
     [-delta, delta] of ``deltas``: one _Window per window.
 
-    The pencils are decomposed once, over the largest window [-top, top],
-    and every window reads its roots from that decomposition; each
-    window's chambers then get their own midpoint inertia and masses.  Each
-    stage runs once on the whole stack: the probes, one solve and one
-    eigenvalue call for the roots, and per window one eigenvalue call over
-    every chamber midpoint and the antiderivative at every chamber end.  A
-    pencil fails at the first stage it fails, in this order: R + 2sL out of
-    range at s = +-top, degenerate at the probes of [-top, top], then per
-    window a |det| integral out of floating-point range (an input error
-    naming the window), numerically singular at a chamber midpoint, an
-    out-of-range chamber mass.  The error raised is the first failing
-    pencil's in stack order, prefixed with its label when ``labels`` is
-    given.
+    The pencils are decomposed once, over the largest window [-top, top];
+    each window reads its roots and the factored det from that, and gets
+    its own chamber masses and midpoint inertia.  Each stage runs once on
+    the whole stack: the probes, one solve and one eigenvalue call for the
+    roots, and per window _det_integrals on every chamber and on the window
+    and one eigenvalue call over every chamber midpoint.  A pencil fails at
+    the first stage it fails, in this order: R + 2sL out of range at
+    s = +-top, degenerate at the probes of [-top, top], then per window a
+    mass or signed integral out of floating-point range (an input error
+    naming the window), numerically singular at a chamber midpoint.  The
+    error raised is the first failing pencil's in stack order, prefixed with
+    its label when ``labels`` is given.
     """
     deltas = [_positive_arg(delta, "delta") for delta in deltas]
     top = max(deltas)
@@ -538,24 +575,17 @@ def _decompose_batch(
     if not alive.size:
         raise failures[min(failures)]
 
-    z, coeffs = _spectrum(rn, ln, x, w)
-    anti = np.concatenate([np.zeros((alive.size, 1)), coeffs / np.arange(1, d + 2)], axis=1)
+    z, c0, a0, b = _spectrum(rn, ln, x, w)
+    rule = _gauss_legendre(d // 2 + 1)
     mant, power = math.frexp(top)  # an integral over s is top 2^(d e) times one over x
 
-    def unscaled(v):  # each row of v, scaled back by top 2^(d e)
-        with np.errstate(over="ignore"):
-            return np.ldexp(v * mant, (d * e + power).reshape((-1,) + (1,) * (v.ndim - 1)))
+    def unscaled(v):  # each row of v, scaled back by top 2^(d e), under errstate(over="ignore")
+        return np.ldexp(v * mant, (d * e + power).reshape((-1,) + (1,) * (v.ndim - 1)))
 
-    out_of_range = (
-        "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
-    )
+    out_of_range = "delta %g: the integral of |det(R + 2sL)| over [-delta, delta] is out of floating-point range"
     roots = top * _real_roots(z, _WIDTH)
     windows = []
     for delta in deltas:
-        # sum_j |p_j| h^(j+1) / (j+1) bounds |P| on [-h, h], h = delta / top
-        bound = unscaled(_horner(np.abs(anti), np.full((alive.size, 1), delta / top))[:, 0])
-        for i in alive[~np.isfinite(bound)].tolist():
-            fail(i, InputError, out_of_range % delta)
         near = np.abs(roots) <= delta + top * _WIDTH
         found = np.clip(np.where(near, roots, np.nan), -delta, delta)
         edge = np.full((alive.size, 1), delta)
@@ -564,6 +594,13 @@ def _decompose_batch(
         breaks.sort(axis=1)  # the NaN padding to the end
         breaks = breaks[:, ~np.isnan(breaks).all(axis=0)]
         rows, cells = np.nonzero(~np.isnan(breaks[:, 1:]))  # chamber j of a row is (breaks[j], breaks[j+1])
+        lo, hi, h = breaks[rows, cells] / top, breaks[rows, cells + 1] / top, np.full(alive.size, delta / top)
+        masses = np.zeros((alive.size, breaks.shape[1] - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
+            masses[rows, cells] = _det_integrals(rule, c0[rows], a0[rows], b[rows], lo, hi, False)
+            masses, signed = unscaled(masses), unscaled(_det_integrals(rule, c0, a0, b, -h, h, True))
+        for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
+            fail(i, InputError, out_of_range % delta)
         mids = 0.5 * (breaks[rows, cells] + breaks[rows, cells + 1])
         wm = np.linalg.eigvalsh(rn[rows] + (2.0 * mids / top)[:, None, None] * ln[rows])
         neg, pos = (wm < -tols[rows, None]).sum(axis=1), (wm > tols[rows, None]).sum(axis=1)
@@ -574,12 +611,7 @@ def _decompose_batch(
                 "(min |eig| = %.1e vs tol %.1e); cannot assign a signature"
                 % (mids[c], math.ldexp(np.abs(wm[c]).min(), int(e[i])), math.ldexp(tols[i], int(e[i])))
             ))
-        ints = _horner(anti, np.where(np.isnan(breaks), delta, breaks) / top)
         counts = np.bincount(rows, minlength=alive.size)
-        masses = unscaled(np.abs(ints[:, 1:] - ints[:, :-1]))
-        signed = unscaled(ints[np.arange(alive.size), counts] - ints[:, 0])
-        for i in alive[~(np.isfinite(masses).all(axis=1) & np.isfinite(signed))].tolist():
-            fail(i, InputError, out_of_range % delta)
         signs = np.full(masses.shape, -1)
         signs[rows, cells] = neg
         windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(tols, e), masses, signed))
@@ -638,20 +670,14 @@ def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]
 
 
 def chamber_integral(r: HermitianMatrix, el: HermitianMatrix, q: int, delta: float) -> float:
-    """Integral of |det(R+2sL)| over the q-signature set in [-delta, delta].
-
-    Uses the exact polynomial antiderivative P per chamber; |P(b) - P(a)|
-    is exact because det keeps a constant sign between roots.
-    """
+    """Integral of |det(R+2sL)| over the q-signature set in [-delta, delta],
+    from a Gauss-Legendre rule per chamber, exact as det keeps one sign there."""
     q = _int_arg(q, "q", 0, r.dim)
     return _decompose(r, el, delta).q_masses[q]
 
 
 def pencil_signed_integral(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> float:
-    """Signed integral of det(R+2sL) over all of [-delta, delta].
-
-    Because the determinant sign on each chamber is (-1)^neg, this equals
-    the alternating sum over q of the unsigned chamber integrals; both
-    routes are kept and compared in tests.
-    """
+    """Signed integral of det(R+2sL) over all of [-delta, delta], by one
+    Gauss-Legendre rule over the window: a second route to the alternating
+    sum over q of the chamber integrals, as det has sign (-1)^neg there."""
     return _decompose(r, el, delta).signed

@@ -659,22 +659,28 @@ def test_calibration_record_with_a_wrong_constant_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, reason",
     [
-        b"\xff\xfe{",
-        b"[1]",
-        b'{"c_mode": null, "c_dim": "2/1"}',
-        b'{"c_mode": Infinity, "c_dim": "2/1"}',
-        b'{"c_mode": 1' + b"0" * 5000 + b', "c_dim": "2/1"}',
+        (b"\xff\xfe{", None),
+        (b"[1]", "expected a JSON object"),
+        (b'{"c_mode": null, "c_dim": "2/1"}', "c_mode must be a number or a fraction string, got null"),
+        (b'{"c_mode": Infinity, "c_dim": "2/1"}', "c_mode must be a number or a fraction string, got Infinity"),
+        (b'{"c_mode": 1' + b"0" * 5000 + b', "c_dim": "2/1"}', None),
+        (b'{"c_mode": [1, 2], "c_dim": "2/1"}', "c_mode must be a number or a fraction string, got [1, 2]"),
+        (b'{"c_mode": "1/1", "c_dim": "two"}', 'c_dim must be a number or a fraction string, got "two"'),
+        (b'{"c_mode": "1/1"}', "c_dim is missing"),
     ],
-    ids=["not-utf8", "list", "null", "infinity", "long-integer"],
+    ids=["not-utf8", "list", "null", "infinity", "long-integer", "list-constant", "string-constant", "missing"],
 )
-def test_malformed_calibration_record_exit_2(tmp_path, capsys, content):
+def test_malformed_calibration_record_exit_2(tmp_path, capsys, content, reason):
+    # a constant that cannot be read is named by its key
     cal = tmp_path / "cal.json"
     cal.write_bytes(content)
     assert run(["torus-demo", "--k", "10", "--cal", str(cal)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: calibration record %s is malformed: " % cal), err
+    if reason is not None:
+        assert err == "error: calibration record %s is malformed: %s\n" % (cal, reason)
 
 
 def test_heisenberg_demo(tmp_path):
@@ -833,8 +839,8 @@ def test_convergence_keeps_totals_beyond_the_rounding_margin(tmp_path):
             "30,-52880,-52875,1.0000945626477542",
         ],
         ("--input", str(write_json(tmp_path, "t.json", RESIDUE_TORUS)), "--q", "1"): [
-            "10,576,624.99999999999034,0.9216000000000143",
-            "20,14400,9999.9999999998454,1.4400000000000224",
+            "10,576,624.99999999999045,0.92160000000001407",
+            "20,14400,9999.9999999998472,1.4400000000000219",
             "30,50176,50624.999999999221,0.99113086419754615",
         ],
     }
@@ -1201,11 +1207,23 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
          "--z component 0 must be finite, got 'inf,0'"),
         (["extremal-check", "--q", "0", "--nodes", "16", "--z", "nan,0"], MODEL_DOC,
          "--z component 0 must be finite, got 'nan,0'"),
+        # a --z that does not parse: the component count, a component, a number
+        (["bergman-check", "--q", "0", "--eta", "0", "--z", "1,0;2,0"], MODEL_DOC,
+         "--z needs 1 're,im' components separated by ';', got 2"),
+        (["extremal-check", "--q", "0", "--nodes", "16", "--z", "1"], MODEL_DOC,
+         "--z component 0 must be 're,im', got '1'"),
+        (["bergman-check", "--q", "0", "--eta", "0", "--z", "x,0"], MODEL_DOC,
+         "--z component 0: could not convert string to float: 'x'"),
+        (["convergence"], None, "convergence needs --example or --input"),
+        # the last level swept, 1 + 9 10^399, has 400 digits
+        (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(K400), "--kstep", str(K400 // 10)],
+         None, "--kmax: an integer of 400 digits, whose window k * delta leaves floating-point range"),
     ],
     ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
          "convergence-kmax", "convergence-kmin", "torus-k", "bergman-eta", "extremal-theta",
          "morse-delta-0", "morse-delta-2", "chambers-delta-0", "chambers-delta-inf", "extremal-nodes",
-         "extremal-q", "bergman-q", "szego-q", "bergman-z-inf", "extremal-z-nan"],
+         "extremal-q", "bergman-q", "szego-q", "bergman-z-inf", "extremal-z-nan", "bergman-z-count",
+         "extremal-z-comma", "bergman-z-number", "convergence-no-source", "convergence-kmax-reached"],
 )
 def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expected):
     if doc is not None:

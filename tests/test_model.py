@@ -34,7 +34,6 @@ from crmorse.errors import (
 from crmorse.model import (
     ModelData,
     _frame,
-    _gauss_legendre,
     _permanents,
     bergman_bruteforce,
     bergman_diag,
@@ -43,7 +42,7 @@ from crmorse.model import (
     m_phi_eta,
     szego_density,
 )
-from crmorse.pencil import HermitianMatrix, chamber_integral, inertia
+from crmorse.pencil import HermitianMatrix, _gauss_legendre, chamber_integral, inertia
 from oracle_tools import (
     random_int_hermitian,
     scalar_bergman_bruteforce,
@@ -377,7 +376,7 @@ def test_szego_sum_rule(seed, d):
 # --------------------------------------------------------- extremal_form
 
 
-@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 64, 256])
 def test_gauss_legendre_matches_numpy(n):
     nodes, weights = _gauss_legendre(n)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)

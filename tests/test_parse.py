@@ -178,6 +178,16 @@ def _with(doc, *changes):
          "lambda[1]: must be nonzero"),
         (parse_heisenberg, _with(heisenberg(), (["mu", 1, 1, 0], 2.5), (["delta"], 0)),
          "mu: must have integer entries"),
+        # faults of the document itself: its root, a dimension, the points, a
+        # Levi vector's length
+        (parse_model, [model()], "document root must be a JSON object"),
+        (parse_field, _with(field(), (["n"], 1), (["delta"], "wide")), "n: must be >= 2, got 1"),
+        (parse_heisenberg, _with(heisenberg(), (["d"], 0), (["mu"], 3)), "d: must be >= 1, got 0"),
+        (parse_field, _with(field(), (["points"], [])), "points: expected a nonempty list of sample points"),
+        (parse_model, _with(model(), (["lambda"], [1.0]), (["delta"], "wide")),
+         "lambda: expected a list of 2 real Levi eigenvalues"),
+        (parse_heisenberg, _with(heisenberg(), (["lambda"], [1, 2, 3]), (["mu", 0, 1], [0])),
+         "lambda: expected a list of 2 integer Levi eigenvalues"),
     ],
 )
 def test_matrix_documents_name_first_fault(parse, doc, expected):

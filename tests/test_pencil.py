@@ -22,6 +22,7 @@ from crmorse.pencil import (
     real_roots,
     signature_set,
     _decompose,
+    _decompose_batch,
     _q_masses,
     _real_roots,
     _Window,
@@ -551,6 +552,81 @@ def test_chamber_roots_match_qz_reference(d):
             for ch in dec.chambers:  # inertia against the eigenvalues at a fresh point
                 s = ch.lo + 0.3 * (ch.hi - ch.lo)
                 assert ch.inertia.neg == int((np.linalg.eigvalsh(r + 2.0 * s * el) < 0).sum())
+
+
+def qz_masses(r, el, ends):
+    """The integral of |det(R + 2sL)| over each interval (ends[j], ends[j + 1])
+    on which det keeps one sign, in product form |det 2L| prod_i |s - l_i|
+    over scipy's QZ eigenvalues l_i of the pair (R, -2L), by numpy's
+    Gauss-Legendre rule with d // 2 + 1 nodes, exact for degree d."""
+    from scipy.linalg import eigvals
+
+    lam = eigvals(r, -2.0 * el)
+    scale = abs(np.linalg.det(2.0 * el))
+    t, w = np.polynomial.legendre.leggauss(r.shape[0] // 2 + 1)
+    lo, hi = np.asarray(ends[:-1]), np.asarray(ends[1:])
+    s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+    return 0.5 * (hi - lo) * (scale * np.prod(np.abs(s[..., None] - lam), axis=-1) @ w)
+
+
+def gaussian_stack(d, count=10):
+    rng = np.random.default_rng(2000 + d)
+    pencils = [(random_hermitian(rng, d), random_hermitian(rng, d)) for _ in range(count)]
+    return np.array([p[0] for p in pencils]), np.array([p[1] for p in pencils])
+
+
+@pytest.mark.parametrize("d", [16, 32, 48, 64, 96])
+def test_chamber_masses_match_the_qz_product_form(d):
+    # each chamber's mass to 1e-11 of itself, which differencing an
+    # antiderivative in monomial form misses from d = 32 on (1e-1 at d = 96)
+    r, el = gaussian_stack(d)
+    w = _decompose_batch(r, el, [1.0])[0]
+    for i, count in enumerate(w.counts.tolist()):
+        masses = w.masses[i, :count]
+        ref = qz_masses(r[i], el[i], w.breaks[i, : count + 1])
+        assert (np.abs(masses - ref) <= 1e-11 * ref).all()
+        alternating = math.fsum((-1.0) ** w.neg[i, :count] * masses)
+        assert abs(w.signed[i] - alternating) <= 1e-11 * masses.sum()
+
+
+def mp_det(rows):
+    """The determinant of a square matrix of mpmath numbers, by Gaussian
+    elimination with partial pivoting at the working precision."""
+    a, det = [list(row) for row in rows], 1
+    for k in range(len(a)):
+        p = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+        a[k], a[p] = a[p], a[k]
+        det *= a[k][k] if p == k else -a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                row[j] -= f * a[k][j]
+    return det
+
+
+def test_qz_product_form_against_mpmath():
+    # the reference of the test above on the narrowest chamber of a d = 16
+    # pencil, where its nodes come nearest the roots, against det(R + 2sL)
+    # itself at 50 digits
+    import mpmath
+
+    r, el = gaussian_stack(16, 1)
+    w = _decompose_batch(r, el, [1.0])[0]
+    ends = w.breaks[0, : w.counts[0] + 1]
+    j = int(np.argmin(np.diff(ends)))
+    ref = qz_masses(r[0], el[0], ends)[j]
+    with mpmath.workdps(50):
+        nodes, weights = mpmath.gauss_quadrature(9, "legendre")  # exact for degree 17
+        lo, hi = mpmath.mpf(ends[j]), mpmath.mpf(ends[j + 1])
+        exact = (hi - lo) / 2 * mpmath.fsum(
+            wk * abs(mpmath.re(mp_det([
+                [mpmath.mpc(a) + (hi + lo + (hi - lo) * xk) * mpmath.mpc(b) for a, b in zip(ra, rb)]
+                for ra, rb in zip(r[0].tolist(), el[0].tolist())
+            ])))
+            for xk, wk in zip(nodes, weights)
+        )
+        assert abs(ref - exact) <= 1e-13 * exact
+        assert abs(w.masses[0, j] - exact) <= 1e-13 * exact
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
