@@ -233,10 +233,6 @@ def parse_field(data: Any) -> PencilField:
     return PencilField._of_stacks(n, delta, *stacks)
 
 
-def _matrix_doc(m: np.ndarray) -> List[List[List[float]]]:
-    return [[[float(e.real), float(e.imag)] for e in row] for row in m]
-
-
 def serialize_field(field: PencilField) -> Dict:
     """Inverse of parse_field up to float round-trip (which is exact)."""
     return {
@@ -244,7 +240,7 @@ def serialize_field(field: PencilField) -> Dict:
         "n": field.n,
         "delta": field.delta,
         "points": [
-            {"label": label, "weight": weight, "R": _matrix_doc(r), "L": _matrix_doc(el)}
+            {"label": label, "weight": weight, "R": _pairs(r), "L": _pairs(el)}
             for label, weight, r, el in zip(field.labels, field.weights.tolist(), field.r, field.el)
         ],
     }
@@ -314,6 +310,7 @@ def parse_levi_flat(data: Any) -> PencilField:
 
 
 def _pairs(rows: Sequence[Sequence[complex]]) -> List[List[List[float]]]:
+    """The [re, im] float pairs of a matrix's rows, signed zeros kept."""
     return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
 
 
@@ -596,7 +593,7 @@ def _cmd_bergman(args, started):
     max_degree = _int_arg(args.max_degree, "--max-degree", 0, _degree_cap(data.d))
     z = _parse_z(args.z, data.d)
     eta = _real_arg(args.eta, "--eta")
-    val, m, ine = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--z")
+    val, m, ine = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--")
     bruteforce = rel_gap = None
     if ine.pos == data.d and args.q == 0 and not np.any(z):
         bruteforce = _bruteforce(data, m, ine, max_degree)

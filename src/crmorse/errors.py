@@ -15,6 +15,7 @@ string is not a real, as in the document parsers.  The messages read
 
 where an int beyond float range, a value or a bound, shows as "an
 integer of N digits", and _float_range raises the caller's own message.
+_fsum sums reported totals, leaving an overflow for those checks to refuse.
 """
 
 import math
@@ -131,3 +132,18 @@ def _float_range(compute, message: str):
     if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
         raise InputError(message)
     return value
+
+
+def _fsum(values) -> float:
+    """The exactly rounded sum of ``values``, math.fsum, the one summation
+    rule of every reported total.  Where a partial sum leaves
+    floating-point range the sum is +-inf, the sign of the plain sum, and
+    inf - inf is nan, instead of an exception, for the caller's range
+    check."""
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum left float range
+        return math.copysign(math.inf, sum(values))
+    except ValueError:  # inf - inf
+        return math.nan

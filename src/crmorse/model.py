@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     ZeroExtremalMassError,
     _float_range,
+    _fsum,
     _int_arg,
     _positive_arg,
     _real_arg,
@@ -107,9 +108,19 @@ class ExtremalForm(NamedTuple):
 
 
 def m_phi_eta(data: ModelData, eta: float) -> HermitianMatrix:
-    """Complex Hessian of Phi_eta: mu - 2 eta diag(lambda)."""
-    eta = _real_arg(eta, "eta")
-    return HermitianMatrix(data.mu.entries - 2.0 * eta * np.diag(data.lam))
+    """Complex Hessian of Phi_eta: mu - 2 eta diag(lambda).  An eta at which
+    it leaves floating-point range is an InputError."""
+    return _m_phi_eta(data, eta, "eta")
+
+
+def _m_phi_eta(data: ModelData, eta: float, name: str) -> HermitianMatrix:
+    """m_phi_eta, with ``name`` for eta in its errors."""
+    eta = _real_arg(eta, name)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
+        m = data.mu.entries - 2.0 * eta * np.diag(data.lam)
+    if not np.isfinite(m).all():
+        raise InputError("%s: M_eta = mu - 2 eta diag(lambda) leaves floating-point range" % name)
+    return HermitianMatrix(m)
 
 
 def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
@@ -148,27 +159,30 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
 
     Closed form e^{Phi_eta(z)} (2pi)^{-d} |det M_eta| when eta lies in the
     q-signature chamber, 0 otherwise.  At a chamber boundary (M_eta singular
-    at inertia()'s tolerance) the value is 0 and the boundary flag is set.  A
-    z at which the value leaves floating-point range is an InputError.
+    at inertia()'s tolerance) the value is 0 and the boundary flag is set.  An
+    eta at which M_eta or its determinant, or a z at which the value, leaves
+    floating-point range is an InputError.
     """
-    return _bergman_diag(data, eta, q, z, "z")[0]
+    return _bergman_diag(data, eta, q, z, "")[0]
 
 
-def _bergman_diag(data: ModelData, eta: float, q: int, z, name: str) -> Tuple[BergmanValue, HermitianMatrix, Inertia]:
-    """bergman_diag, with ``name`` for z in its range error, and the M_eta
-    and inertia it read, for the brute-force oracle to reuse."""
+def _bergman_diag(data: ModelData, eta: float, q: int, z, prefix: str) -> Tuple[BergmanValue, HermitianMatrix, Inertia]:
+    """bergman_diag, with the M_eta and inertia it read, for the brute-force
+    oracle to reuse.  Its range errors name eta and z with ``prefix``: ""
+    for the parameters, "--" for the flags."""
     q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
-    m = m_phi_eta(data, eta)
+    m = _m_phi_eta(data, eta, prefix + "eta")
     ine = inertia(m)
     if ine.zero or ine.neg != q:
         return BergmanValue(0.0, ine.zero > 0), m, ine
-    with np.errstate(over="ignore", invalid="ignore"):  # a Phi out of range fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # a Phi or a det out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
-    det = abs(float(np.linalg.det(m.entries).real))
+        det = abs(float(np.linalg.det(m.entries).real))
+    _float_range(lambda: det, "%seta: |det M_eta| leaves floating-point range" % prefix)
     value = _float_range(
         lambda: math.exp(phi) * det / TWO_PI**data.d,
-        "%s: the Bergman density at this z leaves floating-point range" % name,
+        "%sz: the Bergman density at this z leaves floating-point range" % prefix,
     )
     return BergmanValue(value, False), m, ine
 
@@ -257,18 +271,6 @@ def szego_density(data: ModelData, q: int) -> float:
     return _szego_table(data)[1][q]
 
 
-def _fsum_columns(terms: np.ndarray) -> np.ndarray:
-    """The exactly rounded column sums of the complex (k, m) array ``terms``,
-    each part by math.fsum, so they do not depend on the order of the rows;
-    inf where a term or a sum is not finite."""
-    if not (np.isfinite(terms.real).all() and np.isfinite(terms.imag).all()):
-        return np.full(terms.shape[1], math.inf, dtype=complex)
-    try:
-        return np.array([complex(math.fsum(col.real), math.fsum(col.imag)) for col in terms.T])
-    except OverflowError:  # a sum beyond floating-point range
-        return np.full(terms.shape[1], math.inf, dtype=complex)
-
-
 _PHASE_TOL = 1e-12
 
 
@@ -336,14 +338,18 @@ def _extremal_form(
     absdet = np.prod(np.abs(vs), axis=1)
     base = wts * c0 * absdet
     wcoord = np.einsum("kji,j->ki", qmats[:, :, :q].conj(), z)  # the first q coordinates of Q* z
+
+    def sums(terms):  # each column's exactly rounded sum, independent of the order of the nodes
+        return np.array([complex(_fsum(col.real), _fsum(col.imag)) for col in terms.T])
+
     with np.errstate(over="ignore", invalid="ignore"):  # a z out of range fails below
         lam_zsq = float(data.lam @ (np.abs(z) ** 2))
         exponent = 1j * theta * etas + etas * lam_zsq + (vs[:, :q] * np.abs(wcoord) ** 2).sum(axis=1)
-        u = _fsum_columns((base * np.exp(exponent))[:, None] * coeffs) / TWO_PI
+        u = sums((base * np.exp(exponent))[:, None] * coeffs) / TWO_PI
     if not np.all(np.isfinite(u)):
         raise InputError("%s: the extremal form at this z leaves floating-point range" % name)
-    u_origin = _fsum_columns(base[:, None] * coeffs) / TWO_PI
-    norm_check = math.fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI
+    u_origin = sums(base[:, None] * coeffs) / TWO_PI
+    norm_check = _fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI
     szego = total_mass / TWO_PI**data.n
     peak_check = float(np.sum(np.abs(u_origin) ** 2)) / szego
     return ExtremalForm(

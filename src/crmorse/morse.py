@@ -9,8 +9,9 @@ positivity / bigness verdicts.
 A field is arrays: stacks of R and L, weights and labels.  Every
 quantity comes from one pass of build_morse_report over the field in
 slices of at most _CHUNK points, each decomposed once in a stacked pass.
-Per point it keeps only the weighted q-masses and signed integral,
-summed in input order with math.fsum so reports are byte-reproducible.
+Per point it keeps only the weighted q-masses and signed integral, and
+every total is their exactly rounded sum (errors._fsum), so reports are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, _digits, _float_range, _int_arg, _positive_arg
-from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _q_masses, _units
+from .errors import InputError, _digits, _float_range, _fsum, _int_arg, _positive_arg
+from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _units
 
 __all__ = [
     "REASON_INCONCLUSIVE",
@@ -160,18 +161,6 @@ class MorseReport(NamedTuple):
     bigness: Bigness
 
 
-def _fsum(terms) -> float:
-    """math.fsum, except that a sum out of floating-point range is inf (nan
-    for inf - inf) instead of an exception, for the caller to reject."""
-    terms = list(terms)
-    try:
-        return math.fsum(terms)
-    except OverflowError:  # a partial sum left float range
-        return math.copysign(math.inf, sum(terms))
-    except ValueError:  # inf - inf
-        return math.nan
-
-
 def density_q(field: PencilField, q: int, delta: float) -> float:
     """Leading spectral density coefficient c_q(delta).
 
@@ -290,7 +279,7 @@ def build_morse_report(
         windows = _decompose_batch(r, el, deltas, labels=field.labels[part])
         weights = field.weights[part, None]
         with np.errstate(over="ignore"):  # an infinite term, rejected by the caller as out of range
-            terms[part, :-1] = weights * _q_masses(windows[0], d)
+            terms[part, :-1] = weights * windows[0].q_masses
             terms[part, -1] = weights[:, 0] * windows[0].signed
         w = windows[-1]
         lo, hi = w.breaks[:, :-1], w.breaks[:, 1:]

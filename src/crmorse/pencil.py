@@ -38,7 +38,8 @@ eigenvalue decomposition per pencil:
 * Chambers.  Inertia is read at each chamber's midpoint, in one eigenvalue
   call over every chamber of the stack.  Masses and the signed integral
   are Gauss-Legendre rules on the factors (_det_integrals), which multiplied
-  out would cancel: by up to 1e-1 of a mass at d = 96.
+  out would cancel: by up to 1e-1 of a mass at d = 96.  A q-mass is the
+  exactly rounded sum (errors._fsum) of the masses of the q-chambers.
 
 Each stage is one numpy call on the whole (n, d, d) stack, and the result
 is arrays too, a _Window per window; only the one-pencil path, _decompose,
@@ -54,7 +55,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegeneratePencilError, InputError, _int_arg, _positive_arg
+from .errors import DegeneratePencilError, InputError, _fsum, _int_arg, _positive_arg
 
 __all__ = [
     "IDENTICALLY_ZERO",
@@ -277,26 +278,12 @@ class RealPolynomial(_Frozen):
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
-    # The three methods below import numpy.polynomial when called, so that
-    # no command, which calls none of them, loads it.
-
     def __call__(self, s):
+        # numpy.polynomial is imported here, so that no command, which never
+        # evaluates a polynomial, loads it
         from numpy.polynomial.polynomial import polyval
 
         return polyval(s, self.coeffs)
-
-    def derivative(self) -> "RealPolynomial":
-        """The derivative, without the trailing zero coefficients of p."""
-        from numpy.polynomial.polynomial import polyder
-
-        d = self.degree
-        return RealPolynomial(polyder(self.coeffs[: d + 1]) if d else np.zeros(1))
-
-    def antiderivative(self) -> "RealPolynomial":
-        """The antiderivative that vanishes at 0."""
-        from numpy.polynomial.polynomial import polyint
-
-        return RealPolynomial(polyint(self.coeffs))
 
 
 def _units(r: np.ndarray, el: np.ndarray, delta: float):
@@ -509,6 +496,7 @@ class _Window(NamedTuple):
     tol: np.ndarray  # (n,)
     masses: np.ndarray  # (n, m)
     signed: np.ndarray  # (n,): the integral of det(R + 2sL) over the window
+    q_masses: np.ndarray  # (n, d + 1): the _fsum of each row's masses with neg q, in chamber order
 
 
 class _Decomposed(NamedTuple):
@@ -534,13 +522,15 @@ def _decompose_batch(
     its own chamber masses and midpoint inertia.  Each stage runs once on
     the whole stack: the probes, one solve and one eigenvalue call for the
     roots, and per window _det_integrals on every chamber and on the window
-    and one eigenvalue call over every chamber midpoint.  A pencil fails at
-    the first stage it fails, in this order: R + 2sL out of range at
-    s = +-top, degenerate at the probes of [-top, top], then per window a
-    mass or signed integral out of floating-point range (an input error
-    naming the window), numerically singular at a chamber midpoint.  The
-    error raised is the first failing pencil's in stack order, prefixed with
-    its label when ``labels`` is given.
+    and one eigenvalue call over every chamber midpoint, and per window the
+    q-masses from the midpoint inertia.  A pencil fails at the first stage
+    it fails, in this order: R + 2sL out of range at s = +-top, degenerate
+    at the probes of [-top, top], then per window a mass or signed integral
+    out of floating-point range (an input error naming the window),
+    numerically singular at a chamber midpoint, a q-mass out of
+    floating-point range (the same input error).  The error raised is the
+    first failing pencil's in stack order, prefixed with its label when
+    ``labels`` is given.
     """
     deltas = [_positive_arg(delta, "delta") for delta in deltas]
     top = max(deltas)
@@ -614,18 +604,15 @@ def _decompose_batch(
         counts = np.bincount(rows, minlength=alive.size)
         signs = np.full(masses.shape, -1)
         signs[rows, cells] = neg
-        windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(tols, e), masses, signed))
+        q_masses = np.array([
+            [_fsum(row) for row in np.where(signs == q, masses, 0.0).tolist()] for q in range(d + 1)
+        ]).T
+        for i in alive[~np.isfinite(q_masses).all(axis=1)].tolist():
+            fail(i, InputError, out_of_range % delta)
+        windows.append(_Window(delta, found, breaks, counts, signs, np.ldexp(tols, e), masses, signed, q_masses))
     if failures:
         raise failures[min(failures)]
     return windows
-
-
-def _q_masses(w: _Window, d: int) -> np.ndarray:
-    """(n, d + 1): each pencil's |det| integral over its q-signature set,
-    q = 0..d, the math.fsum of its q-chambers' masses in chamber order."""
-    return np.array([
-        [math.fsum(row) for row in np.where(w.neg == q, w.masses, 0.0).tolist()] for q in range(d + 1)
-    ]).T
 
 
 def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomposed:
@@ -640,7 +627,7 @@ def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomp
             for j, ng in enumerate(w.neg[0, :count].tolist())
         ],
     )
-    return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), _q_masses(w, r.dim)[0].tolist())
+    return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), w.q_masses[0].tolist())
 
 
 def _stacked(r: HermitianMatrix, el: HermitianMatrix):

@@ -316,12 +316,53 @@ def test_chambers_overflowing_mass(tmp_path, capsys):
     assert capsys.readouterr().err == "error: %s\n" % (OUT_OF_RANGE % 1e298)
 
 
-def bench_field(d, seed, scale):
-    """bench/gen.py's Gaussian field, every matrix entry times ``scale``."""
+# every chamber mass of these is finite, about 1.2e308, but the sum of two
+# of one degree is not: t diag(1, 1/4) + 2s t [[0, 1/2], [1/2, 0]] has
+# chambers q = 1/0/1 on [-1, 1], and mu - 2 eta diag(t, -t) has chambers
+# q = 0/1/0 (its det is t^2 (0.64 - 4 eta^2))
+T_FIELD, T_MODEL = 2.6832815729997477e154, 1.075828707279837e154
+Q_OVERFLOW_FIELD = field_doc(3, 1.0, [point_doc(
+    "p", [[T_FIELD, 0], [0, T_FIELD / 4]], [[0, T_FIELD / 2], [T_FIELD / 2, 0]]
+)])
+Q_OVERFLOW_MODEL = {
+    "schema": "crmorse/model-v1",
+    "d": 2,
+    "lambda": [T_MODEL, -T_MODEL],
+    "mu": mat([[T_MODEL, 0.6 * T_MODEL], [0.6 * T_MODEL, T_MODEL]]),
+    "delta": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, label",
+    [
+        (["chambers"], Q_OVERFLOW_FIELD, ""),
+        (["morse"], Q_OVERFLOW_FIELD, "sample 'p': "),
+        (["morse", "--delta", "0.5"], Q_OVERFLOW_FIELD, "sample 'p': "),  # a fault of the field window
+        (["classify"], Q_OVERFLOW_FIELD, "sample 'p': "),
+        (["szego-density"], Q_OVERFLOW_MODEL, ""),
+        (["extremal-check", "--q", "0"], Q_OVERFLOW_MODEL, ""),
+        (["extremal-check", "--q", "1"], Q_OVERFLOW_MODEL, ""),
+    ],
+    ids=["chambers", "morse", "morse-half-window", "classify", "szego-density", "extremal-q0", "extremal-q1"],
+)
+def test_a_q_mass_out_of_range_is_refused_by_the_engine(tmp_path, capsys, argv, doc, label):
+    # an OverflowError from the q-mass sum used to end these in a traceback
+    assert run(argv + ["--input", str(write_json(tmp_path, "doc.json", doc))]) == 2
+    assert capsys.readouterr().err == "error: %s%s\n" % (label, OUT_OF_RANGE % 1.0)
+
+
+def bench_gen():
+    """The module bench/gen.py, which writes the benchmark's documents."""
     spec = importlib.util.spec_from_file_location("gen", Path(__file__).parents[1] / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    doc = gen.field_doc(seed, d, 100)
+    return gen
+
+
+def bench_field(d, seed, scale):
+    """bench/gen.py's Gaussian field, every matrix entry times ``scale``."""
+    doc = bench_gen().field_doc(seed, d, 100)
     for p in doc["points"]:
         for key in ("R", "L"):
             p[key] = [[[scale * v[0], scale * v[1]] for v in row] for row in p[key]]
@@ -1126,6 +1167,7 @@ def test_record_tuples_keep_their_field_order():
 
 K200, K400 = 10**200, 10**400
 K5000 = 10**5000  # beyond the 4300 digits that str() converts
+BENCH_MODEL_D2 = bench_gen().model_doc(1, 2)  # bench/gen.py model --d 2 --seed 1
 
 
 def _cli_error(tmp_path, capsys, argv):
@@ -1218,12 +1260,21 @@ def test_levels_beyond_float_range_are_input_errors(tmp_path, capsys, make, expe
         # the last level swept, 1 + 9 10^399, has 400 digits
         (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(K400), "--kstep", str(K400 // 10)],
          None, "--kmax: an integer of 400 digits, whose window k * delta leaves floating-point range"),
+        # an --eta at which |det M_eta|, or M_eta itself, leaves floating-point
+        # range: no numpy warning, and the flag named is --eta, not --z
+        (["bergman-check", "--q", "1", "--eta", "1e200"], BENCH_MODEL_D2,
+         "--eta: |det M_eta| leaves floating-point range"),
+        (["bergman-check", "--q", "1", "--eta=-1e200"], BENCH_MODEL_D2,
+         "--eta: |det M_eta| leaves floating-point range"),
+        (["bergman-check", "--q", "1", "--eta", "1e308"], BENCH_MODEL_D2,
+         "--eta: M_eta = mu - 2 eta diag(lambda) leaves floating-point range"),
     ],
     ids=["morse-k", "levi-flat-k", "heisenberg-k", "bergman-z-exp", "bergman-z-huge", "extremal-z",
          "convergence-kmax", "convergence-kmin", "torus-k", "bergman-eta", "extremal-theta",
          "morse-delta-0", "morse-delta-2", "chambers-delta-0", "chambers-delta-inf", "extremal-nodes",
          "extremal-q", "bergman-q", "szego-q", "bergman-z-inf", "extremal-z-nan", "bergman-z-count",
-         "extremal-z-comma", "bergman-z-number", "convergence-no-source", "convergence-kmax-reached"],
+         "extremal-z-comma", "bergman-z-number", "convergence-no-source", "convergence-kmax-reached",
+         "bergman-eta-det", "bergman-eta-det-negative", "bergman-eta-matrix"],
 )
 def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expected):
     if doc is not None:
@@ -1313,6 +1364,11 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "delta must be a positive real <= 1, got an integer of 5001 digits"),
         (lambda: crmorse.m_phi_eta(_model(), 10**5000), None,
          "eta must be a finite real, got an integer of 5001 digits"),
+        # the float-range guard on eta, as bergman-check --eta
+        (lambda: crmorse.m_phi_eta(_model(), 1e308), None,
+         "eta: M_eta = mu - 2 eta diag(lambda) leaves floating-point range"),
+        (lambda: crmorse.bergman_diag(parse_model(json.dumps(BENCH_MODEL_D2).encode()), 1e200, 1, [0, 0]), None,
+         "eta: |det M_eta| leaves floating-point range"),
         # sizes that would allocate terabytes are refused before anything is
         # allocated, with the bound in the message
         (["extremal-check", "--q", "0", "--nodes", "10000000000000"], MODEL_DOC,
@@ -1333,7 +1389,7 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "real-eta", "range-library", "range-k", "range-library-product", "range-k-product",
          "range-levi-flat-product", "range-kmax-power", "positive-library-str",
          "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
-         "positive-huge", "positive-huge-negative", "real-huge", "size-nodes", "size-eta_quad_points",
+         "positive-huge", "positive-huge-negative", "real-huge", "range-eta-matrix", "range-eta-det", "size-nodes", "size-eta_quad_points",
          "size-max-degree", "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
 )
 def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):
