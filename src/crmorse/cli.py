@@ -4,7 +4,7 @@ Every subcommand reads JSON documents, computes through the library, and
 emits either a canonical JSON report or a plain CSV table.  Reports are
 byte-deterministic except for the ``timing_s`` field.  Exit codes: 0 on
 success, 2 for input problems, 3 for degenerate pencils, 4 for a
-calibration record that fails re-derivation.
+calibration record whose constants are not those of calibrate().
 
 Only numpy, the pencil engine and serialization are imported up front,
 and the input digest comes from CPython's built-in SHA-256, so no command
@@ -618,7 +618,7 @@ def _cmd_bergman(args, started):
 
 
 def _calibrate_to(path, flag: str) -> LatticeCalibration:
-    """A freshly derived calibration record, saved at ``path``; a write
+    """A fresh calibration record, saved at ``path``; a write
     error names ``flag``."""
     from .oracles import calibrate, save_calibration
 
@@ -631,7 +631,7 @@ def _calibrate_to(path, flag: str) -> LatticeCalibration:
 
 
 def _load_or_make_cal(path) -> LatticeCalibration:
-    """The --cal record at ``path``, derived and saved there if absent."""
+    """The --cal record at ``path``, made and saved there if absent."""
     from .oracles import load_calibration
 
     if not Path(path).is_file():
@@ -827,7 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="PATH", default=None)
     p.add_argument("--k", type=int, default=None)
 
-    p = add("calibrate", _cmd_calibrate, "derive and freeze the lattice constants", parents=())
+    p = add("calibrate", _cmd_calibrate, "compute and freeze the lattice constants", parents=())
     p.add_argument("--out", metavar="PATH", default=DEFAULT_CAL_PATH)
 
     p = add("convergence", _cmd_convergence, "oracle/bound ratio as k grows")

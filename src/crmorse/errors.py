@@ -15,7 +15,8 @@ string is not a real, as in the document parsers.  The messages read
 
 where an int beyond float range, a value or a bound, shows as "an
 integer of N digits", and _float_range raises the caller's own message.
-_fsum sums reported totals, leaving an overflow for those checks to refuse.
+_fsum sums reported totals, leaving a total out of range for those checks
+to refuse.
 """
 
 import math
@@ -135,15 +136,22 @@ def _float_range(compute, message: str):
 
 
 def _fsum(values) -> float:
-    """The exactly rounded sum of ``values``, math.fsum, the one summation
-    rule of every reported total.  Where a partial sum leaves
-    floating-point range the sum is +-inf, the sign of the plain sum, and
-    inf - inf is nan, instead of an exception, for the caller's range
-    check."""
+    """The exactly rounded sum of ``values``, the one summation rule of
+    every reported total.  It is +-inf only where the exact total leaves
+    floating-point range, and nan for inf - inf, instead of an exception,
+    for the caller's range check."""
     values = list(values)
     try:
         return math.fsum(values)
-    except OverflowError:  # a partial sum left float range
-        return math.copysign(math.inf, sum(values))
+    except OverflowError:  # a partial sum left float range: sum exactly
+        if not all(map(math.isfinite, values)):  # the infinities decide the total
+            return sum(v for v in values if not math.isfinite(v))
+        from fractions import Fraction  # here, so that no command imports it at start-up
+
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)  # int / int, rounded once
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
     except ValueError:  # inf - inf
         return math.nan

@@ -222,7 +222,8 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     with every Gaussian moment evaluated in closed form (Wick permanents
     of M^{-1}); the reproducing-kernel value at the origin is the (0,0)
     entry of the inverse Gram matrix.  Only valid where M_eta is positive
-    definite at inertia()'s tolerance, as bergman_diag reads it.
+    definite at inertia()'s tolerance, as bergman_diag reads it; an eta
+    that bergman_diag refuses is refused with its InputError.
     Mixed-degree moments vanish, so G is block diagonal by degree and built
     block by block, in row slices of bounded memory.  Hence
     (G^-1)_00 = 1/G_00 = det M_eta / (2pi)^d at every max_degree: the oracle
@@ -231,8 +232,9 @@ def bergman_bruteforce(data: ModelData, eta: float, max_degree: int) -> float:
     monomials a side (10 at d = 4), so G takes at most 16 MB.
     """
     max_degree = _int_arg(max_degree, "max_degree", 0, _degree_cap(data.d))
-    m = m_phi_eta(data, eta)
-    return _bruteforce(data, m, inertia(m), max_degree)
+    # bergman_diag's reads of M_eta, and its refusal of a |det M_eta| out of range
+    _, m, ine = _bergman_diag(data, eta, 0, np.zeros(data.d), "")
+    return _bruteforce(data, m, ine, max_degree)
 
 
 def _degree_cap(d: int) -> int:

@@ -22,6 +22,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,25 @@ def test_classify_ignores_overflowing_densities(tmp_path):
     # classify prints no densities, so a weight that overflows them is fine
     for doc in (_HUGE_WEIGHT, _HUGE_SUM):
         assert run(["classify", "--input", str(write_json(tmp_path, "f.json", doc))]) == 0
+
+
+def test_mixed_sign_total_in_range_is_reported(tmp_path):
+    # every density and the exact signed total are 3.6e305, but the first
+    # two samples' signed integrals, 0.9e308 each, overflow as a partial sum
+    t = math.sqrt(0.45e308)
+    pencils = [[[t, 0], [0, t]], [[-t, 0], [0, -t]], [[t, 0], [0, -t]]]
+    zero = [[0, 0], [0, 0]]
+    doc = field_doc(3, 1, [point_doc("p%d" % i, r, zero) for i, r in enumerate(pencils)])
+    out = tmp_path / "m.json"
+    assert run(["morse", "--input", str(write_json(tmp_path, "f.json", doc)), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    signed = [
+        crmorse.pencil_signed_integral(crmorse.HermitianMatrix(r), crmorse.HermitianMatrix(zero), 1.0)
+        for r in pencils
+    ]
+    want = float(sum(map(Fraction, signed))) / (2 * math.pi) ** 3
+    assert result["rrhTotal"] == result["strongSums"][2] == want
+    assert want == pytest.approx(3.628e305, rel=1e-3)
 
 
 def test_degenerate_field_exit_code(tmp_path, capsys):
@@ -1369,6 +1389,11 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "eta: M_eta = mu - 2 eta diag(lambda) leaves floating-point range"),
         (lambda: crmorse.bergman_diag(parse_model(json.dumps(BENCH_MODEL_D2).encode()), 1e200, 1, [0, 0]), None,
          "eta: |det M_eta| leaves floating-point range"),
+        # the brute-force oracle refuses that eta as bergman_diag does, before
+        # it builds a Gram block on the overflowed determinant
+        (lambda: crmorse.bergman_bruteforce(
+            crmorse.ModelData(2, [-1, -1], crmorse.HermitianMatrix(np.eye(2)), 1), 1e200, 2), None,
+         "eta: |det M_eta| leaves floating-point range"),
         # sizes that would allocate terabytes are refused before anything is
         # allocated, with the bound in the message
         (["extremal-check", "--q", "0", "--nodes", "10000000000000"], MODEL_DOC,
@@ -1389,7 +1414,8 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "real-eta", "range-library", "range-k", "range-library-product", "range-k-product",
          "range-levi-flat-product", "range-kmax-power", "positive-library-str",
          "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
-         "positive-huge", "positive-huge-negative", "real-huge", "range-eta-matrix", "range-eta-det", "size-nodes", "size-eta_quad_points",
+         "positive-huge", "positive-huge-negative", "real-huge", "range-eta-matrix", "range-eta-det",
+         "range-eta-det-bruteforce", "size-nodes", "size-eta_quad_points",
          "size-max-degree", "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
 )
 def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):

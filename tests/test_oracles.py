@@ -63,6 +63,7 @@ def test_d1_fourier_bruteforce_frozen():
     assert d1_fourier_bruteforce(1) == 2
     assert d1_fourier_bruteforce(2) == 4
     assert d1_fourier_bruteforce(7) == 14
+    assert [d1_fourier_bruteforce(a) for a in range(1, 65)] == [2 * a for a in range(1, 65)]
 
 
 def test_d1_fourier_bruteforce_linearity():
@@ -85,7 +86,8 @@ def test_calibrate_constants():
     cal = calibrate()
     assert cal.c_dim == Fraction(2)
     assert cal.c_mode == Fraction(1)
-    assert cal.provenance["survivor"] == "1/1"
+    assert cal.c_dim == d1_fourier_bruteforce(1)
+    assert cal.provenance == {"method": "d1 Fourier quasi-periodicity count", "n1": 2}
 
 
 def test_calibrate_idempotent(tmp_path):

@@ -678,10 +678,15 @@ def test_q_masses_equal_a_math_fsum_per_degree(d, n, seed):
     [
         ([2.0**53, 1.0, 1.0], 2.0**53 + 2.0),  # exactly rounded, where a plain sum gives 2^53
         ([0.1] * 10, 1.0),
-        ([1e308, 1e308], math.inf),  # out of range: the sign of the plain sum
+        ([1e308, 1e308], math.inf),  # the exact total out of range: its sign
         ([-1e308, -1e308, 1.0], -math.inf),
         ([math.inf, 1.0], math.inf),
         ([math.inf, -math.inf], math.nan),
+        # a partial sum leaves range but the exact total does not: rounded once
+        ([1e308, 1e308, -1e308], 1e308),
+        ([1e308, 1e308, -1e308, -1e308, 2.0**-1074], 2.0**-1074),
+        ([1e308, 1e308, -math.inf], -math.inf),
+        ([1e308, 1e308, math.nan], math.nan),
     ],
 )
 def test_fsum_is_exactly_rounded_and_leaves_range_checks_to_the_caller(values, want):
