@@ -6,6 +6,11 @@ byte-deterministic except for the ``timing_s`` field.  Exit codes: 0 on
 success, 2 for input problems, 3 for degenerate pencils, 4 for a
 calibration record whose constants are not those of calibrate().
 
+Each handler ``_cmd_*`` takes the parsed arguments and returns its table,
+(raw input, result, CSV header, CSV rows); run() alone turns it into
+bytes, through _emit, under the subcommand's name.  calibrate, which
+writes a record and not a table, returns None and prints its own line.
+
 Only numpy, the pencil engine and serialization are imported up front,
 and the input digest comes from CPython's built-in SHA-256, so no command
 loads OpenSSL.  Each parser and handler imports the layer it runs (morse,
@@ -377,13 +382,15 @@ def _digest(raw: bytes) -> str:
     return "sha256:" + sha256(raw).hexdigest()
 
 
-def _emit(args, command: str, raw: bytes, result: Dict, csv_text: str, started: float) -> None:
+def _emit(args, raw: bytes, result: Dict, header: List[str], rows: List[list], started: float) -> None:
+    """Write a command's table: the JSON report of ``result`` under the
+    command's name, or the CSV of ``header`` and ``rows``."""
     if args.format == "csv":
-        text = csv_text
+        text = csv_table(header, rows)
     else:
         payload = {
             "schema": REPORT_SCHEMA,
-            "command": command,
+            "command": args.command,
             "input_digest": _digest(raw),
             "timing_s": max(time.perf_counter() - started, 1e-9),
             "result": result,
@@ -428,9 +435,8 @@ def _report_doc(rep: MorseReport, k: Optional[int] = None, source: Optional[str]
     return doc
 
 
-def _emit_report(args, command: str, raw: bytes, field: PencilField, started: float,
-                 delta: Optional[float] = None, source: str = "mu") -> None:
-    """Emit the Morse report of ``field`` at ``delta`` (default its window),
+def _report(args, raw: bytes, field: PencilField, delta: Optional[float] = None, source: str = "mu"):
+    """The Morse report table of ``field`` at ``delta`` (default its window),
     with the weak bounds of --k; a report out of range names ``source``."""
     from .morse import build_morse_report
 
@@ -441,55 +447,39 @@ def _emit_report(args, command: str, raw: bytes, field: PencilField, started: fl
         [q, dens, rep.strong_sums[q], weak[q], rep.xq[q].holds, rep.xq[q].max_delta]
         for q, dens in enumerate(rep.densities)
     ]
-    csv_text = csv_table(
-        ["q", "density", "strong_sum", "weak_bound", "xq_holds", "xq_max_delta"], rows
-    )
-    _emit(args, command, raw, doc, csv_text, started)
+    return raw, doc, ["q", "density", "strong_sum", "weak_bound", "xq_holds", "xq_max_delta"], rows
 
 
 # --------------------------------------------------------------- handlers
 
 
-def _cmd_chambers(args, started):
+def _cmd_chambers(args):
     raw = _read_input(args)
     field = parse_field(raw)
     pt = field._point(_int_arg(args.point, "--point", 0, len(field.labels) - 1))
     delta = field.delta if args.delta is None else _positive_arg(args.delta, "--delta")
     dec, masses = _decompose(pt.r, pt.el, delta)[:2]
-    result = {
-        "label": pt.label,
-        "delta": dec.delta,
-        "roots": list(dec.roots),
-        "chambers": [
-            {
-                "lo": ch.lo,
-                "hi": ch.hi,
-                "inertia": [ch.inertia.neg, ch.inertia.zero, ch.inertia.pos],
-                "detSign": ch.det_sign,
-                "mass": m,
-            }
-            for ch, m in zip(dec.chambers, masses)
-        ],
-    }
-    csv_text = csv_table(
-        ["lo", "hi", "neg", "zero", "pos", "det_sign", "mass"],
-        [
-            [ch.lo, ch.hi, ch.inertia.neg, ch.inertia.zero, ch.inertia.pos, ch.det_sign, m]
-            for ch, m in zip(dec.chambers, masses)
-        ],
-    )
-    _emit(args, "chambers", raw, result, csv_text, started)
+    rows = [
+        [ch.lo, ch.hi, ch.inertia.neg, ch.inertia.zero, ch.inertia.pos, ch.det_sign, m]
+        for ch, m in zip(dec.chambers, masses)
+    ]
+    chambers = [
+        {"lo": lo, "hi": hi, "inertia": [neg, zero, pos], "detSign": sign, "mass": m}
+        for lo, hi, neg, zero, pos, sign, m in rows
+    ]
+    result = {"label": pt.label, "delta": dec.delta, "roots": list(dec.roots), "chambers": chambers}
+    return raw, result, ["lo", "hi", "neg", "zero", "pos", "det_sign", "mass"], rows
 
 
-def _cmd_morse(args, started):
+def _cmd_morse(args):
     raw = _read_input(args)
     field = parse_field(raw)
     _int_arg(args.threads, "--threads", 1)
     delta = None if args.delta is None else _positive_arg(args.delta, "--delta", field.delta)
-    _emit_report(args, "morse", raw, field, started, delta, "points[*].weight")
+    return _report(args, raw, field, delta, "points[*].weight")
 
 
-def _cmd_classify(args, started):
+def _cmd_classify(args):
     from .morse import build_morse_report
 
     raw = _read_input(args)
@@ -512,7 +502,7 @@ def _cmd_classify(args, started):
     for q, x in enumerate(rep.xq):
         rows.append(["xq%d_holds" % q, x.holds])
         rows.append(["xq%d_max_delta" % q, x.max_delta])
-    _emit(args, "classify", raw, result, csv_table(["key", "value"], rows), started)
+    return raw, result, ["key", "value"], rows
 
 
 # the model commands import crmorse.model, the lattice and demo commands
@@ -541,7 +531,7 @@ def _parse_z(text: Optional[str], d: int) -> np.ndarray:
     return out
 
 
-def _cmd_szego(args, started):
+def _cmd_szego(args):
     from .model import _szego_table
 
     raw = _read_input(args)
@@ -555,11 +545,10 @@ def _cmd_szego(args, started):
         "intervals": [[list(iv) for iv in per_q] for per_q in cs.intervals],
         "densities": densities,
     }
-    csv_text = csv_table(["q", "density"], [[q, densities[q]] for q in qs])
-    _emit(args, "szego-density", raw, result, csv_text, started)
+    return raw, result, ["q", "density"], [[q, densities[q]] for q in qs]
 
 
-def _cmd_extremal(args, started):
+def _cmd_extremal(args):
     from .model import _MAX_NODES, _extremal_form
 
     raw = _read_input(args)
@@ -582,10 +571,10 @@ def _cmd_extremal(args, started):
     rows = [["norm_check", form.norm_check, ""], ["peak_check", form.peak_check, ""]]
     for j, v in zip(form.multi_indices, form.value):
         rows.append(["(%s)" % ";".join(str(t) for t in j), v.real, v.imag])
-    _emit(args, "extremal-check", raw, result, csv_table(["field", "re", "im"], rows), started)
+    return raw, result, ["field", "re", "im"], rows
 
 
-def _cmd_bergman(args, started):
+def _cmd_bergman(args):
     from .model import _bergman_diag, _bruteforce, _degree_cap
 
     raw = _read_input(args)
@@ -599,22 +588,9 @@ def _cmd_bergman(args, started):
         bruteforce = _bruteforce(data, m, ine, max_degree)
         if bruteforce != 0.0:
             rel_gap = (val.value - bruteforce) / bruteforce
-    result = {
-        "eta": args.eta,
-        "q": args.q,
-        "z": [[v.real, v.imag] for v in z],
-        "value": val.value,
-        "boundary": val.boundary,
-        "bruteforce": bruteforce,
-        "rel_gap": rel_gap,
-    }
-    rows = [
-        ["value", val.value],
-        ["boundary", val.boundary],
-        ["bruteforce", "" if bruteforce is None else bruteforce],
-        ["rel_gap", "" if rel_gap is None else rel_gap],
-    ]
-    _emit(args, "bergman-check", raw, result, csv_table(["key", "value"], rows), started)
+    rows = [["value", val.value], ["boundary", val.boundary], ["bruteforce", bruteforce], ["rel_gap", rel_gap]]
+    result = dict(rows, eta=args.eta, q=args.q, z=[[v.real, v.imag] for v in z])
+    return raw, result, ["key", "value"], [[key, "" if v is None else v] for key, v in rows]
 
 
 def _calibrate_to(path, flag: str) -> LatticeCalibration:
@@ -655,7 +631,7 @@ def _torus_report(args, spec: TorusBundleSpec):
     return cal, field, build_morse_report(field)
 
 
-def _cmd_torus_demo(args, started):
+def _cmd_torus_demo(args):
     from .oracles import _dimension_sums
 
     raw = _read_input(args, DEFAULT_TORUS_DOC)
@@ -667,26 +643,23 @@ def _cmd_torus_demo(args, started):
     qs = range(spec.d + 1) if args.q is None else [args.q]
     result = {key: doc[key] for key in ("delta", "k", "densities", "weakBounds", "strongSums", "rrhTotal")}
     result.update(d=spec.d, oracleDims=oracle)
-    csv_text = csv_table(
-        ["q", "density", "weak_bound", "oracle_dim"],
-        [[q, rep.densities[q], doc["weakBounds"][q], oracle[q]] for q in qs],
-    )
-    _emit(args, "torus-demo", raw, result, csv_text, started)
+    rows = [[q, rep.densities[q], doc["weakBounds"][q], oracle[q]] for q in qs]
+    return raw, result, ["q", "density", "weak_bound", "oracle_dim"], rows
 
 
-def _cmd_heisenberg_demo(args, started):
+def _cmd_heisenberg_demo(args):
     from .oracles import heisenberg_field
 
     raw = _read_input(args, DEFAULT_HEISENBERG_DOC)
-    _emit_report(args, "heisenberg-demo", raw, heisenberg_field(parse_heisenberg(raw)), started)
+    return _report(args, raw, heisenberg_field(parse_heisenberg(raw)))
 
 
-def _cmd_levi_flat_demo(args, started):
+def _cmd_levi_flat_demo(args):
     raw = _read_input(args, DEFAULT_LEVI_DOC)
-    _emit_report(args, "levi-flat-demo", raw, parse_levi_flat(raw), started)
+    return _report(args, raw, parse_levi_flat(raw))
 
 
-def _cmd_calibrate(args, started):
+def _cmd_calibrate(args):
     cal = _calibrate_to(args.out, "--out")
     sys.stdout.write(
         "calibration written to %s (c_dim=%s, c_mode=%s)\n"
@@ -701,7 +674,7 @@ _EULER_MARGIN = 1e-9
 _MAX_LEVELS = 1000  # levels k of one convergence sweep, at most
 
 
-def _cmd_convergence(args, started):
+def _cmd_convergence(args):
     from .morse import _weak_bounds
     from .oracles import _WINDOW_RANGE, _dimension_sums
 
@@ -735,24 +708,18 @@ def _cmd_convergence(args, started):
         sums = _dimension_sums(spec, k, cal)
         oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
     ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
-    rows = [
-        {"k": k, "oracle": o, "bound": b, "ratio": r}
-        for k, o, b, r in zip(ks, oracles, bounds, ratios)
-    ]
+    header = ["k", "oracle", "bound", "ratio"]
+    rows = list(zip(ks, oracles, bounds, ratios))
     result = {
         "source": source,
         "d": spec.d,
         "delta": spec.delta,
         "mode": "euler" if q is None else "density",
         "q": q,
-        "weight": field.points[0].weight,
-        "rows": rows,
+        "weight": field.weights[0],
+        "rows": [dict(zip(header, row)) for row in rows],
     }
-    csv_text = csv_table(
-        ["k", "oracle", "bound", "ratio"],
-        [[r["k"], r["oracle"], r["bound"], r["ratio"]] for r in rows],
-    )
-    _emit(args, "convergence", raw, result, csv_text, started)
+    return raw, result, header, rows
 
 
 # ----------------------------------------------------------------- parser
@@ -857,7 +824,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        handler(args, started)
+        table = handler(args)
+        if table is not None:  # calibrate writes its own line
+            _emit(args, *table, started)
     except CalibrationError as exc:
         sys.stderr.write("calibration error: %s\n" % exc)
         return 4

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -245,11 +246,17 @@ def _degree_cap(d: int) -> int:
 
 def _bruteforce(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: int) -> float:
     """bergman_bruteforce at M_eta = m, whose inertia is ine: the monomial
-    Gram matrix, built block by block, and its (G^-1)_00."""
+    Gram matrix, built block by block, and its (G^-1)_00.  A degree-k block
+    scales as M^-(d + k), so where it could leave floating-point range G is
+    built on M 2^-e, 2^e the least power of two above max|M_ij| (clamped as
+    pencil._units does), and the value scaled back by 2^(d e)."""
     if ine.pos != data.d:
         raise InputError("brute-force Bergman oracle needs M_Phi_eta positive definite, got %r" % (ine,))
-    cov = np.linalg.inv(m.entries)
-    mass = TWO_PI**data.d / float(np.linalg.det(m.entries).real)
+    e = max(math.frexp(float(np.abs(m.entries).max()))[1], -1021)
+    e = 0 if abs(e) * (data.d + max_degree) < 900 else e
+    entries = m.entries * math.ldexp(1.0, -e)
+    cov = np.linalg.inv(entries)
+    mass = TWO_PI**data.d / float(np.linalg.det(entries).real)
     size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
     gram = np.zeros((size, size), dtype=complex)
     off = 0
@@ -264,7 +271,7 @@ def _bruteforce(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: i
                 np.take(cov[idx[r0 : r0 + step]], idx, axis=2).transpose(0, 2, 1, 3)
             )
     sol = np.linalg.solve(gram, np.eye(1, len(gram), dtype=complex)[0])  # G^-1 e_0
-    return float(sol[0].real)
+    return math.ldexp(float(sol[0].real), data.d * e)
 
 
 def szego_density(data: ModelData, q: int) -> float:
@@ -329,6 +336,9 @@ def _extremal_form(
             % (q, data.delta, data.delta)
         )
     total_mass = masses[q]
+    out_of_range = "q=%d: the q-chamber mass of |det M_eta| leaves floating-point range" % q
+    if total_mass < sys.float_info.min:  # subnormal or 0: C_0 and the checks would lose their digits
+        raise InputError(out_of_range)
     c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
     js = list(itertools.combinations(range(data.d), q))
     nodes, weights = _gauss_legendre(eta_quad_points)
@@ -351,9 +361,12 @@ def _extremal_form(
     if not np.all(np.isfinite(u)):
         raise InputError("%s: the extremal form at this z leaves floating-point range" % name)
     u_origin = sums(base[:, None] * coeffs) / TWO_PI
-    norm_check = _fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI
     szego = total_mass / TWO_PI**data.n
-    peak_check = float(np.sum(np.abs(u_origin) ** 2)) / szego
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass near the bottom of the range fails below
+        norm_check, peak_check = _float_range(lambda: [
+            _fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI,
+            float(np.sum(np.abs(u_origin) ** 2) / szego),
+        ], out_of_range)
     return ExtremalForm(
         multi_indices=js, value=u, norm_check=norm_check, peak_check=peak_check
     )

@@ -652,6 +652,43 @@ def test_bergman_check_command(tmp_path):
     assert abs(res["rel_gap"]) < 1e-9
 
 
+SCALED_MODEL_COMMANDS = [
+    ["szego-density"],
+    ["extremal-check", "--q", "0", "--nodes", "16"],
+    ["bergman-check", "--q", "0", "--eta", "-0.5"],
+]
+
+
+def test_model_commands_on_a_model_scaled_by_powers_of_two(tmp_path, capsys):
+    # mu and lambda times 2^k give the chambers and checks of k = 0, or a
+    # one-line refusal where a mass or value leaves floating-point range;
+    # the Gram oracle and the extremal form used to end in tracebacks
+    # (ZeroDivisionError, LinAlgError, a nan or inf report) well inside it
+    doc = bench_gen().model_doc(1, 2)
+    checks = {}
+    for k in (0, -1000, -520, -400, 260, 400, 1000):
+        t = 2.0**k
+        scaled = dict(doc, mu=[[[t * re, t * im] for re, im in row] for row in doc["mu"]])
+        scaled["lambda"] = [t * v for v in doc["lambda"]]
+        path = str(write_json(tmp_path, "m.json", scaled))
+        for argv in SCALED_MODEL_COMMANDS:
+            code = run(argv + ["--input", path])
+            out, err = capsys.readouterr()
+            assert code in (0, 2), (k, argv, err)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (k, argv, err)
+                continue
+            result = json.loads(out)["result"]
+            for key in ("norm_check", "peak_check", "rel_gap"):
+                if key not in result:
+                    continue
+                if k == 0:
+                    checks[key] = result[key]
+                elif key != "rel_gap" or result[key] is not None:
+                    assert abs(result[key] - checks[key]) <= 1e-9, (k, key, result[key])
+    assert set(checks) == {"norm_check", "peak_check", "rel_gap"}
+
+
 # ------------------------------------------------------ oracle commands
 
 
@@ -980,10 +1017,11 @@ def test_parser_cases_cover_every_command():
 
 
 @pytest.mark.parametrize("command", list(PARSER_CASES))
-def test_one_subparser_parses_as_the_full_parser(command, capsys):
+def test_one_subparser_parses_as_the_full_parser(command, tmp_path, capsys):
     # run() on one command's argv gives the namespace, help and errors of
     # the parser with all eleven subparsers, and dispatches to the handler
-    # that the namespace names
+    # that the namespace names; run() alone writes what a handler returns,
+    # the same bytes to stdout and to --out, under the subcommand's name
     valid, rejected = PARSER_CASES[command]
     full = crmorse.cli._build_parser()
     namespace, code, out, err = parsed(full, [command, *valid])
@@ -994,6 +1032,20 @@ def test_one_subparser_parses_as_the_full_parser(command, capsys):
         assert expected[1] == (0 if argv[1:] == ["--help"] else 2), argv
         assert run(argv) == expected[1]
         assert tuple(capsys.readouterr()) == expected[2:], argv
+    if command == "calibrate":  # writes its record, and its own line
+        return
+    paths = {"field": write_json(tmp_path, "f.json", MINIMAL), "model": write_json(tmp_path, "m.json", MODEL_DOC),
+             "cal": tmp_path / "cal.json"}
+    argv = [a.format(**paths) for a in EMITTING[command]]
+    for fmt in ("json", "csv"):
+        assert run(argv + ["--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert run(argv + ["--format", fmt, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr() == ("", "")
+        written = (tmp_path / "out").read_text()
+        assert strip_timing(written) == strip_timing(printed)
+        if fmt == "json":
+            assert json.loads(written)["command"] == command
 
 
 def test_no_known_command_builds_every_subparser(capsys):
@@ -1020,6 +1072,10 @@ FAMILIES = {
     "lattice": [["torus-demo", "--cal", "{cal}"],
                 ["convergence", "--example", "torus-d1", "--kmax", "20", "--cal", "{cal}"]],
 }
+
+# an argv of each command that writes a table, from the family commands
+EMITTING = {argv[0]: argv for argvs in FAMILIES.values() for argv in argvs}
+EMITTING.update({"heisenberg-demo": ["heisenberg-demo", "--k", "10"], "levi-flat-demo": ["levi-flat-demo"]})
 
 # run in a fresh interpreter: run the commands, listing sys.modules after
 # each, then the BLAS thread count that importing and running left in the
