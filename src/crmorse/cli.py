@@ -557,7 +557,7 @@ def _cmd_extremal(args):
     theta = _real_arg(args.theta, "--theta")
     q = _int_arg(args.q, "--q", 0, data.d)
     nodes = _int_arg(args.nodes, "--nodes", 16, _MAX_NODES)
-    form = _extremal_form(data, q, z, theta, nodes, "--z")
+    form = _extremal_form(data, q, z, theta, nodes, "--")
     result = {
         "q": args.q,
         "theta": args.theta,

@@ -65,6 +65,8 @@ _GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8
 _GRAM_SIDE = 1024  # monomials of the brute-force Gram matrix, at most (16 MB)
 _GRAM_DEGREE = 12  # their degree, at most: Glynn's formula sums 2^(degree - 1) terms
 _MAX_NODES = 4096  # eta quadrature nodes per chamber, at most
+_FORM_ENTRIES = 1 << 22  # complex entries of the extremal form's eta frames and q x q minors, at most (64 MB)
+_MASS_RANGE = "q=%d: the q-chamber mass of |det M_eta| leaves floating-point range"
 
 
 class ModelData(_Frozen):
@@ -126,9 +128,14 @@ def _m_phi_eta(data: ModelData, eta: float, name: str) -> HermitianMatrix:
 
 def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass of each
-    q-signature set: the pencil mu + 2s(-diag lam) at s = eta is M_eta."""
+    q-signature set: the pencil mu + 2s(-diag lam) at s = eta is M_eta.  A
+    nonempty q-set whose mass is subnormal or 0 is an InputError, since its
+    density and the extremal form's C_0 would lose their digits."""
     el = HermitianMatrix(np.diag(-data.lam).astype(complex))
     dec, _, _, masses = _decompose(data.mu, el, data.delta)
+    for q in sorted({ch.inertia.neg for ch in dec.chambers}):
+        if masses[q] < sys.float_info.min:
+            raise InputError(_MASS_RANGE % q)
     return dec, masses
 
 
@@ -161,8 +168,9 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
     Closed form e^{Phi_eta(z)} (2pi)^{-d} |det M_eta| when eta lies in the
     q-signature chamber, 0 otherwise.  At a chamber boundary (M_eta singular
     at inertia()'s tolerance) the value is 0 and the boundary flag is set.  An
-    eta at which M_eta or its determinant, or a z at which the value, leaves
-    floating-point range is an InputError.
+    eta at which M_eta leaves floating-point range, or |det M_eta| leaves the
+    normal floats (overflows, or is subnormal or 0), and a z at which the
+    value overflows are InputErrors; an e^Phi that underflows gives 0.
     """
     return _bergman_diag(data, eta, q, z, "")[0]
 
@@ -180,7 +188,8 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, prefix: str) -> Tuple[
     with np.errstate(over="ignore", invalid="ignore"):  # a Phi or a det out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
         det = abs(float(np.linalg.det(m.entries).real))
-    _float_range(lambda: det, "%seta: |det M_eta| leaves floating-point range" % prefix)
+    if not sys.float_info.min <= det < math.inf:  # nan too
+        raise InputError("%seta: |det M_eta| leaves floating-point range" % prefix)
     value = _float_range(
         lambda: math.exp(phi) * det / TWO_PI**data.d,
         "%sz: the Bergman density at this z leaves floating-point range" % prefix,
@@ -315,15 +324,17 @@ def extremal_form(
     peak_check compares |u(0,0)|^2 against the Szego density.  Both are 1
     up to quadrature error.  eta_quad_points, the Gauss-Legendre nodes per
     chamber, is in 16..4096.  A z at which the value leaves floating-point
-    range is an InputError.
+    range is an InputError, and so is a q whose eta frames and q x q minors
+    would take more than _FORM_ENTRIES complex entries, before any is built.
     """
-    return _extremal_form(data, q, z, theta, eta_quad_points, "z")
+    return _extremal_form(data, q, z, theta, eta_quad_points, "")
 
 
 def _extremal_form(
-    data: ModelData, q: int, z, theta: float, eta_quad_points: int, name: str
+    data: ModelData, q: int, z, theta: float, eta_quad_points: int, prefix: str
 ) -> ExtremalForm:
-    """extremal_form, with ``name`` for z in its range error."""
+    """extremal_form, whose errors name q and z with ``prefix``: "" for the
+    parameters, "--" for the flags."""
     q = _int_arg(q, "q", 0, data.d)
     z = _check_z(data, z)
     theta = _real_arg(theta, "theta")
@@ -335,10 +346,14 @@ def _extremal_form(
             "zero extremal mass: the q=%d chamber set in [-%g, %g] is empty"
             % (q, data.delta, data.delta)
         )
+    n_etas = len(cells) * eta_quad_points
+    entries = n_etas * (data.d**2 + math.comb(data.d, q) * q * q)
+    if entries > _FORM_ENTRIES:
+        raise InputError(
+            "%sq %d: the extremal form's eta frames and %d x %d minors at %d eta nodes take %d complex "
+            "entries, more than %d" % (prefix, q, q, q, n_etas, entries, _FORM_ENTRIES)
+        )
     total_mass = masses[q]
-    out_of_range = "q=%d: the q-chamber mass of |det M_eta| leaves floating-point range" % q
-    if total_mass < sys.float_info.min:  # subnormal or 0: C_0 and the checks would lose their digits
-        raise InputError(out_of_range)
     c0 = TWO_PI ** (1.0 - 0.5 * data.n) / math.sqrt(total_mass)
     js = list(itertools.combinations(range(data.d), q))
     nodes, weights = _gauss_legendre(eta_quad_points)
@@ -359,14 +374,14 @@ def _extremal_form(
         exponent = 1j * theta * etas + etas * lam_zsq + (vs[:, :q] * np.abs(wcoord) ** 2).sum(axis=1)
         u = sums((base * np.exp(exponent))[:, None] * coeffs) / TWO_PI
     if not np.all(np.isfinite(u)):
-        raise InputError("%s: the extremal form at this z leaves floating-point range" % name)
+        raise InputError("%sz: the extremal form at this z leaves floating-point range" % prefix)
     u_origin = sums(base[:, None] * coeffs) / TWO_PI
     szego = total_mass / TWO_PI**data.n
     with np.errstate(over="ignore", invalid="ignore"):  # a mass near the bottom of the range fails below
         norm_check, peak_check = _float_range(lambda: [
             _fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI,
             float(np.sum(np.abs(u_origin) ** 2) / szego),
-        ], out_of_range)
+        ], _MASS_RANGE % q)
     return ExtremalForm(
         multi_indices=js, value=u, norm_check=norm_check, peak_check=peak_check
     )

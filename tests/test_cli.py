@@ -36,6 +36,11 @@ from crmorse.errors import InputError
 
 TWO_PI = 2.0 * math.pi
 
+# every case fails on any warning, not only on the RuntimeWarning that
+# pyproject.toml escalates, since the warnings plugin would otherwise take
+# a warning before capsys sees it: a refusal is one stderr line, no more
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def mat(rows):
     return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
@@ -537,7 +542,7 @@ def test_classify_ignores_overflowing_densities(tmp_path):
         assert run(["classify", "--input", str(write_json(tmp_path, "f.json", doc))]) == 0
 
 
-def test_mixed_sign_total_in_range_is_reported(tmp_path):
+def test_mixed_sign_total_in_range_is_reported(tmp_path, capsys):
     # every density and the exact signed total are 3.6e305, but the first
     # two samples' signed integrals, 0.9e308 each, overflow as a partial sum
     t = math.sqrt(0.45e308)
@@ -546,6 +551,7 @@ def test_mixed_sign_total_in_range_is_reported(tmp_path):
     doc = field_doc(3, 1, [point_doc("p%d" % i, r, zero) for i, r in enumerate(pencils)])
     out = tmp_path / "m.json"
     assert run(["morse", "--input", str(write_json(tmp_path, "f.json", doc)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     result = json.loads(out.read_text())["result"]
     signed = [
         crmorse.pencil_signed_integral(crmorse.HermitianMatrix(r), crmorse.HermitianMatrix(zero), 1.0)
@@ -652,51 +658,77 @@ def test_bergman_check_command(tmp_path):
     assert abs(res["rel_gap"]) < 1e-9
 
 
-SCALED_MODEL_COMMANDS = [
-    ["szego-density"],
-    ["extremal-check", "--q", "0", "--nodes", "16"],
-    ["bergman-check", "--q", "0", "--eta", "-0.5"],
+BENCH_MODEL_D2 = bench_gen().model_doc(1, 2)  # bench/gen.py model --d 2 --seed 1
+BENCH_MODEL_D4 = bench_gen().model_doc(1, 4)
+SZEGO = ["szego-density"]
+EXTREMAL = ["extremal-check", "--q", "0", "--nodes", "16"]
+BERGMAN = ["bergman-check", "--q", "0", "--eta", "-0.5"]
+MASS_RANGE = "q=0: the q-chamber mass of |det M_eta| leaves floating-point range"
+DET_RANGE = "--eta: |det M_eta| leaves floating-point range"
+UNIT_MODEL_D2 = {"schema": "crmorse/model-v1", "d": 2, "lambda": [1.0, 1.0], "mu": mat(np.eye(2)), "delta": 1.0}
+
+# (model, lambda scaled with mu, t, argv, the error line, or None where the
+# command exits 0)
+SCALED_MODEL_RUNS = [
+    *((BENCH_MODEL_D2, True, 2.0**k, argv, expected) for k, errors in [
+        (-1000, [MASS_RANGE, MASS_RANGE, DET_RANGE]),
+        (-520, [MASS_RANGE, MASS_RANGE, DET_RANGE]),
+        (-400, [None] * 3),
+        (260, [None] * 3),
+        (400, [None] * 3),
+        (1000, [OUT_OF_RANGE % 1.0, OUT_OF_RANGE % 1.0, DET_RANGE]),
+    ] for argv, expected in zip([SZEGO, EXTREMAL, BERGMAN], errors)),
+    (BENCH_MODEL_D4, True, 1e-10, EXTREMAL, None),
+    (BENCH_MODEL_D4, True, 1e-10, BERGMAN, None),
+    # mu = t I at unit lambda: Gram blocks M^-(d + k) beyond float range, and
+    # a |det M_eta| below the normal floats
+    (UNIT_MODEL_D2, False, 1e80, ["bergman-check", "--q", "0", "--eta", "0"], None),
+    (UNIT_MODEL_D2, False, 1e100, ["bergman-check", "--q", "0", "--eta", "0"], None),
+    (UNIT_MODEL_D2, False, 1e-180, ["bergman-check", "--q", "0", "--eta", "0"], DET_RANGE),
+    (UNIT_MODEL_D2, True, 1e-160, EXTREMAL, MASS_RANGE),
+    (UNIT_MODEL_D2, True, 1e-200, EXTREMAL, MASS_RANGE),
 ]
 
 
 def test_model_commands_on_a_model_scaled_by_powers_of_two(tmp_path, capsys):
-    # mu and lambda times 2^k give the chambers and checks of k = 0, or a
-    # one-line refusal where a mass or value leaves floating-point range;
-    # the Gram oracle and the extremal form used to end in tracebacks
-    # (ZeroDivisionError, LinAlgError, a nan or inf report) well inside it
-    doc = bench_gen().model_doc(1, 2)
-    checks = {}
-    for k in (0, -1000, -520, -400, 260, 400, 1000):
-        t = 2.0**k
+    # mu and lambda times t (2^k, and a few powers of ten) give the chambers
+    # and checks of t = 1 and its densities and values times t^d (the
+    # extremal form t^(d/2)), or one line where a nonempty q-mass or
+    # |det M_eta| leaves the normal floats: never a traceback, and never a
+    # zero or subnormal stand-in for a value that underflowed
+    def result(doc, with_lambda, t, argv):
         scaled = dict(doc, mu=[[[t * re, t * im] for re, im in row] for row in doc["mu"]])
-        scaled["lambda"] = [t * v for v in doc["lambda"]]
-        path = str(write_json(tmp_path, "m.json", scaled))
-        for argv in SCALED_MODEL_COMMANDS:
-            code = run(argv + ["--input", path])
-            out, err = capsys.readouterr()
-            assert code in (0, 2), (k, argv, err)
-            if code == 2:
-                assert err.startswith("error: ") and err.count("\n") == 1, (k, argv, err)
-                continue
-            result = json.loads(out)["result"]
-            for key in ("norm_check", "peak_check", "rel_gap"):
-                if key not in result:
-                    continue
-                if k == 0:
-                    checks[key] = result[key]
-                elif key != "rel_gap" or result[key] is not None:
-                    assert abs(result[key] - checks[key]) <= 1e-9, (k, key, result[key])
-    assert set(checks) == {"norm_check", "peak_check", "rel_gap"}
+        if with_lambda:
+            scaled["lambda"] = [t * v for v in doc["lambda"]]
+        code = run(argv + ["--input", str(write_json(tmp_path, "m.json", scaled))])
+        out, err = capsys.readouterr()
+        return code, err, json.loads(out)["result"] if code == 0 else None
+
+    for doc, with_lambda, t, argv, expected in SCALED_MODEL_RUNS:
+        code, err, got = result(doc, with_lambda, t, argv)
+        if expected is not None:
+            assert (code, err) == (2, "error: %s\n" % expected), (t, argv)
+            continue
+        assert (code, err) == (0, ""), (t, argv)
+        unit = result(doc, with_lambda, 1.0, argv)[2]
+        for key in ("norm_check", "peak_check", "rel_gap"):
+            if key in got:
+                assert abs(got[key] - unit[key]) <= 1e-9, (t, argv, key)
+        back = t ** -(doc["d"] / 2 if argv == EXTREMAL else doc["d"])
+        for key in ("densities", "value", "bruteforce"):
+            if key in got:
+                np.testing.assert_allclose(np.multiply(got[key], back), unit[key], rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------ oracle commands
 
 
-def test_calibrate_command_idempotent(tmp_path):
+def test_calibrate_command_idempotent(tmp_path, capsys):
     rec1 = tmp_path / "cal1.json"
     rec2 = tmp_path / "cal2.json"
     assert run(["calibrate", "--out", str(rec1)]) == 0
     assert run(["calibrate", "--out", str(rec2)]) == 0
+    assert capsys.readouterr().err == ""
     assert rec1.read_bytes() == rec2.read_bytes()
     doc = json.loads(rec1.read_text())
     assert doc["c_mode"] == "1/1"
@@ -733,16 +765,36 @@ def test_corrupt_calibration_exit_code(tmp_path, capsys):
     assert "calibration" in capsys.readouterr().err.lower()
 
 
+# the provenance that records written before the calibration stated its
+# constants carry: the transcript of a seeded coupling search
+OLD_PROVENANCE = {
+    "candidates": ["1/1", "2/1"],
+    "direct_dims": [4, 22, 0, 0, 34, 0, 0, 24, 0, 0, 4, 0, 0, 0, 0, 16, 0, 0, 12, 28],
+    "linearity_checked_through": 8, "method": "d1 Fourier quasi-periodicity count", "n1": 2,
+    "seed": 20260825, "survivor": "1/1",
+    "tuples": [[1, 0, 2, 1], [3, 2, 3, 1], [1, -1, -1, 3], [3, -3, -3, 2], [6, -1, 3, 1],
+               [4, 0, -2, 3], [6, -3, 0, 1], [5, 4, 0, 3], [3, -2, 0, 2], [3, -4, 3, 3],
+               [6, -4, 1, 1], [5, 0, -1, 2], [6, -3, -1, 2], [6, 1, -1, 2], [4, 1, -2, 1],
+               [5, 3, 1, 1], [6, -3, 0, 1], [6, 1, -3, 2], [6, 2, 0, 3], [4, 2, 2, 3]],
+}
+
+
 def test_calibration_record_with_edited_provenance_loads(tmp_path, capsys):
-    # only the constants are re-derived; the transcript is not compared
+    # only the constants are re-derived; the transcript is not compared, so
+    # an edited one and the old format's load and give the oracle dimensions
+    # of a fresh record
     cal = tmp_path / "cal.json"
     assert run(["calibrate", "--out", str(cal)]) == 0
-    doc = json.loads(cal.read_text())
-    doc["provenance"] = 5
-    cal.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(["torus-demo", "--k", "4", "--cal", str(cal)]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["oracleDims"] == [80, 0]
+    fresh = json.loads(cal.read_text())
+    dims = []
+    for provenance in (fresh["provenance"], 5, OLD_PROVENANCE):
+        cal.write_text(json.dumps(dict(fresh, provenance=provenance)))
+        capsys.readouterr()
+        assert run(["torus-demo", "--k", "10", "--cal", str(cal)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        dims.append(json.loads(out)["result"]["oracleDims"])
+    assert dims == [[440, 0]] * 3
 
 
 def test_calibration_record_with_a_wrong_constant_exits_4(tmp_path, capsys):
@@ -759,7 +811,7 @@ def test_calibration_record_with_a_wrong_constant_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content, reason",
     [
-        (b"\xff\xfe{", None),
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[1]", "expected a JSON object"),
         (b'{"c_mode": null, "c_dim": "2/1"}', "c_mode must be a number or a fraction string, got null"),
         (b'{"c_mode": Infinity, "c_dim": "2/1"}', "c_mode must be a number or a fraction string, got Infinity"),
@@ -1243,7 +1295,6 @@ def test_record_tuples_keep_their_field_order():
 
 K200, K400 = 10**200, 10**400
 K5000 = 10**5000  # beyond the 4300 digits that str() converts
-BENCH_MODEL_D2 = bench_gen().model_doc(1, 2)  # bench/gen.py model --d 2 --seed 1
 
 
 def _cli_error(tmp_path, capsys, argv):
@@ -1385,6 +1436,12 @@ BIG_LEVI = {"schema": "crmorse/leviflat-v1", "d": 1, "mu": [[[1e300, 0.0]]], "de
 
 MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
             "mu": [[[3.1 if i == j else 0.1, 0.0] for j in range(4)] for i in range(4)]}
+# one eta-chamber, of signature 10|10 on [-1/4, 1/4]: the extremal form at
+# q = 10 would gather C(20, 10) = 184756 minors of size 10 x 10 per node
+MODEL_D20 = {**MODEL_DOC, "d": 20, "lambda": [1.0] * 20, "delta": 0.25,
+             "mu": mat(np.diag([-1.0] * 10 + [1.0] * 10))}
+FORM_SIZE = ("q 10: the extremal form's eta frames and 10 x 10 minors at 16 eta nodes take 295616000 complex "
+             "entries, more than 4194304")
 
 
 @pytest.mark.parametrize(
@@ -1460,6 +1517,9 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "--max-degree must be an integer in 0..10, got 60"),
         (lambda: crmorse.bergman_bruteforce(parse_model(json.dumps(MODEL_D4).encode()), 0.5, 60), None,
          "max_degree must be an integer in 0..10, got 60"),
+        (["extremal-check", "--q", "10", "--nodes", "16"], MODEL_D20, "--" + FORM_SIZE),
+        (lambda: crmorse.extremal_form(parse_model(json.dumps(MODEL_D20).encode()), 10, np.zeros(20), 0.0, 16),
+         None, FORM_SIZE),
         (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(10**15), "--kstep", "1"], None,
          "--kstep must be an integer >= 1000000000000, got 1"),
         (["convergence", "--example", "torus-d1", "--kmin", "1", "--kmax", str(10**400), "--kstep", "1"], None,
@@ -1472,9 +1532,14 @@ MODEL_D4 = {**MODEL_DOC, "d": 4, "lambda": [1.0] * 4,
          "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
          "positive-huge", "positive-huge-negative", "real-huge", "range-eta-matrix", "range-eta-det",
          "range-eta-det-bruteforce", "size-nodes", "size-eta_quad_points",
-         "size-max-degree", "size-max_degree", "size-kstep", "size-kstep-huge-bound"],
+         "size-max-degree", "size-max_degree", "size-q", "size-q-library", "size-kstep", "size-kstep-huge-bound"],
 )
-def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, case, doc, expected):
+def test_argument_checks_name_what_the_caller_set(tmp_path, capsys, monkeypatch, case, doc, expected):
+    def no_frames(*args):
+        raise AssertionError("extremal_form built its eta frames")
+
+    # every check here comes before the extremal form's frames and minors
+    monkeypatch.setattr("crmorse.model._frame", no_frames)
     out = tmp_path / "out"
     if callable(case):
         with pytest.raises(InputError) as exc:
