@@ -2,7 +2,8 @@
 spectral density bounds for CR line bundles.
 
 Each public name is imported from its submodule on first access
-(PEP 562), so a program loads only the submodules it uses.
+(PEP 562), so a program loads only the submodules it uses.  _SOURCES is
+the one list of public names: each submodule's __all__ is read from it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ _SOURCES = {
 }
 
 __all__ = list(_SOURCES)
+
+
+def _exports(module: str) -> list:
+    """The __all__ of the submodule named ``module``: its names in _SOURCES."""
+    return [name for name, home in _SOURCES.items() if "%s.%s" % (__name__, home) == module]
 
 
 def __getattr__(name: str):

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import (
     _float_range,
     _int_arg,
     _positive_arg,
-    _real_arg,
     _shown,
 )
 from .pencil import HermitianMatrix, _decompose, _symmetrized
@@ -106,6 +105,7 @@ def _number(value: Any, path: str) -> float:
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         _fail(path, "expected an integer, got %r" % (value,))
+    _number(value, path)  # within float range, as every number of a document
     return int(value)
 
 
@@ -179,9 +179,9 @@ def _dimension(doc: Dict, key: str, lo: int) -> int:
     return value
 
 
-def _point(praw: Any, path: str, d: int) -> PencilPoint:
-    from .morse import PencilPoint
-
+def _head(praw: Any, path: str) -> Tuple[str, float]:
+    """The label and weight of the sample point ``praw``, read by both
+    parses of a field; a fault names its JSON path."""
     if not isinstance(praw, dict):
         _fail(path, "expected an object")
     label = _get(praw, "label", path)
@@ -190,6 +190,13 @@ def _point(praw: Any, path: str, d: int) -> PencilPoint:
     weight = _number(praw.get("weight", 1.0), path + ".weight")
     if weight <= 0.0:
         _fail(path + ".weight", "must be positive, got %s" % weight)
+    return label, weight
+
+
+def _point(praw: Any, path: str, d: int) -> PencilPoint:
+    from .morse import PencilPoint
+
+    label, weight = _head(praw, path)
     r = _hermitian(_get(praw, "R", path), path + ".R", d, "n-1")
     el = _hermitian(_get(praw, "L", path), path + ".L", d, "n-1")
     return PencilPoint(label, r, el, weight)
@@ -198,19 +205,13 @@ def _point(praw: Any, path: str, d: int) -> PencilPoint:
 def _stacked_points(raw_points: List[Any], d: int) -> Optional[tuple]:
     """The labels, the R and L stacks and the weights of every sample point,
     with the matrices of all points parsed as one stack; None when any point
-    has a fault."""
+    has a fault, for the walk of _point to name the first one."""
     try:
-        labels = [p["label"] for p in raw_points]
-        weights = [p.get("weight", 1.0) for p in raw_points]
-        stack = _matrix_stack([p["R"] for p in raw_points] + [p["L"] for p in raw_points], d)
-        if stack is None or not set(map(type, weights)) <= _JSON_NUMBERS:
-            return None
-        weights = [float(w) for w in weights]
-    except (AttributeError, KeyError, TypeError, OverflowError):  # not an object, a key missing, a huge int
+        labels, weights = zip(*[_head(p, "") for p in raw_points])
+    except InputError:
         return None
-    if not all(type(label) is str and label for label in labels):
-        return None
-    if not all(math.isfinite(w) and w > 0.0 for w in weights):
+    stack = _matrix_stack([p.get("R") for p in raw_points] + [p.get("L") for p in raw_points], d)
+    if stack is None:
         return None
     return labels, stack[: len(labels)], stack[len(labels) :], weights
 
@@ -554,10 +555,8 @@ def _cmd_extremal(args):
     raw = _read_input(args)
     data = parse_model(raw)
     z = _parse_z(args.z, data.d)
-    theta = _real_arg(args.theta, "--theta")
-    q = _int_arg(args.q, "--q", 0, data.d)
     nodes = _int_arg(args.nodes, "--nodes", 16, _MAX_NODES)
-    form = _extremal_form(data, q, z, theta, nodes, "--")
+    form = _extremal_form(data, args.q, z, args.theta, nodes, "--")
     result = {
         "q": args.q,
         "theta": args.theta,
@@ -581,8 +580,7 @@ def _cmd_bergman(args):
     data = parse_model(raw)
     max_degree = _int_arg(args.max_degree, "--max-degree", 0, _degree_cap(data.d))
     z = _parse_z(args.z, data.d)
-    eta = _real_arg(args.eta, "--eta")
-    val, m, ine = _bergman_diag(data, eta, _int_arg(args.q, "--q", 0, data.d), z, "--")
+    val, m, ine = _bergman_diag(data, args.eta, args.q, z, "--")
     bruteforce = rel_gap = None
     if ine.pos == data.d and args.q == 0 and not np.any(z):
         bruteforce = _bruteforce(data, m, ine, max_degree)

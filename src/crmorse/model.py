@@ -25,6 +25,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from . import _exports
 from .errors import (
     ChamberBoundaryError,
     InputError,
@@ -47,18 +48,7 @@ from .pencil import (
     signature_set,
 )
 
-__all__ = [
-    "BergmanValue",
-    "EtaChamberSet",
-    "ExtremalForm",
-    "ModelData",
-    "bergman_bruteforce",
-    "bergman_diag",
-    "eta_chambers",
-    "extremal_form",
-    "m_phi_eta",
-    "szego_density",
-]
+__all__ = _exports(__name__)
 
 TWO_PI = 2.0 * math.pi
 _GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8 MB)
@@ -129,12 +119,13 @@ def _m_phi_eta(data: ModelData, eta: float, name: str) -> HermitianMatrix:
 def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass of each
     q-signature set: the pencil mu + 2s(-diag lam) at s = eta is M_eta.  A
-    nonempty q-set whose mass is subnormal or 0 is an InputError, since its
-    density and the extremal form's C_0 would lose their digits."""
+    nonempty q-set whose density mass / (2pi)^n is subnormal or 0 is an
+    InputError, since the density and the extremal form's C_0 would lose
+    their digits."""
     el = HermitianMatrix(np.diag(-data.lam).astype(complex))
     dec, _, _, masses = _decompose(data.mu, el, data.delta)
     for q in sorted({ch.inertia.neg for ch in dec.chambers}):
-        if masses[q] < sys.float_info.min:
+        if masses[q] / TWO_PI**data.n < sys.float_info.min:
             raise InputError(_MASS_RANGE % q)
     return dec, masses
 
@@ -168,18 +159,19 @@ def bergman_diag(data: ModelData, eta: float, q: int, z) -> BergmanValue:
     Closed form e^{Phi_eta(z)} (2pi)^{-d} |det M_eta| when eta lies in the
     q-signature chamber, 0 otherwise.  At a chamber boundary (M_eta singular
     at inertia()'s tolerance) the value is 0 and the boundary flag is set.  An
-    eta at which M_eta leaves floating-point range, or |det M_eta| leaves the
-    normal floats (overflows, or is subnormal or 0), and a z at which the
-    value overflows are InputErrors; an e^Phi that underflows gives 0.
+    eta at which M_eta leaves floating-point range, or the value at z = 0,
+    |det M_eta| (2pi)^{-d}, leaves the normal floats (overflows, or is
+    subnormal or 0), and a z at which the value overflows are InputErrors;
+    an e^Phi that underflows gives 0.
     """
     return _bergman_diag(data, eta, q, z, "")[0]
 
 
 def _bergman_diag(data: ModelData, eta: float, q: int, z, prefix: str) -> Tuple[BergmanValue, HermitianMatrix, Inertia]:
     """bergman_diag, with the M_eta and inertia it read, for the brute-force
-    oracle to reuse.  Its range errors name eta and z with ``prefix``: ""
-    for the parameters, "--" for the flags."""
-    q = _int_arg(q, "q", 0, data.d)
+    oracle to reuse.  Its errors name q, eta and z with ``prefix``: "" for
+    the parameters, "--" for the flags."""
+    q = _int_arg(q, prefix + "q", 0, data.d)
     z = _check_z(data, z)
     m = _m_phi_eta(data, eta, prefix + "eta")
     ine = inertia(m)
@@ -188,7 +180,7 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, prefix: str) -> Tuple[
     with np.errstate(over="ignore", invalid="ignore"):  # a Phi or a det out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
         det = abs(float(np.linalg.det(m.entries).real))
-    if not sys.float_info.min <= det < math.inf:  # nan too
+    if not sys.float_info.min <= det / TWO_PI**data.d < math.inf:  # the value at z = 0; nan too
         raise InputError("%seta: |det M_eta| leaves floating-point range" % prefix)
     value = _float_range(
         lambda: math.exp(phi) * det / TWO_PI**data.d,
@@ -333,11 +325,11 @@ def extremal_form(
 def _extremal_form(
     data: ModelData, q: int, z, theta: float, eta_quad_points: int, prefix: str
 ) -> ExtremalForm:
-    """extremal_form, whose errors name q and z with ``prefix``: "" for the
-    parameters, "--" for the flags."""
-    q = _int_arg(q, "q", 0, data.d)
+    """extremal_form, whose errors name q, z and theta with ``prefix``: ""
+    for the parameters, "--" for the flags."""
+    q = _int_arg(q, prefix + "q", 0, data.d)
     z = _check_z(data, z)
-    theta = _real_arg(theta, "theta")
+    theta = _real_arg(theta, prefix + "theta")
     eta_quad_points = _int_arg(eta_quad_points, "eta_quad_points", 16, _MAX_NODES)
     dec, masses = _eta_record(data)
     cells = [ch for ch in dec.chambers if ch.inertia.neg == q]

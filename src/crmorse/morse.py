@@ -21,28 +21,11 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from . import _exports
 from .errors import InputError, _digits, _float_range, _fsum, _int_arg, _positive_arg
 from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _units
 
-__all__ = [
-    "REASON_INCONCLUSIVE",
-    "REASON_POSITIVE",
-    "REASON_SEMIPOSITIVE",
-    "Bigness",
-    "MorseReport",
-    "PencilField",
-    "PencilPoint",
-    "Positivity",
-    "XqResult",
-    "bigness_verdict",
-    "build_morse_report",
-    "check_Xq",
-    "classify_bundle",
-    "density_q",
-    "rrh_total",
-    "strong_sums",
-    "weak_bound",
-]
+__all__ = _exports(__name__)
 
 TWO_PI = 2.0 * math.pi
 

@@ -25,27 +25,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from . import _exports
 from .errors import CalibrationError, InputError, _digits, _float_range, _int_arg, _positive_arg
 from .morse import TWO_PI, PencilField, PencilPoint, _weak_bounds, density_q
 from .pencil import HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
-__all__ = [
-    "HeisenbergSpec",
-    "LatticeCalibration",
-    "TorusBundleSpec",
-    "calibrate",
-    "calibrate_weight",
-    "d1_fourier_bruteforce",
-    "fourier_dimension_sum",
-    "heisenberg_field",
-    "levi_flat_field",
-    "load_calibration",
-    "save_calibration",
-    "torus_bundle_field",
-    "torus_mode_dim",
-    "verify_calibration",
-]
+__all__ = _exports(__name__)
 
 _RAY_CHECK = 1000
 
@@ -80,6 +66,7 @@ class HeisenbergSpec(_Frozen):
     def __init__(self, d: int, lambda_vec: Tuple[int, ...], mu_mat: HermitianMatrix, delta: float):
         d = _int_arg(d, "dimension d", 1)
         vec = tuple(_int_arg(v, "lambda_vec entry") for v in lambda_vec)
+        _float_range(lambda: [float(v) for v in vec], "lambda_vec: an entry leaves floating-point range")
         if len(vec) != d:
             raise InputError("lambda_vec must have length d=%d, got %d" % (d, len(vec)))
         if any(v == 0 for v in vec):

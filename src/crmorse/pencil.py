@@ -55,23 +55,10 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _exports
 from .errors import DegeneratePencilError, InputError, _fsum, _int_arg, _positive_arg
 
-__all__ = [
-    "IDENTICALLY_ZERO",
-    "Chamber",
-    "ChamberDecomposition",
-    "HermitianMatrix",
-    "Inertia",
-    "RealPolynomial",
-    "chamber_integral",
-    "chambers",
-    "inertia",
-    "pencil_char_poly",
-    "pencil_signed_integral",
-    "real_roots",
-    "signature_set",
-]
+__all__ = _exports(__name__)
 
 _HERMITIAN_INPUT_TOL = 1e-12
 _INERTIA_REL_TOL = 1e-9

@@ -181,6 +181,13 @@ def test_huge_integer_in_element_walk(tmp_path, capsys):
     inp = write_json(tmp_path, "m.json", model)
     assert run(["szego-density", "--input", str(inp)]) == 2
     assert capsys.readouterr().err == "error: lambda[0]: expected a finite number, got an integer of 400 digits\n"
+    # the Heisenberg lambda, the one integer list of a document, is held to float range too
+    spec = {"schema": "crmorse/heisenberg-v1", "d": 1, "lambda": [10**400], "mu": mat([[3]]), "delta": 0.5}
+    inp = write_json(tmp_path, "h.json", spec)
+    assert run(["heisenberg-demo", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: lambda[0]: expected a finite number, got an integer of 401 digits\n"
+    with pytest.raises(InputError, match=r"^lambda_vec: an entry leaves floating-point range$"):
+        crmorse.HeisenbergSpec(d=1, lambda_vec=[10**400], mu_mat=[[3]], delta=0.5)
 
 
 def test_integer_too_long_to_parse(tmp_path, capsys):
@@ -685,6 +692,10 @@ SCALED_MODEL_RUNS = [
     (UNIT_MODEL_D2, False, 1e80, ["bergman-check", "--q", "0", "--eta", "0"], None),
     (UNIT_MODEL_D2, False, 1e100, ["bergman-check", "--q", "0", "--eta", "0"], None),
     (UNIT_MODEL_D2, False, 1e-180, ["bergman-check", "--q", "0", "--eta", "0"], DET_RANGE),
+    # a reported density or value, mass / (2pi)^n or |det M_eta| / (2pi)^d,
+    # below the normal floats while the mass and |det M_eta| are not
+    (BENCH_MODEL_D2, True, 2.0**-510, SZEGO, MASS_RANGE),
+    (UNIT_MODEL_D2, False, 3.2e-154, ["bergman-check", "--q", "0", "--eta", "0"], DET_RANGE),
     (UNIT_MODEL_D2, True, 1e-160, EXTREMAL, MASS_RANGE),
     (UNIT_MODEL_D2, True, 1e-200, EXTREMAL, MASS_RANGE),
 ]
@@ -1235,6 +1246,12 @@ def test_public_names_resolve():
     namespace = {}
     exec("from crmorse import *", namespace)
     assert all(namespace[name] is getattr(crmorse, name) for name in crmorse.__all__)
+    # each submodule exports exactly its names of the one list, _SOURCES
+    for module in ("pencil", "morse", "model", "oracles"):
+        namespace = {}
+        exec("from crmorse.%s import *" % module, namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == {name for name, home in crmorse._SOURCES.items() if home == module}, module
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         crmorse.no_such_name
 

@@ -534,10 +534,10 @@ def test_report_smaller_delta():
         build_morse_report(MIXED, delta=3.0)
 
 
-def gaussian_report(d, r, el, weights):
+def gaussian_report(d, r, el, weights, delta=None):
     points = [PencilPoint("p%d" % i, HermitianMatrix(a), HermitianMatrix(b), w)
               for i, (a, b, w) in enumerate(zip(r, el, weights))]
-    return build_morse_report(PencilField(n=d + 1, delta=1.0, points=points))
+    return build_morse_report(PencilField(n=d + 1, delta=1.0, points=points), delta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -546,7 +546,9 @@ def test_report_invariant_under_sample_order_splitting_negation_and_frames(seed,
     # the densities are a weighted sum over the samples of chamber masses,
     # each an integral over the signs of R + 2sL: fsum makes the sum exact
     # in any order, halving a weight is exact, -(R, L) swaps q and d - q,
-    # and a common unitary frame leaves every eigenvalue alone
+    # a common unitary frame leaves every eigenvalue alone, (R, -L) mirrors
+    # s, (R, L) 2^k scales every mass by 2^(k d) in the engine's power-of-two
+    # units, and a wider window integrates nonnegative masses over more s
     rng = np.random.default_rng(seed)
     r = [random_hermitian(rng, d) for _ in range(points)]
     el = [random_hermitian(rng, d) for _ in range(points)]
@@ -563,6 +565,20 @@ def test_report_invariant_under_sample_order_splitting_negation_and_frames(seed,
     u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
     framed = gaussian_report(d, [u @ a @ u.conj().T for a in r], [u @ b @ u.conj().T for b in el], w)
     np.testing.assert_allclose(framed.densities, base.densities, rtol=0, atol=1e-14 * total)
+    mirrored = gaussian_report(d, r, [-b for b in el], w)
+    np.testing.assert_allclose(
+        mirrored.densities + [mirrored.rrh_total], base.densities + [base.rrh_total], rtol=0, atol=1e-14 * total
+    )
+    assert [x.holds for x in mirrored.xq] == [x.holds for x in base.xq]
+    # the distance of each q-set from s = 0, within 1e-12 of the window delta = 1
+    np.testing.assert_allclose([x.max_delta for x in mirrored.xq], [x.max_delta for x in base.xq], rtol=0, atol=1e-12)
+    k = int(rng.choice([-60, -1, 1, 60]))  # one scale per example: the 40 examples draw each
+    scaled = gaussian_report(d, [a * 2.0**k for a in r], [b * 2.0**k for b in el], w)
+    assert scaled.densities == [c * 2.0 ** (k * d) for c in base.densities]  # bit for bit
+    assert (scaled.xq, scaled.positivity, scaled.bigness) == (base.xq, base.positivity, base.bigness)
+    windows = [gaussian_report(d, r, el, w, delta).densities for delta in (0.25, 0.5)] + [base.densities]
+    for narrow, wide in zip(windows, windows[1:]):
+        assert all(b >= a - 1e-14 * total for a, b in zip(narrow, wide))  # nondecreasing, to 1e-14 of the sum
 
 
 # -------------------------------------------------- one record per point
