@@ -618,14 +618,16 @@ def _load_or_make_cal(path) -> LatticeCalibration:
 
 def _torus_report(args, spec: TorusBundleSpec):
     """The --cal record, the field it gives ``spec`` and that field's
-    report, once --q is checked against spec.d."""
+    report, once --q is checked against spec.d and spec.d against the
+    dimensions whose exact counts a sweep finishes (oracles._LATTICE_D)."""
     from .morse import build_morse_report
-    from .oracles import _lattice_field
+    from .oracles import _LATTICE_D, _lattice_field
 
     if args.q is not None:
         _int_arg(args.q, "--q", 0, spec.d)
     cal = _load_or_make_cal(args.cal)
-    field = _lattice_field(spec, cal)
+    field = _lattice_field(spec, cal)  # a weight out of range names d first
+    _int_arg(spec.d, "d", 1, _LATTICE_D)
     return cal, field, build_morse_report(field)
 
 

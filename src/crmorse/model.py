@@ -37,10 +37,13 @@ from .errors import (
     _real_arg,
 )
 from .pencil import (
+    _MASS_RANGE,
+    TWO_PI,
     ChamberDecomposition,
     HermitianMatrix,
     Inertia,
     _decompose,
+    _densities,
     _Frozen,
     _gauss_legendre,
     _sign_tols,
@@ -50,13 +53,12 @@ from .pencil import (
 
 __all__ = _exports(__name__)
 
-TWO_PI = 2.0 * math.pi
 _GATHER_ENTRIES = 1 << 19  # complex entries in one gathered Gram-block slice (8 MB)
 _GRAM_SIDE = 1024  # monomials of the brute-force Gram matrix, at most (16 MB)
 _GRAM_DEGREE = 12  # their degree, at most: Glynn's formula sums 2^(degree - 1) terms
 _MAX_NODES = 4096  # eta quadrature nodes per chamber, at most
 _FORM_ENTRIES = 1 << 22  # complex entries of the extremal form's eta frames and q x q minors, at most (64 MB)
-_MASS_RANGE = "q=%d: the q-chamber mass of |det M_eta| leaves floating-point range"
+_DET = "|det M_eta|"  # what a q-chamber mass integrates, in range errors
 
 
 class ModelData(_Frozen):
@@ -108,38 +110,42 @@ def m_phi_eta(data: ModelData, eta: float) -> HermitianMatrix:
 
 def _m_phi_eta(data: ModelData, eta: float, name: str) -> HermitianMatrix:
     """m_phi_eta, with ``name`` for eta in its errors."""
-    eta = _real_arg(eta, name)
+    return HermitianMatrix(_m_eta(data, _real_arg(eta, name), name))
+
+
+def _m_eta(data: ModelData, etas, name: str) -> np.ndarray:
+    """The entries of M_eta = mu - 2 eta diag(lambda) at each eta of
+    ``etas``, a float or an array, stacked in its shape.  One out of
+    floating-point range is an InputError naming ``name``."""
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
-        m = data.mu.entries - 2.0 * eta * np.diag(data.lam)
+        m = data.mu.entries - (2.0 * np.asarray(etas, dtype=float))[..., None, None] * np.diag(data.lam)
     if not np.isfinite(m).all():
         raise InputError("%s: M_eta = mu - 2 eta diag(lambda) leaves floating-point range" % name)
-    return HermitianMatrix(m)
+    return m
 
 
-def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float]]:
-    """The eta-chambers, decomposed once, and the |det M_eta| mass of each
-    q-signature set: the pencil mu + 2s(-diag lam) at s = eta is M_eta.  A
-    nonempty q-set whose density mass / (2pi)^n is subnormal or 0 is an
-    InputError, since the density and the extremal form's C_0 would lose
-    their digits."""
+def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float], List[float]]:
+    """The eta-chambers, decomposed once, and the |det M_eta| mass and Szego
+    density of each q-signature set: the pencil mu + 2s(-diag lam) at
+    s = eta is M_eta.  A nonempty q-set whose density is subnormal or 0 is
+    an InputError (pencil._densities), since the density and the extremal
+    form's C_0 would lose their digits."""
     el = HermitianMatrix(np.diag(-data.lam).astype(complex))
     dec, _, _, masses = _decompose(data.mu, el, data.delta)
-    for q in sorted({ch.inertia.neg for ch in dec.chambers}):
-        if masses[q] / TWO_PI**data.n < sys.float_info.min:
-            raise InputError(_MASS_RANGE % q)
-    return dec, masses
+    occupied = [any(ch.inertia.neg == q for ch in dec.chambers) for q in range(data.d + 1)]
+    return dec, masses, _densities(data.n, [1.0], [masses], occupied, _DET)
 
 
 def _szego_table(data: ModelData) -> Tuple[EtaChamberSet, List[float]]:
     """eta_chambers and the Szego density of every degree, from one
     decomposition."""
-    dec, masses = _eta_record(data)
+    dec, _, densities = _eta_record(data)
     cs = EtaChamberSet(
         delta=dec.delta,
         roots=list(dec.roots),
         intervals=[signature_set(dec, q) for q in range(data.d + 1)],
     )
-    return cs, [mass / TWO_PI**data.n for mass in masses]
+    return cs, densities
 
 
 def eta_chambers(data: ModelData) -> EtaChamberSet:
@@ -331,7 +337,7 @@ def _extremal_form(
     z = _check_z(data, z)
     theta = _real_arg(theta, prefix + "theta")
     eta_quad_points = _int_arg(eta_quad_points, "eta_quad_points", 16, _MAX_NODES)
-    dec, masses = _eta_record(data)
+    dec, masses, densities = _eta_record(data)
     cells = [ch for ch in dec.chambers if ch.inertia.neg == q]
     if not cells:
         raise ZeroExtremalMassError(
@@ -352,7 +358,7 @@ def _extremal_form(
     half = np.array([0.5 * (ch.hi - ch.lo) for ch in cells])[:, None]
     etas = (half * nodes + np.array([0.5 * (ch.hi + ch.lo) for ch in cells])[:, None]).ravel()
     wts = (half * weights).ravel()
-    vs, qmats = _frame(data.mu.entries - 2.0 * etas[:, None, None] * np.diag(data.lam), q)
+    vs, qmats = _frame(_m_eta(data, etas, "eta"), q)
     coeffs = np.linalg.det(qmats[:, np.array(js, dtype=np.intp), :q])  # 1 when q = 0
     absdet = np.prod(np.abs(vs), axis=1)
     base = wts * c0 * absdet
@@ -368,12 +374,11 @@ def _extremal_form(
     if not np.all(np.isfinite(u)):
         raise InputError("%sz: the extremal form at this z leaves floating-point range" % prefix)
     u_origin = sums(base[:, None] * coeffs) / TWO_PI
-    szego = total_mass / TWO_PI**data.n
     with np.errstate(over="ignore", invalid="ignore"):  # a mass near the bottom of the range fails below
         norm_check, peak_check = _float_range(lambda: [
             _fsum(wts * (c0 * absdet) ** 2 * np.prod(TWO_PI / np.abs(vs), axis=1)) / TWO_PI,
-            float(np.sum(np.abs(u_origin) ** 2) / szego),
-        ], _MASS_RANGE % q)
+            float(np.sum(np.abs(u_origin) ** 2) / densities[q]),
+        ], _MASS_RANGE % (q, _DET))
     return ExtremalForm(
         multi_indices=js, value=u, norm_check=norm_check, peak_check=peak_check
     )

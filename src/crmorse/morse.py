@@ -9,9 +9,9 @@ positivity / bigness verdicts.
 A field is arrays: stacks of R and L, weights and labels.  Every
 quantity comes from one pass of build_morse_report over the field in
 slices of at most _CHUNK points, each decomposed once in a stacked pass.
-Per point it keeps only the weighted q-masses and signed integral, and
-every total is their exactly rounded sum (errors._fsum), so reports are
-byte-reproducible.
+Per point it keeps only the q-masses and signed integral, and the
+densities are their weighted, exactly rounded sums over (2pi)^n
+(pencil._densities, as for the model), so reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import numpy as np
 
 from . import _exports
 from .errors import InputError, _digits, _float_range, _fsum, _int_arg, _positive_arg
-from .pencil import HermitianMatrix, _decompose_batch, _Frozen, _units
+from .pencil import HermitianMatrix, _decompose_batch, _densities, _Frozen, _units
 
 __all__ = _exports(__name__)
-
-TWO_PI = 2.0 * math.pi
 
 REASON_POSITIVE = "curvature positive definite at every sample point"
 REASON_SEMIPOSITIVE = (
@@ -247,23 +245,24 @@ def build_morse_report(
     Densities and sums are evaluated at ``delta`` (default: the field
     window); X(q) and positivity always use the full field window, as
     their definitions fix it.  Each sample is decomposed once, over the
-    field window, and both windows read that decomposition.  ``threads``
-    is accepted and ignored: the computation is single-threaded.
+    field window, and both windows read that decomposition.  A q with a
+    chamber at ``delta`` whose density is 0 or subnormal is an InputError
+    naming q (pencil._densities).  ``threads`` is accepted and ignored:
+    the computation is single-threaded.
     """
     delta = field.delta if delta is None else _positive_arg(delta, "delta", field.delta)
     d = field.dim
     deltas = (delta,) if delta == field.delta else (delta, field.delta)
-    terms = np.empty((len(field.labels), d + 2))  # weight times each q-mass, then times the signed integral
+    masses = np.empty((len(field.labels), d + 2))  # each q-mass, then the signed integral
+    occupied = np.zeros(d + 1, dtype=bool)  # some sample has a q-chamber at delta
     near = np.full(d + 2, field.delta)  # least distance from 0 to a q-chamber, q = 0..d, then to one with neg > 0
     everywhere, somewhere = True, False  # R positive
     for start in range(0, len(field.labels), _CHUNK):
         part = slice(start, start + _CHUNK)
         r, el = field.r[part], field.el[part]
         windows = _decompose_batch(r, el, deltas, labels=field.labels[part])
-        weights = field.weights[part, None]
-        with np.errstate(over="ignore"):  # an infinite term, rejected by the caller as out of range
-            terms[part, :-1] = weights * windows[0].q_masses
-            terms[part, -1] = weights[:, 0] * windows[0].signed
+        masses[part, :-1], masses[part, -1] = windows[0].q_masses, windows[0].signed
+        occupied[windows[0].neg[windows[0].neg >= 0]] = True
         w = windows[-1]
         lo, hi = w.breaks[:, :-1], w.breaks[:, 1:]
         dist = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
@@ -275,7 +274,7 @@ def build_morse_report(
         _, rn, _, tols = _units(r, el, field.delta)
         pd = np.linalg.eigvalsh(rn)[:, 0] > tols
         everywhere, somewhere = everywhere and bool(pd.all()), somewhere or bool(pd.any())
-    *densities, total = [_fsum(terms[:, j].tolist()) / TWO_PI**field.n for j in range(d + 2)]
+    *densities, total = _densities(field.n, field.weights, masses, occupied, "|det(R + 2sL)|")
     strong = [_fsum((-1.0) ** (q - j) * densities[j] for j in range(q + 1)) for q in range(d)] + [total]
     positivity = Positivity(everywhere, float(near[-1]) if near[-1] > 0.0 else None, somewhere)
     return MorseReport(

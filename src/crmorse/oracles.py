@@ -27,13 +27,18 @@ import numpy as np
 
 from . import _exports
 from .errors import CalibrationError, InputError, _digits, _float_range, _int_arg, _positive_arg
-from .morse import TWO_PI, PencilField, PencilPoint, _weak_bounds, density_q
-from .pencil import HermitianMatrix, _Frozen, inertia
+from .morse import PencilField, PencilPoint, _weak_bounds, density_q
+from .pencil import TWO_PI, HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
 
 __all__ = _exports(__name__)
 
 _RAY_CHECK = 1000
+# the largest torus dimension d of the lattice commands: each level costs
+# d + 1 exact determinants (_det_poly), and a 1000-level convergence sweep,
+# k = 1..1000 on entries in -2..2, took 32 s at d = 15 and 49 s at d = 16
+# (2-core VM, Python 3.11.7), growing about as d^5
+_LATTICE_D = 16
 
 
 def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:

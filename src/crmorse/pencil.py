@@ -51,6 +51,7 @@ them in chunks (see morse._CHUNK) to keep memory bounded.
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -64,6 +65,9 @@ _HERMITIAN_INPUT_TOL = 1e-12
 _INERTIA_REL_TOL = 1e-9
 _WIDTH = 1e-5  # resolution of roots and chambers, relative to the window's scale
 _SPLIT = 20.0  # reach of a root off the real axis, in units of the resolution
+TWO_PI = 2.0 * math.pi
+# an occupied q-set whose density lost its digits, named by q and the det
+_MASS_RANGE = "q=%d: the q-chamber mass of %s leaves floating-point range"
 
 
 class _IdenticallyZero:
@@ -615,6 +619,26 @@ def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomp
         ],
     )
     return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), w.q_masses[0].tolist())
+
+
+def _densities(n: int, weights, masses, occupied, what: str) -> List[float]:
+    """The Morse densities of a weighted sample: per column of ``masses``,
+    which has a row per sample, (2pi)^-n times the exactly rounded sum over
+    the samples of weight times mass.  The columns are the q-masses,
+    q = 0..d (_Window.q_masses), and may go on with the signed integral,
+    whose density is the alternating total.  ``occupied[q]`` says whether
+    some sample has a q-chamber in the window.  An occupied q whose density
+    is 0 or subnormal is an InputError naming q and ``what``, the |det|
+    whose mass it is: the density has lost its digits.  A term or total
+    beyond floating-point range is left infinite for the caller's range
+    check, which names the input that scaled it there."""
+    with np.errstate(over="ignore"):
+        terms = np.asarray(weights, dtype=float)[:, None] * np.asarray(masses)
+    out = [_fsum(column) / TWO_PI**n for column in terms.T.tolist()]
+    for q in np.flatnonzero(occupied).tolist():
+        if out[q] < sys.float_info.min:
+            raise InputError(_MASS_RANGE % (q, what))
+    return out
 
 
 def _stacked(r: HermitianMatrix, el: HermitianMatrix):

@@ -731,6 +731,59 @@ def test_model_commands_on_a_model_scaled_by_powers_of_two(tmp_path, capsys):
                 np.testing.assert_allclose(np.multiply(got[key], back), unit[key], rtol=1e-12, atol=0)
 
 
+FIELD_MASS_RANGE = "q=0: the q-chamber mass of |det(R + 2sL)| leaves floating-point range"
+BENCH_FIELD_D2 = bench_field(2, 1, 1.0)
+
+# (field, t, argv, the error line, or None where the command exits 0): the
+# one-point d = 1 field, whose q = 0 chamber fills the window, and the bench
+# d = 2 field, with R and L times t = 2^k or reported at a small --delta
+SCALED_FIELD_RUNS = [
+    *((doc, 2.0**k, argv, expected) for doc, k, expected in [
+        (MINIMAL, 1020, None),
+        (MINIMAL, -1018, None),
+        (MINIMAL, -1019, FIELD_MASS_RANGE),
+        (BENCH_FIELD_D2, 500, None),
+        (BENCH_FIELD_D2, -509, None),
+        (BENCH_FIELD_D2, -510, FIELD_MASS_RANGE),
+        (BENCH_FIELD_D2, -600, FIELD_MASS_RANGE),
+    ] for argv in (["morse"], ["classify"])),
+    *((MINIMAL, 1.0, ["morse", "--delta", delta], expected) for delta, expected in [
+        ("1e-300", None),
+        ("1e-310", FIELD_MASS_RANGE),
+        ("1e-320", FIELD_MASS_RANGE),
+        ("5e-324", FIELD_MASS_RANGE),
+    ]),
+    (BENCH_FIELD_D2, 1.0, ["morse", "--delta", "1e-300"], None),
+    (BENCH_FIELD_D2, 1.0, ["morse", "--delta", "1e-310"], FIELD_MASS_RANGE),
+]
+
+
+def test_field_commands_on_a_field_scaled_by_powers_of_two(tmp_path, capsys):
+    # R and L times 2^k give the chambers of k = 0 and its densities times
+    # 2^(k d) bit for bit, in the engine's power-of-two units, or one line
+    # naming the first q with a chamber whose density falls below the
+    # smallest normal float, from morse and classify alike: never a
+    # traceback, and never a zero or subnormal density for a q-set that is
+    # not empty
+    def result(doc, t, argv):
+        points = [dict(p, **{key: [[[t * re, t * im] for re, im in row] for row in p[key]] for key in ("R", "L")})
+                  for p in doc["points"]]
+        code = run(argv + ["--input", str(write_json(tmp_path, "f.json", dict(doc, points=points)))])
+        out, err = capsys.readouterr()
+        return code, err, json.loads(out)["result"] if code == 0 else None
+
+    for doc, t, argv, expected in SCALED_FIELD_RUNS:
+        code, err, got = result(doc, t, argv)
+        if expected is not None:
+            assert (code, err) == (2, "error: %s\n" % expected), (t, argv)
+            continue
+        assert (code, err) == (0, ""), (t, argv)
+        if "densities" in got:
+            unit = result(doc, 1.0, argv)[2]["densities"]
+            assert got["densities"] == [c * t ** (doc["n"] - 1) for c in unit], (t, argv)
+            assert all(c >= sys.float_info.min or c == 0.0 for c in got["densities"]), (t, argv)
+
+
 # ------------------------------------------------------ oracle commands
 
 
@@ -951,6 +1004,8 @@ def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_pat
 BIG_TORUS = {"schema": "crmorse/torus-v1", "d": 280, "lambda": mat(np.zeros((280, 280))), "mu": mat(np.eye(280)),
              "delta": 0.5}
 BIG_WEIGHT = "d: the lattice volume weight (2pi)^281 * 2^280 leaves floating-point range"
+# a torus one dimension past those whose exact counts the lattice commands take
+WIDE_TORUS = {"schema": "crmorse/torus-v1", "d": 17, "lambda": mat(np.eye(17)), "mu": mat(np.eye(17)), "delta": 0.5}
 # a torus whose exact signed density total is 0 and whose engine total is
 # the rounding residue 9.6e-16, against a density sum of 0.125
 RESIDUE_TORUS = {
@@ -972,8 +1027,9 @@ RESIDUE_TORUS = {
         (["convergence"], BIG_TORUS, BIG_WEIGHT),
         (["torus-demo"], BIG_TORUS, BIG_WEIGHT),
         (["convergence"], RESIDUE_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
+        (["convergence"], WIDE_TORUS, "d must be an integer in 1..16, got 17"),
     ],
-    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler"],
+    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler", "d-convergence"],
 )
 def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypatch, argv, doc, expected):
     import crmorse.oracles

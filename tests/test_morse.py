@@ -534,10 +534,10 @@ def test_report_smaller_delta():
         build_morse_report(MIXED, delta=3.0)
 
 
-def gaussian_report(d, r, el, weights, delta=None):
+def gaussian_report(d, r, el, weights, delta=None, window=1.0):
     points = [PencilPoint("p%d" % i, HermitianMatrix(a), HermitianMatrix(b), w)
               for i, (a, b, w) in enumerate(zip(r, el, weights))]
-    return build_morse_report(PencilField(n=d + 1, delta=1.0, points=points), delta)
+    return build_morse_report(PencilField(n=d + 1, delta=window, points=points), delta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -548,7 +548,8 @@ def test_report_invariant_under_sample_order_splitting_negation_and_frames(seed,
     # in any order, halving a weight is exact, -(R, L) swaps q and d - q,
     # a common unitary frame leaves every eigenvalue alone, (R, -L) mirrors
     # s, (R, L) 2^k scales every mass by 2^(k d) in the engine's power-of-two
-    # units, and a wider window integrates nonnegative masses over more s
+    # units, a wider window integrates nonnegative masses over more s, and a
+    # narrower field window sees the q-sets of the wider one that it holds
     rng = np.random.default_rng(seed)
     r = [random_hermitian(rng, d) for _ in range(points)]
     el = [random_hermitian(rng, d) for _ in range(points)]
@@ -579,6 +580,13 @@ def test_report_invariant_under_sample_order_splitting_negation_and_frames(seed,
     windows = [gaussian_report(d, r, el, w, delta).densities for delta in (0.25, 0.5)] + [base.densities]
     for narrow, wide in zip(windows, windows[1:]):
         assert all(b >= a - 1e-14 * total for a, b in zip(narrow, wide))  # nondecreasing, to 1e-14 of the sum
+    # X(q) over the field window 0.5 against 1: the distance to each q-set,
+    # clipped to the window, within the chamber resolution 1e-5 of the wider one
+    clipped = gaussian_report(d, r, el, w, window=0.5)
+    assert [x.holds for x in clipped.xq] == [x.holds for x in base.xq]
+    np.testing.assert_allclose(
+        [x.max_delta for x in clipped.xq], [min(x.max_delta, 0.5) for x in base.xq], rtol=0, atol=1e-5 * 1.0
+    )
 
 
 # -------------------------------------------------- one record per point
