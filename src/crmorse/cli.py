@@ -138,8 +138,12 @@ def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
 
 
 def _hermitian(value: Any, path: str, d: int, what: str) -> HermitianMatrix:
-    """One matrix document, walked element by element to name the first
-    fault at its JSON path."""
+    """One matrix document, by _matrix_stack's one conversion; where that
+    finds a fault, walked element by element to name the first one at its
+    JSON path."""
+    stack = _matrix_stack([value], d)
+    if stack is not None:
+        return HermitianMatrix._from_symmetrized(stack[0])
     if not isinstance(value, list):
         _fail(path, "expected a matrix as a list of rows")
     if len(value) != d:
@@ -616,18 +620,21 @@ def _load_or_make_cal(path) -> LatticeCalibration:
         raise _file_error("--cal", "read", path, exc) from exc
 
 
-def _torus_report(args, spec: TorusBundleSpec):
+def _torus_report(args, spec: TorusBundleSpec, k: int, flag: str):
     """The --cal record, the field it gives ``spec`` and that field's
-    report, once --q is checked against spec.d and spec.d against the
-    dimensions whose exact counts a sweep finishes (oracles._LATTICE_D)."""
+    report, once --q is checked against spec.d, spec.d against the
+    dimensions whose exact counts a sweep finishes (oracles._LATTICE_D) and
+    the exact determinants of level k, the last one swept, which ``flag``
+    set, against their cost bound (oracles._check_level_cost), in that order."""
     from .morse import build_morse_report
-    from .oracles import _LATTICE_D, _lattice_field
+    from .oracles import _LATTICE_D, _check_level_cost, _lattice_field
 
     if args.q is not None:
         _int_arg(args.q, "--q", 0, spec.d)
-    cal = _load_or_make_cal(args.cal)
-    field = _lattice_field(spec, cal)  # a weight out of range names d first
     _int_arg(spec.d, "d", 1, _LATTICE_D)
+    _check_level_cost(spec, k, flag)
+    cal = _load_or_make_cal(args.cal)
+    field = _lattice_field(spec, cal)
     return cal, field, build_morse_report(field)
 
 
@@ -636,8 +643,8 @@ def _cmd_torus_demo(args):
 
     raw = _read_input(args, DEFAULT_TORUS_DOC)
     spec = parse_torus(raw)
-    cal, _, rep = _torus_report(args, spec)
-    k = args.k
+    k = _int_arg(args.k, "--k", 1)
+    cal, _, rep = _torus_report(args, spec, k, "--k")
     oracle = _dimension_sums(spec, k, cal, "--k")
     doc = _report_doc(rep, k, "mu")
     qs = range(spec.d + 1) if args.q is None else [args.q]
@@ -687,12 +694,13 @@ def _cmd_convergence(args):
     kmax = _int_arg(args.kmax, "--kmax", kmin)
     least = (kmax - kmin) // _MAX_LEVELS + 1  # the least --kstep that sweeps at most _MAX_LEVELS levels
     kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", least)
-    cal, field, rep = _torus_report(args, spec)
     ks = list(range(kmin, kmax + 1, kstep))
+    cal, field, rep = _torus_report(args, spec, ks[-1], "--kmax")
     q = args.q
     dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
-    # a density sum out of range is left to the range error of the bounds below
-    if q is None and abs(dens) <= _EULER_MARGIN * sum(rep.densities) < math.inf:
+    # a total of 0 vanishes; otherwise a density sum out of range is left
+    # to the range error of the bounds below
+    if q is None and (dens == 0.0 or abs(dens) <= _EULER_MARGIN * sum(rep.densities) < math.inf):
         raise InputError("signed density total vanishes for this spec; no Euler comparison")
     if dens == 0.0:
         raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
@@ -705,7 +713,7 @@ def _cmd_convergence(args):
     bounds = [_weak_bounds(k, rep.n, [dens], "--kmax")[0] for k in reversed(ks)][::-1]
     oracles = []
     for k in ks:
-        sums = _dimension_sums(spec, k, cal)
+        sums = _dimension_sums(spec, k, cal, "--kmax")
         oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
     ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
     header = ["k", "oracle", "bound", "ratio"]

@@ -47,6 +47,7 @@ from .pencil import (
     _Frozen,
     _gauss_legendre,
     _sign_tols,
+    _two_pi_quotient,
     inertia,
     signature_set,
 )
@@ -186,10 +187,10 @@ def _bergman_diag(data: ModelData, eta: float, q: int, z, prefix: str) -> Tuple[
     with np.errstate(over="ignore", invalid="ignore"):  # a Phi or a det out of range fails below
         phi = float((z.conj() @ m.entries @ z).real)
         det = abs(float(np.linalg.det(m.entries).real))
-    if not sys.float_info.min <= det / TWO_PI**data.d < math.inf:  # the value at z = 0; nan too
+    if not sys.float_info.min <= _two_pi_quotient(det, data.d) < math.inf:  # the value at z = 0; nan too
         raise InputError("%seta: |det M_eta| leaves floating-point range" % prefix)
     value = _float_range(
-        lambda: math.exp(phi) * det / TWO_PI**data.d,
+        lambda: _two_pi_quotient(math.exp(phi) * det, data.d),
         "%sz: the Bergman density at this z leaves floating-point range" % prefix,
     )
     return BergmanValue(value, False), m, ine
@@ -263,7 +264,7 @@ def _bruteforce(data: ModelData, m: HermitianMatrix, ine: Inertia, max_degree: i
     e = 0 if abs(e) * (data.d + max_degree) < 900 else e
     entries = m.entries * math.ldexp(1.0, -e)
     cov = np.linalg.inv(entries)
-    mass = TWO_PI**data.d / float(np.linalg.det(entries).real)
+    mass = _two_pi_quotient(float(np.linalg.det(entries).real), data.d, into=True)
     size = math.comb(data.d + max_degree, data.d)  # monomials of degree <= max_degree
     gram = np.zeros((size, size), dtype=complex)
     off = 0

@@ -189,9 +189,11 @@ def rrh_total(field: PencilField, delta: float) -> float:
 
 
 def strong_sums(field: PencilField, delta: float) -> List[float]:
-    """Strong Morse alternating partial sums; entry d is the RRH total.
-    Like density_q it raises for a fault anywhere in the field window, also
-    at a smaller ``delta``."""
+    """Strong Morse alternating partial sums: entry q < d is
+    sum_{j<=q} (-1)^(q-j) c_j, and entry d is the Euler total
+    sum_j (-1)^j c_j, the RRH total, which is (-1)^d times the q = d
+    partial sum.  Like density_q it raises for a fault anywhere in the
+    field window, also at a smaller ``delta``."""
     return build_morse_report(field, delta).strong_sums
 
 

@@ -39,6 +39,11 @@ _RAY_CHECK = 1000
 # k = 1..1000 on entries in -2..2, took 32 s at d = 15 and 49 s at d = 16
 # (2-core VM, Python 3.11.7), growing about as d^5
 _LATTICE_D = 16
+# the largest cost (_check_level_cost) of the last level of a lattice command: a
+# level of cost c took 0.3-0.6 us times c in _det_poly (d = 4..16, entries
+# of 11..811 bits; 2-core VM, Python 3.11.7), so a 1000-level sweep within
+# the bound takes about a minute at most
+_LEVEL_COST = 120_000
 
 
 def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
@@ -113,13 +118,10 @@ def _lattice_field(spec: TorusBundleSpec, cal: LatticeCalibration) -> PencilFiel
     """The field whose weak bounds the mode counts approach with nothing
     fitted: mode m at level k has curvature k (R + 2 (m/k) L) for R = mu and
     L = c_mode lambda / 2, and c_dim^d sections per unit of |det|, so the
-    weight is (2pi)^n c_dim^d.  An InputError naming d when it overflows."""
-    n, c_dim = spec.d + 1, int(cal.c_dim)
-    weight = _float_range(
-        lambda: TWO_PI**n * c_dim**spec.d,
-        "d: the lattice volume weight (2pi)^%d * %d^%d leaves floating-point range" % (n, c_dim, spec.d),
-    )
+    weight is (2pi)^n c_dim^d."""
+    n = spec.d + 1
     el = HermitianMatrix(spec.lambda_mat.entries * (int(cal.c_mode) / 2))
+    weight = TWO_PI**n * int(cal.c_dim) ** spec.d
     return PencilField(n=n, delta=spec.delta, points=[PencilPoint("torus", spec.mu_mat, el, weight)])
 
 
@@ -471,6 +473,26 @@ def _range_sum(p: List[int], a: int, b: int) -> int:
 _WINDOW_RANGE = "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
 
 
+def _check_level_cost(spec: TorusBundleSpec, k: int, flag: str) -> None:
+    """An InputError naming mu, lambda and ``flag`` when the exact
+    determinants of level k cost more than _LEVEL_COST.  _det_poly takes d + 1
+    Bareiss determinants of the entries k mu + c_mode m lambda, m = 0..d,
+    each about d^3 updates of integers of up to d b bits, where b is the bit
+    length of k max|mu| + |c_mode| d max|lambda| over real and imaginary
+    parts; the cost is (d + 1) d^3 (1 + d b / 1024)^2, as their division is
+    quadratic in its size.  c_mode is calibrate()'s, which every record
+    that loads has, so no record is read here."""
+    d, c_mode = spec.d, int(calibrate().c_mode)
+    top = [int(np.abs(m.entries.view(float)).max()) for m in (spec.mu_mat, spec.lambda_mat)]
+    bits = (k * top[0] + abs(c_mode) * d * top[1]).bit_length()
+    cost = (d + 1) * d**3 * (1 + d * bits / 1024) ** 2
+    if cost > _LEVEL_COST:
+        raise InputError(
+            "mu, lambda at %s: the exact determinants of that level, d = %d on entries of %d bits, "
+            "cost %d, more than %d" % (flag, d, bits, cost, _LEVEL_COST)
+        )
+
+
 def _dimension_sums(
     spec: TorusBundleSpec, k: int, cal: LatticeCalibration, name: str = "k"
 ) -> List[int]:
@@ -485,7 +507,8 @@ def _dimension_sums(
     as torus_mode_dim would count that mode.  The cost per k does not
     depend on the window.  The window floor(k*delta + 1e-9) is taken
     exactly, so the sums are exact at any k whose k*delta is a float.
-    Errors about k name ``name``.
+    Errors about k name ``name``, a middle mode whose curvature leaves
+    floating-point range among them.
     """
     k = _int_arg(k, name, 1)
     # the inertia reads below take k * mu in floats
@@ -499,7 +522,12 @@ def _dimension_sums(
     p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), k, coupling)
     sums = [0] * (spec.d + 1)
     for lo, hi in _root_free_runs(p, window) if p else []:
-        ine = inertia(HermitianMatrix(k * mu + (coupling * ((lo + hi) // 2)) * lam))
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
+            mode = k * mu + (coupling * ((lo + hi) // 2)) * lam
+        if not np.isfinite(mode).all():
+            raise InputError("mu, lambda at %s: the mode curvature k mu + c_mode m lambda leaves floating-point range"
+                             % name)
+        ine = inertia(HermitianMatrix(mode))
         if not ine.zero:
             sums[ine.neg] += abs(_range_sum(p, lo, hi))
     scale = int(cal.c_dim) ** spec.d

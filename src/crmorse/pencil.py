@@ -66,6 +66,7 @@ _INERTIA_REL_TOL = 1e-9
 _WIDTH = 1e-5  # resolution of roots and chambers, relative to the window's scale
 _SPLIT = 20.0  # reach of a root off the real axis, in units of the resolution
 TWO_PI = 2.0 * math.pi
+_TWO_PI_TOP = 386  # the largest n whose (2pi)^n is a float
 # an occupied q-set whose density lost its digits, named by q and the det
 _MASS_RANGE = "q=%d: the q-chamber mass of %s leaves floating-point range"
 
@@ -196,7 +197,9 @@ def _symmetrized(a: np.ndarray, tol: float) -> np.ndarray:
     # imaginary part below 1, so neither side overflows near the float maximum
     e = np.maximum(np.frexp(parts.max(axis=1))[1], 0)
     unit = np.ldexp(1.0, -e)
-    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf, in a matrix rejected as not finite
+    # in a matrix rejected as not finite: inf * 0, inf - inf, and 2e308 where
+    # a nan or inf leaves the matrix unscaled
+    with np.errstate(over="ignore", invalid="ignore"):
         scaled = a * unit[:, None, None]
         residual = np.abs(scaled - scaled.conj().swapaxes(-1, -2)).max(axis=(1, 2))
     limit = tol * (unit + np.abs(scaled).max(axis=(1, 2)))
@@ -621,6 +624,21 @@ def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomp
     return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), w.q_masses[0].tolist())
 
 
+def _two_pi_quotient(value: float, n: int, into: bool = False) -> float:
+    """value / (2pi)^n, or (2pi)^n / value when ``into``, for an integer
+    n >= 0.  Up to n = _TWO_PI_TOP it is the one division by TWO_PI**n.
+    Beyond, the rest of n is divided off or multiplied on in steps of
+    (2pi)^_TWO_PI_TOP, each of which moves the value towards the quotient,
+    so a step that leaves the normal floats only loses a quotient that
+    lies beyond them too."""
+    steps = max(n - 1, 0) // _TWO_PI_TOP
+    head = TWO_PI ** (n - steps * _TWO_PI_TOP)
+    out = head / value if into else value / head
+    for _ in range(steps):
+        out = out * TWO_PI**_TWO_PI_TOP if into else out / TWO_PI**_TWO_PI_TOP
+    return out
+
+
 def _densities(n: int, weights, masses, occupied, what: str) -> List[float]:
     """The Morse densities of a weighted sample: per column of ``masses``,
     which has a row per sample, (2pi)^-n times the exactly rounded sum over
@@ -634,7 +652,7 @@ def _densities(n: int, weights, masses, occupied, what: str) -> List[float]:
     check, which names the input that scaled it there."""
     with np.errstate(over="ignore"):
         terms = np.asarray(weights, dtype=float)[:, None] * np.asarray(masses)
-    out = [_fsum(column) / TWO_PI**n for column in terms.T.tolist()]
+    out = [_two_pi_quotient(_fsum(column), n) for column in terms.T.tolist()]
     for q in np.flatnonzero(occupied).tolist():
         if out[q] < sys.float_info.min:
             raise InputError(_MASS_RANGE % (q, what))

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -145,6 +146,17 @@ def test_parse_field_entry_types():
     with pytest.raises(InputError) as exc:
         parse_field(text.encode())
     assert str(exc.value) == "points[0].L[0][0][1]: expected a finite number, got nan"
+
+
+def test_nan_beside_a_part_near_the_float_maximum_is_named_without_a_warning():
+    # a nan leaves its matrix unscaled in the Hermitian check, where the
+    # 1e308 imaginary part of a diagonal entry doubles beyond float range;
+    # the walk names the nan, with no overflow warning on the way
+    doc = field_doc(3, 1.0, [point_doc("p0", [[1, 0], [0, 1 + 1e308j]], np.eye(2))])
+    text = json.dumps(doc).replace("[0.0, 0.0]", "[NaN, 0.0]", 1)
+    with pytest.raises(InputError) as exc:
+        parse_field(text.encode())
+    assert str(exc.value) == "points[0].R[0][1][0]: expected a finite number, got nan"
 
 
 HUGE = int("9" * 400)  # beyond float range
@@ -731,6 +743,23 @@ def test_model_commands_on_a_model_scaled_by_powers_of_two(tmp_path, capsys):
                 np.testing.assert_allclose(np.multiply(got[key], back), unit[key], rtol=1e-12, atol=0)
 
 
+def test_bergman_check_past_the_largest_float_power_of_two_pi(tmp_path, capsys):
+    # d = 387, mu = I, lambda = 1: (2pi)^387 is beyond the largest float,
+    # while the value (1.5 / 2pi)^387 at eta = -0.25 and the Gram mass
+    # (2pi / 1.5)^387 are normal floats; at eta = 0.25 the value at z = 0,
+    # (0.5 / 2pi)^387, is below them
+    doc = {"schema": "crmorse/model-v1", "d": 387, "lambda": [1.0] * 387, "mu": mat(np.eye(387)), "delta": 0.5}
+    argv = ["bergman-check", "--input", str(write_json(tmp_path, "m.json", doc)), "--q", "0", "--max-degree", "1"]
+    assert run(argv + ["--eta", "-0.25"]) == 0
+    out, err = capsys.readouterr()
+    res = json.loads(out)["result"]
+    assert err == ""
+    assert res["value"] == pytest.approx((1.5 / TWO_PI) ** 387, rel=1e-10)
+    assert abs(res["rel_gap"]) <= 1e-9
+    assert run(argv + ["--eta", "0.25"]) == 2
+    assert capsys.readouterr() == ("", "error: --eta: |det M_eta| leaves floating-point range\n")
+
+
 FIELD_MASS_RANGE = "q=0: the q-chamber mass of |det(R + 2sL)| leaves floating-point range"
 BENCH_FIELD_D2 = bench_field(2, 1, 1.0)
 
@@ -1003,9 +1032,15 @@ def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_pat
 # a torus of dimension 280, whose weight (2pi)^281 2^280 exceeds the largest float
 BIG_TORUS = {"schema": "crmorse/torus-v1", "d": 280, "lambda": mat(np.zeros((280, 280))), "mu": mat(np.eye(280)),
              "delta": 0.5}
-BIG_WEIGHT = "d: the lattice volume weight (2pi)^281 * 2^280 leaves floating-point range"
 # a torus one dimension past those whose exact counts the lattice commands take
 WIDE_TORUS = {"schema": "crmorse/torus-v1", "d": 17, "lambda": mat(np.eye(17)), "mu": mat(np.eye(17)), "delta": 0.5}
+# a torus of the largest dimension, whose exact determinants at level 100
+# take entries of 27 bits, 100 * 2^20 + 16
+COSTLY_TORUS = {"schema": "crmorse/torus-v1", "d": 16, "lambda": mat(np.eye(16)), "mu": mat(2.0**20 * np.eye(16)),
+                "delta": 0.5}
+# a torus whose signed total, 4, the engine rounds to 0 beside a density
+# sum beyond float range
+ZERO_EULER_TORUS = {"schema": "crmorse/torus-v1", "d": 1, "lambda": [[[1e308, 0]]], "mu": [[[2, 0]]], "delta": 0.5}
 # a torus whose exact signed density total is 0 and whose engine total is
 # the rounding residue 9.6e-16, against a density sum of 0.125
 RESIDUE_TORUS = {
@@ -1024,12 +1059,16 @@ RESIDUE_TORUS = {
          "--q 1: the q=1 density vanishes for this spec; no ratio to report"),
         (["convergence", "--q", "0"], TRAP_TORUS,
          "--q 0: the q=0 density vanishes for this spec; no ratio to report"),
-        (["convergence"], BIG_TORUS, BIG_WEIGHT),
-        (["torus-demo"], BIG_TORUS, BIG_WEIGHT),
+        (["convergence"], BIG_TORUS, "d must be an integer in 1..16, got 280"),
+        (["torus-demo"], BIG_TORUS, "d must be an integer in 1..16, got 280"),
         (["convergence"], RESIDUE_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
         (["convergence"], WIDE_TORUS, "d must be an integer in 1..16, got 17"),
+        (["convergence"], COSTLY_TORUS, "mu, lambda at --kmax: the exact determinants of that level, "
+                                        "d = 16 on entries of 27 bits, cost 140777, more than 120000"),
+        (["convergence"], ZERO_EULER_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
     ],
-    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler", "d-convergence"],
+    ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler", "d-convergence",
+         "cost-convergence", "zero-euler"],
 )
 def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypatch, argv, doc, expected):
     import crmorse.oracles
@@ -1043,6 +1082,8 @@ def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypa
     assert run(argv + ["--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
+    # the d and cost bounds come before the --cal record is read or made
+    assert (tmp_path / "cal.json").exists() != expected.startswith(("d must", "mu, lambda at"))
 
 
 def test_convergence_keeps_totals_beyond_the_rounding_margin(tmp_path):
@@ -1484,6 +1525,103 @@ def test_hostile_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, doc, expec
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
+
+
+# -------------------------------------------------------------- fuzzing
+
+# the documents a command reads, each with the commands that read it: the
+# bench/gen.py documents and the built-in ones
+FUZZ_DOCS = [
+    (bench_gen().field_doc(1, 2, 4), [["chambers"], ["morse"], ["classify"]]),
+    (BENCH_MODEL_D2, [SZEGO, EXTREMAL, BERGMAN]),
+    (crmorse.cli.DEFAULT_TORUS_DOC, [["torus-demo", "--k", "20"],
+                                     ["convergence", "--kmin", "10", "--kmax", "30", "--kstep", "10"]]),
+    (crmorse.cli.DEFAULT_HEISENBERG_DOC, [["heisenberg-demo", "--k", "10"]]),
+    (crmorse.cli.DEFAULT_LEVI_DOC, [["levi-flat-demo", "--k", "10"]]),
+]
+# what a mutated leaf becomes: another JSON type, a number at an end of the
+# float range or beyond it, or a number leaf scaled
+FUZZ_VALUES = [None, True, "x", [], [1.0], 1e308, -1e308, 5e-324, 10**400, math.nan, math.inf, -math.inf]
+FUZZ_SCALES = [2.0**600, 2.0**-600, 1e150, 1e-150]
+# flag values at and just past each bound that errors.py checks, on the
+# unmutated documents (the field has 4 points and window 1; the model d = 2
+# and a degree cap of 12; the torus d = 1)
+FUZZ_FLAGS = [
+    *(["chambers", "--point", v] for v in ("0", "3", "4", "-1")),
+    *(["chambers", "--delta", v] for v in ("1.0", "1.0000000000000002", "5e-324", "0", "inf", "nan")),
+    *(["morse", flag, v] for flag in ("--k", "--threads") for v in ("1", "0")),
+    *(["morse", "--delta", v] for v in ("1.0", "1.0000000000000002", "-1")),
+    *(["classify", "--threads", v] for v in ("1", "0")),
+    *(["szego-density", "--q", v] for v in ("0", "2", "3", "-1")),
+    *(["extremal-check", "--q", v] for v in ("0", "2", "3", "-1")),
+    *(EXTREMAL[:3] + ["--nodes", v] for v in ("16", "15", "4096", "4097")),
+    *(EXTREMAL + ["--theta", v] for v in ("1e308", "inf", "nan")),
+    *(BERGMAN + ["--max-degree", v] for v in ("0", "12", "13", "-1")),
+    *(BERGMAN[:3] + ["--eta=" + v] for v in ("1e308", "-1e308", "inf", "nan")),
+    *(["bergman-check", "--eta", "-0.5", "--q", v] for v in ("2", "3", "-1")),
+    *(["torus-demo", "--k", v] for v in ("1", "0")),
+    *(["torus-demo", "--q", v] for v in ("1", "2", "-1")),
+    *(["convergence", "--kmin", v] for v in ("1", "0")),
+    *(["convergence", "--kmax", v] for v in ("10", "9")),
+    *(["convergence", "--kmin", "1", "--kmax", "1001", "--kstep", v] for v in ("2", "1")),
+    *(["convergence", "--q", v] for v in ("0", "1", "2")),
+    *([demo, "--k", v] for demo in ("heisenberg-demo", "levi-flat-demo") for v in ("1", "0")),
+]
+FUZZ_INPUTS = {argv[0]: doc for doc, commands in FUZZ_DOCS for argv in commands}
+
+
+def _leaves(doc, path=()):
+    """The paths of the values of a JSON document that are not containers."""
+    if not isinstance(doc, (dict, list)):
+        return [path]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+def _mutated(doc, rng):
+    """``doc`` with 1-2 of its leaves replaced or scaled."""
+    doc = json.loads(json.dumps(doc))
+    for path in rng.sample(_leaves(doc), rng.randint(1, 2)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        number = isinstance(old, (int, float)) and not isinstance(old, bool)
+        if number and rng.random() < 0.3:
+            parent[path[-1]] = old * rng.choice(FUZZ_SCALES)
+        else:
+            parent[path[-1]] = rng.choice(FUZZ_VALUES)
+    return doc
+
+
+def test_fuzzed_documents_and_flags_exit_with_one_line(tmp_path, capsys):
+    # every command that reads a document or flags, on documents with 1-2
+    # leaves mutated and on flags at and just past their bounds: an exit
+    # code of the contract, nothing escaping run(), no warning, and a
+    # refusal is one stderr line
+    rng = random.Random(31)
+    cal, out = str(tmp_path / "cal.json"), str(tmp_path / "out")
+    runs = [(argv, _mutated(doc, rng)) for doc, commands in FUZZ_DOCS for _ in range(24) for argv in commands]
+    runs += [(argv, FUZZ_INPUTS[argv[0]]) for argv in FUZZ_FLAGS] + [(["calibrate", "--out", cal], None)]
+    for argv, doc in runs:
+        if doc is not None:
+            argv = argv + ["--input", str(write_json(tmp_path, "doc.json", doc)), "--out", out]
+        if argv[0] in ("convergence", "torus-demo"):
+            argv = argv + ["--cal", cal]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run(argv)
+            except Exception as exc:
+                pytest.fail("%s on %s: %r escaped run()" % (argv, json.dumps(doc), exc))
+        err = capsys.readouterr().err
+        assert not caught, (argv, doc, [str(w.message) for w in caught])
+        assert code in (0, 2, 3, 4), (argv, doc, code, err)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, doc, err)
+            assert err.startswith(("error: ", "degenerate pencil: ", "calibration error: ")), (argv, doc, err)
+        else:
+            assert err == "", (argv, doc, err)
 
 
 # ------------------------------------------------ the argument-check policy

@@ -444,18 +444,31 @@ def test_lattice_field_ratio_is_one_plus_order_one_over_k(spec):
     M/k, and the q-part has no more variation than |p|, as it drops to 0
     only where p = 0.  The bound is attained at lambda = 0.  No constant C
     serves every small spec: a d = 3 chamber of density 1.6e-4 gives
-    k |ratio - 1| = 1128 at k = 400."""
+    k |ratio - 1| = 1128 at k = 400.
+
+    The strong Morse sums obey the same bound without the division:
+    |A_q(k) - k^n strongSums[q]| <= c_dim^d (V + M) k^(n-1), where
+    A_q = sum_{j<=q} (-1)^(q-j) h^j for q < d and A_d = sum_j (-1)^j h^j,
+    since strongSums[d] is the Euler total rrhTotal, (-1)^d times the q = d
+    partial sum.  The q-part of the Riemann sum is then g_q = sum_{j<=q}
+    (-1)^(q-j) |p| [neg = j], which is +-|p| or 0 and switches only where
+    p = 0, so it has no more variation than |p|."""
     p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1, int(_CAL.c_mode))
     assume(p)  # det identically 0: a degenerate pencil
-    densities = build_morse_report(_lattice_field(spec, _CAL)).densities
+    report = build_morse_report(_lattice_field(spec, _CAL))
     var, top = _variation_and_top(p, spec.delta)
+    bound = int(_CAL.c_dim) ** spec.d * (var + top)
+    n = spec.d + 1
     for k in (400, 1600):
         sums = _dimension_sums(spec, k, _CAL)
-        for q, dens in enumerate(densities):
+        for q, dens in enumerate(report.densities):
             if dens > 0.0:
-                c = int(_CAL.c_dim) ** spec.d * (var + top) / dens
-                ratio = sums[q] / (k ** (spec.d + 1) * dens)
-                assert abs(ratio - 1.0) <= c / k * (1 + 1e-9), (k, q, ratio, c)
+                ratio = sums[q] / (k**n * dens)
+                assert abs(ratio - 1.0) <= bound / dens / k * (1 + 1e-9), (k, q, ratio)
+        strong = [sum((-1) ** (q - j) * sums[j] for j in range(q + 1)) for q in range(spec.d)]
+        strong.append(sum((-1) ** j * h for j, h in enumerate(sums)))
+        for q, (a, s) in enumerate(zip(strong, report.strong_sums)):
+            assert abs(a - k**n * s) <= bound * k ** (n - 1) * (1 + 1e-9), (k, q, a, s)
 
 
 def test_split_triple_root_leaves_no_sliver_chamber():

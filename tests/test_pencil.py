@@ -1,7 +1,9 @@
 """Tests for inertia, characteristic polynomials, roots, and chamber integrals."""
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from crmorse.errors import DegeneratePencilError, InputError, _fsum
 from crmorse.pencil import (
     IDENTICALLY_ZERO,
+    TWO_PI,
     HermitianMatrix,
     RealPolynomial,
     chamber_integral,
@@ -23,7 +26,9 @@ from crmorse.pencil import (
     signature_set,
     _decompose,
     _decompose_batch,
+    _densities,
     _real_roots,
+    _two_pi_quotient,
 )
 from oracle_tools import (
     oracle_chamber_integral,
@@ -692,6 +697,29 @@ def test_q_masses_equal_a_math_fsum_per_degree(d, n, seed):
 def test_fsum_is_exactly_rounded_and_leaves_range_checks_to_the_caller(values, want):
     got = _fsum(values)
     assert got == want or math.isnan(got) and math.isnan(want)
+
+
+@pytest.mark.parametrize("x", [1e100, 3.7e150, 1e300])
+def test_two_pi_quotient_is_one_division_to_386_and_exact_to_1e15_beyond(x):
+    # (2pi)^386 is the last power of TWO_PI that is a float: there the
+    # quotient is today's one division, bit for bit; past it, in steps, it
+    # stays within 1e-15 of the exact quotient by the float TWO_PI
+    assert _two_pi_quotient(x, 386) == x / TWO_PI**386
+    assert _two_pi_quotient(x, 386, into=True) == TWO_PI**386 / x
+    for n in (387, 500):
+        power = Fraction(TWO_PI) ** n
+        for into, exact in ((False, Fraction(x) / power), (True, power / Fraction(x))):
+            got = _two_pi_quotient(x, n, into)
+            assert sys.float_info.min <= got < math.inf, (n, into)
+            assert abs(Fraction(got) - exact) <= exact * Fraction(1, 10**15), (n, into)
+
+
+def test_two_pi_quotient_at_773_leaves_the_normal_floats():
+    # (2pi)^773 exceeds the largest float squared over the least normal one
+    for x in (sys.float_info.max, 1.0, 5e-324):
+        assert 0.0 <= _two_pi_quotient(x, 773) < sys.float_info.min
+    with pytest.raises(InputError, match=r"^q=0: the q-chamber mass of \|det\| leaves floating-point range$"):
+        _densities(773, [1.0], [[sys.float_info.max]], [True], "|det|")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
