@@ -620,19 +620,17 @@ def _load_or_make_cal(path) -> LatticeCalibration:
         raise _file_error("--cal", "read", path, exc) from exc
 
 
-def _torus_report(args, spec: TorusBundleSpec, k: int, flag: str):
+def _torus_report(args, spec: TorusBundleSpec):
     """The --cal record, the field it gives ``spec`` and that field's
-    report, once --q is checked against spec.d, spec.d against the
-    dimensions whose exact counts a sweep finishes (oracles._LATTICE_D) and
-    the exact determinants of level k, the last one swept, which ``flag``
-    set, against their cost bound (oracles._check_level_cost), in that order."""
+    report, once --q is checked against spec.d and spec.d against the
+    dimensions whose exact counts a sweep finishes (oracles._LATTICE_D), in
+    that order."""
     from .morse import build_morse_report
-    from .oracles import _LATTICE_D, _check_level_cost, _lattice_field
+    from .oracles import _LATTICE_D, _lattice_field
 
     if args.q is not None:
         _int_arg(args.q, "--q", 0, spec.d)
     _int_arg(spec.d, "d", 1, _LATTICE_D)
-    _check_level_cost(spec, k, flag)
     cal = _load_or_make_cal(args.cal)
     field = _lattice_field(spec, cal)
     return cal, field, build_morse_report(field)
@@ -644,8 +642,8 @@ def _cmd_torus_demo(args):
     raw = _read_input(args, DEFAULT_TORUS_DOC)
     spec = parse_torus(raw)
     k = _int_arg(args.k, "--k", 1)
-    cal, _, rep = _torus_report(args, spec, k, "--k")
-    oracle = _dimension_sums(spec, k, cal, "--k")
+    cal, _, rep = _torus_report(args, spec)
+    oracle = _dimension_sums(spec, [k], cal, "--k")[0]
     doc = _report_doc(rep, k, "mu")
     qs = range(spec.d + 1) if args.q is None else [args.q]
     result = {key: doc[key] for key in ("delta", "k", "densities", "weakBounds", "strongSums", "rrhTotal")}
@@ -695,13 +693,14 @@ def _cmd_convergence(args):
     least = (kmax - kmin) // _MAX_LEVELS + 1  # the least --kstep that sweeps at most _MAX_LEVELS levels
     kstep = max(1, (kmax - kmin) // 9) if args.kstep is None else _int_arg(args.kstep, "--kstep", least)
     ks = list(range(kmin, kmax + 1, kstep))
-    cal, field, rep = _torus_report(args, spec, ks[-1], "--kmax")
+    cal, field, rep = _torus_report(args, spec)
     q = args.q
     dens = rep.rrh_total if q is None else rep.densities[q]  # the signed total in Euler mode
     # a total of 0 vanishes; otherwise a density sum out of range is left
     # to the range error of the bounds below
     if q is None and (dens == 0.0 or abs(dens) <= _EULER_MARGIN * sum(rep.densities) < math.inf):
-        raise InputError("signed density total vanishes for this spec; no Euler comparison")
+        raise InputError("mu, lambda: the signed density total is 0 or within 1e-9 of the density sum; "
+                         "no Euler comparison")
     if dens == 0.0:
         raise InputError("--q %d: the q=%d density vanishes for this spec; no ratio to report" % (q, q))
     # windows grow with k, so the first and last levels swept bound the rest;
@@ -711,10 +710,8 @@ def _cmd_convergence(args):
     _float_range(lambda: ks[-1] * spec.delta, _WINDOW_RANGE % ("--kmax", _digits(ks[-1])))
     # the last level has the largest bound, so it is checked first
     bounds = [_weak_bounds(k, rep.n, [dens], "--kmax")[0] for k in reversed(ks)][::-1]
-    oracles = []
-    for k in ks:
-        sums = _dimension_sums(spec, k, cal, "--kmax")
-        oracles.append(sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q])
+    levels = _dimension_sums(spec, ks, cal, "--kmax")
+    oracles = [sum((-1) ** j * s for j, s in enumerate(sums)) if q is None else sums[q] for sums in levels]
     ratios = _float_range(lambda: [o / b for o, b in zip(oracles, bounds)], _REPORT_RANGE % "--kmax")
     header = ["k", "oracle", "bound", "ratio"]
     rows = list(zip(ks, oracles, bounds, ratios))

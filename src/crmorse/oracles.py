@@ -34,16 +34,12 @@ from .serialize import canonical_json
 __all__ = _exports(__name__)
 
 _RAY_CHECK = 1000
-# the largest torus dimension d of the lattice commands: each level costs
-# d + 1 exact determinants (_det_poly), and a 1000-level convergence sweep,
-# k = 1..1000 on entries in -2..2, took 32 s at d = 15 and 49 s at d = 16
-# (2-core VM, Python 3.11.7), growing about as d^5
+# the largest torus dimension d of the lattice commands.  A command builds
+# the determinant polynomial (_det_poly, d + 1 exact determinants) and its
+# Sturm chain once, and each level then costs little; that one-time cost
+# grows with d and with the entries' bits, and at d = 16 it took 0.03 s on
+# entries in -4..4 and 9.5 s on entries near 2^1000 (2-core VM, Python 3.11.7)
 _LATTICE_D = 16
-# the largest cost (_check_level_cost) of the last level of a lattice command: a
-# level of cost c took 0.3-0.6 us times c in _det_poly (d = 4..16, entries
-# of 11..811 bits; 2-core VM, Python 3.11.7), so a 1000-level sweep within
-# the bound takes about a minute at most
-_LEVEL_COST = 120_000
 
 
 def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
@@ -323,10 +319,12 @@ def _trim(c: List) -> List:
     return c
 
 
-def _horner(c: List[int], x: int) -> int:
-    v = 0
+def _horner(c: List[int], x: int, k: int = 1) -> int:
+    """k^e c(x/k) for c of degree e: the sign of c at x/k, exactly."""
+    v, scale = 0, 1
     for a in reversed(c):
-        v = v * x + a
+        v = v * x + a * scale
+        scale *= k
     return v
 
 
@@ -357,19 +355,19 @@ def _derivative(c: List[int]) -> List[int]:
     return [i * x for i, x in enumerate(c)][1:]
 
 
-def _det_poly(mu, lam, k: int, coupling: int) -> List[int]:
-    """p(m) = det(k*mu + coupling*m*lam) for Gaussian-integer rows mu, lam.
+def _det_poly(mu, lam, coupling: int) -> List[int]:
+    """P(t) = det(mu + coupling*t*lam) for Gaussian-integer rows mu, lam.
 
-    Exact Newton interpolation at the nodes m = 0..d: p is the sum over j
-    of its j-th forward difference at 0 times binomial(m, j), and
-    d! binomial(m, j) is the integer polynomial (d!/j!) m(m-1)...(m-j+1).
+    Exact Newton interpolation at the nodes t = 0..d: P is the sum over j
+    of its j-th forward difference at 0 times binomial(t, j), and
+    d! binomial(t, j) is the integer polynomial (d!/j!) t(t-1)...(t-j+1).
     """
     d = len(mu)
     vals = []
-    for m in range(d + 1):
-        c = coupling * m
+    for t in range(d + 1):
+        c = coupling * t
         rows = [
-            [(k * u[0] + c * v[0], k * u[1] + c * v[1]) for u, v in zip(ru, rv)]
+            [(u[0] + c * v[0], u[1] + c * v[1]) for u, v in zip(ru, rv)]
             for ru, rv in zip(mu, lam)
         ]
         re, im = _exact_det(rows)
@@ -411,43 +409,45 @@ def _sturm_chain(p: List[int]) -> List[List[int]]:
         chain.append(_primitive([-x for x in rem]))
 
 
-def _sign_changes(chain: List[List[int]], x: int) -> int:
-    signs = [v > 0 for v in (_horner(c, x) for c in chain) if v]
+def _sign_changes(chain: List[List[int]], x: int, k: int) -> int:
+    signs = [v > 0 for v in (_horner(c, x, k) for c in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _isolate(chain, a: int, va: int, b: int, vb: int, found: List[int]) -> None:
-    """Locate each root of the chain's head in (a, b] to unit resolution.
+def _isolate(chain, k: int, a: int, b: int) -> List[int]:
+    """Locate each root t of the chain's head with k t in (a, b] to unit
+    resolution, by bisection on a stack of its own.
 
-    Appends 2r for a root at the integer r and 2n+1 for roots inside
-    (n, n+1), in increasing order.  va - vb counts the distinct roots in
-    (a, b]; that holds at roots too, because the head is square-free.
+    Returns 2r for a root at k t = r, an integer, and 2n+1 for roots with
+    k t inside (n, n+1), in increasing order.  The drop in sign changes
+    over (a/k, b/k] counts its distinct roots; that holds at roots too,
+    because the head is square-free.
     """
-    if va == vb:
-        return
-    if b - a == 1:
-        at_b = _horner(chain[0], b) == 0
-        if va - vb > at_b:
-            found.append(2 * a + 1)
-        if at_b:
-            found.append(2 * b)
-        return
-    mid = (a + b) // 2
-    vm = _sign_changes(chain, mid)
-    _isolate(chain, a, va, mid, vm, found)
-    _isolate(chain, mid, vm, b, vb, found)
-
-
-def _root_free_runs(p: List[int], window: int) -> List[Tuple[int, int]]:
-    """Maximal integer ranges in [-window, window] with no real root of p
-    in their closed hull; together they are every mode where p != 0."""
     found: List[int] = []
-    if len(p) > 1:
-        chain = _sturm_chain(p)
-        lo, hi = -window - 1, window
-        _isolate(chain, lo, _sign_changes(chain, lo), hi, _sign_changes(chain, hi), found)
+    stack = [(a, _sign_changes(chain, a, k), b, _sign_changes(chain, b, k))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            at_b = _horner(chain[0], b, k) == 0
+            if va - vb > at_b:
+                found.append(2 * a + 1)
+            if at_b:
+                found.append(2 * b)
+            continue
+        mid = (a + b) // 2
+        vm = _sign_changes(chain, mid, k)
+        stack += [(mid, vm, b, vb), (a, va, mid, vm)]  # the left half first
+    return found
+
+
+def _root_free_runs(chain, k: int, window: int) -> List[Tuple[int, int]]:
+    """Maximal integer ranges of m in [-window, window] with no real root
+    of the chain's head at m/k in their closed hull; together they are
+    every mode where the head is not 0.  An empty chain has no roots."""
     runs, lo = [], -window
-    for pos in found:
+    for pos in _isolate(chain, k, -window - 1, window):
         # a root at the integer r ends the run at r - 1, one in (n, n+1) at n
         end = pos // 2 if pos % 2 else pos // 2 - 1
         if lo <= end:
@@ -469,69 +469,57 @@ def _range_sum(p: List[int], a: int, b: int) -> int:
 
 
 # the range error of a level k, named by the input that set it and its
-# digits, whose window k * delta leaves floating-point range
+# digits, whose window k * delta leaves floating-point range.  The sums are
+# exact at any window, but each is reported beside the float weak bound of
+# its level, and a float window bounds _isolate to about 1025 halvings
 _WINDOW_RANGE = "%s: an integer of %d digits, whose window k * delta leaves floating-point range"
 
 
-def _check_level_cost(spec: TorusBundleSpec, k: int, flag: str) -> None:
-    """An InputError naming mu, lambda and ``flag`` when the exact
-    determinants of level k cost more than _LEVEL_COST.  _det_poly takes d + 1
-    Bareiss determinants of the entries k mu + c_mode m lambda, m = 0..d,
-    each about d^3 updates of integers of up to d b bits, where b is the bit
-    length of k max|mu| + |c_mode| d max|lambda| over real and imaginary
-    parts; the cost is (d + 1) d^3 (1 + d b / 1024)^2, as their division is
-    quadratic in its size.  c_mode is calibrate()'s, which every record
-    that loads has, so no record is read here."""
-    d, c_mode = spec.d, int(calibrate().c_mode)
-    top = [int(np.abs(m.entries.view(float)).max()) for m in (spec.mu_mat, spec.lambda_mat)]
-    bits = (k * top[0] + abs(c_mode) * d * top[1]).bit_length()
-    cost = (d + 1) * d**3 * (1 + d * bits / 1024) ** 2
-    if cost > _LEVEL_COST:
-        raise InputError(
-            "mu, lambda at %s: the exact determinants of that level, d = %d on entries of %d bits, "
-            "cost %d, more than %d" % (flag, d, bits, cost, _LEVEL_COST)
-        )
-
-
 def _dimension_sums(
-    spec: TorusBundleSpec, k: int, cal: LatticeCalibration, name: str = "k"
-) -> List[int]:
-    """Sums of torus_mode_dim over the window |m| <= k*delta, for q = 0..d.
+    spec: TorusBundleSpec, ks: List[int], cal: LatticeCalibration, name: str = "k"
+) -> List[List[int]]:
+    """Sums of torus_mode_dim over the window |m| <= k*delta, for q = 0..d,
+    one list for each level k of ``ks``.
 
-    The mode curvature k*mu + c_mode*m*lambda has determinant p(m), an
-    integer polynomial of degree <= d.  Hermitian eigenvalues cross 0
-    only at real roots of p, so between consecutive roots the modes form
-    runs of constant inertia: each run's inertia is read once, at its
-    middle mode, and its sum of |p| is taken in closed form.  A run whose
-    middle mode reads a numerically zero eigenvalue counts in no degree,
-    as torus_mode_dim would count that mode.  The cost per k does not
-    depend on the window.  The window floor(k*delta + 1e-9) is taken
-    exactly, so the sums are exact at any k whose k*delta is a float.
-    Errors about k name ``name``, a middle mode whose curvature leaves
-    floating-point range among them.
+    The mode curvature k*mu + c_mode*m*lambda has determinant
+    k^d P(m/k), where P(t) = det(mu + c_mode*t*lambda) is an integer
+    polynomial of degree <= d; P and its Sturm chain are built once, and
+    each level reads them at m/k exactly (_horner).  Hermitian
+    eigenvalues cross 0 only at real roots of P, so between consecutive
+    roots the modes form runs of constant inertia: each run's inertia is
+    read once, on the curvature over k at its middle mode, and its sum of
+    |det| is taken in closed form.  A run whose middle mode reads a
+    numerically zero eigenvalue counts in no degree, as torus_mode_dim
+    would count that mode.  The cost per level does not depend on the
+    window.  The window floor(k*delta + 1e-9) is taken exactly, so the
+    sums are exact at any k whose k*delta is a float.  Errors about a
+    level name ``name``.
     """
-    k = _int_arg(k, name, 1)
-    # the inertia reads below take k * mu in floats
-    _float_range(lambda: k * spec.delta, _WINDOW_RANGE % (name, _digits(k)))
-    # exact, with delta read as the decimal it prints as: 0.3 is 3/10, not
-    # the binary float below it
-    window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))
-    mu = spec.mu_mat.entries
-    lam = spec.lambda_mat.entries
+    ks = [_int_arg(k, name, 1) for k in ks]
+    for k in ks:
+        _float_range(lambda: k * spec.delta, _WINDOW_RANGE % (name, _digits(k)))
     coupling = int(cal.c_mode)
-    p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), k, coupling)
-    sums = [0] * (spec.d + 1)
-    for lo, hi in _root_free_runs(p, window) if p else []:
-        with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
-            mode = k * mu + (coupling * ((lo + hi) // 2)) * lam
-        if not np.isfinite(mode).all():
-            raise InputError("mu, lambda at %s: the mode curvature k mu + c_mode m lambda leaves floating-point range"
-                             % name)
-        ine = inertia(HermitianMatrix(mode))
-        if not ine.zero:
-            sums[ine.neg] += abs(_range_sum(p, lo, hi))
+    big_p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), coupling)
+    chain = _sturm_chain(big_p) if len(big_p) > 1 else []
     scale = int(cal.c_dim) ** spec.d
-    return [scale * s for s in sums]
+    levels = []
+    for k in ks:
+        # exact, with delta read as the decimal it prints as: 0.3 is 3/10,
+        # not the binary float below it
+        window = math.floor(k * Fraction(repr(spec.delta)) + Fraction(1, 10**9))
+        p = [a * k ** (spec.d - j) for j, a in enumerate(big_p)]  # det at mode m
+        sums = [0] * (spec.d + 1)
+        for lo, hi in _root_free_runs(chain, k, window) if p else []:
+            with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
+                mode = spec.mu_mat.entries + (coupling * ((lo + hi) // 2) / k) * spec.lambda_mat.entries
+            if not np.isfinite(mode).all():
+                raise InputError("mu, lambda at %s: the mode curvature mu + c_mode (m / k) lambda "
+                                 "leaves floating-point range" % name)
+            ine = inertia(HermitianMatrix(mode))
+            if not ine.zero:
+                sums[ine.neg] += abs(_range_sum(p, lo, hi))
+        levels.append([scale * s for s in sums])
+    return levels
 
 
 def fourier_dimension_sum(
@@ -543,7 +531,7 @@ def fourier_dimension_sum(
     the cost does not depend on k.
     """
     q = _int_arg(q, "q", 0, spec.d)
-    return _dimension_sums(spec, k, cal)[q]
+    return _dimension_sums(spec, [k], cal)[0][q]
 
 
 def calibrate_weight(

@@ -890,6 +890,16 @@ def test_calibration_record_with_edited_provenance_loads(tmp_path, capsys):
     assert dims == [[440, 0]] * 3
 
 
+def test_torus_demo_reads_inertia_on_the_curvature_over_k(tmp_path, capsys):
+    # k mu = 2e308 leaves float range, mu + c_mode (m / k) lambda does not
+    doc = {"schema": "crmorse/torus-v1", "d": 1, "lambda": [[[1, 0]]], "mu": [[[1e308, 0]]], "delta": 1e-10}
+    argv = ["torus-demo", "--k", "2", "--input", str(write_json(tmp_path, "t.json", doc))]
+    assert run(argv + ["--cal", str(tmp_path / "cal.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["result"]["oracleDims"] == [4 * int(1e308), 0]
+
+
 def test_calibration_record_with_a_wrong_constant_exits_4(tmp_path, capsys):
     cal = tmp_path / "cal.json"
     assert run(["calibrate", "--out", str(cal)]) == 0
@@ -1010,7 +1020,7 @@ def test_convergence_ratios_need_no_fit(tmp_path):
         assert [rows[k] for k in (100, 1000, 20000)] == pytest.approx(ratios, abs=1e-4), flags
 
 
-def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_path, monkeypatch):
+def test_lattice_commands_decompose_once_and_factor_the_torus_once(tmp_path, monkeypatch):
     import crmorse.morse
     import crmorse.oracles
 
@@ -1021,12 +1031,15 @@ def test_convergence_decomposes_once_and_makes_one_oracle_pass_per_level(tmp_pat
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
 
     count(crmorse.morse, "_decompose_batch")
-    count(crmorse.oracles, "_dimension_sums")
-    for flags in (["--example", "torus-d2-indefinite"], ["--example", "torus-d1", "--q", "0"]):
+    for name in ("_dimension_sums", "_det_poly", "_sturm_chain"):
+        count(crmorse.oracles, name)
+    sweep = ["--kmin", "10", "--kmax", "30", "--kstep", "10"]
+    for argv in (["convergence", "--example", "torus-d2-indefinite", *sweep],
+                 ["convergence", "--example", "torus-d1", "--q", "0", *sweep],
+                 ["torus-demo", "--k", "30"]):
         calls.clear()
-        assert run(["convergence", *flags, "--kmin", "10", "--kmax", "30", "--kstep", "10",
-                    "--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out.json")]) == 0
-        assert calls == ["_decompose_batch"] + ["_dimension_sums"] * 3, flags
+        assert run([*argv, "--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == ["_decompose_batch", "_dimension_sums", "_det_poly", "_sturm_chain"], argv
 
 
 # a torus of dimension 280, whose weight (2pi)^281 2^280 exceeds the largest float
@@ -1034,8 +1047,8 @@ BIG_TORUS = {"schema": "crmorse/torus-v1", "d": 280, "lambda": mat(np.zeros((280
              "delta": 0.5}
 # a torus one dimension past those whose exact counts the lattice commands take
 WIDE_TORUS = {"schema": "crmorse/torus-v1", "d": 17, "lambda": mat(np.eye(17)), "mu": mat(np.eye(17)), "delta": 0.5}
-# a torus of the largest dimension, whose exact determinants at level 100
-# take entries of 27 bits, 100 * 2^20 + 16
+# a torus of the largest dimension whose mode curvature at level k,
+# (2^20 k + m) I, has entries of 27 bits at k = 100
 COSTLY_TORUS = {"schema": "crmorse/torus-v1", "d": 16, "lambda": mat(np.eye(16)), "mu": mat(2.0**20 * np.eye(16)),
                 "delta": 0.5}
 # a torus whose signed total, 4, the engine rounds to 0 beside a density
@@ -1061,14 +1074,12 @@ RESIDUE_TORUS = {
          "--q 0: the q=0 density vanishes for this spec; no ratio to report"),
         (["convergence"], BIG_TORUS, "d must be an integer in 1..16, got 280"),
         (["torus-demo"], BIG_TORUS, "d must be an integer in 1..16, got 280"),
-        (["convergence"], RESIDUE_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
+        (["convergence"], RESIDUE_TORUS, "mu, lambda: the signed density total is 0 or within 1e-9 of the density sum; no Euler comparison"),
         (["convergence"], WIDE_TORUS, "d must be an integer in 1..16, got 17"),
-        (["convergence"], COSTLY_TORUS, "mu, lambda at --kmax: the exact determinants of that level, "
-                                        "d = 16 on entries of 27 bits, cost 140777, more than 120000"),
-        (["convergence"], ZERO_EULER_TORUS, "signed density total vanishes for this spec; no Euler comparison"),
+        (["convergence"], ZERO_EULER_TORUS, "mu, lambda: the signed density total is 0 or within 1e-9 of the density sum; no Euler comparison"),
     ],
     ids=["vanishing-q", "trap-q0", "weight-convergence", "weight-torus-demo", "residue-euler", "d-convergence",
-         "cost-convergence", "zero-euler"],
+         "zero-euler"],
 )
 def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypatch, argv, doc, expected):
     import crmorse.oracles
@@ -1082,8 +1093,21 @@ def test_lattice_guards_exit_2_before_any_oracle_pass(tmp_path, capsys, monkeypa
     assert run(argv + ["--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: %s\n" % expected
     assert not (tmp_path / "out").exists()
-    # the d and cost bounds come before the --cal record is read or made
-    assert (tmp_path / "cal.json").exists() != expected.startswith(("d must", "mu, lambda at"))
+    # the d bound comes before the --cal record is read or made
+    assert (tmp_path / "cal.json").exists() != expected.startswith("d must")
+
+
+def test_convergence_sums_the_largest_dimension_on_wide_entries(tmp_path):
+    # every mode of the window |m| <= k/2 has curvature (2^20 k + m) I > 0,
+    # so the signed total is the q = 0 sum c_dim^16 sum_m (2^20 k + m)^16
+    out = tmp_path / "out.json"
+    assert run(["convergence", "--input", str(write_json(tmp_path, "t.json", COSTLY_TORUS)),
+                "--cal", str(tmp_path / "cal.json"), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    assert [row["k"] for row in rows] == list(range(10, 101, 10))
+    for row in rows:
+        k = row["k"]
+        assert row["oracle"] == 2**16 * sum((2**20 * k + m) ** 16 for m in range(-(k // 2), k // 2 + 1)), k
 
 
 def test_convergence_keeps_totals_beyond_the_rounding_margin(tmp_path):
@@ -1428,11 +1452,18 @@ def _torus():
     return TorusBundleSpec(d=2, lambda_mat=[[1, 0], [0, 1]], mu_mat=[[1, 0], [0, -1]], delta=0.25)
 
 
+WIDE_WINDOW_TORUS = {"schema": "crmorse/torus-v1", "d": 1, "lambda": [[[1, 0]]], "mu": [[[2, 0]]], "delta": 1e150}
+
+
 @pytest.mark.parametrize(
     "make, expected",
     [
         (lambda tmp, cap: _cli_error(tmp, cap, ["torus-demo", "--k", str(K400)]),
          "--k: an integer of 401 digits, whose window k * delta leaves floating-point range"),
+        # a window of 10^300 modes, bisected about 1000 times before the weak bound is refused
+        (lambda tmp, cap: _cli_error(tmp, cap, ["torus-demo", "--k", str(10**150), "--input",
+                                                str(write_json(tmp, "t.json", WIDE_WINDOW_TORUS))]),
+         "--k: an integer of 151 digits, whose weak bound k^2 c_q leaves floating-point range"),
         (lambda tmp, cap: _library_error(lambda: crmorse.calibrate_weight(_torus(), 1, K200, crmorse.calibrate())),
          "k0: an integer of 201 digits, whose power n = 3 leaves floating-point range"),
         (lambda tmp, cap: _library_error(
@@ -1450,7 +1481,7 @@ def _torus():
             lambda: crmorse.fourier_dimension_sum(_torus(), 0, K5000, crmorse.calibrate())),
          "k: an integer of 5001 digits, whose window k * delta leaves floating-point range"),
     ],
-    ids=["cli-torus-k", "calibrate_weight-k0", "weak_bound-k",
+    ids=["cli-torus-k", "cli-torus-k-wide-window", "calibrate_weight-k0", "weak_bound-k",
          "fourier_dimension_sum-k", "calibrate_weight-k0-5001-digits", "weak_bound-k-5001-digits",
          "fourier_dimension_sum-k-5001-digits"],
 )

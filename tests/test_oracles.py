@@ -219,12 +219,14 @@ def test_fourier_dimension_sum_growth():
     assert 3.0 <= y8 / y4 <= 4.5  # k^2 law with a k^1 correction
 
 
-def assert_matches_permode(spec, k, cal):
-    # one pass gives every degree, and fourier_dimension_sum reads it
-    sums = _dimension_sums(spec, k, cal)
+def assert_matches_permode(spec, ks, cal):
+    # one pass gives every level and degree, and fourier_dimension_sum reads it
+    levels = _dimension_sums(spec, ks, cal)
+    assert len(levels) == len(ks)
     degrees = range(spec.d + 1)
-    assert sums == [permode_dimension_sum(spec, q, k, cal) for q in degrees]
-    assert sums == [fourier_dimension_sum(spec, q, k, cal) for q in degrees]
+    for k, sums in zip(ks, levels):
+        assert sums == [permode_dimension_sum(spec, q, k, cal) for q in degrees]
+        assert sums == [fourier_dimension_sum(spec, q, k, cal) for q in degrees]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -232,12 +234,12 @@ def assert_matches_permode(spec, k, cal):
     seed=st.integers(0, 10**6),
     d=st.sampled_from([1, 2, 3]),
     span=st.sampled_from([1, 3]),
-    k=st.integers(1, 40),
+    ks=st.lists(st.integers(1, 40), min_size=1, max_size=2),
     delta=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
     c_mode=st.sampled_from([1, 2]),
     c_dim=st.sampled_from([1, 2, 3]),
 )
-def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta, c_mode, c_dim):
+def test_fourier_dimension_sum_matches_permode(seed, d, span, ks, delta, c_mode, c_dim):
     rng = np.random.default_rng(seed)
     spec = TorusBundleSpec(
         d=d,
@@ -245,7 +247,7 @@ def test_fourier_dimension_sum_matches_permode(seed, d, span, k, delta, c_mode, 
         mu_mat=random_int_hermitian(rng, d, -span, span),
         delta=delta,
     )
-    assert_matches_permode(spec, k, LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={}))
+    assert_matches_permode(spec, ks, LatticeCalibration(c_mode=c_mode, c_dim=c_dim, provenance={}))
 
 
 NAMED_SPECS = {
@@ -266,7 +268,7 @@ NAMED_SPECS = {
 @pytest.mark.parametrize("name", sorted(NAMED_SPECS))
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_fourier_dimension_sum_named_cases(name, k):
-    assert_matches_permode(NAMED_SPECS[name], k, calibrate())
+    assert_matches_permode(NAMED_SPECS[name], [k], calibrate())
 
 
 def test_fourier_dimension_sum_double_root_trap():
@@ -305,12 +307,17 @@ def test_fourier_dimension_sum_exact_beyond_float_precision():
     cal = calibrate()
     d1 = parse_torus(json.dumps(EXAMPLE_TORUS_DOCS["torus-d1"]))
     for k in (10**19 + 1, 10**110, 10**110 + 1):
-        assert _dimension_sums(d1, k, cal) == [4 * k * (2 * (k // 2) + 1), 0]
+        assert _dimension_sums(d1, [k], cal) == [[4 * k * (2 * (k // 2) + 1), 0]]
     # delta is read as the decimal it prints as: the window at k = 10^12 is 3 * 10^11
     spec = TorusBundleSpec(d=1, lambda_mat=[[1]], mu_mat=[[1]], delta=0.3)
     k = 10**12
     w = 3 * 10**11
     assert fourier_dimension_sum(spec, 0, k, cal) == 2 * k * (2 * w + 1)
+    # a window of 10^300 modes: the root at m = -2k takes about 1000 halvings
+    spec = TorusBundleSpec(d=1, lambda_mat=[[1]], mu_mat=[[2]], delta=1e150)
+    k, w = 10**150, 10**300
+    assert fourier_dimension_sum(spec, 0, k, cal) == (w + 2 * k) * (w + 2 * k + 1)
+    assert fourier_dimension_sum(spec, 1, k, cal) == (w - 2 * k) * (w - 2 * k + 1)
 
 
 def test_fourier_dimension_sum_validation():
@@ -319,6 +326,11 @@ def test_fourier_dimension_sum_validation():
         fourier_dimension_sum(D1_SPEC, 0, 0, cal)
     with pytest.raises(InputError):
         fourier_dimension_sum(D1_SPEC, 2, 4, cal)
+    # the curvature over k at the middle mode -3 of the run -4..-2,
+    # mu - 3 lambda, leaves float range
+    spec = TorusBundleSpec(d=1, lambda_mat=[[1e308]], mu_mat=[[1e308]], delta=4.0)
+    with pytest.raises(InputError, match="^mu, lambda at k: the mode curvature mu [+] c_mode [(]m / k[)] lambda "):
+        fourier_dimension_sum(spec, 0, 1, cal)
 
 
 # ------------------------------------------------------ field generators
@@ -453,14 +465,14 @@ def test_lattice_field_ratio_is_one_plus_order_one_over_k(spec):
     partial sum.  The q-part of the Riemann sum is then g_q = sum_{j<=q}
     (-1)^(q-j) |p| [neg = j], which is +-|p| or 0 and switches only where
     p = 0, so it has no more variation than |p|."""
-    p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1, int(_CAL.c_mode))
+    p = _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), int(_CAL.c_mode))
     assume(p)  # det identically 0: a degenerate pencil
     report = build_morse_report(_lattice_field(spec, _CAL))
     var, top = _variation_and_top(p, spec.delta)
     bound = int(_CAL.c_dim) ** spec.d * (var + top)
     n = spec.d + 1
     for k in (400, 1600):
-        sums = _dimension_sums(spec, k, _CAL)
+        sums = _dimension_sums(spec, [k], _CAL)[0]
         for q, dens in enumerate(report.densities):
             if dens > 0.0:
                 ratio = sums[q] / (k**n * dens)
@@ -480,7 +492,7 @@ def test_split_triple_root_leaves_no_sliver_chamber():
         d=3, mu_mat=np.diag([-1, 0, 2]), delta=0.25,
         lambda_mat=[[0, 2j, -1 - 1j], [-2j, 0, -2 - 2j], [-1 + 1j, -2 + 2j, -2]],
     )
-    assert _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1, 1) == [0, 0, 0, 8]
+    assert _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1) == [0, 0, 0, 8]
     densities = build_morse_report(_lattice_field(spec, _CAL)).densities
     assert densities == pytest.approx([0.0, 8 * 8 * 0.25**4 / 4, 8 * 8 * 0.25**4 / 4, 0.0], abs=1e-12)
 
@@ -495,7 +507,7 @@ def test_triple_root_ring_off_the_axis_is_one_root():
         mu_mat=[[2, 2j, -2 - 2j], [-2j, 2, -2 + 2j], [-2 + 2j, -2 - 2j, 2]],
         lambda_mat=[[0, -2 + 1j, 1], [-2 - 1j, 2, 0], [1, 0, -1]],
     )
-    assert _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1, 1) == [0, 0, 0, 3]
+    assert _det_poly(_gaussian_rows(spec.mu_mat), _gaussian_rows(spec.lambda_mat), 1) == [0, 0, 0, 3]
     densities = build_morse_report(_lattice_field(spec, _CAL)).densities
     assert densities == pytest.approx([0.0, 8 * 3 * 0.25**4 / 4, 8 * 3 * 0.25**4 / 4, 0.0], abs=1e-12)
 
