@@ -44,7 +44,7 @@ from .errors import (
     _positive_arg,
     _shown,
 )
-from .pencil import HermitianMatrix, _decompose_batch, _symmetrized
+from .pencil import HermitianMatrix, _chamber_decomposition, _decompose_batch, _symmetrized
 from .serialize import canonical_json, csv_table
 
 # CPython's own SHA-256, as random.py takes its SHA-512: hashlib would load
@@ -60,7 +60,7 @@ except ImportError:
 
 if TYPE_CHECKING:
     from .model import ModelData
-    from .morse import MorseReport, PencilField, PencilPoint
+    from .morse import MorseReport, PencilField
     from .oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec
 
 FIELD_SCHEMA = "crmorse/field-v1"
@@ -205,19 +205,10 @@ def _head(praw: Any, path: str) -> Tuple[str, float]:
     return label, weight
 
 
-def _point(praw: Any, path: str, d: int) -> PencilPoint:
-    from .morse import PencilPoint
-
-    label, weight = _head(praw, path)
-    r = _hermitian(_get(praw, "R", path), path + ".R", d, "n-1")
-    el = _hermitian(_get(praw, "L", path), path + ".L", d, "n-1")
-    return PencilPoint(label, r, el, weight)
-
-
 def _stacked_points(raw_points: List[Any], d: int) -> Optional[tuple]:
     """The labels, the R and L stacks and the weights of every sample point,
     with the matrices of all points parsed as one stack; None when any point
-    has a fault, for the walk of _point to name the first one."""
+    has a fault, for _walked_points to name the first one."""
     try:
         labels, weights = zip(*[_head(p, "") for p in raw_points])
     except InputError:
@@ -226,6 +217,19 @@ def _stacked_points(raw_points: List[Any], d: int) -> Optional[tuple]:
     if stack is None:
         return None
     return labels, stack[: len(labels)], stack[len(labels) :], weights
+
+
+def _walked_points(raw_points: List[Any], d: int) -> tuple:
+    """_stacked_points' tuple, read point by point, so that the first fault
+    is named at its JSON path."""
+    heads, rs, els = [], [], []
+    for i, praw in enumerate(raw_points):
+        path = "points[%d]" % i
+        heads.append(_head(praw, path))
+        rs.append(_hermitian(_get(praw, "R", path), path + ".R", d, "n-1").entries)
+        els.append(_hermitian(_get(praw, "L", path), path + ".L", d, "n-1").entries)
+    labels, weights = zip(*heads)
+    return labels, np.array(rs), np.array(els), weights
 
 
 def parse_field(data: Any) -> PencilField:
@@ -244,10 +248,7 @@ def parse_field(data: Any) -> PencilField:
     if not isinstance(raw_points, list) or not raw_points:
         _fail("points", "expected a nonempty list of sample points")
     d = n - 1
-    stacks = _stacked_points(raw_points, d)
-    if stacks is None:  # a fault: walk the points to name the first one
-        points = [_point(praw, "points[%d]" % i, d) for i, praw in enumerate(raw_points)]
-        return PencilField(n=n, delta=delta, points=points)
+    stacks = _stacked_points(raw_points, d) or _walked_points(raw_points, d)
     return PencilField._of_stacks(n, delta, *stacks)
 
 
@@ -468,17 +469,13 @@ def _cmd_chambers(args):
     delta = field.delta if args.delta is None else _positive_arg(args.delta, "--delta")
     row = slice(i, i + 1)  # the sample's row of the stacks, decomposed as morse does
     w = _decompose_batch(field.r[row], field.el[row], [delta], labels=field.labels[row])[0]
-    count, ends = int(w.counts[0]), w.breaks[0].tolist()
-    rows = [
-        [ends[j], ends[j + 1], neg, 0, field.dim - neg, -1 if neg % 2 else 1, m]
-        for j, (neg, m) in enumerate(zip(w.neg[0, :count].tolist(), w.masses[0, :count].tolist()))
-    ]
+    dec = _chamber_decomposition(w)
+    rows = [[c.lo, c.hi, *c.inertia.signature, c.det_sign, m] for c, m in zip(dec.chambers, w.masses[0].tolist())]
     chambers = [
         {"lo": lo, "hi": hi, "inertia": [neg, zero, pos], "detSign": sign, "mass": m}
         for lo, hi, neg, zero, pos, sign, m in rows
     ]
-    roots = [v for v in w.roots[0].tolist() if v == v]  # drop the NaN padding
-    result = {"label": field.labels[i], "delta": w.delta, "roots": roots, "chambers": chambers}
+    result = {"label": field.labels[i], "delta": dec.delta, "roots": dec.roots, "chambers": chambers}
     return raw, result, ["lo", "hi", "neg", "zero", "pos", "det_sign", "mass"], rows
 
 

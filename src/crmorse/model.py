@@ -42,6 +42,7 @@ from .pencil import (
     ChamberDecomposition,
     HermitianMatrix,
     Inertia,
+    _chamber_decomposition,
     _decompose,
     _densities,
     _Frozen,
@@ -132,9 +133,10 @@ def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float], Lis
     an InputError (pencil._densities), since the density and the extremal
     form's C_0 would lose their digits."""
     el = HermitianMatrix(np.diag(-data.lam).astype(complex))
-    dec, _, _, masses = _decompose(data.mu, el, data.delta)
-    occupied = [any(ch.inertia.neg == q for ch in dec.chambers) for q in range(data.d + 1)]
-    return dec, masses, _densities(data.n, [1.0], [masses], occupied, _DET)
+    w = _decompose(data.mu, el, data.delta)
+    masses = w.q_masses[0].tolist()
+    occupied = [(w.neg[0] == q).any() for q in range(data.d + 1)]
+    return _chamber_decomposition(w), masses, _densities(data.n, [1.0], [masses], occupied, _DET)
 
 
 def _szego_table(data: ModelData) -> Tuple[EtaChamberSet, List[float]]:

@@ -89,7 +89,7 @@ class PencilField(_Frozen):
         """Set the fields, once n is an integer >= 2, delta a positive real
         and every matrix of dimension n - 1."""
         n = _int_arg(n, "n", 2)
-        dlt = _positive_arg(delta, "field delta")
+        dlt = _positive_arg(delta, "delta")
         if not len(labels):
             raise InputError("field needs at least one sample point")
         for label, m in zip(labels, r):

@@ -42,9 +42,11 @@ eigenvalue decomposition per pencil:
   exactly rounded sum (errors._fsum) of the masses of the q-chambers.
 
 Each stage is one numpy call on the whole (n, d, d) stack, and the result
-is arrays too, a _Window per window; only the one-pencil path, _decompose,
-builds Chamber objects.  A pencil's roots, chambers and masses are bit for
-bit what it gets alone (_det_integrals).  Callers with many pencils pass
+is arrays too, a _Window per window, which every quantity reads.  Only
+_chamber_decomposition builds Chamber objects, at the public edge: for
+chambers, the chambers command and the model's eta-chambers.  A pencil's
+roots, chambers and masses are bit for bit what it gets alone
+(_det_integrals).  Callers with many pencils pass
 them in chunks (see morse._CHUNK) to keep memory bounded.
 """
 
@@ -304,13 +306,16 @@ def _sign_tols(a: np.ndarray) -> np.ndarray:
 
 
 def _probe(r: np.ndarray, el: np.ndarray, delta: float):
-    """_units, and the eigenvalues at the probes: (e, rn, ln, tols, x, w),
-    where w (n, d + 2, d) holds the eigenvalues of rn + 2 x ln at the d + 2
-    probes x, equally spaced on [-1, 1]."""
+    """_units, the eigenvalues at the probes and the pencils they clear:
+    (e, rn, ln, tols, x, w, clear), where w (n, d + 2, d) holds the
+    eigenvalues of rn + 2 x ln at the d + 2 probes x, equally spaced on
+    [-1, 1], and clear (n,) says whether the least |eigenvalue| exceeds
+    tols at some probe.  A pencil that clears none is degenerate."""
     e, rn, ln, tols = _units(r, el, delta)
     x = np.linspace(-1.0, 1.0, r.shape[-1] + 2)
     w = np.linalg.eigvalsh(rn[:, None] + (2.0 * x)[:, None, None] * ln[:, None])
-    return e, rn, ln, tols, x, w
+    clear = (np.abs(w).min(axis=2) > tols[:, None]).any(axis=1)
+    return e, rn, ln, tols, x, w, clear
 
 
 def _spectrum(rn: np.ndarray, ln: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -416,8 +421,8 @@ def pencil_char_poly(r: HermitianMatrix, el: HermitianMatrix) -> RealPolynomial:
     polynomial.  Coefficients below 1e-12 of the largest one are clamped to
     zero.
     """
-    e, rn, ln, tols, x, w = _probe(*_stacked(r, el), 1.0)
-    if not (np.abs(w).min(axis=2) > tols[:, None]).any():
+    e, rn, ln, tols, x, w, clear = _probe(*_stacked(r, el), 1.0)
+    if not clear[0]:
         return RealPolynomial(np.zeros(r.dim + 1))
     _, c0, a0, b = _spectrum(rn, ln, x, w)
     c = np.zeros((1, r.dim + 1), dtype=complex)
@@ -493,15 +498,6 @@ class _Window(NamedTuple):
     q_masses: np.ndarray  # (n, d + 1): the _fsum of each row's masses with neg q, in chamber order
 
 
-class _Decomposed(NamedTuple):
-    """One pencil's chambers with the integrals of its det over them."""
-
-    dec: ChamberDecomposition
-    masses: List[float]  # integral of |det(R+2sL)| over each chamber, in order
-    signed: float  # integral of det(R+2sL) over [-delta, delta]
-    q_masses: List[float]  # integral of |det(R+2sL)| over each q-signature set, q = 0..d
-
-
 def _decompose_batch(
     r: np.ndarray,
     el: np.ndarray,
@@ -544,16 +540,15 @@ def _decompose_batch(
         raise failures[0]
     alive = np.flatnonzero(finite)
 
-    e, rn, ln, tols, x, w = _probe(r[alive], el[alive], top)
-    small = np.abs(w).min(axis=2)
-    clear = (small > tols[:, None]).any(axis=1)
+    e, rn, ln, tols, x, w, clear = _probe(r[alive], el[alive], top)
     for i in np.flatnonzero(~clear).tolist():
-        k = max(range(x.size), key=lambda j: (small[i, j], x[j]))  # the least singular probe
+        small = np.abs(w[i]).min(axis=1).tolist()
+        k = max(range(x.size), key=lambda j: (small[j], x[j]))  # the least singular probe
         fail(int(alive[i]), DegeneratePencilError, (
-            "degenerate pencil: det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
+            "det(R+2sL) is numerically zero at all %d probes in [-%g, %g] "
             "(least singular: min |eig| = %.1e vs tol %.1e at s=%g); "
             "R and L share a near-common kernel"
-            % (x.size, top, top, math.ldexp(small[i, k], int(e[i])), math.ldexp(tols[i], int(e[i])), top * x[k])
+            % (x.size, top, top, math.ldexp(small[k], int(e[i])), math.ldexp(tols[i], int(e[i])), top * x[k])
         ))
     alive, e, rn, ln, tols, w = alive[clear], e[clear], rn[clear], ln[clear], tols[clear], w[clear]
     if not alive.size:
@@ -609,19 +604,24 @@ def _decompose_batch(
     return windows
 
 
-def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Decomposed:
-    """The one-pencil path: _decompose_batch on a stack of one, as objects."""
-    w = _decompose_batch(*_stacked(r, el), [delta])[0]
-    count, t, ends = int(w.counts[0]), float(w.tol[0]), w.breaks[0].tolist()
-    dec = ChamberDecomposition(
+def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Window:
+    """The one-pencil path: _decompose_batch on a stack of one."""
+    return _decompose_batch(*_stacked(r, el), [delta])[0]
+
+
+def _chamber_decomposition(w: _Window) -> ChamberDecomposition:
+    """The one pencil of a one-row window as objects: each chamber with its
+    inertia (neg, 0, d - neg) at the pencil's tolerance and det sign
+    (-1)^neg, and the roots without their NaN padding."""
+    d, t, ends = w.q_masses.shape[1] - 1, float(w.tol[0]), w.breaks[0].tolist()
+    return ChamberDecomposition(
         delta=w.delta,
-        roots=[v for v in w.roots[0].tolist() if v == v],  # drop the NaN padding
+        roots=[v for v in w.roots[0].tolist() if v == v],
         chambers=[
-            Chamber(ends[j], ends[j + 1], Inertia(ng, 0, r.dim - ng, t), -1 if ng % 2 else 1)
-            for j, ng in enumerate(w.neg[0, :count].tolist())
+            Chamber(ends[j], ends[j + 1], Inertia(ng, 0, d - ng, t), -1 if ng % 2 else 1)
+            for j, ng in enumerate(w.neg[0, : w.counts[0]].tolist())
         ],
     )
-    return _Decomposed(dec, w.masses[0, :count].tolist(), float(w.signed[0]), w.q_masses[0].tolist())
 
 
 def _two_pi_quotient(value: float, n: int, into: bool = False) -> float:
@@ -675,7 +675,7 @@ def chambers(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> ChamberDe
     pencil whose determinant vanishes identically raises
     DegeneratePencilError naming an offending point.
     """
-    return _decompose(r, el, delta).dec
+    return _chamber_decomposition(_decompose(r, el, delta))
 
 
 def signature_set(dec: ChamberDecomposition, q: int) -> List[Tuple[float, float]]:
@@ -689,11 +689,11 @@ def chamber_integral(r: HermitianMatrix, el: HermitianMatrix, q: int, delta: flo
     """Integral of |det(R+2sL)| over the q-signature set in [-delta, delta],
     from a Gauss-Legendre rule per chamber, exact as det keeps one sign there."""
     q = _int_arg(q, "q", 0, r.dim)
-    return _decompose(r, el, delta).q_masses[q]
+    return float(_decompose(r, el, delta).q_masses[0, q])
 
 
 def pencil_signed_integral(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> float:
     """Signed integral of det(R+2sL) over all of [-delta, delta], by one
     Gauss-Legendre rule over the window: a second route to the alternating
     sum over q of the chamber integrals, as det has sign (-1)^neg there."""
-    return _decompose(r, el, delta).signed
+    return float(_decompose(r, el, delta).signed[0])

@@ -295,6 +295,30 @@ def test_chambers_names_the_sample_as_morse_does(tmp_path, capsys):
     assert run(["chambers", "--input", inp, "--point", "0"]) == 0
 
 
+BAD_SECOND = field_doc(2, 1.0, [point_doc("ok", [[2]], [[1]]), point_doc("bad", [[0]], [[0]])])
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["morse"], BAD_SECOND),
+        (["classify"], BAD_SECOND),
+        (["chambers", "--point", "1"], BAD_SECOND),
+        # the pencil 2s diag(1, 2^40): min |eig| at most 2 at every probe, below 1e-9 of its scale 2^41
+        (["heisenberg-demo"], {"schema": "crmorse/heisenberg-v1", "d": 2, "lambda": [1, 2**40],
+                               "mu": mat([[0, 0], [0, 0]]), "delta": 1.0}),
+    ],
+    ids=["morse", "classify", "chambers", "heisenberg-demo"],
+)
+def test_a_degenerate_sample_says_degenerate_pencil_once(tmp_path, capsys, argv, doc):
+    # cli.run names the exit-3 condition; the engine's message names the sample and the probes
+    inp = write_json(tmp_path, "in.json", doc)
+    assert run([*argv, "--input", str(inp)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate pencil: sample ") and err.count("degenerate pencil") == 1, err
+    assert "det(R+2sL) is numerically zero at all" in err
+
+
 def test_csv_cells_with_a_comma_quote_or_newline_are_quoted():
     from crmorse.serialize import csv_table
 
@@ -1780,6 +1804,8 @@ FORM_SIZE = ("q 10: the extremal form's eta frames and 10 x 10 minors at 16 eta 
          "delta must be a positive real, got 0.0"),
         (lambda: crmorse.rrh_total(_field(), 2.0), None, "delta must be a positive real <= 1, got 2.0"),
         (["chambers", "--delta", "-1"], MINIMAL, "--delta must be a positive real, got -1.0"),
+        # the field window is named by its key, as in the other documents
+        (["morse"], {**MINIMAL, "delta": -1}, "delta must be a positive real, got -1.0"),
         (lambda: crmorse.m_phi_eta(_model(), math.nan), None, "eta must be a finite real, got nan"),
         (["bergman-check", "--q", "0", "--eta", "nan"], MODEL_DOC, "--eta must be a finite real, got nan"),
         (lambda: crmorse.weak_bound(_field(), 0, 1.0, K200), None,
@@ -1844,7 +1870,8 @@ FORM_SIZE = ("q 10: the extremal form's eta frames and 10 x 10 minors at 16 eta 
          "--kstep must be an integer >= an integer of 398 digits, got 1"),
     ],
     ids=["int-library", "int-library-lower", "int-point", "int-threads", "int-kmin", "int-kmax", "int-kstep",
-         "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "real-library",
+         "int-max-degree", "positive-library", "positive-library-upper", "positive-delta", "positive-field-delta",
+         "real-library",
          "real-eta", "range-library", "range-k", "range-library-product", "range-k-product",
          "range-levi-flat-product", "range-kmax-power", "positive-library-str",
          "positive-library-bytes", "levi-flat-delta-bool", "levi-flat-delta-str", "int-huge", "int-huge-negative",
@@ -1957,7 +1984,7 @@ def test_an_integer_argument_is_not_a_bool_or_a_float(call, expected):
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: crmorse.PencilField(2, True, [_point(1.0)]), "field delta must be a positive real, got True"),
+        (lambda: crmorse.PencilField(2, True, [_point(1.0)]), "delta must be a positive real, got True"),
         (lambda: _point(True), "sample 'w': weight must be a positive real, got True"),
         (lambda: crmorse.ModelData(d=1, lam=[1.0], mu=crmorse.HermitianMatrix([[3.0]]), delta=True),
          "delta must be a positive real, got True"),

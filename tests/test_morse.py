@@ -797,7 +797,7 @@ MESSAGES = {
     "mid": "sample 'mid': pencil is numerically singular inside a chamber at s=0 "
     "(min |eig| = 1.0e-04 vs tol 1.0e-03); cannot assign a signature",
     # tol is 1e-9 (||R||_F + 2 ||L||_F) = 1e-9 * 3 sqrt(2)
-    "kern": "sample 'kern': degenerate pencil: det(R+2sL) is numerically zero at all 5 probes in "
+    "kern": "sample 'kern': det(R+2sL) is numerically zero at all 5 probes in "
     "[-1, 1] (least singular: min |eig| = 0.0e+00 vs tol 4.2e-09 at s=1); R and L share a "
     "near-common kernel",
 }

@@ -1,5 +1,6 @@
 """Tests for inertia, characteristic polynomials, roots, and chamber integrals."""
 
+import json
 import math
 import sys
 import warnings
@@ -11,6 +12,7 @@ from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crmorse.cli import parse_field, run
 from crmorse.errors import DegeneratePencilError, InputError, _fsum
 from crmorse.pencil import (
     IDENTICALLY_ZERO,
@@ -24,6 +26,7 @@ from crmorse.pencil import (
     pencil_signed_integral,
     real_roots,
     signature_set,
+    _chamber_decomposition,
     _decompose,
     _decompose_batch,
     _densities,
@@ -40,6 +43,13 @@ from oracle_tools import (
 
 def hm(entries):
     return HermitianMatrix(np.asarray(entries, dtype=complex))
+
+
+def decomposed(r, el, delta):
+    """One pencil's chambers, their |det| masses and its signed integral,
+    read from the engine's one-row window."""
+    w = _decompose(HermitianMatrix(r), HermitianMatrix(el), delta)
+    return _chamber_decomposition(w), w.masses[0, : w.counts[0]].tolist(), float(w.signed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +151,29 @@ def test_char_poly_of_a_common_kernel_is_zero():
         assert p.coeffs.tolist() == [0.0] * (d + 1)
         assert real_roots(p, -1.0, 1.0, 1e-9) is IDENTICALLY_ZERO
     assert repr(IDENTICALLY_ZERO) == "IDENTICALLY_ZERO"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), power=st.sampled_from([None, -13, -11, -10, -9, -8, -6]))
+def test_char_poly_is_zero_exactly_where_the_probes_refuse(d, seed, power):
+    # R and L share the kernel vector e_0 up to a perturbation of size
+    # 10^power (none when power is None), around the 1e-9 probe tolerance;
+    # the zero polynomial and the engine's degenerate-pencil refusal read
+    # one probe mask
+    rng = np.random.default_rng(seed)
+    r, el = random_hermitian(rng, d), random_hermitian(rng, d)
+    for m in (r, el):
+        m[0, :] = m[:, 0] = 0.0
+    if power is not None:
+        r = r + 10.0**power * random_hermitian(rng, d)
+    zero = pencil_char_poly(HermitianMatrix(r), HermitianMatrix(el)).is_zero
+    try:
+        _decompose_batch(r[None], el[None], [1.0])
+        refused = False
+    except DegeneratePencilError as exc:
+        refused = "is numerically zero at all" in str(exc)
+    assert zero == refused
+    assert zero or power is not None
 
 
 def test_char_poly_interpolation_oracle():
@@ -638,12 +671,12 @@ def test_chambers_are_unit_free(d, seed, power, delta):
     rng = np.random.default_rng(seed)
     r, el = random_hermitian(rng, d), random_hermitian(rng, d)
     t = 10.0**power
-    base = _decompose(HermitianMatrix(r), HermitianMatrix(el), delta)
-    got = _decompose(HermitianMatrix(t * r), HermitianMatrix(t * el), delta)
-    assert np.allclose(got.dec.roots, base.dec.roots, rtol=0.0, atol=1e-13 * (1.0 + delta))
-    assert [c.inertia.signature for c in got.dec.chambers] == [c.inertia.signature for c in base.dec.chambers]
-    np.testing.assert_allclose(got.masses, np.multiply(base.masses, t**d), rtol=1e-12)
-    assert got.signed == pytest.approx(base.signed * t**d, rel=1e-12, abs=1e-12 * t**d * sum(base.masses))
+    base, base_masses, base_signed = decomposed(r, el, delta)
+    got, got_masses, got_signed = decomposed(t * r, t * el, delta)
+    assert np.allclose(got.roots, base.roots, rtol=0.0, atol=1e-13 * (1.0 + delta))
+    assert [c.inertia.signature for c in got.chambers] == [c.inertia.signature for c in base.chambers]
+    np.testing.assert_allclose(got_masses, np.multiply(base_masses, t**d), rtol=1e-12)
+    assert got_signed == pytest.approx(base_signed * t**d, rel=1e-12, abs=1e-12 * t**d * sum(base_masses))
 
 
 def unitary(rng, d):
@@ -730,7 +763,7 @@ def test_repeated_root_of_full_multiplicity(d):
     u = unitary(rng, d)
     signs = np.where(np.arange(d) % 2, -1.0, 1.0)
     r = u @ np.diag(signs) @ u.conj().T
-    dec, masses, signed, _ = _decompose(HermitianMatrix(r), HermitianMatrix(-r), 1.0)
+    dec, masses, signed = decomposed(r, -r, 1.0)
     assert dec.roots == pytest.approx([0.5], abs=1e-13)
     q = d // 2  # negative eigenvalues of diag(signs)
     assert [c.inertia.neg for c in dec.chambers] == [q, d - q]
@@ -748,7 +781,7 @@ def test_tangent_root_is_one_root_between_equal_chambers(seed):
     c = unitary(rng, 2) @ np.diag([1.0, float(rng.uniform(1.0, 30.0))]) @ unitary(rng, 2)
     r = c.conj().T @ np.array([[0.0, -a], [-a, 1.0]]) @ c
     el = c.conj().T @ np.array([[0.0, 0.5], [0.5, 0.0]]) @ c
-    dec, masses = _decompose(HermitianMatrix(r), HermitianMatrix(el), 1.0)[:2]
+    dec, masses = decomposed(r, el, 1.0)[:2]
     assert dec.roots == pytest.approx([a], abs=1e-10)
     assert [c.inertia.signature for c in dec.chambers] == [(1, 0, 1), (1, 0, 1)]
     scale = abs(np.linalg.det(c)) ** 2  # det(C* A C) = |det C|^2 det A
@@ -773,7 +806,7 @@ def test_singular_l_sends_roots_to_infinity(rank):
     v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     el = v @ np.diag(rng.choice([-1.0, 1.0], size=rank)) @ v.conj().T
     r = random_hermitian(rng, d) + 2.0 * np.eye(d)
-    dec, masses, signed, _ = _decompose(HermitianMatrix(r), HermitianMatrix(el), 2.0)
+    dec, masses, signed = decomposed(r, el, 2.0)
     ref = qz_roots(r, el, 2.0)
     assert len(dec.roots) == len(ref) <= rank
     assert np.abs(np.subtract(dec.roots, ref)).max(initial=0.0) <= 1e-13
@@ -793,3 +826,63 @@ def test_root_where_two_eigenvalues_cross_together():
     for ch in dec.chambers:
         s = ch.lo + 0.3 * (ch.hi - ch.lo)
         assert ch.inertia.neg == int((np.linalg.eigvalsh(r + 2.0 * s * el) < 0).sum())
+
+
+
+# ---------------------------------------------------------------------------
+# The chambers command against the library
+
+
+def _gaussian_pencil(rng, d):
+    return random_hermitian(rng, d), random_hermitian(rng, d)
+
+
+def _tangent_pencil(rng, d):
+    # [[0, s - a], [s - a, 1]] (det -(s - a)^2, an eigenvalue touching 0 at
+    # s = a) beside a diagonal block crossing 0 at random points, under a congruence
+    a = rng.uniform(-0.8, 0.8, size=d)
+    r, el = np.diag(-2.0 * a).astype(complex), np.eye(d, dtype=complex)
+    if d >= 2:
+        r[:2, :2], el[:2, :2] = [[0.0, -a[0]], [-a[0], 1.0]], [[0.0, 0.5], [0.5, 0.0]]
+    c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return c.conj().T @ r @ c, c.conj().T @ el @ c
+
+
+def _clustered_pencil(rng, d):
+    # eigenvalue j of R + 2sL is 2 (s - a_j), with a_1 - a_0 below, near or
+    # above the 1e-5 root resolution
+    a = rng.uniform(-0.9, 0.9, size=d)
+    if d >= 2:
+        a[1] = a[0] + rng.choice([1e-7, 3e-6, 2e-5])
+    u = unitary(rng, d)
+    return u @ np.diag(-2.0 * a) @ u.conj().T, np.eye(d)
+
+
+def _pairs(m):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    make=st.sampled_from([_gaussian_pencil, _tangent_pencil, _clustered_pencil]),
+)
+def test_chambers_command_equals_the_library(tmp_path_factory, d, seed, make):
+    # the command's rows and roots are chambers() of the parsed sample, and
+    # its masses the engine window's, bit for bit
+    r, el = make(np.random.default_rng(seed), d)
+    doc = {"schema": "crmorse/field-v1", "n": d + 1, "delta": 1.0,
+           "points": [{"label": "p", "R": _pairs(r), "L": _pairs(el)}]}
+    tmp = tmp_path_factory.mktemp("chambers")
+    (tmp / "f.json").write_text(json.dumps(doc))
+    assert run(["chambers", "--input", str(tmp / "f.json"), "--out", str(tmp / "out.json")]) == 0
+    result = json.loads((tmp / "out.json").read_text())["result"]
+    point = parse_field((tmp / "f.json").read_bytes()).points[0]
+    dec = chambers(point.r, point.el, 1.0)
+    w = _decompose(point.r, point.el, 1.0)
+    assert result["roots"] == dec.roots
+    assert result["chambers"] == [
+        {"lo": c.lo, "hi": c.hi, "inertia": list(c.inertia.signature), "detSign": c.det_sign, "mass": m}
+        for c, m in zip(dec.chambers, w.masses[0, : w.counts[0]].tolist(), strict=True)
+    ]
