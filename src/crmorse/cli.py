@@ -39,6 +39,7 @@ from .errors import (
     InputError,
     _as_float,
     _digits,
+    _float_integer,
     _float_range,
     _int_arg,
     _positive_arg,
@@ -94,16 +95,14 @@ def _get(doc: Dict, key: str, path: str) -> Any:
 
 
 def _number(value: Any, path: str, integral: bool = False) -> float:
-    """The finite float of a JSON number; with ``integral``, an integer the
-    float holds exactly: an int literal equal to its float, or an integral float."""
+    """The finite float of a JSON number; with ``integral``, once it meets
+    the exact specs' integer rule (errors._float_integer)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(path, "expected a real number, got %r" % (value,))
     v = _as_float(value)  # nan for an int beyond float range
     if not math.isfinite(v):
         _fail(path, "expected a finite number, got %s" % _shown(value))
-    if integral and not (v.is_integer() and v == value):
-        _fail(path, "expected an integer that a float holds exactly, got %r" % (value,))
-    return v
+    return _float_integer(value, path) if integral else v
 
 
 def _integer(value: Any, path: str) -> int:
@@ -123,7 +122,7 @@ def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
     """The symmetrized (len(values), d, d) stack of the matrix documents
     ``values`` of a field: one conversion and one Hermitian check for all
     of them.  None when any is malformed, not finite or not Hermitian, for
-    the walk of _hermitian to name the first fault."""
+    _walked_points to name the first fault."""
     try:
         pairs = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -142,13 +141,11 @@ def _matrix_stack(values: List[Any], d: int) -> Optional[np.ndarray]:
 
 
 def _hermitian(value: Any, path: str, d: int, what: str, integral: bool = False) -> HermitianMatrix:
-    """One matrix document, by _matrix_stack's one conversion; walked
-    element by element where that finds a fault, or where ``integral`` asks
-    for integer entries (_number) and exact symmetry, so that the first
-    fault is named at its JSON path."""
-    stack = None if integral else _matrix_stack([value], d)
-    if stack is not None:
-        return HermitianMatrix._from_symmetrized(stack[0])
+    """One matrix document, walked element by element so that the first
+    fault is named at its JSON path.  With ``integral``, each entry is held
+    to the exact specs' integer rule (_number) and the matrix, once within
+    the parse tolerance, to Hermitian exactly as written
+    (oracles._int_hermitian)."""
     if not isinstance(value, list):
         _fail(path, "expected a matrix as a list of rows")
     if len(value) != d:
@@ -163,8 +160,10 @@ def _hermitian(value: Any, path: str, d: int, what: str, integral: bool = False)
         m = HermitianMatrix(raw, tol=PARSE_HERMITIAN_TOL)
     except InputError as exc:
         raise InputError("%s: %s" % (path, exc)) from exc
-    if integral and not np.array_equal(m.entries, raw):  # as written, not as the mean of two integers
-        _fail(path, "an integer matrix must be exactly Hermitian")
+    if integral:
+        from .oracles import _int_hermitian
+
+        return _int_hermitian(raw, path, d)
     return m
 
 
@@ -468,7 +467,7 @@ def _cmd_chambers(args):
     i = _int_arg(args.point, "--point", 0, len(field.labels) - 1)
     delta = field.delta if args.delta is None else _positive_arg(args.delta, "--delta")
     row = slice(i, i + 1)  # the sample's row of the stacks, decomposed as morse does
-    w = _decompose_batch(field.r[row], field.el[row], [delta], labels=field.labels[row])[0]
+    w = _decompose_batch(field.r[row], field.el[row], [delta], field._names(row))[0]
     dec = _chamber_decomposition(w)
     rows = [[c.lo, c.hi, *c.inertia.signature, c.det_sign, m] for c, m in zip(dec.chambers, w.masses[0].tolist())]
     chambers = [
@@ -860,6 +859,3 @@ def main() -> None:
         sys.exit(code)
     os._exit(code)
 
-
-if __name__ == "__main__":
-    main()

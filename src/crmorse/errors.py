@@ -15,6 +15,9 @@ string is not a real, as in the document parsers.  The messages read
 
 where an int beyond float range, a value or a bound, shows as "an
 integer of N digits", and _float_range raises the caller's own message.
+_float_integer, the integer rule of the exact specs, names its value in
+the document parsers' form, "<name>: ...", as the entry of a matrix or
+vector it checks.
 _fsum sums reported totals, leaving a total out of range for those checks
 to refuse.
 """
@@ -107,6 +110,18 @@ def _real_arg(value, name: str) -> float:
     v = _as_float(value)
     if not math.isfinite(v):
         raise InputError("%s must be a finite real, got %s" % (name, _shown(value)))
+    return v
+
+
+def _float_integer(value, name: str) -> float:
+    """The float of ``value``, once it is an integer that the float holds
+    exactly: an integer equal to its float, or a float with an integral
+    value.  Checked on the value the caller gave, before any conversion
+    that rounds, so 2^53 + 1 is refused and 2^53 or 3.0 is not."""
+    v = _as_float(value)  # nan for a bool, a non-real, an int beyond float range
+    exact = int(value) if isinstance(value, numbers.Integral) else value  # numpy ints compare as floats
+    if not (v.is_integer() and v == exact):
+        raise InputError("%s: expected an integer that a float holds exactly, got %s" % (name, _shown(value)))
     return v
 
 

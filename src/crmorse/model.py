@@ -128,12 +128,13 @@ def _m_eta(data: ModelData, etas, name: str) -> np.ndarray:
 
 def _eta_record(data: ModelData) -> Tuple[ChamberDecomposition, List[float], List[float]]:
     """The eta-chambers, decomposed once, and the |det M_eta| mass and Szego
-    density of each q-signature set: the pencil mu + 2s(-diag lam) at
-    s = eta is M_eta.  A nonempty q-set whose density is subnormal or 0 is
-    an InputError (pencil._densities), since the density and the extremal
-    form's C_0 would lose their digits."""
+    density of each q-signature set: the pencil R + 2sL with R = mu and
+    L = -diag(lam) is M_eta at s = eta, and the engine's refusals of it
+    name the document's keys, "mu, lambda: ".  A nonempty q-set whose
+    density is subnormal or 0 is an InputError (pencil._densities), since
+    the density and the extremal form's C_0 would lose their digits."""
     el = HermitianMatrix(np.diag(-data.lam).astype(complex))
-    w = _decompose(data.mu, el, data.delta)
+    w = _decompose(data.mu, el, data.delta, "mu, lambda")
     masses = w.q_masses[0].tolist()
     occupied = [(w.neg[0] == q).any() for q in range(data.d + 1)]
     return _chamber_decomposition(w), masses, _densities(data.n, [1.0], [masses], occupied, _DET)

@@ -106,6 +106,10 @@ class PencilField(_Frozen):
     def dim(self) -> int:
         return self.n - 1
 
+    def _names(self, rows: slice) -> List[str]:
+        """The names that begin the engine's refusals for the samples of ``rows``."""
+        return ["sample %r" % (label,) for label in self.labels[rows]]
+
     @property
     def points(self) -> List[PencilPoint]:
         wrap = HermitianMatrix._from_symmetrized
@@ -259,7 +263,7 @@ def build_morse_report(
     for start in range(0, len(field.labels), _CHUNK):
         part = slice(start, start + _CHUNK)
         r, el = field.r[part], field.el[part]
-        windows = _decompose_batch(r, el, deltas, labels=field.labels[part])
+        windows = _decompose_batch(r, el, deltas, field._names(part))
         masses[part, :-1], masses[part, -1] = windows[0].q_masses, windows[0].signed
         occupied[windows[0].neg[windows[0].neg >= 0]] = True
         w = windows[-1]

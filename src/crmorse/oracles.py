@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import _exports
-from .errors import CalibrationError, InputError, _digits, _float_range, _int_arg, _positive_arg
+from .errors import CalibrationError, InputError, _digits, _float_integer, _float_range, _int_arg, _positive_arg
 from .morse import PencilField, PencilPoint, _weak_bounds, density_q
 from .pencil import TWO_PI, HermitianMatrix, _Frozen, inertia
 from .serialize import canonical_json
@@ -42,14 +43,36 @@ _RAY_CHECK = 1000
 _LATTICE_D = 16
 
 
-def _int_hermitian(raw, what: str, d: int) -> HermitianMatrix:
-    h = raw if isinstance(raw, HermitianMatrix) else HermitianMatrix(np.asarray(raw, dtype=complex))
-    if h.dim != d:
-        raise InputError("%s has dim %d, expected %d" % (what, h.dim, d))
-    ent = h.entries
-    if not (np.all(ent.real == np.round(ent.real)) and np.all(ent.imag == np.round(ent.imag))):
-        raise InputError("%s must have integer entries" % what)
-    return h
+def _gaussian_entry(z, name: str) -> complex:
+    """The matrix entry ``z`` once it, or each part of it where its
+    imaginary part is not 0, is an integer that a float holds exactly
+    (errors._float_integer), checked on the caller's number."""
+    if isinstance(z, numbers.Real) or not isinstance(z, numbers.Complex):
+        return _float_integer(z, name)
+    if z.imag == 0:
+        return _float_integer(z.real, name)
+    return complex(_float_integer(z.real, name + ".real"), _float_integer(z.imag, name + ".imag"))
+
+
+def _int_hermitian(raw, what: str, d: Optional[int]) -> HermitianMatrix:
+    """The integer curvature matrix ``raw`` (nested lists, an array or a
+    HermitianMatrix; d x d, or square when d is None) as a HermitianMatrix,
+    once each entry is a Gaussian integer that floats hold exactly
+    (_gaussian_entry, naming it ``what[i][j]``) and the matrix is Hermitian
+    exactly as given: the exact counts take the integers as written, not
+    rounded to floats or averaged with their mirror entries."""
+    a = np.array(raw.entries if isinstance(raw, HermitianMatrix) else raw, dtype=object)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError("%s must be a square matrix, got shape %r" % (what, a.shape))
+    if d is not None and len(a) != d:
+        raise InputError("%s has dim %d, expected %d" % (what, len(a), d))
+    exact = np.array([
+        [_gaussian_entry(z, "%s[%d][%d]" % (what, i, j)) for j, z in enumerate(row)]
+        for i, row in enumerate(a.tolist())
+    ], dtype=complex)
+    if not np.array_equal(exact, exact.conj().T):
+        raise InputError("%s: an integer matrix must be exactly Hermitian" % what)
+    return HermitianMatrix(exact)
 
 
 class TorusBundleSpec(_Frozen):
@@ -71,8 +94,10 @@ class HeisenbergSpec(_Frozen):
 
     def __init__(self, d: int, lambda_vec: Tuple[int, ...], mu_mat: HermitianMatrix, delta: float):
         d = _int_arg(d, "dimension d", 1)
-        vec = tuple(_int_arg(v, "lambda_vec entry") for v in lambda_vec)
-        _float_range(lambda: [float(v) for v in vec], "lambda_vec: an entry leaves floating-point range")
+        vec = tuple(lambda_vec)
+        for i, v in enumerate(vec):  # an integer, and one that a float holds exactly
+            _float_integer(_int_arg(v, "lambda_vec[%d]" % i), "lambda_vec[%d]" % i)
+        vec = tuple(map(int, vec))
         if len(vec) != d:
             raise InputError("lambda_vec must have length d=%d, got %d" % (d, len(vec)))
         if any(v == 0 for v in vec):
@@ -290,10 +315,9 @@ def torus_mode_dim(q: int, a, cal: LatticeCalibration) -> int:
     of cohomology in the degree counting negative eigenvalues).  The
     determinant is computed exactly over the Gaussian integers.
     """
-    mat = a if isinstance(a, HermitianMatrix) else HermitianMatrix(np.asarray(a, dtype=complex))
+    mat = _int_hermitian(a, "a", None)
     d = mat.dim
     q = _int_arg(q, "q", 0, d)
-    mat = _int_hermitian(mat, "mode curvature matrix", d)
     det_re, det_im = _exact_det(_gaussian_rows(mat))
     if det_im != 0:
         raise InputError("Hermitian determinant came out non-real; input corrupt")

@@ -502,7 +502,7 @@ def _decompose_batch(
     r: np.ndarray,
     el: np.ndarray,
     deltas: Sequence[float],
-    labels: Union[Sequence[str], None] = None,
+    names: Union[Sequence[str], None] = None,
 ) -> List[_Window]:
     """Decompose every pencil of the (n, d, d) stacks r, el over each window
     [-delta, delta] of ``deltas``: one _Window per window.
@@ -519,8 +519,8 @@ def _decompose_batch(
     out of floating-point range (an input error naming the window),
     numerically singular at a chamber midpoint, a q-mass out of
     floating-point range (the same input error).  The error raised is the
-    first failing pencil's in stack order, prefixed with its label when
-    ``labels`` is given.
+    first failing pencil's in stack order, after "<name>: " when ``names``
+    names each pencil by the input it was read from.
     """
     deltas = [_positive_arg(delta, "delta") for delta in deltas]
     top = max(deltas)
@@ -528,8 +528,8 @@ def _decompose_batch(
     failures = {}  # row -> its error, from the first stage it fails
 
     def fail(row, kind, message):
-        label = "" if labels is None else "sample %r: " % (labels[row],)
-        failures.setdefault(row, kind(label + message))
+        name = "" if names is None else "%s: " % names[row]
+        failures.setdefault(row, kind(name + message))
 
     with np.errstate(over="ignore", invalid="ignore"):
         step = 2.0 * top * el
@@ -604,9 +604,10 @@ def _decompose_batch(
     return windows
 
 
-def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float) -> _Window:
-    """The one-pencil path: _decompose_batch on a stack of one."""
-    return _decompose_batch(*_stacked(r, el), [delta])[0]
+def _decompose(r: HermitianMatrix, el: HermitianMatrix, delta: float, name: Union[str, None] = None) -> _Window:
+    """The one-pencil path: _decompose_batch on a stack of one, whose
+    refusals begin "<name>: " when ``name`` is given."""
+    return _decompose_batch(*_stacked(r, el), [delta], None if name is None else [name])[0]
 
 
 def _chamber_decomposition(w: _Window) -> ChamberDecomposition:

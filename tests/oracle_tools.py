@@ -1,4 +1,5 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent numerical oracles used by the test suite, and the builders
+that several test modules share.
 
 Nothing in this module may call into crmorse's chamber machinery: the
 point is to recompute the same quantities through a different route
@@ -17,6 +18,18 @@ from scipy import integrate
 from crmorse.errors import CalibrationError
 from crmorse.oracles import torus_mode_dim
 from crmorse.pencil import HermitianMatrix
+
+TWO_PI = 2.0 * math.pi
+HUGE = int("9" * 400)  # an integer beyond float range
+
+
+def hm(rows) -> HermitianMatrix:
+    return HermitianMatrix(np.array(rows, dtype=complex))
+
+
+def mat(rows) -> list:
+    """The rows of a matrix as a document holds them: [re, im] pairs."""
+    return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

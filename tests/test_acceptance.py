@@ -40,15 +40,13 @@ from crmorse.oracles import (
     torus_mode_dim,
 )
 from crmorse.pencil import (
-    HermitianMatrix,
     chamber_integral,
     chambers,
     pencil_signed_integral,
 )
-from oracle_tools import oracle_chamber_integral, random_int_hermitian
+from oracle_tools import TWO_PI, hm, oracle_chamber_integral, random_hermitian, random_int_hermitian
 
 SEED = 20260825
-TWO_PI = 2.0 * math.pi
 
 
 @contextlib.contextmanager
@@ -61,15 +59,6 @@ def criterion(capsys, num, name):
         raise
     with capsys.disabled():
         print("ACCEPTANCE %d %s: PASS" % (num, name))
-
-
-def hm(rows):
-    return HermitianMatrix(np.asarray(rows, dtype=complex))
-
-
-def random_hermitian(rng, d, scale=1.0):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * 0.5 * (a + a.conj().T)
 
 
 # 1 -------------------------------------------------------------------

@@ -44,16 +44,12 @@ from crmorse.model import (
 )
 from crmorse.pencil import HermitianMatrix, _gauss_legendre, chamber_integral, inertia
 from oracle_tools import (
+    TWO_PI,
+    hm,
     random_int_hermitian,
     scalar_bergman_bruteforce,
     scalar_bergman_gram,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-def hm(rows):
-    return HermitianMatrix(np.array(rows, dtype=complex))
 
 
 def scalar_model(mu=3.0, lam=1.0, delta=1.0):

@@ -41,16 +41,12 @@ from crmorse.oracles import HeisenbergSpec, LatticeCalibration, TorusBundleSpec,
 from crmorse.pencil import HermitianMatrix, RealPolynomial
 from crmorse.serialize import canonical_json
 from oracle_tools import (
+    TWO_PI,
+    hm,
     oracle_signature_intervals,
     random_hermitian,
     random_int_hermitian,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-def hm(rows):
-    return HermitianMatrix(np.array(rows, dtype=complex))
 
 
 def pt(label, r, el, weight=1.0):

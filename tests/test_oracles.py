@@ -42,14 +42,7 @@ from crmorse.oracles import (
     torus_mode_dim,
     verify_calibration,
 )
-from crmorse.pencil import HermitianMatrix
-from oracle_tools import permode_dimension_sum, random_int_hermitian
-
-TWO_PI = 2.0 * math.pi
-
-
-def hm(rows):
-    return HermitianMatrix(np.array(rows, dtype=complex))
+from oracle_tools import TWO_PI, hm, permode_dimension_sum, random_int_hermitian
 
 
 D1_SPEC = TorusBundleSpec(d=1, lambda_mat=[[1]], mu_mat=[[2]], delta=0.5)
@@ -383,6 +376,52 @@ def test_torus_spec_validation():
         TorusBundleSpec(d=2, lambda_mat=[[1, 1j], [1j, 1]], mu_mat=np.eye(2), delta=0.5)
     with pytest.raises(InputError):
         TorusBundleSpec(d=1, lambda_mat=[[1]], mu_mat=[[1]], delta=-1.0)
+
+
+EXACT = "expected an integer that a float holds exactly, got"
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: TorusBundleSpec(1, [[1]], [[2**53 + 1]], 0.5), "mu_mat[0][0]: %s 9007199254740993" % EXACT),
+        (lambda: HeisenbergSpec(1, [2**53 + 1], [[2]], 0.5), "lambda_vec[0]: %s 9007199254740993" % EXACT),
+        (lambda: torus_mode_dim(0, [[2**53 + 1]], calibrate()), "a[0][0]: %s 9007199254740993" % EXACT),
+        (lambda: TorusBundleSpec(2, [[1, 0], [0, 1]], [[10**13, 1], [3, 10**13]], 0.5),
+         "mu_mat: an integer matrix must be exactly Hermitian"),
+        (lambda: TorusBundleSpec(1, [[2.5]], [[1]], 0.5), "lambda_mat[0][0]: %s 2.5" % EXACT),
+        (lambda: TorusBundleSpec(2, np.eye(2), [[1, 1 + 0.5j], [1 - 0.5j, 1]], 0.5),
+         "mu_mat[0][1].imag: %s 0.5" % EXACT),
+        (lambda: HeisenbergSpec(1, [1], [[5e-324]], 0.5), "mu_mat[0][0]: %s 5e-324" % EXACT),
+        (lambda: torus_mode_dim(0, hm([[0.5]]), calibrate()), "a[0][0]: %s 0.5" % EXACT),
+        (lambda: TorusBundleSpec(1, [[True]], [[1]], 0.5), "lambda_mat[0][0]: %s True" % EXACT),
+    ],
+    ids=["torus-2^53+1", "heisenberg-2^53+1", "mode-2^53+1", "torus-mean-of-two", "torus-fraction",
+         "torus-imaginary-part", "heisenberg-subnormal", "mode-hermitian-matrix", "torus-bool"],
+)
+def test_spec_integer_rules_hold_at_the_library_edge(call, expected):
+    # the document reader's two rules, on the caller's own numbers: an
+    # integer that a float holds exactly, and a matrix Hermitian as given
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == expected
+
+
+def test_spec_integers_a_float_holds_load_and_count_exactly():
+    cal = calibrate()
+    # 2^53 is a float: the window |m| <= 1 at k = 2 counts 2 (2^54 + m) modes
+    spec = TorusBundleSpec(1, [[1]], [[2**53]], 0.5)
+    assert fourier_dimension_sum(spec, 0, 2, cal) == 6 * 2**54
+    assert torus_mode_dim(0, [[2**53]], cal) == 2 * 2**53
+    as_lists = TorusBundleSpec(2, [[1, 0], [0, 1]], [[3, 1 + 1j], [1 - 1j, 2]], 0.5)
+    for lam, mu in [
+        (np.eye(2, dtype=np.int64), [[3.0, 1 + 1j], [1 - 1j, 2.0]]),
+        (hm([[1, 0], [0, 1]]), hm([[3, 1 + 1j], [1 - 1j, 2]])),
+        ([[np.int64(1), 0], [0, 1]], np.array([[3, 1 + 1j], [1 - 1j, 2]])),
+    ]:
+        assert TorusBundleSpec(2, lam, mu, 0.5) == as_lists
+    assert HeisenbergSpec(2, (np.int64(1), 2**53), [[3, 1], [1, 3]], 0.5).lambda_vec == (1, 2**53)
+    assert torus_mode_dim(0, np.array([[2, 1], [1, 2]], dtype=np.int64), cal) == 12
 
 
 def test_levi_flat_field_frozen():

@@ -24,12 +24,7 @@ import crmorse.cli
 from crmorse.cli import PARSE_HERMITIAN_TOL, parse_field, parse_heisenberg, parse_model, parse_torus
 from crmorse.errors import InputError
 from crmorse.pencil import HermitianMatrix
-
-HUGE = int("9" * 400)  # beyond float range
-
-
-def mat(rows):
-    return [[[complex(v).real, complex(v).imag] for v in row] for row in rows]
+from oracle_tools import HUGE, mat
 
 
 def message(parse, doc):
@@ -114,22 +109,12 @@ def test_field_names_first_of_two_faults(first, second):
     assert message(parse_field, doc) == POINT_FAULTS[first][1].format(p="points[1]")
 
 
-def _no_stack(values, d):
-    """_matrix_stack as for a document with a fault: every matrix is walked
-    element by element."""
-    return None
-
-
 @pytest.mark.parametrize("fault", list(POINT_FAULTS))
 def test_field_fault_at_last_point(fault):
-    # every point before the fault is clean, so the stack is all but whole;
-    # the walk names the fault also where it walks every matrix
+    # every point before the fault is clean, so the stack is all but whole
     doc = field(points=40)
     doc["points"][-1] = POINT_FAULTS[fault][0](doc["points"][-1])
     assert message(parse_field, doc) == POINT_FAULTS[fault][1].format(p="points[39]")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crmorse.cli, "_matrix_stack", _no_stack)
-        assert message(parse_field, doc) == POINT_FAULTS[fault][1].format(p="points[39]")
 
 
 def model():
@@ -280,16 +265,14 @@ def test_stacked_parse_equals_pointwise_construction(doc):
 def test_stacked_and_walked_parses_give_equal_fields(doc):
     raw = json.dumps(doc).encode()
     stacked = parse_field(raw)
-    # as for a document with a fault: the points walked, each matrix by its
-    # own stack of one, then every matrix walked element by element
-    for name, stub in (("_stacked_points", lambda raw_points, d: None), ("_matrix_stack", _no_stack)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crmorse.cli, name, stub)
-            walked = parse_field(raw)
-        assert stacked == walked and hash(stacked) == hash(walked)
-        for key in ("r", "el", "weights"):
-            a, b = getattr(stacked, key), getattr(walked, key)
-            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype  # signed zeros included
-            assert not a.flags.writeable and not b.flags.writeable
-        assert stacked.labels == walked.labels == tuple(p["label"] for p in doc["points"])
+    # as for a document with a fault: every matrix walked element by element
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crmorse.cli, "_stacked_points", lambda raw_points, d: None)
+        walked = parse_field(raw)
+    assert stacked == walked and hash(stacked) == hash(walked)
+    for key in ("r", "el", "weights"):
+        a, b = getattr(stacked, key), getattr(walked, key)
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype  # signed zeros included
+        assert not a.flags.writeable and not b.flags.writeable
+    assert stacked.labels == walked.labels == tuple(p["label"] for p in doc["points"])
 

@@ -34,15 +34,12 @@ from crmorse.pencil import (
     _two_pi_quotient,
 )
 from oracle_tools import (
+    hm,
     oracle_chamber_integral,
     oracle_signed_integral,
     random_hermitian,
     random_int_hermitian,
 )
-
-
-def hm(entries):
-    return HermitianMatrix(np.asarray(entries, dtype=complex))
 
 
 def decomposed(r, el, delta):
